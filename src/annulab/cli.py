@@ -48,6 +48,7 @@ from .grid import (
     write_snapshot,
 )
 from .nonlinear import (
+    FullyNonlinearSpec,
     NewtonError,
     monge_ampere_spec,
     newton_solve,
@@ -68,6 +69,9 @@ _OPERATOR_KINDS = ("monge_ampere", "special_lagrangian", "linear_trace", "linear
 _BOUNDARY_KINDS = ("radial_reference", "explicit_polynomial", "file")
 _EXPECT_KEYS = ("A", "b", "c", "d", "d_divergence", "e", "residual_exponent_min",
                 "K_min_max")
+# expectations compared within a tolerance; the other two are one-sided bounds
+_TOL_EXPECT_KEYS = ("A", "b", "c", "d", "d_divergence", "e")
+_EXPECT_SHAPES = {"A": (2, 2), "b": (2,), "e": (2,)}  # every other value is a number
 
 
 def _config_error(message):
@@ -149,7 +153,30 @@ class Scenario:
         bad = sorted(set(expect) - set(_EXPECT_KEYS))
         if bad:
             _config_error(f"unknown expect keys {bad}; known: {_EXPECT_KEYS}")
+        for key in sorted(expect):
+            _check_expectation(key, expect[key])
         return cls(name, operator, gp, boundary, windows, tolerances, expect)
+
+
+def _check_expectation(key, spec):
+    if not isinstance(spec, dict) or "value" not in spec:
+        _config_error(f"expect '{key}' needs a 'value' entry")
+    try:
+        value = np.asarray(spec["value"], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    shape = _EXPECT_SHAPES.get(key, ())
+    if value is None or value.shape != shape or not np.all(np.isfinite(value)):
+        what = f"a finite array of shape {shape}" if shape else "a finite number"
+        _config_error(f"expect '{key}' value must be {what}, got {spec['value']!r}")
+    if key in _TOL_EXPECT_KEYS:
+        try:
+            tol = float(spec["tol"])
+        except (KeyError, TypeError, ValueError):
+            tol = math.nan
+        if not (math.isfinite(tol) and tol > 0.0):
+            _config_error(f"expect '{key}' needs a finite positive 'tol', "
+                          f"got {spec.get('tol')!r}")
 
 
 # Built-in scenarios; `solve` accepts these names in place of a config path.
@@ -220,41 +247,52 @@ def _boundary_data(scenario, grid):
     return field.values[0].copy(), field.values[-1].copy()
 
 
+def _operator(scenario, grid):
+    """The scenario's operator: a Newton spec, or linear coefficients on ``grid``."""
+    op = scenario.operator
+    kind = op["kind"]
+    bound = float(scenario.tolerances.get("hessian_bound", 3.0))
+    if kind == "monge_ampere":
+        return monge_ampere_spec(bound)
+    if kind == "special_lagrangian":
+        return special_lagrangian_spec(float(op["theta"]), bound)
+    if kind == "linear_trace":
+        return LinearCoefficients.trace_operator(grid)
+    return LinearCoefficients(grid, float(op["a11"]), float(op["a12"]), float(op["a22"]))
+
+
+def _operator_residual(scenario, op, u):
+    """Sup over the interior rings of the scenario operator's residual at ``u``."""
+    h = hessian(u)
+    m11, m12, m22 = h.m11[1:-1], h.m12[1:-1], h.m22[1:-1]
+    if isinstance(op, FullyNonlinearSpec):
+        resid = op.evaluate(m11, m12, m22)
+    else:
+        resid = (op.a11[1:-1] * m11 + 2.0 * op.a12[1:-1] * m12 + op.a22[1:-1] * m22
+                 - float(scenario.operator.get("rhs", 0.0)))
+    return float(np.max(np.abs(resid)))
+
+
 def _solve(scenario):
     gp = scenario.grid
     grid = build_grid(float(gp["r_inner"]), float(gp["r_outer"]), int(gp["n_r"]),
                       int(gp["n_theta"]), spacing=_SPACINGS[gp["spacing"]])
     gin, gout = _boundary_data(scenario, grid)
-    kind = scenario.operator["kind"]
+    op = _operator(scenario, grid)
     tols = scenario.tolerances
 
-    if kind in ("monge_ampere", "special_lagrangian"):
-        if kind == "monge_ampere":
-            spec = monge_ampere_spec(float(tols.get("hessian_bound", 3.0)))
-        else:
-            spec = special_lagrangian_spec(float(scenario.operator["theta"]),
-                                           float(tols.get("hessian_bound", 3.0)))
-        u, trace = newton_solve(spec, grid, gin, gout,
+    if isinstance(op, FullyNonlinearSpec):
+        u, trace = newton_solve(op, grid, gin, gout,
                                 tol=float(tols.get("newton_tol", 1e-10)),
                                 max_iters=int(tols.get("max_iters", 30)))
         solve_info = {"method": "newton", "iterations": trace.iterations,
                       "final_residual": float(trace.residuals[-1])}
         return u, solve_info
 
-    if kind == "linear_trace":
-        coeffs = LinearCoefficients.trace_operator(grid)
-    else:
-        op = scenario.operator
-        coeffs = LinearCoefficients(grid, float(op["a11"]), float(op["a12"]),
-                                    float(op["a22"]))
-    rhs = float(scenario.operator.get("rhs", 0.0))
-    f = ScalarField(grid, np.full(grid.shape, rhs))
-    u = solve_linear_dirichlet(coeffs, f, gin, gout)
-    h = hessian(u)
-    resid = float(np.max(np.abs(
-        coeffs.a11 * h.m11 + 2.0 * coeffs.a12 * h.m12 + coeffs.a22 * h.m22 - rhs
-    )[1:-1]))
-    solve_info = {"method": "direct", "iterations": None, "final_residual": resid}
+    f = ScalarField(grid, np.full(grid.shape, float(scenario.operator.get("rhs", 0.0))))
+    u = solve_linear_dirichlet(op, f, gin, gout)
+    solve_info = {"method": "direct", "iterations": None,
+                  "final_residual": _operator_residual(scenario, op, u)}
     return u, solve_info
 
 
@@ -350,8 +388,8 @@ def _evaluate_expectations(scenario, report):
     rows = []
     exp = report["expansion"]
     for key, spec in sorted(scenario.expect.items()):
-        tol = float(spec["tol"])
         if key in ("A", "b", "e"):
+            tol = float(spec["tol"])
             measured = np.asarray(exp[key], dtype=float)
             target = np.asarray(spec["value"], dtype=float)
             gap = float(np.max(np.abs(measured - target)))
@@ -359,11 +397,13 @@ def _evaluate_expectations(scenario, report):
                          "expected": target.tolist(), "tolerance": tol,
                          "gap": gap, "pass": bool(gap <= tol)})
         elif key in ("c", "d"):
+            tol = float(spec["tol"])
             gap = abs(float(exp[key]) - float(spec["value"]))
             rows.append({"name": key, "measured": float(exp[key]),
                          "expected": float(spec["value"]), "tolerance": tol,
                          "gap": gap, "pass": bool(gap <= tol)})
         elif key == "d_divergence":
+            tol = float(spec["tol"])
             got = report["cross_checks"]["d_divergence"]["value"]
             gap = abs(got - float(spec["value"]))
             rows.append({"name": key, "measured": got,
@@ -898,8 +938,8 @@ def _cmd_analyze(args):
         if not (grid.r_inner <= lo < hi <= grid.r_outer * (1.0 + 1e-12)):
             _config_error(f"window [{lo}, {hi}] not inside the snapshot grid "
                           f"[{grid.r_inner}, {grid.r_outer}]")
-    solve_info = {"method": "loaded", "iterations": None, "final_residual":
-                  float(np.max(np.abs(laplacian(field).values[1:-1])))}
+    residual = _operator_residual(scenario, _operator(scenario, grid), field)
+    solve_info = {"method": "loaded", "iterations": None, "final_residual": residual}
     try:
         report = _analyze(scenario, field, solve_info)
     except ValueError as err:

@@ -8,6 +8,13 @@ integrates the normalized kernel log|x - y| - log|y| against a compactly
 supported density: node-centered product quadrature in the bulk, 8x8
 subdivision of cells near each target, and local polar integration (exact
 cell geometry, closed-form ray exits) of the cell containing the target.
+
+The potential has two paths for the same rule.  Targets on grid nodes
+(both index coordinates within 1e-12 of integers, r > 0) are evaluated a
+ring at a time: for such targets the rule is circulant in theta, so one
+per-ring weight array (far-field kernel, near-cell stencil, polar cell)
+applied by FFT correlation gives the whole ring.  Any other target takes
+the dense kernel sum and a per-target loop over its near cells.
 """
 
 from __future__ import annotations
@@ -218,6 +225,10 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
 
 # -- Newtonian potential ----------------------------------------------------
 
+_N_SUB = 8  # subdivision factor for cells near a target
+_REACH = 2.5 + 1e-9  # cells within this index distance of a target are refined
+_NODE_TOL = 1e-12  # index-coordinate tolerance for a target to count as a node
+
 
 def _cell_bounds(grid):
     """Node-centered cell edges: radii and parameter values per ring."""
@@ -230,8 +241,13 @@ def _cell_bounds(grid):
     return t_lo, t_hi, t_lo, t_hi
 
 
-def _bilinear(grid, vals, tq, thq):
-    """Bilinear interpolation of nodal values at parameters (tq, thq)."""
+def _bilinear_weights(grid, tq, thq):
+    """Bilinear interpolation stencil at parameters (tq, thq).
+
+    Returns ``(it, wt, j0, j1, wj)``: the value at (tq, thq) is
+    (1 - wt) * low + wt * high, where low = (1 - wj) v[it, j0] + wj v[it, j1]
+    and high is the same on ring it + 1.
+    """
     tq = np.asarray(tq, dtype=float)
     thq = np.asarray(thq, dtype=float)
     it = np.clip(np.searchsorted(grid.t, tq, side="right") - 1, 0, grid.n_r - 2)
@@ -241,6 +257,12 @@ def _bilinear(grid, vals, tq, thq):
     wj = jf - j0f
     j0 = j0f.astype(int) % grid.n_theta
     j1 = (j0 + 1) % grid.n_theta
+    return it, wt, j0, j1, wj
+
+
+def _bilinear(grid, vals, tq, thq):
+    """Bilinear interpolation of nodal values at parameters (tq, thq)."""
+    it, wt, j0, j1, wj = _bilinear_weights(grid, tq, thq)
     low = (1.0 - wj) * vals[it, j0] + wj * vals[it, j1]
     high = (1.0 - wj) * vals[it + 1, j0] + wj * vals[it + 1, j1]
     return (1.0 - wt) * low + wt * high
@@ -286,11 +308,18 @@ def _polar_cell_integral(r_x, r_lo, r_hi, beta_lo, beta_hi, n_phi):
     return s_log, area
 
 
-_N_SUB = 8  # subdivision factor for cells near a target
+def _n_rays(grid):
+    """Ray count of the polar integral over a target's own cell."""
+    return max(64, 4 * grid.n_theta)
 
 
-def _refined_cells(grid, fvals, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
-    """Subdivided midpoint contribution of the listed cells for one target."""
+def _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
+    """Subdivided midpoint rule of the listed cells for one target.
+
+    Each cell is split into _N_SUB x _N_SUB sub-cells.  Returns the kernel
+    log|x - y| - log|y| at the sub-cell midpoints, their areas, and the
+    midpoints' parameters (t, theta) flattened for interpolation.
+    """
     dq = grid.dtheta
     ta = t_lo[idx_r][:, None]
     tb = t_hi[idx_r][:, None]
@@ -318,32 +347,31 @@ def _refined_cells(grid, fvals, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
         )
     tq = np.broadcast_to(t_mid[:, :, None], d2.shape).reshape(-1)
     thq = np.broadcast_to(th3 % (2.0 * math.pi), d2.shape).reshape(-1)
-    f_sub = _bilinear(grid, fvals, tq, thq).reshape(d2.shape)
     kern = 0.5 * np.log(d2) - np.log(r3)
     w3 = wr_sub[:, :, None] * (dq / _N_SUB)
+    return kern, w3, tq, thq
+
+
+def _refined_cells(grid, fvals, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
+    """Subdivided midpoint contribution of the listed cells for one target."""
+    kern, w3, tq, thq = _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi)
+    f_sub = _bilinear(grid, fvals, tq, thq).reshape(kern.shape)
     return float(np.sum(kern * f_sub * w3))
 
 
-def newtonian_potential(f, targets, n_phi=None):
-    """Potential of a compactly supported density against the log kernel.
-
-    Computes u(x) = (1/2pi) * integral of (log|x - y| - log|y|) f(y) dy
-    over the grid annulus for each target x, together with
-    log_mass = (1/2pi) * integral of f.  The normalization makes rings
-    outside a target's radius drop out exactly, so Delta u = f holds on
-    the support with no truncation term, while u grows like
-    log_mass * log|x| beyond it.
-
-    Quadrature: midpoint rule on node-centered cells with exact radial
-    weights; cells within 2.5 index units of a target are re-done with an
-    8x8 subdivision; the cell containing the target is integrated in
-    local polar coordinates about the target (``n_phi`` rays, default
-    4x the angular resolution).  Returns ``(values, log_mass)``.
-    """
+def _density(f):
+    """Validated density values, node-cell areas and log_mass."""
     g = f.grid
     fvals = f.values
     if not np.all(np.isfinite(fvals)):
         raise ValueError("singular-input: non-finite density values")
+    r_lo, r_hi, _, _ = _cell_bounds(g)
+    area = 0.5 * (r_hi * r_hi - r_lo * r_lo)[:, None] * g.dtheta
+    log_mass = float(np.sum(fvals * area)) / (2.0 * math.pi)
+    return fvals, area, log_mass
+
+
+def _target_array(targets):
     pts = np.asarray(targets, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -351,19 +379,110 @@ def newtonian_potential(f, targets, n_phi=None):
         raise ValueError("invalid-dimension: targets must have shape (m, 2)")
     if not np.all(np.isfinite(pts)):
         raise ValueError("singular-input: non-finite target coordinates")
-    if n_phi is None:
-        n_phi = max(64, 4 * g.n_theta)
+    return pts
 
-    r_lo, r_hi, t_lo, t_hi = _cell_bounds(g)
-    wr = 0.5 * (r_hi * r_hi - r_lo * r_lo)
-    fw = fvals * (wr[:, None] * g.dtheta)
-    log_mass = float(np.sum(fw)) / (2.0 * math.pi)
 
-    y1, y2 = g.nodes()
+def _checked(acc, pts):
+    if not np.all(np.isfinite(acc)):
+        bad = int(np.argmax(~np.isfinite(acc)))
+        raise ValueError(
+            "target-inside-singular-cell: quadrature failed to resolve target "
+            f"({pts[bad, 0]!r}, {pts[bad, 1]!r})"
+        )
+    return acc / (2.0 * math.pi)
+
+
+def _node_indices(grid, pts):
+    """Ring and column index of each target on a grid node, -1 elsewhere.
+
+    A target is on a node when r > 0 and its index coordinates
+    (t(r) - t_0) / dt and theta / dtheta are within _NODE_TOL of integers,
+    the ring index lying in [0, n_r - 1].
+    """
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    on = r > 0.0
+    if grid.spacing == LOG_RADIAL:
+        t = np.log(r, out=np.full_like(r, grid.t[0]), where=on)
+    else:
+        t = r
+    tf = (t - grid.t[0]) / grid.dt
+    jf = (np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)) / grid.dtheta
+    i, j = np.rint(tf), np.rint(jf)
+    on &= (np.abs(tf - i) <= _NODE_TOL) & (np.abs(jf - j) <= _NODE_TOL)
+    on &= (i >= 0) & (i <= grid.n_r - 1)
+    ring = np.where(on, i, -1).astype(int)
+    col = np.where(on, j, 0).astype(int) % grid.n_theta
+    return ring, col
+
+
+def _near_stencil(grid, i, t_lo, t_hi):
+    """Node weights of the refined near cells for a target at node (i, 0).
+
+    The near cells are those within _REACH index units: rings i-2..i+2
+    that exist, columns -2..2, less the target's own cell.  The sub-cell
+    rule of ``_sub_cells`` is scattered through the bilinear weights, so
+    ``sum(weights * f)`` is ``_refined_cells`` for the same target.
+    Returns the weights and the index of the near-cell block.
+    """
+    n_r, n_q = grid.shape
+    rings = np.arange(max(i - 2, 0), min(i + 3, n_r))
+    cols = np.arange(-2, 3) % n_q
+    ii = np.repeat(rings, cols.size)
+    jj = np.tile(cols, rings.size)
+    far = (ii != i) | (jj != 0)
+    kern, w3, tq, thq = _sub_cells(grid, ii[far], jj[far], grid.radii[i], 0.0,
+                                   t_lo, t_hi)
+    coef = (kern * w3).reshape(-1)
+    it, wt, j0, j1, wj = _bilinear_weights(grid, tq, thq)
+    weights = np.zeros(grid.shape)
+    for rows, w_r in ((it, 1.0 - wt), (it + 1, wt)):
+        for columns, w_q in ((j0, 1.0 - wj), (j1, wj)):
+            np.add.at(weights, (rows, columns), coef * w_r * w_q)
+    return weights, np.ix_(rings, cols)
+
+
+def _node_sums(grid, fvals, area, ring, col):
+    """Quadrature sums for targets on grid nodes, one whole ring at a time.
+
+    For the target at node (i, 0) the whole quadrature is a weight array
+    on the nodal density: the midpoint kernel times the cell area away
+    from the target, the near-cell stencil, and the polar integral of the
+    target's own cell.  Rotating the target by j columns rotates the
+    weights, so every node of ring i follows from one circular correlation
+    over theta, done by rfft.
+    """
+    n_q = grid.n_theta
+    r_lo, r_hi, t_lo, t_hi = _cell_bounds(grid)
+    y1, y2 = grid.nodes()
+    log_r = np.log(grid.radii)[:, None]
+    f_hat = np.fft.rfft(fvals, axis=1)
+    half = 0.5 * grid.dtheta
+    acc = np.empty(ring.size)
+    for i in np.unique(ring):
+        r_i = float(grid.radii[i])
+        dx = r_i - y1
+        kern = 0.5 * np.log(np.maximum(dx * dx + y2 * y2, 1e-300)) - log_r
+        weights, near = _near_stencil(grid, i, t_lo, t_hi)
+        kern[near] = 0.0
+        weights += kern * area
+        s_log, cell_area = _polar_cell_integral(r_i, r_lo[i], r_hi[i], -half, half,
+                                                _n_rays(grid))
+        weights[i, 0] += s_log - math.log(r_i) * cell_area
+        spectrum = np.sum(np.conj(np.fft.rfft(weights, axis=1)) * f_hat, axis=0)
+        sel = ring == i
+        acc[sel] = np.fft.irfft(spectrum, n=n_q)[col[sel]]
+    return acc
+
+
+def _target_sums(grid, fvals, area, pts):
+    """Quadrature sums target by target: dense kernel sum plus local fixes."""
+    r_lo, r_hi, t_lo, t_hi = _cell_bounds(grid)
+    fw = fvals * area
+    y1, y2 = grid.nodes()
     y1f, y2f = y1.ravel(), y2.ravel()
     fwf = fw.ravel()
-    logr_nodes = np.log(g.radii)
-    logyf = np.broadcast_to(logr_nodes[:, None], g.shape).ravel()
+    logr_nodes = np.log(grid.radii)
+    logyf = np.broadcast_to(logr_nodes[:, None], grid.shape).ravel()
 
     m = pts.shape[0]
     acc = np.empty(m)
@@ -376,30 +495,30 @@ def newtonian_potential(f, targets, n_phi=None):
         kern = 0.5 * np.log(np.maximum(d2, 1e-300)) - logyf[None, :]
         acc[lo:hi] = kern @ fwf
 
-    t0 = g.t[0]
-    n_r, n_q = g.shape
-    reach = 2.5 + 1e-9
+    t0 = grid.t[0]
+    n_r, n_q = grid.shape
     two_pi = 2.0 * math.pi
     for k in range(m):
         x1k, x2k = pts[k]
         r_k = math.hypot(x1k, x2k)
         if r_k == 0.0:
             continue  # kernel vanishes identically at the origin
-        tf = ((math.log(r_k) if g.spacing == LOG_RADIAL else r_k) - t0) / g.dt
-        if tf < -reach or tf > (n_r - 1) + reach:
+        tf = ((math.log(r_k) if grid.spacing == LOG_RADIAL else r_k) - t0) / grid.dt
+        if tf < -_REACH or tf > (n_r - 1) + _REACH:
             continue
         th_k = math.atan2(x2k, x1k) % two_pi
-        jf = th_k / g.dtheta
+        jf = th_k / grid.dtheta
         inside = -1e-9 <= tf <= (n_r - 1) + 1e-9
         i_c = min(max(int(round(tf)), 0), n_r - 1)
         j_c = int(round(jf)) % n_q
 
-        i_near = [i for i in range(i_c - 3, i_c + 4) if 0 <= i < n_r and abs(i - tf) <= reach]
+        i_near = [i for i in range(i_c - 3, i_c + 4)
+                  if 0 <= i < n_r and abs(i - tf) <= _REACH]
         j_near = []
         for dj in range(-3, 4):
             j = (j_c + dj) % n_q
             dist = abs((j - jf + n_q / 2.0) % n_q - n_q / 2.0)
-            if dist <= reach:
+            if dist <= _REACH:
                 j_near.append(j)
         ii = np.repeat(i_near, len(j_near))
         jj = np.tile(j_near, len(i_near))
@@ -412,23 +531,61 @@ def newtonian_potential(f, targets, n_phi=None):
         singular = inside & (ii == i_c) & (jj == j_c)
         if np.any(~singular):
             acc[k] += _refined_cells(
-                g, fvals, ii[~singular], jj[~singular], x1k, x2k, t_lo, t_hi
+                grid, fvals, ii[~singular], jj[~singular], x1k, x2k, t_lo, t_hi
             )
         if inside:
-            delta = (g.theta[j_c] - th_k + math.pi) % two_pi - math.pi
-            beta_lo = min(delta - 0.5 * g.dtheta, 0.0)
-            beta_hi = max(delta + 0.5 * g.dtheta, 0.0)
-            s_log, area = _polar_cell_integral(
-                r_k, r_lo[i_c], r_hi[i_c], beta_lo, beta_hi, n_phi
+            delta = (grid.theta[j_c] - th_k + math.pi) % two_pi - math.pi
+            beta_lo = min(delta - 0.5 * grid.dtheta, 0.0)
+            beta_hi = max(delta + 0.5 * grid.dtheta, 0.0)
+            s_log, cell_area = _polar_cell_integral(
+                r_k, r_lo[i_c], r_hi[i_c], beta_lo, beta_hi, _n_rays(grid)
             )
-            t_k = min(max(math.log(r_k) if g.spacing == LOG_RADIAL else r_k, g.t[0]), g.t[-1])
-            f_at_x = float(_bilinear(g, fvals, t_k, th_k))
-            acc[k] += f_at_x * (s_log - math.log(r_k) * area)
+            t_k = min(max(math.log(r_k) if grid.spacing == LOG_RADIAL else r_k,
+                          grid.t[0]), grid.t[-1])
+            f_at_x = float(_bilinear(grid, fvals, t_k, th_k))
+            acc[k] += f_at_x * (s_log - math.log(r_k) * cell_area)
+    return acc
 
-    if not np.all(np.isfinite(acc)):
-        bad = int(np.argmax(~np.isfinite(acc)))
-        raise ValueError(
-            "target-inside-singular-cell: quadrature failed to resolve target "
-            f"({pts[bad, 0]!r}, {pts[bad, 1]!r})"
-        )
-    return acc / two_pi, log_mass
+
+def newtonian_potential(f, targets):
+    """Potential of a compactly supported density against the log kernel.
+
+    Computes u(x) = (1/2pi) * integral of (log|x - y| - log|y|) f(y) dy
+    over the grid annulus for each target x, together with
+    log_mass = (1/2pi) * integral of f.  The normalization makes rings
+    outside a target's radius drop out exactly, so Delta u = f holds on
+    the support with no truncation term, while u grows like
+    log_mass * log|x| beyond it.
+
+    Quadrature: midpoint rule on node-centered cells with exact radial
+    weights; cells within 2.5 index units of a target are re-done with an
+    8x8 subdivision of bilinearly interpolated density; the cell
+    containing the target is integrated in local polar coordinates about
+    the target with max(64, 4 n_theta) rays.  Returns ``(values, log_mass)``.
+
+    Two paths evaluate the same rule.  A target on a grid node (r > 0 and
+    both index coordinates within 1e-12 of integers, the ring inside the
+    grid) is computed with its whole ring: the rule is circulant in theta,
+    so one weight array per ring and an FFT correlation give every node of
+    the ring at about the cost of one target.  Every other target (off the
+    nodes, the origin, or beyond the grid) takes the dense kernel sum and
+    a per-target loop over its near cells.  The two agree to rounding.
+    """
+    fvals, area, log_mass = _density(f)
+    pts = _target_array(targets)
+    g = f.grid
+    ring, col = _node_indices(g, pts)
+    on = ring >= 0
+    acc = np.empty(pts.shape[0])
+    if np.any(on):
+        acc[on] = _node_sums(g, fvals, area, ring[on], col[on])
+    if not np.all(on):
+        acc[~on] = _target_sums(g, fvals, area, pts[~on])
+    return _checked(acc, pts), log_mass
+
+
+def _reference_potential(f, targets):
+    """``newtonian_potential`` with every target on the per-target loop."""
+    fvals, area, log_mass = _density(f)
+    pts = _target_array(targets)
+    return _checked(_target_sums(f.grid, fvals, area, pts), pts), log_mass

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import annulab.cli as cli
 from annulab.cli import BUILTIN_SCENARIOS, Scenario, run_acceptance, run_scenario
+from annulab.grid import ScalarField, build_grid, hessian, write_snapshot
+from annulab.nonlinear import radial_ma_reference
 
 
 def builtin_config(name, **overrides):
@@ -82,6 +85,25 @@ class TestScenarioConfig:
                                 expect={"volume": {"value": 1.0, "tol": 1.0}})
         with pytest.raises(ValueError, match="invalid-config"):
             Scenario.from_config(config)
+
+    @pytest.mark.parametrize("key, entry, message", [
+        ("d", {"value": 0.0}, "expect 'd' needs a finite positive 'tol'"),
+        ("A", {"value": [[1.0, 0.0], [0.0, 1.0]], "tol": 0.0}, "expect 'A' needs"),
+        ("d_divergence", {"value": 1.0, "tol": float("nan")}, "'d_divergence' needs"),
+        ("c", {"value": 0.0, "tol": "tight"}, "expect 'c' needs"),
+        ("e", {"tol": 1e-8}, "expect 'e' needs a 'value'"),
+        ("b", {"value": [0.0], "tol": 1e-8}, "'b' value must be a finite array"),
+        ("K_min_max", 2.0, "expect 'K_min_max' needs a 'value'"),
+    ])
+    def test_bad_expect_entry_rejected(self, key, entry, message):
+        config = builtin_config("identity-quadratic", expect={key: entry})
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_config(config)
+
+    def test_one_sided_expectations_need_no_tol(self):
+        config = builtin_config("identity-quadratic", expect={
+            "K_min_max": {"value": 1.5}, "residual_exponent_min": {"value": 1.0}})
+        assert Scenario.from_config(config).expect["K_min_max"] == {"value": 1.5}
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +196,39 @@ class TestCommandLine:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_expect_without_tol_exits_2_before_solving(self, tmp_path, monkeypatch,
+                                                       capsys):
+        config = builtin_config("identity-quadratic", expect={"d": {"value": 0.0}})
+        path = tmp_path / "no-tol.json"
+        path.write_text(json.dumps(config))
+
+        def no_solve(scenario):
+            raise AssertionError("the solve ran for an invalid config")
+
+        monkeypatch.setattr(cli, "_solve", no_solve)
+        assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
+        assert "expect 'd' needs a finite positive 'tol'" in capsys.readouterr().err
+        assert not (tmp_path / "identity-quadratic").exists()
+
+    def test_analyze_reports_operator_residual(self, tmp_path):
+        # the radial Monge-Ampere profile: the discrete det D^2 u - 1 is
+        # small, while the Laplacian it used to report is about 2
+        grid = build_grid(1.0, 16.0, 97, 32)
+        u = ScalarField.from_radial(grid, lambda r: radial_ma_reference(2.0, r)[0])
+        write_snapshot(tmp_path / "radial.field", u)
+        config = builtin_config("ma-radial-a2", windows=[[2, 4], [4, 8], [8, 16]],
+                                expect={})
+        path = tmp_path / "radial.json"
+        path.write_text(json.dumps(config))
+        code = cli.main(["analyze", str(tmp_path / "radial.field"), str(path),
+                         "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "ma-radial-a2" / "report.json").read_text())
+        h = hessian(u)
+        det = (h.m11 * h.m22 - h.m12 * h.m12 - 1.0)[1:-1]
+        assert report["solve"]["final_residual"] == float(np.max(np.abs(det)))
+        assert report["solve"]["final_residual"] < 0.1
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "nope.json"),

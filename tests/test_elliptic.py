@@ -1,9 +1,15 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from annulab import elliptic
 from annulab.grid import (
+    LOG_RADIAL,
     UNIFORM_RADIAL,
     PlanarMapping,
     ScalarField,
@@ -187,6 +193,16 @@ def inverse_quartic(x1, x2):
     return (x1 * x1 + x2 * x2) ** -2.0
 
 
+def node_point(g, i, j, dt_cells=0.0, dq_cells=0.0):
+    """Cartesian point at node (i, j), moved by the given index offsets."""
+    if g.spacing == LOG_RADIAL:
+        r = g.radii[i] * math.exp(dt_cells * g.dt)
+    else:
+        r = g.radii[i] + dt_cells * g.dt
+    th = g.theta[j] + dq_cells * g.dtheta
+    return r * math.cos(th), r * math.sin(th)
+
+
 def test_potential_zero_density():
     g = build_grid(1.0, 4.0, 17, 16)
     vals, log_mass = newtonian_potential(ScalarField(g, np.zeros(g.shape)), [(2.0, 0.0)])
@@ -195,10 +211,14 @@ def test_potential_zero_density():
 
 
 def test_potential_vanishes_at_origin():
-    # the -log|y| normalization makes the kernel vanish identically at x = 0
+    # the -log|y| normalization makes the kernel vanish identically at x = 0;
+    # neither the origin nor the boundary-ring nodes beside it may warn
     g = build_grid(1.0, 4.0, 17, 16)
     f = ScalarField.from_function(g, inverse_quartic)
-    vals, _ = newtonian_potential(f, [(0.0, 0.0)])
+    pts = [(0.0, 0.0), node_point(g, 0, 0), node_point(g, 16, 15)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, _ = newtonian_potential(f, pts)
     assert abs(vals[0]) <= 1e-14
 
 
@@ -275,3 +295,81 @@ def test_potential_input_validation():
     bad = ScalarField(g, np.full(g.shape, np.nan), allow_nonfinite=True)
     with pytest.raises(ValueError, match="singular-input"):
         newtonian_potential(bad, [(2.0, 0.0)])
+
+
+# -- the on-node path against the per-target loop --------------------------
+
+
+def potential_and_loop_count(f, pts):
+    """Potential plus the number of targets the per-target loop received."""
+    with mock.patch.object(elliptic, "_target_sums",
+                           wraps=elliptic._target_sums) as loop:
+        vals, log_mass = newtonian_potential(f, pts)
+    looped = sum(call.args[3].shape[0] for call in loop.call_args_list)
+    return vals, log_mass, looped
+
+
+def assert_matches_reference(f, pts, n_node):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, log_mass, looped = potential_and_loop_count(f, pts)
+        ref, ref_mass = elliptic._reference_potential(f, pts)
+    assert looped == len(pts) - n_node
+    assert log_mass == ref_mass
+    assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
+    n_r=st.integers(9, 33),
+    # grids need an even n_theta of at least 16
+    n_q=st.integers(8, 16).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**32 - 1),
+    mixed=st.booleans(),
+)
+def test_node_path_matches_reference(spacing, n_r, n_q, seed, mixed):
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    f = ScalarField(g, rng.uniform(0.5, 1.5, g.shape) / g.radii[:, None] ** 2)
+    rings = np.concatenate([[0, n_r - 1], rng.integers(0, n_r, 6)])
+    cols = rng.integers(0, n_q, rings.size)
+    # offsets below the 1e-12 selection tolerance still select the node
+    jitter = rng.uniform(-5e-13, 5e-13, (rings.size, 2))
+    pts = [node_point(g, i, j, *d) for i, j, d in zip(rings, cols, jitter)]
+    pts += pts[:3]
+    n_node = len(pts)
+    if mixed:
+        radii = rng.uniform(0.5, 5.0, 6)
+        angles = rng.uniform(0.0, 2.0 * math.pi, 6)
+        pts += list(zip(radii * np.cos(angles), radii * np.sin(angles)))
+        pts.append((0.0, 0.0))
+    pts = np.array(pts)[rng.permutation(len(pts))]
+    assert_matches_reference(f, pts, n_node)
+
+
+@pytest.mark.parametrize("grid_args, rings", [
+    # every ring of the radial-profile grid, boundary rings included
+    ((1.0, 16.0, 97, 48), np.arange(97)),
+    # the growth grid of acceptance row 10
+    ((1.0, 2.0**20, 321, 32), np.arange(160, 289, 16)),
+    # a sample of the acceptance row 10 ring band
+    ((1.0, 16.0, 257, 128), np.arange(64, 97, 4)),
+])
+def test_node_path_matches_reference_on_named_grids(grid_args, rings):
+    g = build_grid(*grid_args)
+    f = ScalarField.from_function(g, inverse_quartic)
+    cols = (7 * rings) % g.n_theta
+    pts = np.array([node_point(g, i, j) for i, j in zip(rings, cols)])
+    assert_matches_reference(f, pts, len(pts))
+
+
+@pytest.mark.parametrize("offset", [(1e-6, 0.0), (0.0, 1e-6), (-1e-6, -1e-6)])
+def test_target_off_a_node_takes_the_loop(offset):
+    g = build_grid(1.0, 4.0, 17, 16)
+    f = ScalarField.from_function(g, inverse_quartic)
+    pts = [node_point(g, 8, 3, *offset)]
+    vals, _, looped = potential_and_loop_count(f, pts)
+    ref, _ = elliptic._reference_potential(f, pts)
+    assert looped == 1
+    assert vals.tobytes() == ref.tobytes()
