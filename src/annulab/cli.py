@@ -78,6 +78,22 @@ def _config_error(message):
     raise ValueError(f"invalid-config: {message}")
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_number(value, where):
+    if not (_is_number(value) and math.isfinite(value)):
+        _config_error(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where):
+    if not (_is_number(value) and float(value).is_integer()):
+        _config_error(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Validated scenario: what to solve, where, and what to assert."""
@@ -119,6 +135,10 @@ class Scenario:
         for key in ("r_inner", "r_outer", "n_r", "n_theta"):
             if key not in gp:
                 _config_error(f"grid needs '{key}'")
+        r_in = _finite_number(gp["r_inner"], "grid.r_inner")
+        r_out = _finite_number(gp["r_outer"], "grid.r_outer")
+        for key in ("n_r", "n_theta"):
+            _integer(gp[key], f"grid.{key}")
         spacing = gp.setdefault("spacing", "log")
         if spacing not in _SPACINGS:
             _config_error(f"grid spacing must be 'log' or 'uniform', got {spacing!r}")
@@ -138,10 +158,16 @@ class Scenario:
         if bkind == "file" and "path" not in boundary:
             _config_error("file boundary needs 'path'")
 
-        windows = tuple((float(lo), float(hi)) for lo, hi in config["windows"])
+        if not isinstance(config["windows"], (list, tuple)):
+            _config_error("windows must be a list of [lo, hi] pairs")
+        windows = []
+        for k, pair in enumerate(config["windows"]):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                _config_error(f"windows[{k}] must be a [lo, hi] pair, got {pair!r}")
+            windows.append(tuple(_finite_number(v, f"windows[{k}]") for v in pair))
+        windows = tuple(windows)
         if not windows:
             _config_error("windows must be non-empty")
-        r_in, r_out = float(gp["r_inner"]), float(gp["r_outer"])
         for lo, hi in windows:
             if not (r_in <= lo < hi <= r_out * (1.0 + 1e-12)):
                 _config_error(
@@ -518,7 +544,8 @@ def _emit(report, u, out_dir: Path, fmt: str):
             _decay_svg(report["expansion"]["residual_fit"]))
 
 
-def _print_report_summary(report, stream=sys.stdout):
+def _print_report_summary(report, stream=None):
+    stream = sys.stdout if stream is None else stream
     name = report["scenario"]["name"]
     print(f"scenario {name}: {report['status']}", file=stream)
     solve = report["solve"]
@@ -863,8 +890,12 @@ def run_acceptance(names=None, tol_scale=1.0, jobs=1):
     return [_run_check(e) for e in entries]
 
 
-def verify_suite(names=None, tol_scale=1.0, jobs=1, stream=sys.stdout):
-    """Run the acceptance registry and print one pass/fail row per criterion."""
+def verify_suite(names=None, tol_scale=1.0, jobs=1, stream=None):
+    """Run the acceptance registry and print one pass/fail row per criterion.
+
+    Rows go to ``stream``, by default the ``sys.stdout`` of the call.
+    """
+    stream = sys.stdout if stream is None else stream
     rows = run_acceptance(names=names, tol_scale=tol_scale, jobs=jobs)
     width = max(len(r["name"]) for r in rows)
     for row in rows:
@@ -895,8 +926,12 @@ def _load_scenario(ref, args):
         parts = args.grid.split(",")
         if len(parts) not in (4, 5):
             _config_error("--grid wants r_inner,r_outer,n_r,n_theta[,spacing]")
-        config["grid"] = {"r_inner": float(parts[0]), "r_outer": float(parts[1]),
-                          "n_r": int(parts[2]), "n_theta": int(parts[3])}
+        try:
+            config["grid"] = {"r_inner": float(parts[0]), "r_outer": float(parts[1]),
+                              "n_r": int(parts[2]), "n_theta": int(parts[3])}
+        except ValueError:
+            _config_error(f"--grid wants r_inner,r_outer,n_r,n_theta[,spacing], "
+                          f"got {args.grid!r}")
         if len(parts) == 5:
             config["grid"]["spacing"] = parts[4]
     if getattr(args, "windows", None):
@@ -905,7 +940,10 @@ def _load_scenario(ref, args):
             lo, _, hi = piece.partition(":")
             if not hi:
                 _config_error("--windows wants lo:hi[,lo:hi...]")
-            windows.append([float(lo), float(hi)])
+            try:
+                windows.append([float(lo), float(hi)])
+            except ValueError:
+                _config_error(f"--windows wants lo:hi[,lo:hi...], got {args.windows!r}")
         config["windows"] = windows
     if getattr(args, "tol", None) is not None:
         config.setdefault("tolerances", {})["newton_tol"] = args.tol

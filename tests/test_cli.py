@@ -1,6 +1,13 @@
 """Scenario configs, the runner pipeline, CLI exit codes, and the verify harness."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +217,69 @@ class TestCommandLine:
         assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
         assert "expect 'd' needs a finite positive 'tol'" in capsys.readouterr().err
         assert not (tmp_path / "identity-quadratic").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"windows": [[4]]}, "windows[0] must be a [lo, hi] pair"),
+        ({"windows": [[4, 8], [8, 16, 32]]}, "windows[1] must be a [lo, hi] pair"),
+        ({"windows": [[4, "eight"]]}, "windows[0] must be a finite number"),
+        ({"windows": [[4, math.nan]]}, "windows[0] must be a finite number"),
+        ({"windows": "4:8"}, "windows must be a list of [lo, hi] pairs"),
+        ({"grid": {"n_r": "many"}}, "grid.n_r must be an integer"),
+        ({"grid": {"n_theta": 64.5}}, "grid.n_theta must be an integer"),
+        ({"grid": {"r_inner": math.nan}}, "grid.r_inner must be a finite number"),
+        ({"grid": {"r_outer": math.inf}}, "grid.r_outer must be a finite number"),
+    ])
+    def test_malformed_windows_and_grid_exit_2_before_solving(
+            self, tmp_path, monkeypatch, capsys, overrides, message):
+        config = builtin_config("identity-quadratic")
+        config["grid"].update(overrides.pop("grid", {}))
+        config.update(overrides)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(config))
+
+        def no_solve(scenario):
+            raise AssertionError("the solve ran for an invalid config")
+
+        monkeypatch.setattr(cli, "_solve", no_solve)
+        assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [["--grid", "1,64,many,64"],
+                                        ["--windows", "8:sixteen"]])
+    def test_malformed_overrides_exit_2(self, tmp_path, capsys, option):
+        code = cli.main(["solve", "identity-quadratic", "--out", str(tmp_path), *option])
+        assert code == 2
+        assert f"{option[0]} wants" in capsys.readouterr().err
+
+    def test_summary_follows_redirected_stdout(self, tmp_path):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["solve", "identity-quadratic", "--out", str(tmp_path)])
+        assert code == 0
+        text = buf.getvalue()
+        assert "scenario identity-quadratic: pass" in text
+        assert "  solve: direct" in text
+        assert "artifacts written to" in text
+
+    def test_verify_rows_follow_redirected_stdout(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["verify", "--only", "03-holder-exponent-formula"])
+        assert code == 0
+        assert "03-holder-exponent-formula" in buf.getvalue()
+        assert "1/1 criteria passed" in buf.getvalue()
+
+    def test_python_m_runs_without_runtime_warning(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "annulab",
+             "verify", "--help"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "--only" in proc.stdout
 
     def test_analyze_reports_operator_residual(self, tmp_path):
         # the radial Monge-Ampere profile: the discrete det D^2 u - 1 is

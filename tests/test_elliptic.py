@@ -373,3 +373,66 @@ def test_target_off_a_node_takes_the_loop(offset):
     ref, _ = elliptic._reference_potential(f, pts)
     assert looped == 1
     assert vals.tobytes() == ref.tobytes()
+
+
+# -- the FFT-in-theta solve against SuperLU ----------------------------------
+
+
+def superlu_reference(coeffs, f, g_inner, g_outer):
+    """``solve_linear_dirichlet`` with the FFT-in-theta path switched off."""
+    with mock.patch.object(elliptic, "_refined", return_value=None):
+        return solve_linear_dirichlet(coeffs, f, g_inner, g_outer)
+
+
+def solve_and_factorization_count(coeffs, f, g_inner, g_outer):
+    """Solution plus the number of SuperLU factorizations it took."""
+    with mock.patch.object(elliptic, "splu", wraps=elliptic.splu) as lu:
+        u = solve_linear_dirichlet(coeffs, f, g_inner, g_outer)
+    return u, lu.call_count
+
+
+def polar_frame_coefficients(grid, a_rr, a_tt, a_rt):
+    """Cartesian (a11, a12, a22) of a_rr e_r e_r + a_tt e_t e_t + a_rt (e_r e_t + e_t e_r)."""
+    c = np.cos(grid.theta)[None, :]
+    s = np.sin(grid.theta)[None, :]
+    a_rr, a_tt, a_rt = (np.asarray(a, dtype=float)[:, None] for a in (a_rr, a_tt, a_rt))
+    a11 = a_rr * c * c + a_tt * s * s - 2.0 * a_rt * c * s
+    a22 = a_rr * s * s + a_tt * c * c + 2.0 * a_rt * c * s
+    a12 = (a_rr - a_tt) * c * s + a_rt * (c * c - s * s)
+    return a11, a12, a22
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
+    n_r=st.integers(9, 65),
+    # grids need an even n_theta of at least 16
+    n_q=st.integers(8, 32).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fft_path_matches_superlu_for_ring_constant_coefficients(spacing, n_r, n_q, seed):
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    a_rr = rng.uniform(0.5, 2.0, n_r)
+    a_tt = rng.uniform(0.5, 2.0, n_r)
+    a_rt = rng.uniform(-0.2, 0.2, n_r) * np.sqrt(a_rr * a_tt)
+    co = LinearCoefficients(g, *polar_frame_coefficients(g, a_rr, a_tt, a_rt))
+    f = ScalarField(g, rng.normal(size=g.shape))
+    g_in, g_out = rng.normal(size=(2, n_q))
+    u, factorizations = solve_and_factorization_count(co, f, g_in, g_out)
+    ref = superlu_reference(co, f, g_in, g_out)
+    assert factorizations == 0
+    assert np.abs(u.values - ref.values).max() <= 1e-10 * np.abs(ref.values).max()
+
+
+def test_anisotropic_coefficients_fall_back_to_superlu():
+    # a22 = 3 a11 varies along every ring in the polar frame, so the
+    # ring-mean solve is only approximate and the gate sends the system on
+    g = build_grid(1.0, 4.0, 49, 32)
+    co = LinearCoefficients(g, 1.0, 0.0, 3.0)
+    f = ScalarField.from_function(g, lambda a, b: a * b)
+    g_in, g_out = np.cos(g.theta), np.sin(2 * g.theta)
+    u, factorizations = solve_and_factorization_count(co, f, g_in, g_out)
+    ref = superlu_reference(co, f, g_in, g_out)
+    assert factorizations == 1
+    assert u.values.tobytes() == ref.values.tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from annulab import elliptic
 from annulab.elliptic import LinearCoefficients, ellipticity_constants, solve_linear_dirichlet
 from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, hessian
 from annulab.nonlinear import (
@@ -186,6 +187,20 @@ class TestNewtonSolve:
         assert trace.residuals[-1] < 1e-10
         assert trace.iterations <= 12
         u_ref, _, _ = radial_ma_reference(1.0, grid.radii)
+        assert np.max(np.abs(u.values - u_ref[:, None])) <= 2e-2
+
+    def test_radial_monge_ampere_never_factorizes(self, monkeypatch):
+        # every linearization of a radial iterate is constant along rings,
+        # so the FFT-in-theta solve meets the gate and SuperLU never runs
+        def no_splu(*args, **kwargs):
+            raise AssertionError("SuperLU factorization in a radial Newton solve")
+
+        monkeypatch.setattr(elliptic, "splu", no_splu)
+        grid = build_grid(1.0, 16.0, 129, 64)
+        g_in, g_out = reference_boundary(2.0, grid)
+        u, trace = newton_solve(monge_ampere_spec(), grid, g_in, g_out)
+        assert trace.residuals[-1] < 1e-10
+        u_ref, _, _ = radial_ma_reference(2.0, grid.radii)
         assert np.max(np.abs(u.values - u_ref[:, None])) <= 2e-2
 
     def test_monge_ampere_second_order_under_doubling(self):
