@@ -65,8 +65,30 @@ from .qcmap import (
 __all__ = ["Scenario", "main", "run_acceptance", "run_scenario", "verify_suite"]
 
 _SPACINGS = {"log": LOG_RADIAL, "uniform": UNIFORM_RADIAL}
-_OPERATOR_KINDS = ("monge_ampere", "special_lagrangian", "linear_trace", "linear_custom")
-_BOUNDARY_KINDS = ("radial_reference", "explicit_polynomial", "file")
+# the keys a config section may hold are exactly the keys the pipeline reads
+_OPERATOR_KEYS = {
+    "monge_ampere": ("kind",),
+    "special_lagrangian": ("kind", "theta"),
+    "linear_trace": ("kind", "rhs"),
+    "linear_custom": ("kind", "a11", "a12", "a22", "rhs"),
+}
+# every boundary key is required
+_BOUNDARY_KEYS = {
+    "radial_reference": ("kind", "a"),
+    "explicit_polynomial": ("kind", "A", "b", "d", "c", "e"),
+    "file": ("kind", "path"),
+}
+_GRID_KEYS = ("r_inner", "r_outer", "n_r", "n_theta", "spacing")
+# Newton settings are read for the fully nonlinear operators only
+_NEWTON_TOLERANCES = ("newton_tol", "max_iters", "hessian_bound", "harmonic_tol")
+_TOLERANCE_KEYS = {
+    "monge_ampere": _NEWTON_TOLERANCES,
+    "special_lagrangian": _NEWTON_TOLERANCES,
+    "linear_trace": ("harmonic_tol",),
+    "linear_custom": ("harmonic_tol",),
+}
+_OPERATOR_KINDS = tuple(_OPERATOR_KEYS)
+_BOUNDARY_KINDS = tuple(_BOUNDARY_KEYS)
 _EXPECT_KEYS = ("A", "b", "c", "d", "d_divergence", "e", "residual_exponent_min",
                 "K_min_max")
 # expectations compared within a tolerance; the other two are one-sided bounds
@@ -92,6 +114,22 @@ def _integer(value, where):
     if not (_is_number(value) and float(value).is_integer()):
         _config_error(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def _section(config, key, default=None):
+    """A copy of the config object under ``key``."""
+    value = config.get(key, default)
+    if not isinstance(value, dict):
+        _config_error(f"{key} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _check_keys(section, where, known, context=""):
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        names = ", ".join(f"{where}.{key}" for key in unknown)
+        _config_error(f"unknown key{'s' if len(unknown) > 1 else ''} {names}{context}; "
+                      f"known: {', '.join(known)}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +158,12 @@ class Scenario:
                 _config_error(f"missing config key '{key}'")
 
         name = str(config["name"])
-        operator = dict(config["operator"])
+        operator = _section(config, "operator")
         kind = operator.get("kind")
         if kind not in _OPERATOR_KINDS:
             _config_error(f"operator kind must be one of {_OPERATOR_KINDS}, got {kind!r}")
+        _check_keys(operator, "operator", _OPERATOR_KEYS[kind],
+                    f" for operator kind {kind!r}")
         if kind == "special_lagrangian" and "theta" not in operator:
             _config_error("special_lagrangian operator needs a 'theta' entry")
         if kind == "linear_custom":
@@ -131,7 +171,8 @@ class Scenario:
                 if c not in operator:
                     _config_error(f"linear_custom operator needs '{c}'")
 
-        gp = dict(config["grid"])
+        gp = _section(config, "grid")
+        _check_keys(gp, "grid", _GRID_KEYS)
         for key in ("r_inner", "r_outer", "n_r", "n_theta"):
             if key not in gp:
                 _config_error(f"grid needs '{key}'")
@@ -143,20 +184,17 @@ class Scenario:
         if spacing not in _SPACINGS:
             _config_error(f"grid spacing must be 'log' or 'uniform', got {spacing!r}")
 
-        boundary = dict(config["boundary"])
+        boundary = _section(config, "boundary")
         bkind = boundary.get("kind")
         if bkind not in _BOUNDARY_KINDS:
             _config_error(
                 f"boundary kind must be one of {_BOUNDARY_KINDS}, got {bkind!r}"
             )
-        if bkind == "radial_reference" and "a" not in boundary:
-            _config_error("radial_reference boundary needs 'a'")
-        if bkind == "explicit_polynomial":
-            for key in ("A", "b", "d", "c", "e"):
-                if key not in boundary:
-                    _config_error(f"explicit_polynomial boundary needs '{key}'")
-        if bkind == "file" and "path" not in boundary:
-            _config_error("file boundary needs 'path'")
+        _check_keys(boundary, "boundary", _BOUNDARY_KEYS[bkind],
+                    f" for boundary kind {bkind!r}")
+        for key in _BOUNDARY_KEYS[bkind]:
+            if key not in boundary:
+                _config_error(f"{bkind} boundary needs '{key}'")
 
         if not isinstance(config["windows"], (list, tuple)):
             _config_error("windows must be a list of [lo, hi] pairs")
@@ -174,8 +212,10 @@ class Scenario:
                     f"window [{lo}, {hi}] not inside grid [{r_in}, {r_out}]"
                 )
 
-        tolerances = dict(config.get("tolerances", {}))
-        expect = dict(config.get("expect", {}))
+        tolerances = _section(config, "tolerances", {})
+        _check_keys(tolerances, "tolerances", _TOLERANCE_KEYS[kind],
+                    f" for operator kind {kind!r}")
+        expect = _section(config, "expect", {})
         bad = sorted(set(expect) - set(_EXPECT_KEYS))
         if bad:
             _config_error(f"unknown expect keys {bad}; known: {_EXPECT_KEYS}")

@@ -13,8 +13,12 @@ The potential has two paths for the same rule.  Targets on grid nodes
 (both index coordinates within 1e-12 of integers, r > 0) are evaluated a
 ring at a time: for such targets the rule is circulant in theta, so one
 per-ring weight array (far-field kernel, near-cell stencil, polar cell)
-applied by FFT correlation gives the whole ring.  Any other target takes
-the dense kernel sum and a per-target loop over its near cells.
+applied by FFT correlation gives the whole ring.  All other targets are
+evaluated as one batch.  The dense kernel sum forms |x - y|^2 at every
+node as a product of ring and column factors, a few targets at a time in
+one reused buffer.  The near-cell corrections of every (target, near
+cell) pair and the polar integrals of the targets' own cells are then
+computed together, in blocks of targets.
 
 The linear solve also has two paths, and the residual gate of the
 assembled system decides between them.  The first solves with the ring
@@ -335,6 +339,8 @@ def _superlu_solve(mat, b_flat, tol):
 _N_SUB = 8  # subdivision factor for cells near a target
 _REACH = 2.5 + 1e-9  # cells within this index distance of a target are refined
 _NODE_TOL = 1e-12  # index-coordinate tolerance for a target to count as a node
+_FAR_BLOCK = 4  # targets per buffer of the dense kernel sum, small enough for cache
+_NEAR_ELEMENTS = 250_000  # size of the largest temporary of the near-cell pass
 
 
 def _cell_bounds(grid):
@@ -348,6 +354,27 @@ def _cell_bounds(grid):
     return t_lo, t_hi, t_lo, t_hi
 
 
+def _t_weights(grid, tq):
+    """Ring it and weight wt of linear interpolation in t at tq.
+
+    The value at tq is (1 - wt) * v[it] + wt * v[it + 1].
+    """
+    tq = np.asarray(tq, dtype=float)
+    it = np.clip(np.searchsorted(grid.t, tq, side="right") - 1, 0, grid.n_r - 2)
+    return it, np.clip((tq - grid.t[it]) / grid.dt, 0.0, 1.0)
+
+
+def _theta_weights(grid, thq):
+    """Columns j0, j1 and weight wj of periodic linear interpolation in theta.
+
+    The value at thq is (1 - wj) * v[j0] + wj * v[j1].
+    """
+    jf = np.asarray(thq, dtype=float) / grid.dtheta
+    j0f = np.floor(jf)
+    j0 = j0f.astype(int) % grid.n_theta
+    return j0, (j0 + 1) % grid.n_theta, jf - j0f
+
+
 def _bilinear_weights(grid, tq, thq):
     """Bilinear interpolation stencil at parameters (tq, thq).
 
@@ -355,16 +382,7 @@ def _bilinear_weights(grid, tq, thq):
     (1 - wt) * low + wt * high, where low = (1 - wj) v[it, j0] + wj v[it, j1]
     and high is the same on ring it + 1.
     """
-    tq = np.asarray(tq, dtype=float)
-    thq = np.asarray(thq, dtype=float)
-    it = np.clip(np.searchsorted(grid.t, tq, side="right") - 1, 0, grid.n_r - 2)
-    wt = np.clip((tq - grid.t[it]) / grid.dt, 0.0, 1.0)
-    jf = thq / grid.dtheta
-    j0f = np.floor(jf)
-    wj = jf - j0f
-    j0 = j0f.astype(int) % grid.n_theta
-    j1 = (j0 + 1) % grid.n_theta
-    return it, wt, j0, j1, wj
+    return (*_t_weights(grid, tq), *_theta_weights(grid, thq))
 
 
 def _bilinear(grid, vals, tq, thq):
@@ -375,6 +393,17 @@ def _bilinear(grid, vals, tq, thq):
     return (1.0 - wt) * low + wt * high
 
 
+def _libm(fn, *args):
+    """Elementwise ``fn`` from the math module over arrays of floats.
+
+    numpy's vectorized sin, log, hypot and atan2 may round differently
+    from the C library in the last bit, and differently on different CPUs.
+    Which cell a target on a cell edge falls in turns on that bit, so the
+    per-target geometry is computed here, one C library call per entry.
+    """
+    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+
+
 def _polar_cell_integral(r_x, r_lo, r_hi, beta_lo, beta_hi, n_phi):
     """Integrals of log|x - y| and of 1 over one polar cell, by rays from x.
 
@@ -382,8 +411,12 @@ def _polar_cell_integral(r_x, r_lo, r_hi, beta_lo, beta_hi, n_phi):
     {r_lo <= |y| <= r_hi, beta_lo <= arg y <= beta_hi} with
     beta_lo <= 0 <= beta_hi.  Each ray's exit distance is the nearest
     positive crossing of the four cell boundaries (all closed forms);
-    midpoint rule over the ray angle.  Returns (S_log, area).
+    midpoint rule over the ray angle.  Every argument but n_phi may be an
+    array, one entry per target.  Returns (S_log, area) with the arguments'
+    broadcast shape.
     """
+    r_x, r_lo, r_hi, beta_lo, beta_hi = (np.asarray(a, dtype=float)[..., None]
+                                         for a in (r_x, r_lo, r_hi, beta_lo, beta_hi))
     phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
     cphi = np.cos(phi)
     disc_out = r_x * r_x * cphi * cphi + (r_hi * r_hi - r_x * r_x)
@@ -396,22 +429,19 @@ def _polar_cell_integral(r_x, r_lo, r_hi, beta_lo, beta_hi, n_phi):
     )
     rho = np.minimum(rho, np.maximum(rho_in, 0.0))
     for beta, side in ((beta_lo, -1.0), (beta_hi, 1.0)):
-        sb = math.sin(beta)
-        if sb == 0.0:
-            # target on this angular edge: rays heading across exit at once
-            cand = np.where(side * np.sin(phi) > 0.0, 0.0, np.inf)
-        else:
-            denom = np.sin(phi - beta)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = r_x * sb / denom
-            cand = np.where(np.isfinite(cand) & (cand > 0.0), cand, np.inf)
-        rho = np.minimum(rho, cand)
+        sb = _libm(math.sin, beta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = r_x * sb / np.sin(phi - beta)
+        cand = np.where(np.isfinite(cand) & (cand > 0.0), cand, np.inf)
+        # target on this angular edge: rays heading across exit at once
+        edge = np.where(side * np.sin(phi) > 0.0, 0.0, np.inf)
+        rho = np.minimum(rho, np.where(sb == 0.0, edge, cand))
     rho = np.maximum(rho, 0.0)
     dphi = 2.0 * math.pi / n_phi
     with np.errstate(divide="ignore", invalid="ignore"):
         glog = np.where(rho > 0.0, rho * rho * (2.0 * np.log(rho) - 1.0) * 0.25, 0.0)
-    s_log = float(np.sum(glog)) * dphi
-    area = float(np.sum(rho * rho)) * 0.5 * dphi
+    s_log = np.sum(glog, axis=-1) * dphi
+    area = np.sum(rho * rho, axis=-1) * 0.5 * dphi
     return s_log, area
 
 
@@ -420,12 +450,21 @@ def _n_rays(grid):
     return max(64, 4 * grid.n_theta)
 
 
-def _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
-    """Subdivided midpoint rule of the listed cells for one target.
+def _sub_theta(grid, idx_q):
+    """Angles of the _N_SUB sub-cell midpoints of each listed column."""
+    offs = (np.arange(_N_SUB) + 0.5) / _N_SUB - 0.5
+    return grid.theta[idx_q][:, None] + offs[None, :] * grid.dtheta
 
-    Each cell is split into _N_SUB x _N_SUB sub-cells.  Returns the kernel
-    log|x - y| - log|y| at the sub-cell midpoints, their areas, and the
-    midpoints' parameters (t, theta) flattened for interpolation.
+
+def _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
+    """Subdivided midpoint rule of the listed cells for their targets.
+
+    Each cell is split into _N_SUB x _N_SUB sub-cells.  The target
+    coordinates are scalars, or arrays of shape (cells, 1, 1) with one
+    target per cell.  Returns the kernel log|x - y| - log|y| at the sub-cell
+    midpoints and their areas, shaped (cells, _N_SUB, _N_SUB) and
+    (cells, _N_SUB, 1), and the midpoints' parameters t and theta, shaped
+    (cells, _N_SUB, 1) and (cells, 1, _N_SUB) so that they broadcast.
     """
     dq = grid.dtheta
     ta = t_lo[idx_r][:, None]
@@ -439,31 +478,22 @@ def _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
     wr_sub = 0.5 * (r_edges[:, 1:] ** 2 - r_edges[:, :-1] ** 2)
     t_mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     r_mid = np.exp(t_mid) if grid.spacing == LOG_RADIAL else t_mid
-    offs = (np.arange(_N_SUB) + 0.5) / _N_SUB - 0.5
-    th_mid = grid.theta[idx_q][:, None] + offs[None, :] * dq
 
     r3 = r_mid[:, :, None]
-    th3 = th_mid[:, None, :]
+    th3 = _sub_theta(grid, idx_q)[:, None, :]
     yy1 = r3 * np.cos(th3)
     yy2 = r3 * np.sin(th3)
     d2 = (x1k - yy1) ** 2 + (x2k - yy2) ** 2
     if np.min(d2) <= 0.0:
+        bad = np.unravel_index(np.argmin(d2), d2.shape)
+        x1b, x2b = (float(np.broadcast_to(x, d2.shape)[bad]) for x in (x1k, x2k))
         raise ValueError(
             "target-inside-singular-cell: target coincides with a quadrature node "
-            f"near ({x1k!r}, {x2k!r})"
+            f"near ({x1b!r}, {x2b!r})"
         )
-    tq = np.broadcast_to(t_mid[:, :, None], d2.shape).reshape(-1)
-    thq = np.broadcast_to(th3 % (2.0 * math.pi), d2.shape).reshape(-1)
     kern = 0.5 * np.log(d2) - np.log(r3)
     w3 = wr_sub[:, :, None] * (dq / _N_SUB)
-    return kern, w3, tq, thq
-
-
-def _refined_cells(grid, fvals, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
-    """Subdivided midpoint contribution of the listed cells for one target."""
-    kern, w3, tq, thq = _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi)
-    f_sub = _bilinear(grid, fvals, tq, thq).reshape(kern.shape)
-    return float(np.sum(kern * f_sub * w3))
+    return kern, w3, t_mid[:, :, None], th3 % (2.0 * math.pi)
 
 
 def _density(f):
@@ -528,7 +558,7 @@ def _near_stencil(grid, i, t_lo, t_hi):
     The near cells are those within _REACH index units: rings i-2..i+2
     that exist, columns -2..2, less the target's own cell.  The sub-cell
     rule of ``_sub_cells`` is scattered through the bilinear weights, so
-    ``sum(weights * f)`` is ``_refined_cells`` for the same target.
+    ``sum(weights * f)`` is the sub-cell sum of those cells for the same target.
     Returns the weights and the index of the near-cell block.
     """
     n_r, n_q = grid.shape
@@ -539,7 +569,7 @@ def _near_stencil(grid, i, t_lo, t_hi):
     far = (ii != i) | (jj != 0)
     kern, w3, tq, thq = _sub_cells(grid, ii[far], jj[far], grid.radii[i], 0.0,
                                    t_lo, t_hi)
-    coef = (kern * w3).reshape(-1)
+    coef = kern * w3
     it, wt, j0, j1, wj = _bilinear_weights(grid, tq, thq)
     weights = np.zeros(grid.shape)
     for rows, w_r in ((it, 1.0 - wt), (it + 1, wt)):
@@ -581,76 +611,129 @@ def _node_sums(grid, fvals, area, ring, col):
     return acc
 
 
-def _target_sums(grid, fvals, area, pts):
-    """Quadrature sums target by target: dense kernel sum plus local fixes."""
-    r_lo, r_hi, t_lo, t_hi = _cell_bounds(grid)
-    fw = fvals * area
-    y1, y2 = grid.nodes()
-    y1f, y2f = y1.ravel(), y2.ravel()
-    fwf = fw.ravel()
-    logr_nodes = np.log(grid.radii)
-    logyf = np.broadcast_to(logr_nodes[:, None], grid.shape).ravel()
+def _distance_factors(r, theta, rho, phi):
+    """Factors of |x - y|^2 = a + b s for y = (r, theta) and x = (rho, phi).
 
-    m = pts.shape[0]
-    acc = np.empty(m)
-    chunk = max(1, int(2.0e6 // max(y1f.size, 1)))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        dx = pts[lo:hi, 0:1] - y1f[None, :]
-        dy = pts[lo:hi, 1:2] - y2f[None, :]
-        d2 = dx * dx + dy * dy
-        kern = 0.5 * np.log(np.maximum(d2, 1e-300)) - logyf[None, :]
-        acc[lo:hi] = kern @ fwf
+    a = (r - rho)^2 and b = 4 r rho depend on the ring, s = sin^2((theta -
+    phi) / 2) on the column; the sum of two non-negative terms does not
+    cancel.  a carries 1e-300, so that a + b s stays positive, and its
+    logarithm finite, where x and y coincide.
+    """
+    s = np.sin(0.5 * (theta - phi))
+    return (r - rho) ** 2 + 1e-300, 4.0 * r * rho, s * s
 
-    t0 = grid.t[0]
+
+def _far_sums(grid, fw, rho, phi):
+    """Plain midpoint sums of (log|x - y| - log|y|) f(y) area(y) over all nodes.
+
+    For each target, |x - y|^2 at every node is a rank-2 product of ring
+    and column factors, formed by one matrix product; blocks of _FAR_BLOCK
+    targets share one buffer that stays in cache through the logarithm and
+    the sum.  The -log|y| term is one scalar for every target.
+    """
     n_r, n_q = grid.shape
+    fwf = fw.ravel()
+    log_term = float(np.log(grid.radii) @ np.sum(fw, axis=1))
+    m = rho.size
+    acc = np.empty(m)
+    width = min(m, _FAR_BLOCK)
+    d2_all = np.empty((width, n_r, n_q))
+    rings = np.empty((width, n_r, 2))
+    cols = np.ones((width, 2, n_q))
+    for lo in range(0, m, _FAR_BLOCK):
+        hi = min(m, lo + _FAR_BLOCK)
+        n = hi - lo
+        a, b, s = _distance_factors(grid.radii[None, :], grid.theta[None, :],
+                                    rho[lo:hi, None], phi[lo:hi, None])
+        rings[:n, :, 0] = a
+        rings[:n, :, 1] = b
+        cols[:n, 1] = s
+        d2 = np.matmul(rings[:n], cols[:n], out=d2_all[:n])
+        np.log(d2, out=d2)
+        acc[lo:hi] = d2.reshape(n, -1) @ fwf
+    return 0.5 * acc - log_term
+
+
+def _target_sums(grid, fvals, area, pts):
+    """Quadrature sums of a batch of targets: dense kernel sum plus local fixes.
+
+    After the dense sum, every target within _REACH index units of the grid
+    has the plain midpoint terms of its near cells replaced: by the 8x8
+    sub-cell rule for each near cell but its own, and by the polar
+    integral for its own cell when the target lies inside the grid.  The
+    near cells of a target are the candidates within three cells of its
+    own cell (nearest node, ties to even) that pass the _REACH test in
+    each index direction.  All (target, near cell) pairs of a block of
+    targets are evaluated at once.
+    """
+    fw = fvals * area
+    x1, x2 = pts[:, 0], pts[:, 1]
+    r = _libm(math.hypot, x1, x2)
+    phi = _libm(math.atan2, x2, x1)
+    acc = _far_sums(grid, fw, r, phi)
+
+    n_r, n_q = grid.shape
+    r_lo, r_hi, t_lo, t_hi = _cell_bounds(grid)
+    log_r = np.log(grid.radii)
     two_pi = 2.0 * math.pi
-    for k in range(m):
-        x1k, x2k = pts[k]
-        r_k = math.hypot(x1k, x2k)
-        if r_k == 0.0:
-            continue  # kernel vanishes identically at the origin
-        tf = ((math.log(r_k) if grid.spacing == LOG_RADIAL else r_k) - t0) / grid.dt
-        if tf < -_REACH or tf > (n_r - 1) + _REACH:
-            continue
-        th_k = math.atan2(x2k, x1k) % two_pi
-        jf = th_k / grid.dtheta
-        inside = -1e-9 <= tf <= (n_r - 1) + 1e-9
-        i_c = min(max(int(round(tf)), 0), n_r - 1)
-        j_c = int(round(jf)) % n_q
+    if grid.spacing == LOG_RADIAL:
+        t = np.full(r.shape, -np.inf)  # the origin is beyond reach
+        t[r > 0.0] = _libm(math.log, r[r > 0.0])
+    else:
+        t = r
+    tf = (t - grid.t[0]) / grid.dt
+    # the kernel vanishes identically at the origin
+    near = np.flatnonzero((r > 0.0) & (tf >= -_REACH) & (tf <= (n_r - 1) + _REACH))
+    # the bilinear density at sub-cell midpoints is a tensor product: the
+    # interpolation in theta is done once on every ring, the one in t per cell
+    j0, j1, wj = _theta_weights(grid, _sub_theta(grid, slice(None)) % two_pi)
+    f_theta = (1.0 - wj) * fvals[:, j0] + wj * fvals[:, j1]
+    offsets = np.arange(-3, 4)
+    # a target has up to 49 pairs of _N_SUB**2 sub-cells, and _n_rays rays
+    block = max(1, _NEAR_ELEMENTS // max(offsets.size ** 2 * _N_SUB * _N_SUB, _n_rays(grid)))
+    for lo in range(0, near.size, block):
+        tgt = near[lo:lo + block]
+        tfb = tf[tgt]
+        th = phi[tgt] % two_pi
+        jf = th / grid.dtheta
+        inside = (tfb >= -1e-9) & (tfb <= (n_r - 1) + 1e-9)
+        i_c = np.clip(np.rint(tfb), 0, n_r - 1).astype(int)
+        j_c = np.rint(jf).astype(int) % n_q
 
-        i_near = [i for i in range(i_c - 3, i_c + 4)
-                  if 0 <= i < n_r and abs(i - tf) <= _REACH]
-        j_near = []
-        for dj in range(-3, 4):
-            j = (j_c + dj) % n_q
-            dist = abs((j - jf + n_q / 2.0) % n_q - n_q / 2.0)
-            if dist <= _REACH:
-                j_near.append(j)
-        ii = np.repeat(i_near, len(j_near))
-        jj = np.tile(j_near, len(i_near))
+        rows = i_c[:, None] + offsets
+        ok_r = (rows >= 0) & (rows < n_r) & (np.abs(rows - tfb[:, None]) <= _REACH)
+        cols = (j_c[:, None] + offsets) % n_q
+        ok_q = np.abs((cols - jf[:, None] + n_q / 2.0) % n_q - n_q / 2.0) <= _REACH
+        k, di, dj = np.nonzero(ok_r[:, :, None] & ok_q[:, None, :])
+        ii, jj, kk = rows[k, di], cols[k, dj], tgt[k]
 
-        # remove the plain midpoint contribution of every special cell
-        d2s = (x1k - y1[ii, jj]) ** 2 + (x2k - y2[ii, jj]) ** 2
-        base = (0.5 * np.log(np.maximum(d2s, 1e-300)) - logr_nodes[ii]) * fw[ii, jj]
-        acc[k] -= float(np.sum(base))
+        # remove the plain midpoint contribution of every near cell
+        a, b, s = _distance_factors(grid.radii[ii], grid.theta[jj], r[kk], phi[kk])
+        base = (0.5 * np.log(a + b * s) - log_r[ii]) * fw[ii, jj]
+        acc[tgt] -= np.bincount(k, base, minlength=tgt.size)
 
-        singular = inside & (ii == i_c) & (jj == j_c)
-        if np.any(~singular):
-            acc[k] += _refined_cells(
-                grid, fvals, ii[~singular], jj[~singular], x1k, x2k, t_lo, t_hi
-            )
-        if inside:
-            delta = (grid.theta[j_c] - th_k + math.pi) % two_pi - math.pi
-            beta_lo = min(delta - 0.5 * grid.dtheta, 0.0)
-            beta_hi = max(delta + 0.5 * grid.dtheta, 0.0)
+        rest = ~(inside[k] & (ii == i_c[k]) & (jj == j_c[k]))
+        if np.any(rest):
+            kern, w3, tq, _ = _sub_cells(grid, ii[rest], jj[rest],
+                                         x1[kk[rest], None, None],
+                                         x2[kk[rest], None, None], t_lo, t_hi)
+            it, wt = _t_weights(grid, tq)
+            cells = it[:, :, 0], jj[rest, None]
+            f_sub = (1.0 - wt) * f_theta[cells] + wt * f_theta[cells[0] + 1, cells[1]]
+            sub = kern * f_sub * w3
+            acc[tgt] += np.bincount(k[rest], np.sum(sub.reshape(sub.shape[0], -1), axis=1),
+                                    minlength=tgt.size)
+
+        if np.any(inside):
+            own = tgt[inside]
+            i_o, j_o, th_o = i_c[inside], j_c[inside], th[inside]
+            delta = (grid.theta[j_o] - th_o + math.pi) % two_pi - math.pi
             s_log, cell_area = _polar_cell_integral(
-                r_k, r_lo[i_c], r_hi[i_c], beta_lo, beta_hi, _n_rays(grid)
-            )
-            t_k = min(max(math.log(r_k) if grid.spacing == LOG_RADIAL else r_k,
-                          grid.t[0]), grid.t[-1])
-            f_at_x = float(_bilinear(grid, fvals, t_k, th_k))
-            acc[k] += f_at_x * (s_log - math.log(r_k) * cell_area)
+                r[own], r_lo[i_o], r_hi[i_o],
+                np.minimum(delta - 0.5 * grid.dtheta, 0.0),
+                np.maximum(delta + 0.5 * grid.dtheta, 0.0), _n_rays(grid))
+            f_at_x = _bilinear(grid, fvals, np.clip(t[own], grid.t[0], grid.t[-1]), th_o)
+            acc[own] += f_at_x * (s_log - _libm(math.log, r[own]) * cell_area)
     return acc
 
 
@@ -675,8 +758,10 @@ def newtonian_potential(f, targets):
     grid) is computed with its whole ring: the rule is circulant in theta,
     so one weight array per ring and an FFT correlation give every node of
     the ring at about the cost of one target.  Every other target (off the
-    nodes, the origin, or beyond the grid) takes the dense kernel sum and
-    a per-target loop over its near cells.  The two agree to rounding.
+    nodes, the origin, or beyond the grid) is part of one batch: a dense
+    kernel sum over cache-sized blocks of targets, then one vectorized
+    pass over all (target, near cell) pairs and own cells.  The two paths
+    agree to rounding.
     """
     fvals, area, log_mass = _density(f)
     pts = _target_array(targets)
@@ -692,7 +777,7 @@ def newtonian_potential(f, targets):
 
 
 def _reference_potential(f, targets):
-    """``newtonian_potential`` with every target on the per-target loop."""
+    """``newtonian_potential`` with every target on the batched off-node path."""
     fvals, area, log_mass = _density(f)
     pts = _target_array(targets)
     return _checked(_target_sums(f.grid, fvals, area, pts), pts), log_mass

@@ -244,6 +244,42 @@ class TestCommandLine:
         assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, section, key, value", [
+        ("ma-radial-a2", "tolerances", "newton_tolerance", 1e-12),
+        ("ma-radial-a2", "operator", "rhs", 2.0),
+        ("ma-radial-a2", "boundary", "b", [0.0, 0.0]),
+        ("identity-quadratic", "grid", "spacingg", "uniform"),
+        # a direct solve reads no Newton settings
+        ("identity-quadratic", "tolerances", "max_iters", 5),
+    ])
+    def test_unknown_section_key_exits_2_before_solving(
+            self, tmp_path, monkeypatch, capsys, name, section, key, value):
+        config = builtin_config(name)
+        config[section][key] = value
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(config))
+
+        def no_solve(scenario):
+            raise AssertionError("the solve ran for an invalid config")
+
+        monkeypatch.setattr(cli, "_solve", no_solve)
+        assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
+        assert f"unknown key {section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["operator", "grid", "boundary", "tolerances"])
+    def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, section):
+        config = builtin_config("identity-quadratic", **{section: [["kind", "x"]]})
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+    def test_newton_tolerance_override_on_a_direct_solve_exits_2(self, tmp_path, capsys):
+        code = cli.main(["solve", "identity-quadratic", "--out", str(tmp_path),
+                         "--tol", "1e-9"])
+        assert code == 2
+        assert "unknown key tolerances.newton_tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", [["--grid", "1,64,many,64"],
                                         ["--windows", "8:sixteen"]])
     def test_malformed_overrides_exit_2(self, tmp_path, capsys, option):

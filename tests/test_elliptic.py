@@ -19,7 +19,13 @@ from annulab.grid import (
     ring_index,
 )
 from annulab.elliptic import (
+    _REACH,
     LinearCoefficients,
+    _bilinear,
+    _cell_bounds,
+    _n_rays,
+    _polar_cell_integral,
+    _sub_cells,
     ellipticity_constants,
     newtonian_potential,
     solve_linear_dirichlet,
@@ -373,6 +379,226 @@ def test_target_off_a_node_takes_the_loop(offset):
     ref, _ = elliptic._reference_potential(f, pts)
     assert looped == 1
     assert vals.tobytes() == ref.tobytes()
+
+
+# -- the batched off-node path against the per-target loop ------------------
+
+
+def _refined_cells(grid, fvals, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
+    """Subdivided midpoint contribution of the listed cells for one target."""
+    kern, w3, tq, thq = _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi)
+    f_sub = _bilinear(grid, fvals, tq, thq).reshape(kern.shape)
+    return float(np.sum(kern * f_sub * w3))
+
+
+def _loop_target_sums(grid, fvals, area, pts):
+    """Quadrature sums target by target: dense kernel sum plus local fixes.
+
+    The same rule as ``elliptic._target_sums``, one target at a time: the
+    oracle of the batched evaluation.
+    """
+    r_lo, r_hi, t_lo, t_hi = _cell_bounds(grid)
+    fw = fvals * area
+    y1, y2 = grid.nodes()
+    y1f, y2f = y1.ravel(), y2.ravel()
+    fwf = fw.ravel()
+    logr_nodes = np.log(grid.radii)
+    logyf = np.broadcast_to(logr_nodes[:, None], grid.shape).ravel()
+
+    m = pts.shape[0]
+    acc = np.empty(m)
+    chunk = max(1, int(2.0e6 // max(y1f.size, 1)))
+    for lo in range(0, m, chunk):
+        hi = min(m, lo + chunk)
+        dx = pts[lo:hi, 0:1] - y1f[None, :]
+        dy = pts[lo:hi, 1:2] - y2f[None, :]
+        d2 = dx * dx + dy * dy
+        kern = 0.5 * np.log(np.maximum(d2, 1e-300)) - logyf[None, :]
+        acc[lo:hi] = kern @ fwf
+
+    t0 = grid.t[0]
+    n_r, n_q = grid.shape
+    two_pi = 2.0 * math.pi
+    for k in range(m):
+        x1k, x2k = pts[k]
+        r_k = math.hypot(x1k, x2k)
+        if r_k == 0.0:
+            continue  # kernel vanishes identically at the origin
+        tf = ((math.log(r_k) if grid.spacing == LOG_RADIAL else r_k) - t0) / grid.dt
+        if tf < -_REACH or tf > (n_r - 1) + _REACH:
+            continue
+        th_k = math.atan2(x2k, x1k) % two_pi
+        jf = th_k / grid.dtheta
+        inside = -1e-9 <= tf <= (n_r - 1) + 1e-9
+        i_c = min(max(int(round(tf)), 0), n_r - 1)
+        j_c = int(round(jf)) % n_q
+
+        i_near = [i for i in range(i_c - 3, i_c + 4)
+                  if 0 <= i < n_r and abs(i - tf) <= _REACH]
+        j_near = []
+        for dj in range(-3, 4):
+            j = (j_c + dj) % n_q
+            dist = abs((j - jf + n_q / 2.0) % n_q - n_q / 2.0)
+            if dist <= _REACH:
+                j_near.append(j)
+        ii = np.repeat(i_near, len(j_near))
+        jj = np.tile(j_near, len(i_near))
+
+        # remove the plain midpoint contribution of every special cell
+        d2s = (x1k - y1[ii, jj]) ** 2 + (x2k - y2[ii, jj]) ** 2
+        base = (0.5 * np.log(np.maximum(d2s, 1e-300)) - logr_nodes[ii]) * fw[ii, jj]
+        acc[k] -= float(np.sum(base))
+
+        singular = inside & (ii == i_c) & (jj == j_c)
+        if np.any(~singular):
+            acc[k] += _refined_cells(
+                grid, fvals, ii[~singular], jj[~singular], x1k, x2k, t_lo, t_hi
+            )
+        if inside:
+            delta = (grid.theta[j_c] - th_k + math.pi) % two_pi - math.pi
+            beta_lo = min(delta - 0.5 * grid.dtheta, 0.0)
+            beta_hi = max(delta + 0.5 * grid.dtheta, 0.0)
+            s_log, cell_area = _polar_cell_integral(
+                r_k, r_lo[i_c], r_hi[i_c], beta_lo, beta_hi, _n_rays(grid)
+            )
+            t_k = min(max(math.log(r_k) if grid.spacing == LOG_RADIAL else r_k,
+                          grid.t[0]), grid.t[-1])
+            f_at_x = float(_bilinear(grid, fvals, t_k, th_k))
+            acc[k] += f_at_x * (s_log - math.log(r_k) * cell_area)
+    return acc
+
+
+def nudged(x, hits):
+    """The float within 64 ulps of x nearest to it for which hits() holds, else x."""
+    up = down = x
+    for _ in range(64):
+        for cand in (up, down):
+            if hits(cand):
+                return cand
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+    return x
+
+
+def index_t(g, r):
+    """The loop's radial index coordinate of a target at radius r."""
+    return ((math.log(r) if g.spacing == LOG_RADIAL else r) - g.t[0]) / g.dt
+
+
+def radius_at(g, tf):
+    """Radius whose radial index coordinate is about tf."""
+    t = g.t[0] + tf * g.dt
+    return math.exp(t) if g.spacing == LOG_RADIAL else t
+
+
+def edge_case_targets(g, rng):
+    """Off-node targets of every kind the near-cell pass distinguishes."""
+    n_r, n_q = g.shape
+    two_pi = 2.0 * math.pi
+    pts = []
+    # inside the grid, and just off a node
+    for tf, jf in zip(rng.uniform(0.0, n_r - 1, 8), rng.uniform(0.0, n_q, 8)):
+        r, th = radius_at(g, tf), jf * g.dtheta
+        pts.append((r * math.cos(th), r * math.sin(th)))
+    pts += [node_point(g, int(i), int(j), *rng.choice([-1e-6, 1e-6], 2))
+            for i, j in zip(rng.integers(0, n_r, 3), rng.integers(0, n_q, 3))]
+    # on a cell edge in t: the radial index coordinate is exactly k + 1/2
+    for k in rng.integers(0, n_r - 1, 3):
+        r = nudged(radius_at(g, k + 0.5), lambda r: index_t(g, r) == k + 0.5)
+        pts += [(r, 0.0), (0.0, r), (-r, 0.0)]
+        th = rng.uniform(0.0, two_pi)
+        x2 = r * math.sin(th)
+        x1 = nudged(r * math.cos(th), lambda x1: index_t(g, math.hypot(x1, x2)) == k + 0.5)
+        pts.append((x1, x2))
+    # on a cell edge in theta: the angular index coordinate is exactly j + 1/2
+    for i, j in zip(rng.integers(0, n_r, 3), rng.integers(0, n_q, 3)):
+        r, th = g.radii[i], (j + 0.5) * g.dtheta
+        x1 = r * math.cos(th)
+        x2 = nudged(r * math.sin(th),
+                    lambda x2: (math.atan2(x2, x1) % two_pi) / g.dtheta == j + 0.5)
+        pts.append((x1, x2))
+    # theta just below 2 pi, including a wrap to exactly 2 pi
+    r = g.radii[n_r // 2]
+    pts += [(r, -1e-12), (r, -1e-300), (r * math.cos(-1e-9), r * math.sin(-1e-9))]
+    # within reach below r_inner and beyond r_outer, and either side of the
+    # 1e-9 tolerance that decides whether the own cell is integrated
+    for tf in (-2.4, -1.2, -0.3, -1e-10, -1e-8, n_r - 1 + 1e-10, n_r - 1 + 1e-8,
+               n_r - 0.7, n_r + 1.4):
+        r, th = radius_at(g, tf), rng.uniform(0.0, two_pi)
+        pts.append((r * math.cos(th), r * math.sin(th)))
+    # far from the grid, and the origin
+    radii = g.r_outer * rng.uniform(1.5, 100.0, 4)
+    angles = rng.uniform(0.0, two_pi, 4)
+    pts += list(zip(radii * np.cos(angles), radii * np.sin(angles)))
+    pts.append((0.0, 0.0))
+    # duplicates, in shuffled order
+    pts += pts[:5]
+    return np.array(pts)[rng.permutation(len(pts))]
+
+
+def batched_and_loop_sums(f, pts):
+    fvals, area, _ = elliptic._density(f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        acc = elliptic._target_sums(f.grid, fvals, area, pts)
+    return acc, _loop_target_sums(f.grid, fvals, area, pts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
+    n_r=st.integers(9, 65),
+    # grids need an even n_theta of at least 16
+    n_q=st.integers(8, 20).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_target_sums_match_the_loop(spacing, n_r, n_q, seed):
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    f = ScalarField(g, rng.uniform(0.5, 1.5, g.shape) / g.radii[:, None] ** 2)
+    acc, ref = batched_and_loop_sums(f, edge_case_targets(g, rng))
+    assert np.abs(acc - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_polar_cell_integral_of_several_targets():
+    # beta_lo = 0 puts the target on the cell's lower angular edge: rays
+    # heading below it leave at once, so the area is the cell's own
+    r_x = np.array([1.1, 1.1, 1.05, 1.19])
+    beta_lo = np.array([0.0, -0.0, -0.1, -0.2])
+    beta_hi = np.array([0.3, 0.3, 0.2, 0.0])
+    s_log, area = _polar_cell_integral(r_x, 1.0, 1.2, beta_lo, beta_hi, 1024)
+    exact = 0.5 * (1.2**2 - 1.0) * (beta_hi - beta_lo)
+    assert np.abs(area / exact - 1.0).max() <= 1e-3
+    for k in range(r_x.size):
+        one = _polar_cell_integral(r_x[k], 1.0, 1.2, beta_lo[k], beta_hi[k], 1024)
+        assert (one[0], one[1]) == (s_log[k], area[k])
+
+
+def test_cell_edge_targets_keep_their_cell():
+    # n_theta = 18: theta = pi/2 is the edge between columns 4 and 5, and on
+    # the uniform grid r = 1.9375 is the edge between rings 2 and 3; ties go
+    # to the even index, as Python's round does
+    g = build_grid(1.0, 4.0, 9, 18, UNIFORM_RADIAL)
+    f = ScalarField.from_function(g, inverse_quartic)
+    assert index_t(g, 1.9375) == 2.5
+    assert (math.atan2(1.0, 0.0) % (2.0 * math.pi)) / g.dtheta == 4.5
+    pts = np.array([(0.0, 1.9375), (0.0, g.radii[4]), (1.9375, 0.0)])
+    acc, ref = batched_and_loop_sums(f, pts)
+    assert np.abs(acc - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_batches_span_several_blocks():
+    # blocks of 7 targets in the near-cell pass
+    g = build_grid(1.0, 4.0, 17, 16)
+    f = ScalarField.from_function(g, inverse_quartic)
+    rng = np.random.default_rng(7)
+    radii = np.exp(rng.uniform(-0.1, math.log(4.0) + 0.1, 201))
+    angles = rng.uniform(0.0, 2.0 * math.pi, radii.size)
+    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    with mock.patch.object(elliptic, "_NEAR_ELEMENTS", 7 * 49 * 64):
+        acc, ref = batched_and_loop_sums(f, pts)
+        again, _ = batched_and_loop_sums(f, pts)
+    assert np.abs(acc - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert again.tobytes() == acc.tobytes()
 
 
 # -- the FFT-in-theta solve against SuperLU ----------------------------------
