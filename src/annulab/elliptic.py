@@ -48,6 +48,7 @@ from .grid import (
     AnnularGrid,
     ScalarField,
     _check_values,
+    sym2_eig,
 )
 
 __all__ = [
@@ -61,18 +62,17 @@ __all__ = [
 def ellipticity_constants(a11, a12, a22):
     """Global eigenvalue extremes and their ratio for a symmetric field.
 
-    The nodal eigenvalues of [[a11, a12], [a12, a22]] come from the closed
-    form mean +- hypot(skew, a12).  Returns ``(lam, Lam, gamma)`` with
+    The nodal eigenvalues of [[a11, a12], [a12, a22]] come from
+    ``sym2_eig``.  Returns ``(lam, Lam, gamma)`` with
     gamma = Lam / lam; raises when the minimum eigenvalue is not strictly
     positive.
     """
     a11, a12, a22 = (np.asarray(a, dtype=float) for a in (a11, a12, a22))
     if not all(np.all(np.isfinite(a)) for a in (a11, a12, a22)):
         raise ValueError("singular-input: non-finite coefficient entries")
-    mean = 0.5 * (a11 + a22)
-    rad = np.hypot(0.5 * (a11 - a22), a12)
-    lam = float(np.min(mean - rad))
-    big = float(np.max(mean + rad))
+    lo, hi = sym2_eig(a11, a12, a22)
+    lam = float(np.min(lo))
+    big = float(np.max(hi))
     if lam <= 0.0:
         raise ValueError(
             f"not-elliptic: minimum coefficient eigenvalue {lam:.6e} is not positive"
@@ -154,13 +154,17 @@ def _stencil_coefficients(coeffs):
     return a_rr, a_rt / r, a_tt * inv_r2, a_tt / r, -a_rt * inv_r2
 
 
+_BACKWARD_TOL = 1e-10  # normwise backward error a linear solve must meet
+
+
 def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     """Solve a_ij u_ij = f with Dirichlet data on the boundary rings.
 
     Interior nodes carry the centered nine-point stencil; boundary rings
-    are eliminated into the right-hand side.  A solve is accepted when the
-    discrete residual max-norm of the assembled system lands below
-    1e-10 * (1 + max|f|), and two solvers try to meet that gate in turn:
+    are eliminated into the right-hand side.  A solution x of the assembled
+    system A x = b is accepted when |b - A x| <= 1e-10 (|A| |x| + |b|) in
+    max norms, a normwise backward error (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 7.1), and two solvers try in turn:
 
     1. FFT in theta with one tridiagonal radial solve per angular mode,
        built from the ring means of the polar stencil coefficients, as
@@ -227,10 +231,14 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_unknown, n_unknown),
     ).tocsc()
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(f.values))))
-    x = _refined(mat, b_flat, _polar_mode_solver(g, ctt, ctq, cqq, ct, cq), tol)
+    norm_a, norm_b = float(abs(mat).sum(axis=1).max()), float(np.max(np.abs(b_flat)))
+
+    def gate(x):
+        return _BACKWARD_TOL * (norm_a * float(np.max(np.abs(x))) + norm_b)
+
+    x = _refined(mat, b_flat, _polar_mode_solver(g, ctt, ctq, cqq, ct, cq), gate)
     if x is None:
-        x = _superlu_solve(mat, b_flat, tol)
+        x = _superlu_solve(mat, b_flat, gate)
 
     u = np.empty(g.shape)
     u[0] = gin
@@ -287,13 +295,13 @@ def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
     return solve
 
 
-def _refined(mat, b, solve, tol):
+def _refined(mat, b, solve, gate):
     """Iterative refinement of mat x = b with an approximate solver.
 
     Refines up to three times, stopping once the residual max-norm is
-    within tol / 4 or at the first step that fails to shrink it.  Returns
-    the best iterate when its residual is within tol, None otherwise (and
-    when the solver itself fails).
+    within gate(x) / 4 or at the first step that fails to shrink it.
+    Returns the best iterate when its residual is within gate(x), None
+    otherwise (and when the solver itself fails).
     """
     try:
         x = solve(b)
@@ -302,7 +310,7 @@ def _refined(mat, b, solve, tol):
     resid = b - mat @ x
     size = float(np.max(np.abs(resid)))
     for _ in range(3):
-        if size <= 0.25 * tol:
+        if size <= 0.25 * gate(x):
             break
         trial = x + solve(resid)
         resid = b - mat @ trial
@@ -310,10 +318,10 @@ def _refined(mat, b, solve, tol):
         if not trial_size < size:
             break
         x, size = trial, trial_size
-    return x if size <= tol else None
+    return x if size <= gate(x) else None
 
 
-def _superlu_solve(mat, b_flat, tol):
+def _superlu_solve(mat, b_flat, gate):
     """SuperLU factorization of mat and up to three refinement steps."""
     try:
         lu = splu(mat)
@@ -323,13 +331,15 @@ def _superlu_solve(mat, b_flat, tol):
     x = lu.solve(b_flat)
     for _ in range(3):
         resid = b_flat - mat @ x
-        if float(np.max(np.abs(resid))) <= 0.25 * tol:
+        if float(np.max(np.abs(resid))) <= 0.25 * gate(x):
             break
         x = x + lu.solve(resid)
     final = float(np.max(np.abs(b_flat - mat @ x)))
-    if not np.isfinite(final) or final > tol:
+    bound = gate(x)
+    if not np.isfinite(final) or final > bound:
         raise ValueError(
-            f"singular-system: discrete residual {final:.3e} exceeds tolerance {tol:.3e}"
+            f"singular-system: discrete residual {final:.3e} exceeds the "
+            f"backward-error bound {bound:.3e}"
         )
     return x
 

@@ -27,6 +27,7 @@ from .grid import (
     annulus_integral,
     hessian,
     laplacian,
+    radial_derivative,
     ring_index,
     window_slice,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "LaurentCoefficients",
     "bootstrap_schedule",
     "d_from_divergence",
+    "far_field",
     "fit_expansion",
     "formula_schedule",
     "hessian_limit",
@@ -185,9 +187,10 @@ def _measure_weights(grid, sl):
     return 1.0 / grid.radii[sl]
 
 
-def _basis_matrix(x1, x2):
+def _basis_functions(x1, x2):
+    """The basis at the points, in the order A11, A12, A22, b1, b2, d, c, e1, e2."""
     rsq = x1 * x1 + x2 * x2
-    return np.column_stack([
+    return [
         0.5 * x1 * x1,
         x1 * x2,
         0.5 * x2 * x2,
@@ -197,7 +200,13 @@ def _basis_matrix(x1, x2):
         np.ones_like(x1),
         x1 / rsq,
         x2 / rsq,
-    ])
+    ]
+
+
+def far_field(x1, x2, A, b=(0.0, 0.0), d=0.0, c=0.0, e=(0.0, 0.0)):
+    """x'Ax/2 + b.x + d log|x| + c + e.x/|x|^2 at the points, through the fitting basis."""
+    beta = (A[0][0], A[0][1], A[1][1], *b, d, c, *e)
+    return sum(float(coef) * f for coef, f in zip(beta, _basis_functions(x1, x2)))
 
 
 def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
@@ -205,33 +214,32 @@ def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
 
     Each window is fitted independently against the 9-function basis
     (quadratic, linear, log, constant, dipole) with weights uniform in the
-    (log r, theta) measure, per-window column normalization, and an
-    orthogonal-factorization solve.  The reported coefficients come from
-    the largest window; the per-window sup residuals are fitted to a power
-    law in the window center radius, which measures the remainder decay.
+    (log r, theta) measure, per-window column normalization, and one
+    SVD-based least-squares solve, whose singular values also give the
+    condition number.  The reported coefficients come from the largest
+    window; the per-window sup residuals are fitted to a power law in the
+    window center radius, which measures the remainder decay.
     """
     grid = u.grid
     wins, slices = _window_slices(grid, windows)
-    c, s = np.cos(grid.theta), np.sin(grid.theta)
+    nodes = grid.nodes()
 
     mids, sups, betas = [], [], []
     for (lo, hi), sl in zip(wins, slices):
-        r = grid.radii[sl]
-        x1 = (r[:, None] * c[None, :]).ravel()
-        x2 = (r[:, None] * s[None, :]).ravel()
+        x1, x2 = (x[sl].ravel() for x in nodes)
         y = u.values[sl].ravel()
-        X = _basis_matrix(x1, x2)
+        X = np.column_stack(_basis_functions(x1, x2))
         scale = np.max(np.abs(X), axis=0)
         Xn = X / scale
         w = np.sqrt(np.repeat(_measure_weights(grid, sl), grid.n_theta))
         Xw = Xn * w[:, None]
-        cond = float(np.linalg.cond(Xw))
+        beta_n, _, _, sv = np.linalg.lstsq(Xw, y * w, rcond=None)
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
         if cond > _CONDITION_LIMIT:
             raise ValueError(
                 f"ill-conditioned-window: condition {cond:.3e} exceeds "
                 f"{_CONDITION_LIMIT:.0e} in window [{lo}, {hi}]"
             )
-        beta_n, _, _, _ = np.linalg.lstsq(Xw, y * w, rcond=None)
         beta = beta_n / scale
         mids.append(math.sqrt(lo * hi))
         sups.append(float(np.max(np.abs(X @ beta - y))))
@@ -294,9 +302,18 @@ def hessian_limit(u: ScalarField, windows):
 # ---------------------------------------------------------------------------
 # Contour coefficients
 
-# 6th-order centered first derivative, used for the radial part of the
-# gradient on the contour ring
-_D1_STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+
+def _theta_derivative(vals, deriv):
+    """Spectral ``deriv``-th theta derivative along the last axis.
+
+    Odd derivatives drop the Nyquist mode, whose derivative vanishes at the
+    nodes; even ones keep it.
+    """
+    n = vals.shape[-1]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    if deriv % 2:
+        k[n // 2] = 0.0
+    return np.fft.ifft((1j * k) ** deriv * np.fft.fft(vals, axis=-1), axis=-1).real
 
 
 def laurent_coefficients(
@@ -336,11 +353,9 @@ def laurent_coefficients(
         )
 
     r = float(grid.radii[i])
-    ut = _D1_STENCIL @ u.values[i - 3:i + 4] / grid.dt
+    ut = radial_derivative(u.values[i - 3:i + 4], grid.dt, 1, 6)[3]
     u_r = ut / r if grid.spacing == LOG_RADIAL else ut
-    freqs = np.fft.fftfreq(grid.n_theta, d=1.0 / grid.n_theta)
-    freqs[grid.n_theta // 2] = 0.0
-    u_q = np.fft.ifft(1j * freqs * np.fft.fft(u.values[i])).real
+    u_q = _theta_derivative(u.values[i], 1)
     c, s = np.cos(grid.theta), np.sin(grid.theta)
     ux = c * u_r - s * u_q / r
     uy = s * u_r + c * u_q / r
@@ -355,38 +370,6 @@ def laurent_coefficients(
 # ---------------------------------------------------------------------------
 # Divergence-theorem log coefficient
 
-# 4th-order one-sided first derivative at the inner boundary ring, and the
-# 4th-order stencil family for the fine-quadrature Laplacian below
-_D1_ONESIDED = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_D1_SHIFT1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-_D2_ONESIDED = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-_D2_SHIFT1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
-
-
-def _d2_radial(vals, h):
-    """4th-order second derivative along axis 0, one-sided at the edges."""
-    out = np.empty_like(vals)
-    out[2:-2] = (
-        -vals[:-4] + 16.0 * vals[1:-3] - 30.0 * vals[2:-2]
-        + 16.0 * vals[3:-1] - vals[4:]
-    )
-    out[0] = _D2_ONESIDED @ vals[:6] * 12.0
-    out[1] = _D2_SHIFT1 @ vals[:6] * 12.0
-    out[-1] = _D2_ONESIDED @ vals[:-7:-1] * 12.0
-    out[-2] = _D2_SHIFT1 @ vals[:-7:-1] * 12.0
-    return out / (12.0 * h * h)
-
-
-def _d1_radial(vals, h):
-    """4th-order first derivative along axis 0, one-sided at the edges."""
-    out = np.empty_like(vals)
-    out[2:-2] = -vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]
-    out[0] = _D1_ONESIDED @ vals[:5] * 12.0
-    out[1] = _D1_SHIFT1 @ vals[:5] * 12.0
-    out[-1] = -(_D1_ONESIDED @ vals[:-6:-1]) * 12.0
-    out[-2] = -(_D1_SHIFT1 @ vals[:-6:-1]) * 12.0
-    return out / (12.0 * h)
-
 
 def _fine_laplacian(w: ScalarField) -> ScalarField:
     """Laplacian with 4th-order radial and spectral angular derivatives.
@@ -396,22 +379,20 @@ def _fine_laplacian(w: ScalarField) -> ScalarField:
     version keeps the quadrature error below the identity's tolerances.
     """
     grid = w.grid
-    n = grid.n_theta
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    wqq = np.fft.ifft(-(freqs ** 2) * np.fft.fft(w.values, axis=1), axis=1).real
-    wtt = _d2_radial(w.values, grid.dt)
+    wqq = _theta_derivative(w.values, 2)
+    wtt = radial_derivative(w.values, grid.dt, 2, 4)
     rsq = grid.radii[:, None] ** 2
     if grid.spacing == LOG_RADIAL:
         lap = (wtt + wqq) / rsq
     else:
-        wt = _d1_radial(w.values, grid.dt)
+        wt = radial_derivative(w.values, grid.dt, 1, 4)
         lap = wtt + wt / grid.radii[:, None] + wqq / rsq
     return ScalarField(grid, lap)
 
 
 def _raw_divergence_d(w: ScalarField, R: float) -> tuple:
     grid = w.grid
-    ut0 = _D1_ONESIDED @ w.values[:5] / grid.dt
+    ut0 = radial_derivative(w.values[:5], grid.dt, 1, 4)[0]
     w_r = ut0 / grid.r_inner if grid.spacing == LOG_RADIAL else ut0
     flux = float(grid.r_inner * grid.dtheta * np.sum(w_r))
     area = annulus_integral(_fine_laplacian(w), grid.r_inner, R)
@@ -445,9 +426,7 @@ def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
             f"window-outside-grid: R = {R} leaves no annulus above r_inner"
         )
 
-    x1, x2 = grid.nodes()
-    quad = 0.5 * (Am[0, 0] * x1 * x1 + Am[1, 1] * x2 * x2) + Am[0, 1] * x1 * x2
-    w = ScalarField(grid, u.values - quad)
+    w = ScalarField(grid, u.values - far_field(*grid.nodes(), Am))
 
     R1 = float(grid.radii[i_R])
     d1, flux, area = _raw_divergence_d(w, R1)

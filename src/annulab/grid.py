@@ -22,6 +22,8 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +47,8 @@ __all__ = [
     "gradient",
     "hessian",
     "laplacian",
+    "radial_derivative",
+    "sym2_eig",
     "circle_flux_integral",
     "annulus_integral",
     "ring_index",
@@ -210,9 +214,14 @@ class SymMatrixField:
 
     def eigenvalues(self):
         """Closed-form eigenvalues (lo, hi) per node."""
-        mean = 0.5 * (self.m11 + self.m22)
-        rad = np.hypot(0.5 * (self.m11 - self.m22), self.m12)
-        return mean - rad, mean + rad
+        return sym2_eig(self.m11, self.m12, self.m22)
+
+
+def sym2_eig(m11, m12, m22):
+    """Closed-form eigenvalues (lo, hi) of [[m11, m12], [m12, m22]], elementwise."""
+    mean = 0.5 * (m11 + m22)
+    rad = np.hypot(0.5 * (m11 - m22), m12)
+    return mean - rad, mean + rad
 
 
 # ---------------------------------------------------------------------------
@@ -234,25 +243,51 @@ def kelvin_point(x):
 
 
 # ---------------------------------------------------------------------------
-# Second-order difference stencils (radial parameter axis 0, angular axis 1)
+# Difference stencils (radial parameter axis 0, angular axis 1)
 
 
-def _diff_t(vals, dt):
-    """d/dt along axis 0: centered inside, one-sided order 2 at the ends."""
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dt)
-    out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dt)
-    return out
+@lru_cache(maxsize=None)
+def _radial_stencils(deriv, order):
+    """Integer (offset, weight) pairs of the stencils of ``radial_derivative``.
+
+    Weight j is the ``deriv``-th derivative at 0 of the Lagrange polynomial
+    of node j, in rationals: Fornberg's weights (Math. Comp. 51 (1988) 699).
+    Returns the centered stencil, highest offset first, the one-sided
+    stencils of rows 0 .. order // 2 - 1, and the divisor of all weights.
+    """
+    half = order // 2
+    stencils = [range(half, -half - 1, -1)]
+    stencils += [range(-k, order + deriv - k) for k in range(half)]
+    rows = []
+    for offsets in stencils:
+        rows.append([])
+        for xj in offsets:
+            poly = [Fraction(1)]  # coefficients, lowest degree first
+            for xm in (x for x in offsets if x != xj):
+                poly = [(a - xm * b) / (xj - xm) for a, b in zip([0, *poly], [*poly, 0])]
+            rows[-1].append((xj, poly[deriv] * math.factorial(deriv)))
+    den = math.lcm(*(w.denominator for row in rows for _, w in row))
+    rows = tuple(tuple((off, float(w * den)) for off, w in row if w) for row in rows)
+    return rows[0], rows[1:], den
 
 
-def _diff2_t(vals, dt):
-    """d2/dt2 along axis 0: centered inside, 4-point one-sided at the ends."""
-    out = np.empty_like(vals)
-    out[1:-1] = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / dt ** 2
-    out[0] = (2.0 * vals[0] - 5.0 * vals[1] + 4.0 * vals[2] - vals[3]) / dt ** 2
-    out[-1] = (2.0 * vals[-1] - 5.0 * vals[-2] + 4.0 * vals[-3] - vals[-4]) / dt ** 2
-    return out
+def radial_derivative(vals, h, deriv, order):
+    """``deriv``-th derivative (1 or 2) along axis 0 of samples ``h`` apart.
+
+    Error O(h^order), order 2, 4 or 6, on every row: centered stencils of
+    order + 1 points inside, one-sided ones of order + deriv points on the
+    order // 2 rows at each end (mirrored at the far end).
+    """
+    vals = np.asarray(vals, dtype=float)
+    centered, edges, den = _radial_stencils(deriv, order)
+    n, half = vals.shape[0], len(edges)
+    out = np.zeros_like(vals)
+    for off, w in centered:
+        out[half:n - half] += w * vals[half + off:n - half + off]
+    for k, row in enumerate(edges):
+        out[k] = sum(w * vals[k + off] for off, w in row)
+        out[n - 1 - k] = (-1.0) ** deriv * sum(w * vals[n - 1 - k - off] for off, w in row)
+    return np.divide(out, den * h ** deriv, out=out)
 
 
 def _diff_theta(vals, dtheta):
@@ -267,8 +302,8 @@ def _polar_derivatives(field: ScalarField):
     """Return (u_r, u_theta, u_rr, u_rtheta, u_thetatheta) as node arrays."""
     g = field.grid
     u = field.values
-    u_t = _diff_t(u, g.dt)
-    u_tt = _diff2_t(u, g.dt)
+    u_t = radial_derivative(u, g.dt, 1, 2)
+    u_tt = radial_derivative(u, g.dt, 2, 2)
     u_q = _diff_theta(u, g.dtheta)
     u_qq = _diff2_theta(u, g.dtheta)
     u_tq = _diff_theta(u_t, g.dtheta)

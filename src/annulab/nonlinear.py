@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import LinearCoefficients, _boundary_values, solve_linear_dirichlet
-from .grid import AnnularGrid, ScalarField, hessian
+from .grid import AnnularGrid, ScalarField, hessian, sym2_eig
 
 __all__ = [
     "FullyNonlinearSpec",
@@ -107,23 +107,22 @@ def special_lagrangian_spec(theta: float, hessian_bound: float = 3.0) -> FullyNo
         raise ValueError("singular-input: hessian_bound must be finite and positive")
 
     def evaluate(m11, m12, m22):
-        mean = 0.5 * (m11 + m22)
-        rad = np.hypot(0.5 * (m11 - m22), m12)
-        return np.arctan(mean + rad) + np.arctan(mean - rad) - th
+        lo, hi = sym2_eig(m11, m12, m22)
+        return np.arctan(hi) + np.arctan(lo) - th
 
     def derivative(m11, m12, m22):
+        lo, hi = sym2_eig(m11, m12, m22)
         mean = 0.5 * (m11 + m22)
         half = 0.5 * (m11 - m22)
-        rad = np.hypot(half, m12)
-        s_hi = 1.0 / (1.0 + (mean + rad) ** 2)
-        s_lo = 1.0 / (1.0 + (mean - rad) ** 2)
+        s_hi = 1.0 / (1.0 + hi ** 2)
+        s_lo = 1.0 / (1.0 + lo ** 2)
         # derivative = mid * I + slope * (M - mean * I); the divided
         # difference degenerates at coalescing eigenvalues, where the slope
         # tends to the second derivative of arctan at the double eigenvalue
         mid = 0.5 * (s_hi + s_lo)
         slope = np.where(
-            rad > _COALESCE,
-            (s_hi - s_lo) / (2.0 * np.maximum(rad, _COALESCE)),
+            hi - lo > 2.0 * _COALESCE,
+            (s_hi - s_lo) / np.maximum(hi - lo, 2.0 * _COALESCE),
             -2.0 * mean / (1.0 + mean * mean) ** 2,
         )
         return mid + slope * half, slope * m12, mid - slope * half
@@ -188,12 +187,10 @@ def _interior_state(spec, field):
 
 
 def _min_eigenvalue(spec, m):
-    a11, a12, a22 = (np.asarray(c, dtype=float) for c in spec.derivative(*m))
-    gap = np.hypot(0.5 * (a11 - a22), a12)
-    return float(np.min(0.5 * (a11 + a22) - gap))
+    return float(np.min(sym2_eig(*spec.derivative(*m))[0]))
 
 
-def _linearization(spec, grid, m):
+def _linearization(spec, m):
     """Full-shape coefficient arrays plus the smallest raw eigenvalue.
 
     Boundary-data kinks in the initial iterate can push the derivative
@@ -203,27 +200,20 @@ def _linearization(spec, grid, m):
     the iterate works its way back onto the branch.
     """
     a11, a12, a22 = (np.asarray(c, dtype=float) for c in spec.derivative(*m))
-    mean = 0.5 * (a11 + a22)
-    half = 0.5 * (a11 - a22)
-    gap = np.hypot(half, a12)
-    lam = float(np.min(mean - gap))
+    lo, hi = sym2_eig(a11, a12, a22)
+    lam = float(np.min(lo))
     if lam <= 0.0:
-        floor = 1e-3 * max(1.0, float(np.max(mean + gap)))
-        hi = np.maximum(mean + gap, floor)
-        lo = np.maximum(mean - gap, floor)
-        scale = np.where(gap > 0.0, (hi - lo) / (2.0 * np.maximum(gap, 1e-300)), 0.0)
+        floor = 1e-3 * max(1.0, float(np.max(hi)))
+        gap = hi - lo
+        lo, hi = np.maximum(lo, floor), np.maximum(hi, floor)
+        scale = np.where(gap > 0.0, (hi - lo) / np.maximum(gap, 1e-300), 0.0)
+        half = 0.5 * (a11 - a22)
         a11 = 0.5 * (hi + lo) + scale * half
         a22 = 0.5 * (hi + lo) - scale * half
         a12 = scale * a12
-    rows = []
-    for arr in (a11, a12, a22):
-        full = np.empty(grid.shape)
-        full[1:-1] = arr
-        # boundary rows never reach the assembly; copy the adjacent ring so
-        # the coefficient validation reflects the interior operator
-        full[0] = arr[0]
-        full[-1] = arr[-1]
-        rows.append(full)
+    # boundary rows never reach the assembly; copy the adjacent ring so
+    # the coefficient validation reflects the interior operator
+    rows = [np.concatenate([arr[:1], arr, arr[-1:]]) for arr in (a11, a12, a22)]
     return rows, lam
 
 
@@ -286,7 +276,7 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
                 f"max-iters-exceeded: residual {residuals[-1]:.3e} "
                 f"after {int(max_iters)} iterations"
             )
-        coeff_rows, lam = _linearization(spec, grid, m)
+        coeff_rows, lam = _linearization(spec, m)
         on_branch = lam > 0.0
         coeffs = LinearCoefficients(grid, *coeff_rows)
         rhs = np.zeros(grid.shape)

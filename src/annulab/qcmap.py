@@ -101,15 +101,8 @@ def _map_derivatives(w: PlanarMapping, derivatives=None):
         gp = gradient(ScalarField(w.grid, w.p))
         gq = gradient(ScalarField(w.grid, w.q))
         return gp.p, gp.q, gq.p, gq.q
-    x1, x2 = w.grid.nodes()
-    p1, p2, q1, q2 = derivatives(x1, x2)
-    shape = w.grid.shape
-    return (
-        np.broadcast_to(np.asarray(p1, float), shape),
-        np.broadcast_to(np.asarray(p2, float), shape),
-        np.broadcast_to(np.asarray(q1, float), shape),
-        np.broadcast_to(np.asarray(q2, float), shape),
-    )
+    return tuple(np.broadcast_to(np.asarray(d, float), w.grid.shape)
+                 for d in derivatives(*w.grid.nodes()))
 
 
 def dilatation_field(w: PlanarMapping, derivatives=None) -> DilatationReport:
@@ -200,9 +193,7 @@ def verify_kelvin_identities(w: PlanarMapping, derivatives=None, image_side=None
 
     gi, pt, qt = _kelvin_transform_components(w)
     if image_side == "stencil":
-        gp = gradient(ScalarField(gi, pt))
-        gq = gradient(ScalarField(gi, qt))
-        tp1, tp2, tq1, tq2 = gp.p, gp.q, gq.p, gq.q
+        tp1, tp2, tq1, tq2 = _map_derivatives(PlanarMapping(gi, pt, qt))
     elif image_side == "chain-rule":
         # grad p~(x) = Dk(x)^T grad p(k(x)), Dk = (I |x|^2 - 2 x x^T)/|x|^4
         y1, y2 = gi.nodes()

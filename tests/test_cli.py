@@ -1,20 +1,23 @@
 """Scenario configs, the runner pipeline, CLI exit codes, and the verify harness."""
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import annulab.cli as cli
 from annulab.cli import BUILTIN_SCENARIOS, Scenario, run_acceptance, run_scenario
-from annulab.grid import ScalarField, build_grid, hessian, write_snapshot
+from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, hessian, write_snapshot
 from annulab.nonlinear import radial_ma_reference
 
 
@@ -151,6 +154,22 @@ class TestRunScenario:
         text = cli._report_json(report)
         assert "Infinity" not in text and "NaN" not in text
         assert json.loads(text)["status"] == "pass"
+
+    def test_explicit_polynomial_boundary_matches_closed_form(self):
+        boundary = {"kind": "explicit_polynomial", "A": [[1.5, -0.4], [-0.4, 0.7]],
+                    "b": [0.3, -1.2], "d": 0.8, "c": -2.5, "e": [0.6, 0.9]}
+        scenario = Scenario.from_config(builtin_config("identity-quadratic",
+                                                       boundary=boundary))
+        grid = build_grid(1.0, 64.0, 193, 64, UNIFORM_RADIAL)
+        (a11, a12), (_, a22) = boundary["A"]
+        (b1, b2), (e1, e2) = boundary["b"], boundary["e"]
+        for g, r in zip(cli._boundary_data(scenario, grid), (1.0, 64.0)):
+            x1, x2 = r * np.cos(grid.theta), r * np.sin(grid.theta)
+            rsq = x1 * x1 + x2 * x2
+            closed = (0.5 * (a11 * x1 * x1 + a22 * x2 * x2) + a12 * x1 * x2
+                      + b1 * x1 + b2 * x2 + 0.5 * boundary["d"] * np.log(rsq)
+                      + boundary["c"] + e1 * x1 / rsq + e2 * x2 / rsq)
+            assert np.max(np.abs(g - closed)) <= 1e-14 * np.max(np.abs(g))
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +403,16 @@ class TestAcceptanceHarness:
         assert [r["name"] for r in rows] == names
         assert all(r["passed"] for r in rows)
 
-    def test_perturbed_tolerance_fails(self):
-        rows = run_acceptance(names=["02-constant-term-recovery"],
-                              tol_scale=1e-6)
+    def test_perturbed_tolerance_fails(self, monkeypatch):
+        # a recovered constant twice the row's tolerance off must fail row 02
+        fit_expansion = cli.fit_expansion
+
+        def shifted(u, windows):
+            fit = fit_expansion(u, windows)
+            return dataclasses.replace(fit, c=fit.c + 2e-2)
+
+        monkeypatch.setattr(cli, "fit_expansion", shifted)
+        rows = run_acceptance(names=["02-constant-term-recovery"])
         assert not rows[0]["passed"]
 
     def test_empty_selection_raises(self):
@@ -403,10 +429,24 @@ class TestAcceptanceHarness:
         assert [r["name"] for r in rows] == names
         assert all(r["passed"] for r in rows)
 
+    def test_detail_strings_do_not_depend_on_the_clock(self, monkeypatch):
+        # rows 01 and 06 enforce wall-time caps; their detail strings must
+        # still come out the same on every run
+        names = ["01-d-recovery-radial-family", "06-newton-solver-convergence"]
+        details = []
+        for tick in (0.5, 2.0):
+            clock = itertools.count(0.0, tick)
+            fake_time = SimpleNamespace(perf_counter=lambda: next(clock))
+            monkeypatch.setattr(cli, "time", fake_time)
+            rows = run_acceptance(names=names)
+            assert all(row["passed"] for row in rows)
+            details.append([row["detail"] for row in rows])
+        assert details[0] == details[1]
+
     def test_crashing_check_is_reported_failed(self):
-        def boom(scale):
+        def boom():
             raise RuntimeError("synthetic crash")
 
-        row = cli._run_check(("synthetic", boom, 1.0))
+        row = cli._run_check(("synthetic", boom))
         assert not row["passed"]
         assert "RuntimeError" in row["detail"]

@@ -662,3 +662,55 @@ def test_anisotropic_coefficients_fall_back_to_superlu():
     ref = superlu_reference(co, f, g_in, g_out)
     assert factorizations == 1
     assert u.values.tobytes() == ref.values.tobytes()
+
+
+# -- the normwise backward-error gate ------------------------------------------
+
+
+def test_large_boundary_data_is_accepted():
+    # the residual of a correct solve grows with the data folded into the
+    # right-hand side: about 3e-10 here, a backward error near 1e-17
+    g = build_grid(1, 64, 129, 64)
+    f = ScalarField(g, np.zeros(g.shape))
+    u = solve_linear_dirichlet(LinearCoefficients.trace_operator(g), f, 0.0, 1e4)
+    # linear in log r, which the log-grid stencil differences exactly
+    exact = 1e4 * (g.t - g.t[0]) / (g.t[-1] - g.t[0])
+    assert np.max(np.abs(u.values - exact[:, None])) <= 1e-12 * 1e4
+
+
+def test_fine_grid_poisson_solve_is_accepted_without_factorization():
+    g = build_grid(1, 64, 1025, 128)
+    f = ScalarField(g, np.ones(g.shape))
+    u, factorizations = solve_and_factorization_count(
+        LinearCoefficients.trace_operator(g), f, 0.0, 1.0)
+    assert factorizations == 0
+    # Delta u = 1 with u(1) = 0, u(64) = 1: r^2/4 + A log r + B
+    r = g.radii
+    slope = (1.0 - (64.0 ** 2 - 1.0) / 4.0) / math.log(64.0)
+    exact = (r * r - 1.0) / 4.0 + slope * np.log(r)
+    assert np.max(np.abs(u.values - exact[:, None])) <= 1e-5 * np.max(np.abs(exact))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    exponent=st.floats(-6.0, 6.0),
+    ring_constant=st.booleans(),
+    with_source=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solution_scales_with_the_data(exponent, ring_constant, with_source, seed):
+    s = 10.0 ** exponent
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, 33, 32)
+    if ring_constant:
+        a_rr, a_tt = rng.uniform(0.5, 2.0, (2, g.n_r))
+        co = LinearCoefficients(g, *polar_frame_coefficients(g, a_rr, a_tt, 0.1 * a_rr))
+    else:
+        # constant Cartesian anisotropy varies along every ring in the polar frame
+        a11, a22 = rng.uniform(0.5, 2.0, 2)
+        co = LinearCoefficients(g, a11, 0.2 * min(a11, a22), a22)
+    f = rng.normal(size=g.shape) if with_source else np.zeros(g.shape)
+    g_in, g_out = rng.normal(size=(2, g.n_theta))
+    u = solve_linear_dirichlet(co, ScalarField(g, f), g_in, g_out)
+    scaled = solve_linear_dirichlet(co, ScalarField(g, s * f), s * g_in, s * g_out)
+    assert np.max(np.abs(scaled.values - s * u.values)) <= 1e-10 * s * np.max(np.abs(u.values))

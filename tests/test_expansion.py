@@ -402,3 +402,20 @@ class TestConsistencyTriangle:
         assert abs(fit.d - lc.d) <= 2e-3
         assert abs(d_div - lc.d) <= 2e-3
         assert abs(lc.coefficients[1].imag) <= 1e-8
+
+
+def test_spectral_theta_derivative_of_fourier_modes():
+    n = 32
+    theta = np.arange(n) * (2.0 * math.pi / n)
+    for k in range(n // 2):
+        cos, sin = np.cos(k * theta), np.sin(k * theta)
+        modes = np.stack([cos, sin])  # the derivative acts along the last axis
+        first = expansion_module._theta_derivative(modes, 1)
+        second = expansion_module._theta_derivative(modes, 2)
+        assert np.max(np.abs(first - np.stack([-k * sin, k * cos]))) <= 1e-13 * (1 + k)
+        assert np.max(np.abs(second + k * k * modes)) <= 1e-13 * (1 + k * k)
+    # the Nyquist mode: its first derivative vanishes at the nodes, the second does not
+    nyquist = np.cos(n // 2 * theta)
+    assert np.max(np.abs(expansion_module._theta_derivative(nyquist, 1))) <= 1e-13
+    second = expansion_module._theta_derivative(nyquist, 2)
+    assert np.max(np.abs(second + (n // 2) ** 2 * nyquist)) <= 1e-13 * (n // 2) ** 2

@@ -15,7 +15,9 @@ from annulab.grid import (
     hessian,
     kelvin_point,
     laplacian,
+    radial_derivative,
     read_snapshot,
+    sym2_eig,
     write_snapshot,
 )
 
@@ -224,6 +226,35 @@ def test_derivatives_both_spacings(spacing):
     w = gradient(u)
     assert np.max(np.abs(w.p - 3 * x1 ** 2)) < 0.05
     assert np.max(np.abs(w.q - 2 * x2)) < 0.05
+
+
+@pytest.mark.parametrize("deriv, order", [(1, 2), (2, 2), (1, 4), (2, 4), (1, 6)])
+def test_radial_derivative_exact_on_polynomials(deriv, order):
+    # every row, the one-sided edge rows included, differentiates polynomials
+    # of degree `order` exactly, and those of degree order + deriv - 1 too
+    rng = np.random.default_rng(10 * deriv + order)
+    h = 0.37
+    t = 0.8 + h * np.arange(13)
+    for degree in (order, order + deriv - 1):
+        coeffs = rng.normal(size=(degree + 1, 3))  # three polynomials, one per column
+        vals = np.stack([np.polyval(c, t) for c in coeffs.T], axis=1)
+        exact = np.stack([np.polyval(np.polyder(c, deriv), t) for c in coeffs.T], axis=1)
+        got = radial_derivative(vals, h, deriv, order)
+        assert np.max(np.abs(got - exact)) <= 1e-9 * np.max(np.abs(vals)) / h ** deriv
+
+
+def test_sym2_eig_matches_eigvalsh():
+    rng = np.random.default_rng(4)
+    m11, m12, m22 = rng.normal(size=(3, 300)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 300))
+    m12[:50] = 0.0  # diagonal matrices
+    m22[25:75] = m11[25:75]  # equal diagonal entries; the first 25 of them are multiples of I
+    lo, hi = sym2_eig(m11, m12, m22)
+    ref = np.linalg.eigvalsh(np.stack([np.stack([m11, m12], -1), np.stack([m12, m22], -1)], -2))
+    scale = np.max(np.abs(ref), axis=1)
+    assert np.all(np.abs(lo - ref[:, 0]) <= 1e-14 * scale)
+    assert np.all(np.abs(hi - ref[:, 1]) <= 1e-14 * scale)
+    assert np.array_equal(lo[25:50], hi[25:50])
+    assert sym2_eig(2.0, 0.0, 1.0) == (1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
