@@ -2,7 +2,7 @@
 Linear elliptic solves and the logarithmic Newtonian potential
 ==============================================================
 
-Two workhorses: a sparse direct solver for a11 u_11 + 2 a12 u_12 +
+Two workhorses: a direct solver for a11 u_11 + 2 a12 u_12 +
 a22 u_22 = f with Dirichlet data on both circles, and a singularity-aware
 quadrature for the plane's log-kernel potential.  The gradient of a
 solution is itself a quasiconformal map whose dilatation is bounded by

@@ -1,9 +1,8 @@
 """Linear uniformly elliptic solves on annuli and the log-kernel potential.
 
-Two workhorses live here.  ``solve_linear_dirichlet`` assembles the
-second-order nine-point stencil system for a_ij u_ij = f on an annular
-grid, solves it directly and refines until the discrete residual sits at
-rounding level.  ``newtonian_potential``
+Two workhorses live here.  ``solve_linear_dirichlet`` solves the second-order
+nine-point stencil system for a_ij u_ij = f on an annular grid and refines
+until the discrete residual sits at rounding level.  ``newtonian_potential``
 integrates the normalized kernel log|x - y| - log|y| against a compactly
 supported density: node-centered product quadrature in the bulk, 8x8
 subdivision of cells near each target, and local polar integration (exact
@@ -20,17 +19,14 @@ one reused buffer.  The near-cell corrections of every (target, near
 cell) pair and the polar integrals of the targets' own cells are then
 computed together, in blocks of targets.
 
-The linear solve also has two paths, and the residual gate of the
-assembled system decides between them.  The first solves with the ring
-means of the polar stencil coefficients: a DFT in theta splits that
-system into one radial tridiagonal system per angular mode, all solved by
-one banded call.  When the coefficients do not vary along rings (the
-Laplacian, radial Monge-Ampere linearizations) this is the exact inverse.
-It is used as the approximate inverse of iterative refinement against the
-assembled matrix, and left as soon as a step fails to shrink the residual
-or the refined residual misses the gate.  The system then goes to a
-SuperLU factorization with its own refinement, exactly as if the first
-path had not been tried.
+The linear solve applies its operator from the nine stencil weight
+arrays, with no matrix.  It first solves with the ring means of the polar
+stencil coefficients: a DFT in theta splits that system into one radial
+tridiagonal system per angular mode, all solved by one banded call, the
+exact inverse for coefficients constant along rings (the Laplacian,
+radial Monge-Ampere linearizations).  A solve whose refined residual
+misses the gate assembles the sparse matrix for a SuperLU factorization,
+exactly as if the first path had not been tried.
 """
 
 from __future__ import annotations
@@ -160,23 +156,20 @@ _BACKWARD_TOL = 1e-10  # normwise backward error a linear solve must meet
 def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     """Solve a_ij u_ij = f with Dirichlet data on the boundary rings.
 
-    Interior nodes carry the centered nine-point stencil; boundary rings
-    are eliminated into the right-hand side.  A solution x of the assembled
-    system A x = b is accepted when |b - A x| <= 1e-10 (|A| |x| + |b|) in
-    max norms, a normwise backward error (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 7.1), and two solvers try in turn:
+    Interior nodes carry the centered nine-point stencil, applied from its
+    weight arrays; boundary rings move to the right-hand side.  Two solvers
+    try in turn, and x is accepted when |b - A x| <= 1e-10 (|A| |x| + |b|)
+    in max norms, a normwise backward error (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 7.1):
 
     1. FFT in theta with one tridiagonal radial solve per angular mode,
        built from the ring means of the polar stencil coefficients, as
        the approximate inverse of up to three refinement steps.  It is
        exact for coefficients constant along rings, which includes the
-       Laplacian and the linearizations of radial Newton iterates.  The
-       path ends at the first step that does not shrink the residual; its
-       best iterate is returned if it meets the gate.
-    2. Otherwise a SuperLU factorization of the assembled matrix with up
-       to three refinement steps, whose result does not depend on the
-       first path having been tried.  ``singular-system`` is raised when
-       this one misses the gate too.
+       Laplacian and the linearizations of radial Newton iterates.
+    2. Otherwise SuperLU factorizes the assembled sparse matrix, with up to
+       three refinement steps and a result that does not depend on the
+       first path; ``singular-system`` is raised when it misses the gate.
     """
     g = coeffs.grid
     if f.grid is not g and not g.same_geometry(f.grid):
@@ -185,22 +178,39 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     gin = _boundary_values(g, g_inner, "g_inner")
     gout = _boundary_values(g, g_outer, "g_outer")
 
-    n_r, n_t = g.shape
-    dt, dq = g.dt, g.dtheta
-    ctt, ctq, cqq, ct, cq = (a[1:-1] for a in _stencil_coefficients(coeffs))
+    polar = [a[1:-1] for a in _stencil_coefficients(coeffs)]
+    stencil = _nine_point(g, *polar)
 
-    ni = n_r - 2
-    n_unknown = ni * n_t
-    ii0 = np.arange(1, n_r - 1)[:, None]
-    jj0 = np.arange(n_t)[None, :]
-    row = (ii0 - 1) * n_t + jj0
+    b = f.values[1:-1].astype(float).copy()
+    # boundary rings move to the right-hand side, in stencil order
+    for di, dj, wgt in stencil:
+        if di:
+            ring, data = (0, gin) if di < 0 else (-1, gout)
+            b[ring] -= wgt[ring] * np.roll(data, -dj)
+    b_flat = b.reshape(-1)
+    norm_a, norm_b = _stencil_norm(stencil), float(np.max(np.abs(b_flat)))
 
-    inv_dt2 = 1.0 / (dt * dt)
-    inv_dq2 = 1.0 / (dq * dq)
-    inv_2dt = 0.5 / dt
-    inv_2dq = 0.5 / dq
+    def gate(x):
+        return _BACKWARD_TOL * (norm_a * float(np.max(np.abs(x))) + norm_b)
+
+    x = _refined(lambda v: _stencil_product(stencil, v), b_flat,
+                 _polar_mode_solver(g, *polar), gate)
+    if x is None:
+        x = _superlu_solve(_assembled_matrix(stencil), b_flat, gate)
+
+    return ScalarField(g, np.vstack([gin, x.reshape(b.shape), gout]))
+
+
+def _nine_point(grid, ctt, ctq, cqq, ct, cq):
+    """Nine-point weights from interior-ring ``_stencil_coefficients``.
+
+    Row (i, j) reads sum of weight[i, j] * u[i + di, (j + dj) mod n_theta].
+    """
+    dt, dq = grid.dt, grid.dtheta
+    inv_dt2, inv_dq2 = 1.0 / (dt * dt), 1.0 / (dq * dq)
+    inv_2dt, inv_2dq = 0.5 / dt, 0.5 / dq
     inv_cross = 0.25 / (dt * dq)
-    stencil = (
+    return (
         (0, 0, -2.0 * ctt * inv_dt2 - 2.0 * cqq * inv_dq2),
         (1, 0, ctt * inv_dt2 + ct * inv_2dt),
         (-1, 0, ctt * inv_dt2 - ct * inv_2dt),
@@ -212,39 +222,43 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
         (-1, -1, ctq * inv_cross),
     )
 
-    b = f.values[1:-1].astype(float).copy()
-    b_flat = b.reshape(-1)
+
+def _stencil_product(stencil, x):
+    """A x for flattened interior values x, boundary rings taken as zero."""
+    ni, n_t = stencil[0][2].shape
+    pad = np.zeros((ni + 2, n_t + 2))
+    pad[1:-1] = np.pad(x.reshape(ni, n_t), ((0, 0), (1, 1)), mode="wrap")
+    out = np.zeros((ni, n_t))
+    # rows sum in column order, so off the theta seam they round as mat @ x
+    for di, dj, wgt in sorted(stencil, key=lambda entry: entry[:2]):
+        out += wgt * pad[1 + di:1 + di + ni, 1 + dj:1 + dj + n_t]
+    return out.ravel()
+
+
+def _stencil_norm(stencil):
+    """||A||inf: the largest absolute row sum over the interior neighbours."""
+    sums = np.zeros(stencil[0][2].shape)
+    for di, _, wgt in sorted(stencil, key=lambda entry: entry[:2]):
+        keep = slice(max(-di, 0), len(sums) - max(di, 0))  # as in _assembled_matrix
+        sums[keep] += np.abs(wgt[keep])
+    return float(sums.max())
+
+
+def _assembled_matrix(stencil):
+    """The stencil operator on the interior unknowns as a CSC matrix."""
+    ni, n_t = stencil[0][2].shape
+    index = np.arange(ni * n_t).reshape(ni, n_t)
     rows, cols, data = [], [], []
     for di, dj, wgt in stencil:
-        ii = np.broadcast_to(ii0 + di, (ni, n_t))
-        jj = np.broadcast_to((jj0 + dj) % n_t, (ni, n_t))
-        interior = (ii >= 1) & (ii <= n_r - 2)
-        rows.append(row[interior])
-        cols.append((ii[interior] - 1) * n_t + jj[interior])
-        data.append(wgt[interior])
-        if not interior.all():
-            bnd = ~interior
-            gvals = np.where(ii[bnd] == 0, gin[jj[bnd]], gout[jj[bnd]])
-            np.add.at(b_flat, row[bnd], -wgt[bnd] * gvals)
-
-    mat = sparse.coo_matrix(
+        # rows whose neighbour is an interior node
+        keep = slice(max(-di, 0), ni - max(di, 0))
+        rows.append(index[keep].ravel())
+        cols.append(np.roll(index, (-di, -dj), axis=(0, 1))[keep].ravel())
+        data.append(wgt[keep].ravel())
+    return sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unknown, n_unknown),
+        shape=(index.size, index.size),
     ).tocsc()
-    norm_a, norm_b = float(abs(mat).sum(axis=1).max()), float(np.max(np.abs(b_flat)))
-
-    def gate(x):
-        return _BACKWARD_TOL * (norm_a * float(np.max(np.abs(x))) + norm_b)
-
-    x = _refined(mat, b_flat, _polar_mode_solver(g, ctt, ctq, cqq, ct, cq), gate)
-    if x is None:
-        x = _superlu_solve(mat, b_flat, gate)
-
-    u = np.empty(g.shape)
-    u[0] = gin
-    u[-1] = gout
-    u[1:-1] = x.reshape(ni, n_t)
-    return ScalarField(g, u)
 
 
 def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
@@ -295,8 +309,8 @@ def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
     return solve
 
 
-def _refined(mat, b, solve, gate):
-    """Iterative refinement of mat x = b with an approximate solver.
+def _refined(apply, b, solve, gate):
+    """Iterative refinement of A x = b, A x = apply(x), with an approximate solver.
 
     Refines up to three times, stopping once the residual max-norm is
     within gate(x) / 4 or at the first step that fails to shrink it.
@@ -307,13 +321,13 @@ def _refined(mat, b, solve, gate):
         x = solve(b)
     except np.linalg.LinAlgError:
         return None
-    resid = b - mat @ x
+    resid = b - apply(x)
     size = float(np.max(np.abs(resid)))
     for _ in range(3):
         if size <= 0.25 * gate(x):
             break
         trial = x + solve(resid)
-        resid = b - mat @ trial
+        resid = b - apply(trial)
         trial_size = float(np.max(np.abs(resid)))
         if not trial_size < size:
             break
@@ -784,10 +798,3 @@ def newtonian_potential(f, targets):
     if not np.all(on):
         acc[~on] = _target_sums(g, fvals, area, pts[~on])
     return _checked(acc, pts), log_mass
-
-
-def _reference_potential(f, targets):
-    """``newtonian_potential`` with every target on the batched off-node path."""
-    fvals, area, log_mass = _density(f)
-    pts = _target_array(targets)
-    return _checked(_target_sums(f.grid, fvals, area, pts), pts), log_mass

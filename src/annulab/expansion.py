@@ -306,13 +306,11 @@ def hessian_limit(u: ScalarField, windows):
 def _theta_derivative(vals, deriv):
     """Spectral ``deriv``-th theta derivative along the last axis.
 
-    Odd derivatives drop the Nyquist mode, whose derivative vanishes at the
-    nodes; even ones keep it.
+    On real input the Nyquist mode's odd derivatives are purely imaginary,
+    so the real part drops them; even derivatives keep the mode.
     """
     n = vals.shape[-1]
     k = np.fft.fftfreq(n, d=1.0 / n)
-    if deriv % 2:
-        k[n // 2] = 0.0
     return np.fft.ifft((1j * k) ** deriv * np.fft.fft(vals, axis=-1), axis=-1).real
 
 

@@ -19,7 +19,6 @@ snapshot file format.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -435,18 +434,14 @@ def write_snapshot(path, field) -> None:
         f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} {float(g.r_inner)!r} {float(g.r_outer)!r} "
         f"{g.n_r} {g.n_theta} {g.spacing}"
     )
-    buf = io.StringIO()
-    buf.write(header + "\n")
     if isinstance(field, ScalarField):
-        for v in field.values.ravel():
-            buf.write(f"{float(v)!r}\n")
+        lines = map(repr, field.values.ravel().tolist())
     elif isinstance(field, PlanarMapping):
-        for a, b in zip(field.p.ravel(), field.q.ravel()):
-            buf.write(f"{float(a)!r} {float(b)!r}\n")
+        lines = map("{!r} {!r}".format, field.p.ravel().tolist(), field.q.ravel().tolist())
     else:
         raise ValueError(f"invalid-dimension: cannot snapshot {type(field).__name__}")
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write(header + "\n" + "\n".join(lines) + "\n")
 
 
 def read_snapshot(path):

@@ -4,7 +4,7 @@ An operator acts pointwise on the Hessian of a scalar field.  A
 ``FullyNonlinearSpec`` packages the scalar map ``F`` together with its matrix
 derivative and the ellipticity window the derivative guarantees on the
 operator's admissible branch.  ``newton_solve`` linearizes around the current
-iterate, reuses the sparse Dirichlet solver for the correction, and backtracks
+iterate, reuses the linear Dirichlet solver for the correction, and backtracks
 until the interior residual drops while the linearization stays elliptic.
 
 Hessian entries are formed with the same centered stencils the linear
@@ -196,7 +196,7 @@ def _linearization(spec, m):
     Boundary-data kinks in the initial iterate can push the derivative
     indefinite on a ring or two.  The step computation then clamps the nodal
     eigenvalues to a small positive floor (direction only; the residual line
-    search keeps global control), so the sparse solve stays elliptic while
+    search keeps global control), so the linear solve stays elliptic while
     the iterate works its way back onto the branch.
     """
     a11, a12, a22 = (np.asarray(c, dtype=float) for c in spec.derivative(*m))

@@ -143,20 +143,6 @@ def test_harmonic_log_second_order_on_uniform_grid():
     assert np.all(observed_orders(errs) >= 1.8)
 
 
-def test_solution_linear_in_data():
-    g = build_grid(1.0, 4.0, 33, 24)
-    co = LinearCoefficients(g, 1.0, 0.2, 2.0)
-    f1 = ScalarField.from_function(g, lambda a, b: a)
-    f2 = ScalarField.from_function(g, lambda a, b: np.sin(b))
-    g1i, g1o = np.cos(g.theta), np.sin(2 * g.theta)
-    g2i, g2o = 1.0 + 0.0 * g.theta, np.cos(3 * g.theta)
-    ua = solve_linear_dirichlet(co, f1, g1i, g1o)
-    ub = solve_linear_dirichlet(co, f2, g2i, g2o)
-    fsum = ScalarField(g, f1.values + f2.values)
-    uc = solve_linear_dirichlet(co, fsum, g1i + g2i, g1o + g2o)
-    assert np.abs(uc.values - ua.values - ub.values).max() <= 1e-10
-
-
 def test_homogeneous_extremes_on_boundary():
     g = build_grid(1.0, 4.0, 49, 32)
     co = LinearCoefficients(g, 1.0, 0.0, 3.0)
@@ -306,6 +292,13 @@ def test_potential_input_validation():
 # -- the on-node path against the per-target loop --------------------------
 
 
+def reference_potential(f, targets):
+    """``newtonian_potential`` with every target on the batched off-node path."""
+    fvals, area, log_mass = elliptic._density(f)
+    pts = elliptic._target_array(targets)
+    return elliptic._checked(elliptic._target_sums(f.grid, fvals, area, pts), pts), log_mass
+
+
 def potential_and_loop_count(f, pts):
     """Potential plus the number of targets the per-target loop received."""
     with mock.patch.object(elliptic, "_target_sums",
@@ -319,7 +312,7 @@ def assert_matches_reference(f, pts, n_node):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         vals, log_mass, looped = potential_and_loop_count(f, pts)
-        ref, ref_mass = elliptic._reference_potential(f, pts)
+        ref, ref_mass = reference_potential(f, pts)
     assert looped == len(pts) - n_node
     assert log_mass == ref_mass
     assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -376,7 +369,7 @@ def test_target_off_a_node_takes_the_loop(offset):
     f = ScalarField.from_function(g, inverse_quartic)
     pts = [node_point(g, 8, 3, *offset)]
     vals, _, looped = potential_and_loop_count(f, pts)
-    ref, _ = elliptic._reference_potential(f, pts)
+    ref, _ = reference_potential(f, pts)
     assert looped == 1
     assert vals.tobytes() == ref.tobytes()
 
@@ -628,6 +621,16 @@ def polar_frame_coefficients(grid, a_rr, a_tt, a_rt):
     return a11, a12, a22
 
 
+def random_coefficients(grid, rng, ring_constant):
+    """Coefficients constant along rings (FFT path) or varying along them (SuperLU)."""
+    if ring_constant:
+        a_rr, a_tt = rng.uniform(0.5, 2.0, (2, grid.n_r))
+        return LinearCoefficients(grid, *polar_frame_coefficients(grid, a_rr, a_tt, 0.1 * a_rr))
+    # constant Cartesian anisotropy varies along every ring in the polar frame
+    a11, a22 = rng.uniform(0.5, 2.0, 2)
+    return LinearCoefficients(grid, a11, 0.2 * min(a11, a22), a22)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
@@ -662,6 +665,45 @@ def test_anisotropic_coefficients_fall_back_to_superlu():
     ref = superlu_reference(co, f, g_in, g_out)
     assert factorizations == 1
     assert u.values.tobytes() == ref.values.tobytes()
+
+
+# -- the operator applied from its stencil arrays --------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
+    n_r=st.integers(8, 41),
+    n_q=st.integers(8, 24).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stencil_product_and_norm_match_the_assembled_matrix(spacing, n_r, n_q, seed):
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    # coefficients that vary along and across rings, with a cross term
+    a11, a22 = rng.uniform(0.5, 2.0, (2, *g.shape))
+    co = LinearCoefficients(g, a11, rng.uniform(-0.4, 0.4, g.shape) * np.sqrt(a11 * a22), a22)
+    stencil = elliptic._nine_point(g, *(a[1:-1] for a in elliptic._stencil_coefficients(co)))
+    # the matrix the SuperLU fallback factorizes
+    mat = elliptic._assembled_matrix(stencil)
+    x = rng.normal(size=mat.shape[0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+    product = elliptic._stencil_product(stencil, x)
+    # two sums of at most nine products, each within 9 eps of |A| |x|
+    bound = 18.0 * np.finfo(float).eps * (abs(mat) @ np.abs(x))
+    assert np.all(np.abs(product - mat @ x) <= bound)
+    norm = float(abs(mat).sum(axis=1).max())
+    assert abs(elliptic._stencil_norm(stencil) - norm) <= 1e-15 * norm
+
+
+def test_fine_grid_poisson_solve_assembles_no_matrix():
+    def no_matrix(stencil):
+        raise AssertionError("sparse assembly on the FFT path")
+
+    g = build_grid(1, 64, 1025, 128)
+    f = ScalarField(g, np.ones(g.shape))
+    with mock.patch.object(elliptic, "_assembled_matrix", no_matrix):
+        u = solve_linear_dirichlet(LinearCoefficients.trace_operator(g), f, 0.0, 1.0)
+    assert np.all(np.isfinite(u.values))
 
 
 # -- the normwise backward-error gate ------------------------------------------
@@ -702,15 +744,33 @@ def test_solution_scales_with_the_data(exponent, ring_constant, with_source, see
     s = 10.0 ** exponent
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, 4.0, 33, 32)
-    if ring_constant:
-        a_rr, a_tt = rng.uniform(0.5, 2.0, (2, g.n_r))
-        co = LinearCoefficients(g, *polar_frame_coefficients(g, a_rr, a_tt, 0.1 * a_rr))
-    else:
-        # constant Cartesian anisotropy varies along every ring in the polar frame
-        a11, a22 = rng.uniform(0.5, 2.0, 2)
-        co = LinearCoefficients(g, a11, 0.2 * min(a11, a22), a22)
+    co = random_coefficients(g, rng, ring_constant)
     f = rng.normal(size=g.shape) if with_source else np.zeros(g.shape)
     g_in, g_out = rng.normal(size=(2, g.n_theta))
     u = solve_linear_dirichlet(co, ScalarField(g, f), g_in, g_out)
     scaled = solve_linear_dirichlet(co, ScalarField(g, s * f), s * g_in, s * g_out)
     assert np.max(np.abs(scaled.values - s * u.values)) <= 1e-10 * s * np.max(np.abs(u.values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
+    ring_constant=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solution_linear_in_data(spacing, ring_constant, seed):
+    # superposition: the boundary fold and both solvers are linear in (f, g)
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, 33, 24, spacing)
+    co = random_coefficients(g, rng, ring_constant)
+    alpha, beta = rng.uniform(-2.0, 2.0, 2)
+    f1, f2 = rng.normal(size=(2, *g.shape))
+    g1i, g1o, g2i, g2o = 1.0 + rng.normal(size=(4, g.n_theta))
+    u1, factorizations = solve_and_factorization_count(co, ScalarField(g, f1), g1i, g1o)
+    u2 = solve_linear_dirichlet(co, ScalarField(g, f2), g2i, g2o)
+    both = solve_linear_dirichlet(co, ScalarField(g, alpha * f1 + beta * f2),
+                                  alpha * g1i + beta * g2i, alpha * g1o + beta * g2o)
+    assert factorizations == (0 if ring_constant else 1)
+    expected = alpha * u1.values + beta * u2.values
+    scale = abs(alpha) * np.abs(u1.values).max() + abs(beta) * np.abs(u2.values).max()
+    assert np.max(np.abs(both.values - expected)) <= 1e-10 * scale

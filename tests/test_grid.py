@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -371,3 +372,28 @@ def test_snapshot_deterministic_bytes(tmp_path):
     write_snapshot(p1, u)
     write_snapshot(p2, u)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_snapshot_bytes_are_pinned(tmp_path):
+    # one repr per value, a space between mapping components, one final newline
+    g = build_grid(1.0, 2.0, 8, 16)
+    k = np.arange(g.n_r * g.n_theta, dtype=float).reshape(g.shape)
+    u = ScalarField(g, 0.1 * k - 3.0)
+    u.values[0, :4] = [-0.0, 1e-300, 1.0 / 3.0, 2.0 ** 60]
+    w = PlanarMapping(g, np.sqrt(k), -k / 7.0)
+    pinned = (
+        (u, b"annular-field v1 1.0 2.0 8 16 log-radial\n"
+            b"-0.0\n1e-300\n0.3333333333333333\n1.152921504606847e+18\n-2.6\n",
+         1602, "b65064a0848d91964fb4e4b0a023da077f9bc6fe70bcadfdf2a869f74bfa0283"),
+        (w, b"annular-field v1 1.0 2.0 8 16 log-radial\n"
+            b"0.0 -0.0\n1.0 -0.14285714285714285\n1.4142135623730951 -0.2857142857142857\n",
+         4430, "43bdd26384d0ac89b21ed6b9f976d758032d9d7eb25e3e89157f68e5695e644e"),
+    )
+    for field, head, size, digest in pinned:
+        path = tmp_path / "pinned.field"
+        write_snapshot(path, field)
+        data = path.read_bytes()
+        assert data.startswith(head)
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
