@@ -20,13 +20,12 @@ cell) pair and the polar integrals of the targets' own cells are then
 computed together, in blocks of targets.
 
 The linear solve applies its operator from the nine stencil weight
-arrays, with no matrix.  It first solves with the ring means of the polar
-stencil coefficients: a DFT in theta splits that system into one radial
-tridiagonal system per angular mode, all solved by one banded call, the
-exact inverse for coefficients constant along rings (the Laplacian,
-radial Monge-Ampere linearizations).  A solve whose refined residual
-misses the gate assembles the sparse matrix for a SuperLU factorization,
-exactly as if the first path had not been tried.
+arrays, with no matrix.  Its preconditioner solves with the ring means of
+the polar stencil coefficients: a DFT in theta splits that system into one
+radial tridiagonal system per angular mode, all solved by one banded call,
+the exact inverse for coefficients constant along rings (the Laplacian,
+radial Monge-Ampere linearizations).  Coefficients that vary along rings
+take GMRES iterations with that preconditioner.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grid import (
     LOG_RADIAL,
@@ -82,7 +80,8 @@ class LinearCoefficients:
 
     Scalar entries broadcast across the grid, so constant operators read
     ``LinearCoefficients(grid, 1.0, 0.0, 1.0)``.  Construction validates
-    uniform ellipticity and records (lam, Lam, gamma).
+    uniform ellipticity and records (lam, Lam, gamma); the entries are
+    private read-only copies, so the recorded constants stay theirs.
     """
 
     grid: AnnularGrid
@@ -98,6 +97,7 @@ class LinearCoefficients:
             arr = np.array(
                 np.broadcast_to(np.asarray(getattr(self, name), dtype=float), self.grid.shape)
             )
+            arr.setflags(write=False)
             object.__setattr__(self, name, _check_values(self.grid, arr, name))
         lam, big, gamma = ellipticity_constants(self.a11, self.a12, self.a22)
         object.__setattr__(self, "lam", lam)
@@ -151,30 +151,27 @@ def _stencil_coefficients(coeffs):
 
 
 _BACKWARD_TOL = 1e-10  # normwise backward error a linear solve must meet
+_GMRES_RESTART = 20  # Krylov basis size between GMRES restarts
+_GMRES_CYCLES = 50  # restart cycles before GMRES gives up
 
 
 def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     """Solve a_ij u_ij = f with Dirichlet data on the boundary rings.
 
     Interior nodes carry the centered nine-point stencil, applied from its
-    weight arrays; boundary rings move to the right-hand side.  Two solvers
-    try in turn, and x is accepted when |b - A x| <= 1e-10 (|A| |x| + |b|)
-    in max norms, a normwise backward error (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., 7.1):
-
-    1. FFT in theta with one tridiagonal radial solve per angular mode,
-       built from the ring means of the polar stencil coefficients, as
-       the approximate inverse of up to three refinement steps.  It is
-       exact for coefficients constant along rings, which includes the
-       Laplacian and the linearizations of radial Newton iterates.
-    2. Otherwise SuperLU factorizes the assembled sparse matrix, with up to
-       three refinement steps and a result that does not depend on the
-       first path; ``singular-system`` is raised when it misses the gate.
+    weight arrays; boundary rings move to the right-hand side.  The
+    preconditioner M is an FFT in theta with one tridiagonal radial solve
+    per angular mode, built from the ring means of the polar stencil
+    coefficients.  It is exact for coefficients constant along rings, which
+    includes the Laplacian and the linearizations of radial Newton
+    iterates; otherwise GMRES preconditioned by M continues from M b.
+    x is accepted when |b - A x| <= 1e-10 (|A| |x| + |b|) in max norms, a
+    normwise backward error (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 7.1); ``singular-system`` is raised otherwise.
     """
     g = coeffs.grid
     if f.grid is not g and not g.same_geometry(f.grid):
         raise ValueError("invalid-dimension: source field grid does not match coefficients")
-    ellipticity_constants(coeffs.a11, coeffs.a12, coeffs.a22)
     gin = _boundary_values(g, g_inner, "g_inner")
     gout = _boundary_values(g, g_outer, "g_outer")
 
@@ -193,10 +190,8 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     def gate(x):
         return _BACKWARD_TOL * (norm_a * float(np.max(np.abs(x))) + norm_b)
 
-    x = _refined(lambda v: _stencil_product(stencil, v), b_flat,
-                 _polar_mode_solver(g, *polar), gate)
-    if x is None:
-        x = _superlu_solve(_assembled_matrix(stencil), b_flat, gate)
+    x = _krylov_solve(lambda v: _stencil_product(stencil, v), b_flat,
+                      _polar_mode_solver(g, *polar), gate)
 
     return ScalarField(g, np.vstack([gin, x.reshape(b.shape), gout]))
 
@@ -229,7 +224,8 @@ def _stencil_product(stencil, x):
     pad = np.zeros((ni + 2, n_t + 2))
     pad[1:-1] = np.pad(x.reshape(ni, n_t), ((0, 0), (1, 1)), mode="wrap")
     out = np.zeros((ni, n_t))
-    # rows sum in column order, so off the theta seam they round as mat @ x
+    # each row sums its neighbours in the order of their unknown index, the
+    # rounding the built-in reports are pinned to
     for di, dj, wgt in sorted(stencil, key=lambda entry: entry[:2]):
         out += wgt * pad[1 + di:1 + di + ni, 1 + dj:1 + dj + n_t]
     return out.ravel()
@@ -239,26 +235,9 @@ def _stencil_norm(stencil):
     """||A||inf: the largest absolute row sum over the interior neighbours."""
     sums = np.zeros(stencil[0][2].shape)
     for di, _, wgt in sorted(stencil, key=lambda entry: entry[:2]):
-        keep = slice(max(-di, 0), len(sums) - max(di, 0))  # as in _assembled_matrix
+        keep = slice(max(-di, 0), len(sums) - max(di, 0))  # neighbour is interior
         sums[keep] += np.abs(wgt[keep])
     return float(sums.max())
-
-
-def _assembled_matrix(stencil):
-    """The stencil operator on the interior unknowns as a CSC matrix."""
-    ni, n_t = stencil[0][2].shape
-    index = np.arange(ni * n_t).reshape(ni, n_t)
-    rows, cols, data = [], [], []
-    for di, dj, wgt in stencil:
-        # rows whose neighbour is an interior node
-        keep = slice(max(-di, 0), ni - max(di, 0))
-        rows.append(index[keep].ravel())
-        cols.append(np.roll(index, (-di, -dj), axis=(0, 1))[keep].ravel())
-        data.append(wgt[keep].ravel())
-    return sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(index.size, index.size),
-    ).tocsc()
 
 
 def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
@@ -309,46 +288,29 @@ def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
     return solve
 
 
-def _refined(apply, b, solve, gate):
-    """Iterative refinement of A x = b, A x = apply(x), with an approximate solver.
+def _krylov_solve(apply, b, precondition, gate):
+    """Solve A x = b, A x = apply(x), by GMRES left-preconditioned with M.
 
-    Refines up to three times, stopping once the residual max-norm is
-    within gate(x) / 4 or at the first step that fails to shrink it.
-    Returns the best iterate when its residual is within gate(x), None
-    otherwise (and when the solver itself fails).
+    Starts from x0 = M b and keeps it when the residual max-norm is within
+    gate(x0) / 4, as it is when M is the exact inverse.  Otherwise
+    restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)
+    856) iterates from x0 until the residual 2-norm, which bounds the
+    max-norm, is within gate(x0) / 4, or for at most _GMRES_CYCLES
+    restarts.  Raises ``singular-system`` when M fails or the result
+    misses gate(x).
     """
+    shape = (b.size, b.size)
     try:
-        x = solve(b)
-    except np.linalg.LinAlgError:
-        return None
-    resid = b - apply(x)
-    size = float(np.max(np.abs(resid)))
-    for _ in range(3):
-        if size <= 0.25 * gate(x):
-            break
-        trial = x + solve(resid)
-        resid = b - apply(trial)
-        trial_size = float(np.max(np.abs(resid)))
-        if not trial_size < size:
-            break
-        x, size = trial, trial_size
-    return x if size <= gate(x) else None
-
-
-def _superlu_solve(mat, b_flat, gate):
-    """SuperLU factorization of mat and up to three refinement steps."""
-    try:
-        lu = splu(mat)
-    except RuntimeError as exc:
-        raise ValueError(f"singular-system: sparse factorization failed ({exc})") from None
-
-    x = lu.solve(b_flat)
-    for _ in range(3):
-        resid = b_flat - mat @ x
-        if float(np.max(np.abs(resid))) <= 0.25 * gate(x):
-            break
-        x = x + lu.solve(resid)
-    final = float(np.max(np.abs(b_flat - mat @ x)))
+        x = precondition(b)
+        final = float(np.max(np.abs(b - apply(x))))
+        if final > 0.25 * gate(x):
+            x, _ = gmres(LinearOperator(shape, matvec=apply, dtype=float), b, x0=x,
+                         rtol=0.0, atol=0.25 * gate(x), restart=_GMRES_RESTART,
+                         maxiter=_GMRES_CYCLES,
+                         M=LinearOperator(shape, matvec=precondition, dtype=float))
+            final = float(np.max(np.abs(b - apply(x))))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular-system: ring-mean mode solver failed ({exc})") from None
     bound = gate(x)
     if not np.isfinite(final) or final > bound:
         raise ValueError(

@@ -372,7 +372,7 @@ def laurent_coefficients(
 def _fine_laplacian(w: ScalarField) -> ScalarField:
     """Laplacian with 4th-order radial and spectral angular derivatives.
 
-    The 2nd-order operator that matches the solver assembly leaves an
+    The 2nd-order operator that matches the linear solver's stencil leaves an
     O(h^2) constant in the area term of the divergence identity; this
     version keeps the quadrature error below the identity's tolerances.
     """

@@ -7,9 +7,9 @@ operator's admissible branch.  ``newton_solve`` linearizes around the current
 iterate, reuses the linear Dirichlet solver for the correction, and backtracks
 until the interior residual drops while the linearization stays elliptic.
 
-Hessian entries are formed with the same centered stencils the linear
-assembly uses, so the linearization is consistent with the discrete residual
-to rounding.
+Hessian entries are formed with the same centered stencils as the linear
+solver's nine-point operator, so the linearization is consistent with the
+discrete residual to rounding.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _linearization(spec, m):
         a11 = 0.5 * (hi + lo) + scale * half
         a22 = 0.5 * (hi + lo) - scale * half
         a12 = scale * a12
-    # boundary rows never reach the assembly; copy the adjacent ring so
+    # boundary rows never reach the linear operator; copy the adjacent ring so
     # the coefficient validation reflects the interior operator
     rows = [np.concatenate([arr[:1], arr, arr[-1:]]) for arr in (a11, a12, a22)]
     return rows, lam

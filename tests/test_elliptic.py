@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from annulab import elliptic
 from annulab.grid import (
@@ -96,6 +98,19 @@ def test_coefficients_broadcast_and_constants():
     assert (co.lam, co.Lam, co.gamma) == (1.0, 3.0, 3.0)
     tr = LinearCoefficients.trace_operator(g)
     assert (tr.lam, tr.Lam, tr.gamma) == (1.0, 1.0, 1.0)
+
+
+def test_coefficients_are_read_only():
+    # the constants are computed once, at construction, so the entries
+    # they were computed from must not change afterwards
+    g = build_grid(1.0, 2.0, 16, 16)
+    a22 = np.full(g.shape, 3.0)
+    co = LinearCoefficients(g, 1.0, 0.0, a22)
+    for name in ("a11", "a12", "a22"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(co, name)[0, 0] = -1.0
+    a22[0, 0] = -1.0  # the caller's array stays the caller's
+    assert co.a22[0, 0] == 3.0
 
 
 # -- linear Dirichlet solves -------------------------------------------------
@@ -594,20 +609,63 @@ def test_batches_span_several_blocks():
     assert again.tobytes() == acc.tobytes()
 
 
-# -- the FFT-in-theta solve against SuperLU ----------------------------------
+# -- the matrix-free solve against a direct sparse solve -------------------------
+
+
+def stencil_of(coeffs):
+    g = coeffs.grid
+    return elliptic._nine_point(g, *(a[1:-1] for a in elliptic._stencil_coefficients(coeffs)))
+
+
+def assembled_matrix(grid, stencil):
+    """The interior rows of the stencil operator as a CSR matrix over every node.
+
+    Columns run over all grid nodes, boundary rings included; the columns of
+    the interior nodes, ``[:, n_theta:-n_theta]``, are the system matrix.
+    """
+    ni, n_t = stencil[0][2].shape
+    index = np.arange(grid.n_r * n_t).reshape(grid.n_r, n_t)
+    rows = np.tile(np.arange(ni * n_t), len(stencil))
+    # row (i, j) reads node (i + 1 + di, j + dj) of the full grid
+    cols = np.concatenate([np.roll(index[1 + di:1 + di + ni], -dj, axis=1).ravel()
+                           for di, dj, _ in stencil])
+    data = np.concatenate([wgt.ravel() for _, _, wgt in stencil])
+    return sparse.csr_matrix((data, (rows, cols)), shape=(ni * n_t, index.size))
+
+
+def assembled_system(coeffs, f, g_inner, g_outer):
+    """System matrix and right-hand side with the boundary rings folded in."""
+    g = coeffs.grid
+    full = assembled_matrix(g, stencil_of(coeffs))
+    boundary = np.zeros(g.shape)
+    boundary[0], boundary[-1] = g_inner, g_outer
+    b = f.values[1:-1].ravel() - full @ boundary.ravel()
+    return full[:, g.n_theta:-g.n_theta].tocsc(), b
 
 
 def superlu_reference(coeffs, f, g_inner, g_outer):
-    """``solve_linear_dirichlet`` with the FFT-in-theta path switched off."""
-    with mock.patch.object(elliptic, "_refined", return_value=None):
-        return solve_linear_dirichlet(coeffs, f, g_inner, g_outer)
+    """Direct SuperLU solve of the assembled system, no refinement."""
+    mat, b = assembled_system(coeffs, f, g_inner, g_outer)
+    u = np.zeros(coeffs.grid.shape)
+    u[0], u[-1] = g_inner, g_outer
+    u[1:-1] = splu(mat).solve(b).reshape(u[1:-1].shape)
+    return ScalarField(coeffs.grid, u)
 
 
-def solve_and_factorization_count(coeffs, f, g_inner, g_outer):
-    """Solution plus the number of SuperLU factorizations it took."""
-    with mock.patch.object(elliptic, "splu", wraps=elliptic.splu) as lu:
+def backward_error(coeffs, f, g_inner, g_outer, u):
+    """|b - A x| / (|A| |x| + |b|) in max norms, from the assembled system."""
+    mat, b = assembled_system(coeffs, f, g_inner, g_outer)
+    x = u.values[1:-1].ravel()
+    norm_a = float(abs(mat).sum(axis=1).max())
+    resid = float(np.max(np.abs(b - mat @ x)))
+    return resid / (norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(b))))
+
+
+def solve_and_gmres_count(coeffs, f, g_inner, g_outer):
+    """Solution plus the number of GMRES runs it took."""
+    with mock.patch.object(elliptic, "gmres", wraps=elliptic.gmres) as krylov:
         u = solve_linear_dirichlet(coeffs, f, g_inner, g_outer)
-    return u, lu.call_count
+    return u, krylov.call_count
 
 
 def polar_frame_coefficients(grid, a_rr, a_tt, a_rt):
@@ -622,7 +680,7 @@ def polar_frame_coefficients(grid, a_rr, a_tt, a_rt):
 
 
 def random_coefficients(grid, rng, ring_constant):
-    """Coefficients constant along rings (FFT path) or varying along them (SuperLU)."""
+    """Coefficients constant along rings (no GMRES) or varying along them (GMRES)."""
     if ring_constant:
         a_rr, a_tt = rng.uniform(0.5, 2.0, (2, grid.n_r))
         return LinearCoefficients(grid, *polar_frame_coefficients(grid, a_rr, a_tt, 0.1 * a_rr))
@@ -648,23 +706,70 @@ def test_fft_path_matches_superlu_for_ring_constant_coefficients(spacing, n_r, n
     co = LinearCoefficients(g, *polar_frame_coefficients(g, a_rr, a_tt, a_rt))
     f = ScalarField(g, rng.normal(size=g.shape))
     g_in, g_out = rng.normal(size=(2, n_q))
-    u, factorizations = solve_and_factorization_count(co, f, g_in, g_out)
+    u, krylov_runs = solve_and_gmres_count(co, f, g_in, g_out)
     ref = superlu_reference(co, f, g_in, g_out)
-    assert factorizations == 0
+    assert krylov_runs == 0
     assert np.abs(u.values - ref.values).max() <= 1e-10 * np.abs(ref.values).max()
 
 
-def test_anisotropic_coefficients_fall_back_to_superlu():
+def test_anisotropic_coefficients_match_the_superlu_reference():
     # a22 = 3 a11 varies along every ring in the polar frame, so the
-    # ring-mean solve is only approximate and the gate sends the system on
+    # ring-mean solve is only a preconditioner and GMRES has to run
     g = build_grid(1.0, 4.0, 49, 32)
     co = LinearCoefficients(g, 1.0, 0.0, 3.0)
     f = ScalarField.from_function(g, lambda a, b: a * b)
     g_in, g_out = np.cos(g.theta), np.sin(2 * g.theta)
-    u, factorizations = solve_and_factorization_count(co, f, g_in, g_out)
+    u, krylov_runs = solve_and_gmres_count(co, f, g_in, g_out)
     ref = superlu_reference(co, f, g_in, g_out)
-    assert factorizations == 1
-    assert u.values.tobytes() == ref.values.tobytes()
+    assert krylov_runs == 1
+    assert backward_error(co, f, g_in, g_out, u) <= 1e-10
+    assert np.abs(u.values - ref.values).max() <= 1e-10 * np.abs(ref.values).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
+    n_r=st.integers(9, 49),
+    n_q=st.integers(8, 24).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ring_varying_solves_meet_the_gate_and_match_superlu(spacing, n_r, n_q, seed):
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    # coefficients that vary along and across rings, with a cross term
+    a11, a22 = rng.uniform(0.5, 2.0, (2, *g.shape))
+    co = LinearCoefficients(g, a11, rng.uniform(-0.4, 0.4, g.shape) * np.sqrt(a11 * a22), a22)
+    f = ScalarField(g, rng.normal(size=g.shape))
+    g_in, g_out = rng.normal(size=(2, n_q))
+    u = solve_linear_dirichlet(co, f, g_in, g_out)
+    assert backward_error(co, f, g_in, g_out, u) <= 1e-10
+    # a backward error of 1e-10 moves the solution of these well-conditioned
+    # systems by about 1e-9 relative at most
+    ref = superlu_reference(co, f, g_in, g_out)
+    assert np.abs(u.values - ref.values).max() <= 1e-8 * np.abs(ref.values).max()
+
+
+def test_mode_solver_failure_is_a_singular_system():
+    g = build_grid(1.0, 4.0, 17, 16)
+    f = ScalarField(g, np.ones(g.shape))
+    failing = mock.Mock(side_effect=np.linalg.LinAlgError("singular matrix"))
+    with mock.patch.object(elliptic, "solve_banded", failing):
+        with pytest.raises(ValueError, match="singular-system: ring-mean mode solver failed"):
+            solve_linear_dirichlet(LinearCoefficients.trace_operator(g), f, 0.0, 1.0)
+
+
+def test_gmres_that_misses_the_gate_is_a_singular_system():
+    g = build_grid(1.0, 4.0, 17, 16)
+    co = LinearCoefficients(g, 1.0, 0.0, 3.0)
+    f = ScalarField(g, np.ones(g.shape))
+
+    def no_progress(op, b, x0, **kwargs):
+        return x0, 1
+
+    with mock.patch.object(elliptic, "gmres", no_progress):
+        with pytest.raises(ValueError, match=r"singular-system: discrete residual \d\.\d+e[-+]\d+ "
+                                             r"exceeds the backward-error bound \d\.\d+e[-+]\d+"):
+            solve_linear_dirichlet(co, f, 0.0, 1.0)
 
 
 # -- the operator applied from its stencil arrays --------------------------------
@@ -683,9 +788,8 @@ def test_stencil_product_and_norm_match_the_assembled_matrix(spacing, n_r, n_q, 
     # coefficients that vary along and across rings, with a cross term
     a11, a22 = rng.uniform(0.5, 2.0, (2, *g.shape))
     co = LinearCoefficients(g, a11, rng.uniform(-0.4, 0.4, g.shape) * np.sqrt(a11 * a22), a22)
-    stencil = elliptic._nine_point(g, *(a[1:-1] for a in elliptic._stencil_coefficients(co)))
-    # the matrix the SuperLU fallback factorizes
-    mat = elliptic._assembled_matrix(stencil)
+    stencil = stencil_of(co)
+    mat = assembled_matrix(g, stencil)[:, n_q:-n_q]
     x = rng.normal(size=mat.shape[0]) * 10.0 ** rng.uniform(-3.0, 3.0)
     product = elliptic._stencil_product(stencil, x)
     # two sums of at most nine products, each within 9 eps of |A| |x|
@@ -696,12 +800,13 @@ def test_stencil_product_and_norm_match_the_assembled_matrix(spacing, n_r, n_q, 
 
 
 def test_fine_grid_poisson_solve_assembles_no_matrix():
-    def no_matrix(stencil):
-        raise AssertionError("sparse assembly on the FFT path")
+    # the mode solver is exact here, so the solve ends at its first result
+    def no_krylov(*args, **kwargs):
+        raise AssertionError("GMRES on ring-constant coefficients")
 
     g = build_grid(1, 64, 1025, 128)
     f = ScalarField(g, np.ones(g.shape))
-    with mock.patch.object(elliptic, "_assembled_matrix", no_matrix):
+    with mock.patch.object(elliptic, "gmres", no_krylov):
         u = solve_linear_dirichlet(LinearCoefficients.trace_operator(g), f, 0.0, 1.0)
     assert np.all(np.isfinite(u.values))
 
@@ -723,9 +828,8 @@ def test_large_boundary_data_is_accepted():
 def test_fine_grid_poisson_solve_is_accepted_without_factorization():
     g = build_grid(1, 64, 1025, 128)
     f = ScalarField(g, np.ones(g.shape))
-    u, factorizations = solve_and_factorization_count(
-        LinearCoefficients.trace_operator(g), f, 0.0, 1.0)
-    assert factorizations == 0
+    u, krylov_runs = solve_and_gmres_count(LinearCoefficients.trace_operator(g), f, 0.0, 1.0)
+    assert krylov_runs == 0
     # Delta u = 1 with u(1) = 0, u(64) = 1: r^2/4 + A log r + B
     r = g.radii
     slope = (1.0 - (64.0 ** 2 - 1.0) / 4.0) / math.log(64.0)
@@ -759,18 +863,19 @@ def test_solution_scales_with_the_data(exponent, ring_constant, with_source, see
     seed=st.integers(0, 2**32 - 1),
 )
 def test_solution_linear_in_data(spacing, ring_constant, seed):
-    # superposition: the boundary fold and both solvers are linear in (f, g)
+    # superposition: the boundary fold and the mode solver are linear in
+    # (f, g), and GMRES solves to the gate
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, 4.0, 33, 24, spacing)
     co = random_coefficients(g, rng, ring_constant)
     alpha, beta = rng.uniform(-2.0, 2.0, 2)
     f1, f2 = rng.normal(size=(2, *g.shape))
     g1i, g1o, g2i, g2o = 1.0 + rng.normal(size=(4, g.n_theta))
-    u1, factorizations = solve_and_factorization_count(co, ScalarField(g, f1), g1i, g1o)
+    u1, krylov_runs = solve_and_gmres_count(co, ScalarField(g, f1), g1i, g1o)
     u2 = solve_linear_dirichlet(co, ScalarField(g, f2), g2i, g2o)
     both = solve_linear_dirichlet(co, ScalarField(g, alpha * f1 + beta * f2),
                                   alpha * g1i + beta * g2i, alpha * g1o + beta * g2o)
-    assert factorizations == (0 if ring_constant else 1)
+    assert krylov_runs == (0 if ring_constant else 1)
     expected = alpha * u1.values + beta * u2.values
     scale = abs(alpha) * np.abs(u1.values).max() + abs(beta) * np.abs(u2.values).max()
     assert np.max(np.abs(both.values - expected)) <= 1e-10 * scale

@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from annulab import elliptic
+from annulab import elliptic, nonlinear
 from annulab.elliptic import LinearCoefficients, ellipticity_constants, solve_linear_dirichlet
 from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, hessian
 from annulab.nonlinear import (
@@ -191,25 +193,28 @@ class TestNewtonSolve:
 
     def test_radial_monge_ampere_never_factorizes(self, monkeypatch):
         # every linearization of a radial iterate is constant along rings,
-        # so the FFT-in-theta solve meets the gate and SuperLU never runs
-        def no_splu(*args, **kwargs):
-            raise AssertionError("SuperLU factorization in a radial Newton solve")
-
-        monkeypatch.setattr(elliptic, "splu", no_splu)
+        # so each linear solve is one banded solve of the mode solver, with
+        # no GMRES iteration behind it
+        banded = mock.Mock(wraps=elliptic.solve_banded)
+        linear = mock.Mock(wraps=nonlinear.solve_linear_dirichlet)
+        monkeypatch.setattr(elliptic, "solve_banded", banded)
+        monkeypatch.setattr(nonlinear, "solve_linear_dirichlet", linear)
         grid = build_grid(1.0, 16.0, 129, 64)
         g_in, g_out = reference_boundary(2.0, grid)
         u, trace = newton_solve(monge_ampere_spec(), grid, g_in, g_out)
         assert trace.residuals[-1] < 1e-10
+        assert linear.call_count >= trace.iterations > 0
+        assert banded.call_count == linear.call_count
         u_ref, _, _ = radial_ma_reference(2.0, grid.radii)
         assert np.max(np.abs(u.values - u_ref[:, None])) <= 2e-2
 
     def test_radial_monge_ampere_assembles_no_matrix(self, monkeypatch):
-        # the stencil arrays apply the operator and give its norm, so a
-        # solve the FFT path accepts builds no sparse matrix
-        def no_matrix(stencil):
-            raise AssertionError("sparse assembly in a radial Newton solve")
+        # the stencil arrays apply the operator and give its norm, and the
+        # mode solver is exact for radial iterates, so no solve runs GMRES
+        def no_krylov(*args, **kwargs):
+            raise AssertionError("GMRES in a radial Newton solve")
 
-        monkeypatch.setattr(elliptic, "_assembled_matrix", no_matrix)
+        monkeypatch.setattr(elliptic, "gmres", no_krylov)
         grid = build_grid(1.0, 16.0, 129, 64)
         g_in, g_out = reference_boundary(2.0, grid)
         _, trace = newton_solve(monge_ampere_spec(), grid, g_in, g_out)
