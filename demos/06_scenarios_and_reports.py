@@ -14,7 +14,6 @@ Command-line equivalents of what this script does:
     annulab solve ma-radial-a2 --out runs --format svg
     annulab analyze runs/ma-radial-a2/solution.field ma-radial-a2 --out runs2
     annulab report runs/ma-radial-a2
-    annulab verify --jobs 4
 """
 
 import json

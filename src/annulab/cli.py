@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,34 +65,35 @@ from .qcmap import (
 __all__ = ["Scenario", "main", "run_acceptance", "run_scenario", "verify_suite"]
 
 _SPACINGS = {"log": LOG_RADIAL, "uniform": UNIFORM_RADIAL}
-# the keys a config section may hold are exactly the keys the pipeline reads
+# Each config section, per kind where it has one, may hold exactly the keys
+# the pipeline reads: a (required, optional) pair of key tuples.
+_CONFIG_KEYS = (("name", "operator", "grid", "boundary", "windows"),
+                ("tolerances", "expect"))
 _OPERATOR_KEYS = {
-    "monge_ampere": ("kind",),
-    "special_lagrangian": ("kind", "theta"),
-    "linear_trace": ("kind", "rhs"),
-    "linear_custom": ("kind", "a11", "a12", "a22", "rhs"),
+    "monge_ampere": (("kind",), ()),
+    "special_lagrangian": (("kind", "theta"), ()),
+    "linear_trace": (("kind",), ("rhs",)),
+    "linear_custom": (("kind", "a11", "a12", "a22"), ("rhs",)),
 }
-# every boundary key is required
 _BOUNDARY_KEYS = {
-    "radial_reference": ("kind", "a"),
-    "explicit_polynomial": ("kind", "A", "b", "d", "c", "e"),
-    "file": ("kind", "path"),
+    "radial_reference": (("kind", "a"), ()),
+    "explicit_polynomial": (("kind", "A", "b", "d", "c", "e"), ()),
+    "file": (("kind", "path"), ()),
 }
-_GRID_KEYS = ("r_inner", "r_outer", "n_r", "n_theta", "spacing")
+_GRID_KEYS = (("r_inner", "r_outer", "n_r", "n_theta"), ("spacing",))
 # Newton settings are read for the fully nonlinear operators only
-_NEWTON_TOLERANCES = ("newton_tol", "max_iters", "hessian_bound", "harmonic_tol")
+_NEWTON_TOLERANCES = ((), ("newton_tol", "max_iters", "harmonic_tol"))
 _TOLERANCE_KEYS = {
     "monge_ampere": _NEWTON_TOLERANCES,
     "special_lagrangian": _NEWTON_TOLERANCES,
-    "linear_trace": ("harmonic_tol",),
-    "linear_custom": ("harmonic_tol",),
+    "linear_trace": ((), ("harmonic_tol",)),
+    "linear_custom": ((), ("harmonic_tol",)),
 }
 _OPERATOR_KINDS = tuple(_OPERATOR_KEYS)
 _BOUNDARY_KINDS = tuple(_BOUNDARY_KEYS)
-_EXPECT_KEYS = ("A", "b", "c", "d", "d_divergence", "e", "residual_exponent_min",
-                "K_min_max")
 # expectations compared within a tolerance; the other two are one-sided bounds
 _TOL_EXPECT_KEYS = ("A", "b", "c", "d", "d_divergence", "e")
+_EXPECT_KEYS = ((), _TOL_EXPECT_KEYS + ("residual_exponent_min", "K_min_max"))
 _EXPECT_SHAPES = {"A": (2, 2), "b": (2,), "e": (2,)}  # every other value is a number
 
 
@@ -131,12 +131,20 @@ def _check_windows_inside(windows, r_inner, r_outer, what):
             _config_error(f"window [{lo}, {hi}] not inside {what} [{r_inner}, {r_outer}]")
 
 
-def _check_keys(section, where, known, context=""):
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        names = ", ".join(f"{where}.{key}" for key in unknown)
-        _config_error(f"unknown key{'s' if len(unknown) > 1 else ''} {names}{context}; "
-                      f"known: {', '.join(known)}")
+def _check_keys(section, where, keys, context=""):
+    """Reject unknown keys of ``section``, then missing ones.
+
+    ``keys`` is a (required, optional) pair; ``where`` names the section,
+    "" at the top level.
+    """
+    required, optional = keys
+    known = required + optional
+    for problem, bad in (("unknown", sorted(set(section) - set(known))),
+                         ("missing", [key for key in required if key not in section])):
+        if bad:
+            names = ", ".join(f"{where}.{key}".lstrip(".") for key in bad)
+            _config_error(f"{problem} key{'s' if len(bad) > 1 else ''} {names}{context}; "
+                          f"known: {', '.join(known)}")
 
 
 @dataclass(frozen=True)
@@ -155,53 +163,32 @@ class Scenario:
     def from_config(cls, config: dict) -> "Scenario":
         if not isinstance(config, dict):
             _config_error("scenario config must be a JSON object")
-        known = {"name", "operator", "grid", "boundary", "windows", "tolerances",
-                 "expect"}
-        unknown = sorted(set(config) - known)
-        if unknown:
-            _config_error(f"unknown config keys {unknown}")
-        for key in ("name", "operator", "grid", "boundary", "windows"):
-            if key not in config:
-                _config_error(f"missing config key '{key}'")
+        _check_keys(config, "", _CONFIG_KEYS)
 
         name = str(config["name"])
         operator = _section(config, "operator")
         kind = operator.get("kind")
         if kind not in _OPERATOR_KINDS:
-            _config_error(f"operator kind must be one of {_OPERATOR_KINDS}, got {kind!r}")
+            _config_error(f"operator.kind must be one of {_OPERATOR_KINDS}, got {kind!r}")
         _check_keys(operator, "operator", _OPERATOR_KEYS[kind],
                     f" for operator kind {kind!r}")
-        if kind == "special_lagrangian" and "theta" not in operator:
-            _config_error("special_lagrangian operator needs a 'theta' entry")
-        if kind == "linear_custom":
-            for c in ("a11", "a12", "a22"):
-                if c not in operator:
-                    _config_error(f"linear_custom operator needs '{c}'")
 
         gp = _section(config, "grid")
         _check_keys(gp, "grid", _GRID_KEYS)
-        for key in ("r_inner", "r_outer", "n_r", "n_theta"):
-            if key not in gp:
-                _config_error(f"grid needs '{key}'")
         r_in = _finite_number(gp["r_inner"], "grid.r_inner")
         r_out = _finite_number(gp["r_outer"], "grid.r_outer")
         for key in ("n_r", "n_theta"):
             _integer(gp[key], f"grid.{key}")
         spacing = gp.setdefault("spacing", "log")
         if spacing not in _SPACINGS:
-            _config_error(f"grid spacing must be 'log' or 'uniform', got {spacing!r}")
+            _config_error(f"grid.spacing must be 'log' or 'uniform', got {spacing!r}")
 
         boundary = _section(config, "boundary")
         bkind = boundary.get("kind")
         if bkind not in _BOUNDARY_KINDS:
-            _config_error(
-                f"boundary kind must be one of {_BOUNDARY_KINDS}, got {bkind!r}"
-            )
+            _config_error(f"boundary.kind must be one of {_BOUNDARY_KINDS}, got {bkind!r}")
         _check_keys(boundary, "boundary", _BOUNDARY_KEYS[bkind],
                     f" for boundary kind {bkind!r}")
-        for key in _BOUNDARY_KEYS[bkind]:
-            if key not in boundary:
-                _config_error(f"{bkind} boundary needs '{key}'")
 
         if not isinstance(config["windows"], (list, tuple)):
             _config_error("windows must be a list of [lo, hi] pairs")
@@ -218,10 +205,12 @@ class Scenario:
         tolerances = _section(config, "tolerances", {})
         _check_keys(tolerances, "tolerances", _TOLERANCE_KEYS[kind],
                     f" for operator kind {kind!r}")
+        for key, value in tolerances.items():
+            where = f"tolerances.{key}"
+            if (_integer if key == "max_iters" else _finite_number)(value, where) <= 0:
+                _config_error(f"{where} must be positive, got {value!r}")
         expect = _section(config, "expect", {})
-        bad = sorted(set(expect) - set(_EXPECT_KEYS))
-        if bad:
-            _config_error(f"unknown expect keys {bad}; known: {_EXPECT_KEYS}")
+        _check_keys(expect, "expect", _EXPECT_KEYS)
         for key in sorted(expect):
             _check_expectation(key, expect[key])
         return cls(name, operator, gp, boundary, windows, tolerances, expect)
@@ -307,11 +296,10 @@ def _operator(scenario, grid):
     """The scenario's operator: a Newton spec, or linear coefficients on ``grid``."""
     op = scenario.operator
     kind = op["kind"]
-    bound = float(scenario.tolerances.get("hessian_bound", 3.0))
     if kind == "monge_ampere":
-        return monge_ampere_spec(bound)
+        return monge_ampere_spec()
     if kind == "special_lagrangian":
-        return special_lagrangian_spec(float(op["theta"]), bound)
+        return special_lagrangian_spec(float(op["theta"]))
     if kind == "linear_trace":
         return LinearCoefficients.trace_operator(grid)
     return LinearCoefficients(grid, float(op["a11"]), float(op["a12"]), float(op["a22"]))
@@ -467,13 +455,7 @@ def _evaluate_expectations(scenario, report):
 
 def run_scenario(scenario: Scenario) -> dict:
     """Execute a scenario and return its report document."""
-    report, _ = _run_with_field(scenario)
-    return report
-
-
-def _run_with_field(scenario):
-    u, solve_info = _solve(scenario)
-    return _analyze(scenario, u, solve_info), u
+    return _analyze(scenario, *_solve(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -557,36 +539,30 @@ def _write_tables(report, u, out_dir: Path, fmt: str):
             _decay_svg(report["expansion"]["residual_fit"]))
 
 
-def _print_report_summary(report, stream=None):
-    stream = sys.stdout if stream is None else stream
+def _print_report_summary(report):
     name = report["scenario"]["name"]
-    print(f"scenario {name}: {report['status']}", file=stream)
+    print(f"scenario {name}: {report['status']}")
     solve = report["solve"]
     iters = "" if solve["iterations"] is None else f"{solve['iterations']} iterations, "
-    print(f"  solve: {solve['method']}, {iters}residual {solve['final_residual']:.3e}",
-          file=stream)
+    print(f"  solve: {solve['method']}, {iters}residual {solve['final_residual']:.3e}")
     gm = report["gradient_map"]
-    print(f"  gradient map: K_min {gm['K_min']:.6f}, alpha {gm['alpha']:.6f}",
-          file=stream)
+    print(f"  gradient map: K_min {gm['K_min']:.6f}, alpha {gm['alpha']:.6f}")
     exp = report["expansion"]
     rexp = exp["residual_fit"]["exponent"]
     rexp_text = "exact (degenerate fit)" if rexp is None else f"{rexp:.4f}"
     print(f"  expansion: d {exp['d']:.6e}, c {exp['c']:.6e}, "
-          f"residual exponent {rexp_text} over windows {exp['windows']}",
-          file=stream)
+          f"residual exponent {rexp_text} over windows {exp['windows']}")
     cc = report["cross_checks"]
     lau = cc["d_laurent"]
     lau_text = (f"{lau['value']:.6e} at radius {lau['radius']:.3f}"
                 if lau else "skipped")
     print(f"  d cross-checks: fit {cc['d_fit']:.6e}, divergence "
           f"{cc['d_divergence']['value']:.6e} at R {cc['d_divergence']['R']}, "
-          f"laurent {lau_text}, max gap {cc['max_pairwise_gap']:.3e}",
-          file=stream)
+          f"laurent {lau_text}, max gap {cc['max_pairwise_gap']:.3e}")
     for row in report["assertions"]:
         verdict = "pass" if row["pass"] else "FAIL"
         print(f"  assert {row['name']}: measured {row['measured']} vs "
-              f"{row['expected']} (tol {row['tolerance']}) -> {verdict}",
-          file=stream)
+              f"{row['expected']} (tol {row['tolerance']}) -> {verdict}")
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +854,7 @@ def _run_check(entry):
             "seconds": time.perf_counter() - start}
 
 
-def run_acceptance(names=None, jobs=1):
+def run_acceptance(names=None):
     """Run acceptance checks; returns a list of result rows in registry order."""
     registry = dict(ACCEPTANCE_CHECKS)
     if names is None:
@@ -890,26 +866,19 @@ def run_acceptance(names=None, jobs=1):
         selected = [(n, registry[n]) for n in names]
     if not selected:
         raise ValueError("invalid-config: no scenarios selected")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_check, selected))
     return [_run_check(e) for e in selected]
 
 
-def verify_suite(names=None, jobs=1, stream=None):
-    """Run the acceptance registry and print one pass/fail row per criterion.
-
-    Rows go to ``stream``, by default the ``sys.stdout`` of the call.
-    """
-    stream = sys.stdout if stream is None else stream
-    rows = run_acceptance(names=names, jobs=jobs)
+def verify_suite(names=None):
+    """Run the acceptance registry and print one pass/fail row per criterion."""
+    rows = run_acceptance(names=names)
     width = max(len(r["name"]) for r in rows)
     for row in rows:
         status = "PASS" if row["passed"] else "FAIL"
         print(f"{row['name']:<{width}}  {status}  {row['seconds']:7.2f}s  "
-              f"{row['detail']}", file=stream)
+              f"{row['detail']}")
     failed = [r["name"] for r in rows if not r["passed"]]
-    print(f"{len(rows) - len(failed)}/{len(rows)} criteria passed", file=stream)
+    print(f"{len(rows) - len(failed)}/{len(rows)} criteria passed")
     return rows, not failed
 
 
@@ -952,7 +921,7 @@ def _load_scenario(ref, args):
                 _config_error(f"--windows wants lo:hi[,lo:hi...], got {args.windows!r}")
         config["windows"] = windows
     if getattr(args, "tol", None) is not None:
-        config.setdefault("tolerances", {})["newton_tol"] = args.tol
+        config["tolerances"] = {**_section(config, "tolerances", {}), "newton_tol": args.tol}
     return Scenario.from_config(config)
 
 
@@ -971,7 +940,8 @@ def _emit(scenario, report, u, args):
 def _cmd_solve(args):
     scenario = _load_scenario(args.config, args)
     try:
-        report, u = _run_with_field(scenario)
+        u, solve_info = _solve(scenario)
+        report = _analyze(scenario, u, solve_info)
     except NewtonError as err:
         print(f"scenario {scenario.name}: solver failed: {err}", file=sys.stderr)
         return 1
@@ -998,7 +968,7 @@ def _cmd_analyze(args):
 
 def _cmd_verify(args):
     names = args.only.split(",") if args.only else None
-    _, all_pass = verify_suite(names=names, jobs=args.jobs)
+    _, all_pass = verify_suite(names=names)
     return 0 if all_pass else 1
 
 
@@ -1045,8 +1015,6 @@ def _build_parser():
 
     p_ver = sub.add_parser("verify", help="run the built-in acceptance checks")
     p_ver.add_argument("--only", help="comma-separated subset of criterion names")
-    p_ver.add_argument("--jobs", type=int, default=1,
-                       help="run criteria in parallel processes")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_rep = sub.add_parser("report", help="summarize a finished run directory")

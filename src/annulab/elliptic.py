@@ -31,7 +31,7 @@ take GMRES iterations with that preconditioner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -88,9 +88,9 @@ class LinearCoefficients:
     a11: np.ndarray
     a12: np.ndarray
     a22: np.ndarray
-    lam: float = 0.0
-    Lam: float = 0.0
-    gamma: float = 1.0
+    lam: float = field(init=False)
+    Lam: float = field(init=False)
+    gamma: float = field(init=False)
 
     def __post_init__(self):
         for name in ("a11", "a12", "a22"):

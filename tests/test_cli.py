@@ -49,12 +49,20 @@ class TestScenarioConfig:
     def test_missing_key_rejected(self):
         config = builtin_config("identity-quadratic")
         del config["boundary"]
-        with pytest.raises(ValueError, match="invalid-config"):
+        with pytest.raises(ValueError, match="invalid-config: missing key boundary;"):
+            Scenario.from_config(config)
+
+    @pytest.mark.parametrize("name", ["grid.n_theta", "boundary.a", "windows"])
+    def test_missing_required_key_is_named(self, name):
+        config = builtin_config("ma-radial-a2")
+        *section, key = name.split(".")
+        del (config[section[0]] if section else config)[key]
+        with pytest.raises(ValueError, match=f"invalid-config: missing key {name}[ ;]"):
             Scenario.from_config(config)
 
     def test_unknown_key_rejected(self):
         config = builtin_config("identity-quadratic", extra=1)
-        with pytest.raises(ValueError, match="invalid-config"):
+        with pytest.raises(ValueError, match="invalid-config: unknown key extra;"):
             Scenario.from_config(config)
 
     def test_unknown_operator_rejected(self):
@@ -65,13 +73,14 @@ class TestScenarioConfig:
     def test_special_lagrangian_needs_theta(self):
         config = builtin_config("ma-radial-a2",
                                 operator={"kind": "special_lagrangian"})
-        with pytest.raises(ValueError, match="invalid-config"):
+        with pytest.raises(ValueError, match="invalid-config: missing key operator.theta "):
             Scenario.from_config(config)
 
     def test_linear_custom_needs_coefficients(self):
         config = builtin_config("identity-quadratic",
                                 operator={"kind": "linear_custom", "a11": 1.0})
-        with pytest.raises(ValueError, match="invalid-config"):
+        with pytest.raises(ValueError, match="invalid-config: missing keys "
+                                             "operator.a12, operator.a22 "):
             Scenario.from_config(config)
 
     def test_bad_spacing_rejected(self):
@@ -93,7 +102,7 @@ class TestScenarioConfig:
     def test_unknown_expect_key_rejected(self):
         config = builtin_config("identity-quadratic",
                                 expect={"volume": {"value": 1.0, "tol": 1.0}})
-        with pytest.raises(ValueError, match="invalid-config"):
+        with pytest.raises(ValueError, match="invalid-config: unknown key expect.volume;"):
             Scenario.from_config(config)
 
     @pytest.mark.parametrize("key, entry, message", [
@@ -267,6 +276,8 @@ class TestCommandLine:
         ("ma-radial-a2", "tolerances", "newton_tolerance", 1e-12),
         ("ma-radial-a2", "operator", "rhs", 2.0),
         ("ma-radial-a2", "boundary", "b", [0.0, 0.0]),
+        # no solver reads an ellipticity window from the config
+        ("ma-radial-a2", "tolerances", "hessian_bound", 10),
         ("identity-quadratic", "grid", "spacingg", "uniform"),
         # a direct solve reads no Newton settings
         ("identity-quadratic", "tolerances", "max_iters", 5),
@@ -284,6 +295,30 @@ class TestCommandLine:
         monkeypatch.setattr(cli, "_solve", no_solve)
         assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
         assert f"unknown key {section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerances, options, message", [
+        ({"harmonic_tol": "x"}, [], "tolerances.harmonic_tol must be a finite number"),
+        ({"harmonic_tol": -1}, [], "tolerances.harmonic_tol must be positive"),
+        ({"max_iters": 2.5}, [], "tolerances.max_iters must be an integer"),
+        ({"max_iters": 0}, [], "tolerances.max_iters must be positive"),
+        ({"newton_tol": True}, [], "tolerances.newton_tol must be a finite number"),
+        ({}, ["--tol", "-1"], "tolerances.newton_tol must be positive"),
+        ([["newton_tol", 1e-9]], ["--tol", "1e-9"], "tolerances must be a JSON object"),
+    ], ids=["harmonic_tol-string", "harmonic_tol-negative", "max_iters-fraction",
+            "max_iters-zero", "newton_tol-bool", "tol-option-negative",
+            "tol-option-on-a-list"])
+    def test_bad_tolerance_value_exits_2_before_solving(
+            self, tmp_path, monkeypatch, capsys, tolerances, options, message):
+        config = builtin_config("ma-radial-a2", tolerances=tolerances)
+        path = tmp_path / "tolerance.json"
+        path.write_text(json.dumps(config))
+
+        def no_solve(scenario):
+            raise AssertionError("the solve ran for an invalid config")
+
+        monkeypatch.setattr(cli, "_solve", no_solve)
+        assert cli.main(["solve", str(path), "--out", str(tmp_path), *options]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["operator", "grid", "boundary", "tolerances"])
     def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, section):
@@ -422,12 +457,6 @@ class TestAcceptanceHarness:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="invalid-config"):
             run_acceptance(names=["00-not-a-criterion"])
-
-    def test_parallel_jobs(self):
-        names = ["03-holder-exponent-formula", "11-bootstrap-scheduler"]
-        rows = run_acceptance(names=names, jobs=2)
-        assert [r["name"] for r in rows] == names
-        assert all(r["passed"] for r in rows)
 
     def test_detail_strings_do_not_depend_on_the_clock(self, monkeypatch):
         # rows 01 and 06 enforce wall-time caps; their detail strings must

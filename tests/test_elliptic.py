@@ -113,6 +113,17 @@ def test_coefficients_are_read_only():
     assert co.a22[0, 0] == 3.0
 
 
+def test_ellipticity_constants_are_not_arguments():
+    # lam, Lam and gamma are computed from the entries; a value passed for
+    # them would be overwritten without a word, so passing one is an error
+    g = build_grid(1.0, 2.0, 16, 16)
+    for kwargs in ({"lam": 5.0}, {"Lam": -2.0}, {"gamma": 0.5}):
+        with pytest.raises(TypeError):
+            LinearCoefficients(g, 1.0, 0.0, 1.0, **kwargs)
+    with pytest.raises(TypeError):
+        LinearCoefficients(g, 1.0, 0.0, 1.0, 5.0, Lam=-2.0)
+
+
 # -- linear Dirichlet solves -------------------------------------------------
 
 
