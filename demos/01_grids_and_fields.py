@@ -9,6 +9,9 @@ and planar mappings, differentiates them, integrates over rings and
 annuli, and round-trips a field through the snapshot format.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from annulab import (
@@ -57,8 +60,11 @@ one = ScalarField.from_function(g_log, lambda x1, x2: np.ones_like(x1))
 area = annulus_integral(one, 2.0, 8.0)
 print(f"\narea of 2 <= |x| <= 8: {area:.6f} (exact {np.pi * (64 - 4):.6f})")
 
-# snapshots: a plain-text header plus binary payload, byte-stable
-write_snapshot("/tmp/demo_field.snapshot", u)
-back = read_snapshot("/tmp/demo_field.snapshot")
+# snapshots: a plain-text header, then the repr of one value per line, so
+# the file is byte-stable and reads back exactly
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo.field"
+    write_snapshot(path, u)
+    back = read_snapshot(path)
 print(f"\nsnapshot round trip max error: "
       f"{np.abs(back.values - u.values).max():.1e}")

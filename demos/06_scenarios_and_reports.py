@@ -41,7 +41,7 @@ config = {
                  "d": 0.0, "c": 0.0, "e": [0.0, 0.0]},
     "windows": [[1.5, 3], [3, 5], [5, 8]],
     "expect": {"d": {"value": 0.0, "tol": 0.05},
-               "K_min_max": {"value": 1.55, "tol": 0.0}},
+               "K_min_max": {"value": 1.55}},
 }
 scenario = Scenario.from_config(config)
 report = run_scenario(scenario)

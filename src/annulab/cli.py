@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,86 +65,161 @@ from .qcmap import (
 __all__ = ["Scenario", "main", "run_acceptance", "run_scenario", "verify_suite"]
 
 _SPACINGS = {"log": LOG_RADIAL, "uniform": UNIFORM_RADIAL}
-# Each config section, per kind where it has one, may hold exactly the keys
-# the pipeline reads: a (required, optional) pair of key tuples.
-_CONFIG_KEYS = (("name", "operator", "grid", "boundary", "windows"),
-                ("tolerances", "expect"))
-_OPERATOR_KEYS = {
-    "monge_ampere": (("kind",), ()),
-    "special_lagrangian": (("kind", "theta"), ()),
-    "linear_trace": (("kind",), ("rhs",)),
-    "linear_custom": (("kind", "a11", "a12", "a22"), ("rhs",)),
-}
-_BOUNDARY_KEYS = {
-    "radial_reference": (("kind", "a"), ()),
-    "explicit_polynomial": (("kind", "A", "b", "d", "c", "e"), ()),
-    "file": (("kind", "path"), ()),
-}
-_GRID_KEYS = (("r_inner", "r_outer", "n_r", "n_theta"), ("spacing",))
-# Newton settings are read for the fully nonlinear operators only
-_NEWTON_TOLERANCES = ((), ("newton_tol", "max_iters", "harmonic_tol"))
-_TOLERANCE_KEYS = {
-    "monge_ampere": _NEWTON_TOLERANCES,
-    "special_lagrangian": _NEWTON_TOLERANCES,
-    "linear_trace": ((), ("harmonic_tol",)),
-    "linear_custom": ((), ("harmonic_tol",)),
-}
-_OPERATOR_KINDS = tuple(_OPERATOR_KEYS)
-_BOUNDARY_KINDS = tuple(_BOUNDARY_KEYS)
-# expectations compared within a tolerance; the other two are one-sided bounds
-_TOL_EXPECT_KEYS = ("A", "b", "c", "d", "d_divergence", "e")
-_EXPECT_KEYS = ((), _TOL_EXPECT_KEYS + ("residual_exponent_min", "K_min_max"))
-_EXPECT_SHAPES = {"A": (2, 2), "b": (2,), "e": (2,)}  # every other value is a number
 
 
 def _config_error(message):
     raise ValueError(f"invalid-config: {message}")
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value, shape=()):
+    """A finite number (not a bool), or nested lists of them of ``shape``."""
+    if shape:
+        return (isinstance(value, (list, tuple)) and len(value) == shape[0]
+                and all(_is_finite(v, shape[1:]) for v in value))
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _finite_number(value, where):
-    if not (_is_number(value) and math.isfinite(value)):
-        _config_error(f"{where} must be a finite number, got {value!r}")
-    return float(value)
+# Config checkers: check(value, name) raises, naming the key, on a bad value.
+def _finite(shape=()):
+    what = f"a finite array of shape {shape}" if shape else "a finite number"
+
+    def check(value, where):
+        if not _is_finite(value, shape):
+            _config_error(f"{where} must be {what}, got {value!r}")
+    return check
 
 
 def _integer(value, where):
-    if not (_is_number(value) and float(value).is_integer()):
+    if not (_is_finite(value) and float(value).is_integer()):
         _config_error(f"{where} must be an integer, got {value!r}")
-    return int(value)
 
 
-def _section(config, key, default=None):
-    """A copy of the config object under ``key``."""
-    value = config.get(key, default)
-    if not isinstance(value, dict):
-        _config_error(f"{key} must be a JSON object, got {value!r}")
-    return dict(value)
+def _positive(check):
+    def positive(value, where):
+        check(value, where)
+        if value <= 0:
+            _config_error(f"{where} must be positive, got {value!r}")
+    return positive
 
 
-def _check_windows_inside(windows, r_inner, r_outer, what):
-    for lo, hi in windows:
-        if not (r_inner <= lo < hi <= r_outer * (1.0 + 1e-12)):
-            _config_error(f"window [{lo}, {hi}] not inside {what} [{r_inner}, {r_outer}]")
+def _text(value, where):
+    if not (isinstance(value, str) and value):
+        _config_error(f"{where} must be a non-empty string, got {value!r}")
+
+
+def _file_name(value, where):  # the run directory is named after it
+    _text(value, where)
+    if Path(value).name != value or value == "..":
+        _config_error(f"{where} must be a plain file name, got {value!r}")
+
+
+def _one_of(options):
+    def check(value, where):
+        if value not in tuple(options):
+            _config_error(f"{where} must be one of {tuple(options)}, got {value!r}")
+    return check
+
+
+def _windows(value, where):
+    if not (isinstance(value, (list, tuple)) and value):
+        _config_error(f"{where} must be a list of [lo, hi] pairs (at least one), "
+                      f"got {value!r}")
+    for k, pair in enumerate(value):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            _config_error(f"{where}[{k}] must be a [lo, hi] pair, got {pair!r}")
+        for v in pair:
+            _NUMBER(v, f"{where}[{k}]")
+
+
+def _object(keys=None):
+    """A JSON object, whose keys pass ``_check_keys`` against ``keys`` if given."""
+    def check(value, where):
+        if not isinstance(value, dict):
+            _config_error(f"{where} must be a JSON object, got {value!r}")
+        if keys is not None:
+            _check_keys(value, where, keys)
+    return check
+
+
+def _kinded(tables):
+    """A JSON object whose ``kind`` picks its keys from ``tables``."""
+    def check(value, where):
+        _object()(value, where)
+        kind = value.get("kind")
+        _one_of(tables)(kind, f"{where}.kind")
+        _check_keys(value, where, tables[kind], f" for {where} kind {kind!r}")
+    return check
 
 
 def _check_keys(section, where, keys, context=""):
-    """Reject unknown keys of ``section``, then missing ones.
+    """Reject unknown keys of ``section``, then missing ones, then bad values.
 
-    ``keys`` is a (required, optional) pair; ``where`` names the section,
-    "" at the top level.
+    ``keys`` is a (required, optional) pair of key -> checker maps; ``where``
+    names the section, "" at the top level.
     """
     required, optional = keys
-    known = required + optional
+    known = {**required, **optional}
     for problem, bad in (("unknown", sorted(set(section) - set(known))),
                          ("missing", [key for key in required if key not in section])):
         if bad:
             names = ", ".join(f"{where}.{key}".lstrip(".") for key in bad)
             _config_error(f"{problem} key{'s' if len(bad) > 1 else ''} {names}{context}; "
                           f"known: {', '.join(known)}")
+    for key, check in known.items():
+        if key in section:
+            check(section[key], f"{where}.{key}".lstrip("."))
+
+
+# Each config section, per kind where it has one, may hold exactly the keys
+# the pipeline reads.  Ranges (a >= 0, |theta| < pi, ellipticity) are left to
+# the library functions that own them, which reject them before any solve.
+_NUMBER = _finite()
+_POSITIVE = _positive(_NUMBER)
+_OPERATOR_KEYS = {
+    "monge_ampere": ({"kind": _text}, {}),
+    "special_lagrangian": ({"kind": _text, "theta": _NUMBER}, {}),
+    "linear_trace": ({"kind": _text}, {"rhs": _NUMBER}),
+    "linear_custom": ({"kind": _text, "a11": _NUMBER, "a12": _NUMBER, "a22": _NUMBER},
+                      {"rhs": _NUMBER}),
+}
+_BOUNDARY_KEYS = {
+    "radial_reference": ({"kind": _text, "a": _NUMBER}, {}),
+    "explicit_polynomial": ({"kind": _text, "A": _finite((2, 2)), "b": _finite((2,)),
+                             "d": _NUMBER, "c": _NUMBER, "e": _finite((2,))}, {}),
+    "file": ({"kind": _text, "path": _text}, {}),
+}
+_GRID_KEYS = ({"r_inner": _NUMBER, "r_outer": _NUMBER, "n_r": _integer, "n_theta": _integer},
+              {"spacing": _one_of(_SPACINGS)})
+# Newton settings are read for the fully nonlinear operators only
+_NEWTON_TOLERANCES = ({}, {"newton_tol": _POSITIVE, "max_iters": _positive(_integer),
+                           "harmonic_tol": _POSITIVE})
+_TOLERANCE_KEYS = {
+    "monge_ampere": _NEWTON_TOLERANCES,
+    "special_lagrangian": _NEWTON_TOLERANCES,
+    "linear_trace": ({}, {"harmonic_tol": _POSITIVE}),
+    "linear_custom": ({}, {"harmonic_tol": _POSITIVE}),
+}
+
+
+def _compared(shape=()):  # an expectation met within a tolerance
+    return _object(({"value": _finite(shape), "tol": _POSITIVE}, {}))
+
+
+_BOUND = _object(({"value": _NUMBER}, {}))  # a one-sided bound
+_EXPECT_KEYS = ({}, {"A": _compared((2, 2)), "b": _compared((2,)), "c": _compared(),
+                     "d": _compared(), "d_divergence": _compared(), "e": _compared((2,)),
+                     "residual_exponent_min": _BOUND, "K_min_max": _BOUND})
+_CONFIG_KEYS = ({"name": _file_name, "operator": _kinded(_OPERATOR_KEYS),
+                 "grid": _object(_GRID_KEYS), "boundary": _kinded(_BOUNDARY_KEYS),
+                 "windows": _windows},
+                {"tolerances": _object(), "expect": _object(_EXPECT_KEYS)})
+
+
+def _check_windows_inside(windows, r_inner, r_outer, what):
+    for lo, hi in windows:
+        if not (r_inner <= lo < hi <= r_outer * (1.0 + 1e-12)):
+            _config_error(f"window [{lo}, {hi}] not inside {what} [{r_inner}, {r_outer}]")
 
 
 @dataclass(frozen=True)
@@ -164,77 +239,15 @@ class Scenario:
         if not isinstance(config, dict):
             _config_error("scenario config must be a JSON object")
         _check_keys(config, "", _CONFIG_KEYS)
-
-        name = str(config["name"])
-        operator = _section(config, "operator")
-        kind = operator.get("kind")
-        if kind not in _OPERATOR_KINDS:
-            _config_error(f"operator.kind must be one of {_OPERATOR_KINDS}, got {kind!r}")
-        _check_keys(operator, "operator", _OPERATOR_KEYS[kind],
-                    f" for operator kind {kind!r}")
-
-        gp = _section(config, "grid")
-        _check_keys(gp, "grid", _GRID_KEYS)
-        r_in = _finite_number(gp["r_inner"], "grid.r_inner")
-        r_out = _finite_number(gp["r_outer"], "grid.r_outer")
-        for key in ("n_r", "n_theta"):
-            _integer(gp[key], f"grid.{key}")
-        spacing = gp.setdefault("spacing", "log")
-        if spacing not in _SPACINGS:
-            _config_error(f"grid.spacing must be 'log' or 'uniform', got {spacing!r}")
-
-        boundary = _section(config, "boundary")
-        bkind = boundary.get("kind")
-        if bkind not in _BOUNDARY_KINDS:
-            _config_error(f"boundary.kind must be one of {_BOUNDARY_KINDS}, got {bkind!r}")
-        _check_keys(boundary, "boundary", _BOUNDARY_KEYS[bkind],
-                    f" for boundary kind {bkind!r}")
-
-        if not isinstance(config["windows"], (list, tuple)):
-            _config_error("windows must be a list of [lo, hi] pairs")
-        windows = []
-        for k, pair in enumerate(config["windows"]):
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                _config_error(f"windows[{k}] must be a [lo, hi] pair, got {pair!r}")
-            windows.append(tuple(_finite_number(v, f"windows[{k}]") for v in pair))
-        windows = tuple(windows)
-        if not windows:
-            _config_error("windows must be non-empty")
-        _check_windows_inside(windows, r_in, r_out, "grid")
-
-        tolerances = _section(config, "tolerances", {})
-        _check_keys(tolerances, "tolerances", _TOLERANCE_KEYS[kind],
-                    f" for operator kind {kind!r}")
-        for key, value in tolerances.items():
-            where = f"tolerances.{key}"
-            if (_integer if key == "max_iters" else _finite_number)(value, where) <= 0:
-                _config_error(f"{where} must be positive, got {value!r}")
-        expect = _section(config, "expect", {})
-        _check_keys(expect, "expect", _EXPECT_KEYS)
-        for key in sorted(expect):
-            _check_expectation(key, expect[key])
-        return cls(name, operator, gp, boundary, windows, tolerances, expect)
-
-
-def _check_expectation(key, spec):
-    if not isinstance(spec, dict) or "value" not in spec:
-        _config_error(f"expect '{key}' needs a 'value' entry")
-    try:
-        value = np.asarray(spec["value"], dtype=float)
-    except (TypeError, ValueError):
-        value = None
-    shape = _EXPECT_SHAPES.get(key, ())
-    if value is None or value.shape != shape or not np.all(np.isfinite(value)):
-        what = f"a finite array of shape {shape}" if shape else "a finite number"
-        _config_error(f"expect '{key}' value must be {what}, got {spec['value']!r}")
-    if key in _TOL_EXPECT_KEYS:
-        try:
-            tol = float(spec["tol"])
-        except (KeyError, TypeError, ValueError):
-            tol = math.nan
-        if not (math.isfinite(tol) and tol > 0.0):
-            _config_error(f"expect '{key}' needs a finite positive 'tol', "
-                          f"got {spec.get('tol')!r}")
+        operator = dict(config["operator"])
+        gp = {"spacing": "log", **config["grid"]}
+        windows = tuple((float(lo), float(hi)) for lo, hi in config["windows"])
+        _check_windows_inside(windows, float(gp["r_inner"]), float(gp["r_outer"]), "grid")
+        tolerances = dict(config.get("tolerances", {}))
+        _check_keys(tolerances, "tolerances", _TOLERANCE_KEYS[operator["kind"]],
+                    f" for operator kind {operator['kind']!r}")
+        return cls(config["name"], operator, gp, dict(config["boundary"]), windows,
+                   tolerances, dict(config.get("expect", {})))
 
 
 # Built-in scenarios; `solve` accepts these names in place of a config path.
@@ -283,8 +296,6 @@ def _boundary_data(scenario, grid):
         return far_field(x1[[0, -1]], x2[[0, -1]],
                          *(boundary[key] for key in ("A", "b", "d", "c", "e")))
     field = read_snapshot(boundary["path"])
-    if not isinstance(field, ScalarField):
-        _config_error(f"boundary file {boundary['path']} does not hold a scalar field")
     g = field.grid
     if g.n_theta != grid.n_theta or abs(g.r_inner - grid.r_inner) > 1e-12 or \
             abs(g.r_outer - grid.r_outer) > 1e-12:
@@ -360,7 +371,7 @@ def _fit_to_dict(fit):
 
 def _analyze(scenario, u, solve_info):
     grid = u.grid
-    report = {"report_version": 1, "scenario": _scenario_echo(scenario),
+    report = {"report_version": 1, "scenario": asdict(scenario),
               "solve": solve_info}
 
     grad = gradient(u)
@@ -414,23 +425,11 @@ def _analyze(scenario, u, solve_info):
     return report
 
 
-def _scenario_echo(scenario):
-    return {
-        "name": scenario.name,
-        "operator": scenario.operator,
-        "grid": scenario.grid,
-        "boundary": {k: v for k, v in scenario.boundary.items()},
-        "windows": [list(w) for w in scenario.windows],
-        "tolerances": scenario.tolerances,
-        "expect": scenario.expect,
-    }
-
-
 def _evaluate_expectations(scenario, report):
     rows = []
     exp = report["expansion"]
     for key, spec in sorted(scenario.expect.items()):
-        if key in _TOL_EXPECT_KEYS:
+        if "tol" in spec:
             tol = float(spec["tol"])
             got = (report["cross_checks"]["d_divergence"]["value"]
                    if key == "d_divergence" else exp[key])
@@ -921,7 +920,8 @@ def _load_scenario(ref, args):
                 _config_error(f"--windows wants lo:hi[,lo:hi...], got {args.windows!r}")
         config["windows"] = windows
     if getattr(args, "tol", None) is not None:
-        config["tolerances"] = {**_section(config, "tolerances", {}), "newton_tol": args.tol}
+        _object()(config.setdefault("tolerances", {}), "tolerances")
+        config["tolerances"]["newton_tol"] = args.tol
     return Scenario.from_config(config)
 
 
@@ -953,8 +953,6 @@ def _cmd_solve(args):
 def _cmd_analyze(args):
     scenario = _load_scenario(args.config, args)
     field = read_snapshot(args.field_file)
-    if not isinstance(field, ScalarField):
-        _config_error(f"{args.field_file} does not hold a scalar field")
     grid = field.grid
     _check_windows_inside(scenario.windows, grid.r_inner, grid.r_outer, "the snapshot grid")
     residual = _operator_residual(scenario, _operator(scenario, grid), field)

@@ -208,13 +208,6 @@ class SymMatrixField:
     def trace(self):
         return self.m11 + self.m22
 
-    def det(self):
-        return self.m11 * self.m22 - self.m12 ** 2
-
-    def eigenvalues(self):
-        """Closed-form eigenvalues (lo, hi) per node."""
-        return sym2_eig(self.m11, self.m12, self.m22)
-
 
 def sym2_eig(m11, m12, m22):
     """Closed-form eigenvalues (lo, hi) of [[m11, m12], [m12, m22]], elementwise."""
@@ -423,29 +416,25 @@ def annulus_integral(f: ScalarField, r_lo: float, r_hi: float) -> float:
 # Snapshot file format
 #
 # header:  annular-field v1 <r_inner> <r_outer> <n_r> <n_theta> <spacing>
-# then one node per line in row-major radial-then-angular order; scalar
-# fields carry one column, planar mappings two.
+# then the repr of one scalar value per line, in row-major
+# radial-then-angular order.
 
 
-def write_snapshot(path, field) -> None:
-    """Write a ScalarField or PlanarMapping to a text snapshot."""
+def write_snapshot(path, field: ScalarField) -> None:
+    """Write a ScalarField to a text snapshot."""
+    if not isinstance(field, ScalarField):
+        raise ValueError(f"invalid-dimension: cannot snapshot {type(field).__name__}")
     g = field.grid
     header = (
         f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} {float(g.r_inner)!r} {float(g.r_outer)!r} "
         f"{g.n_r} {g.n_theta} {g.spacing}"
     )
-    if isinstance(field, ScalarField):
-        lines = map(repr, field.values.ravel().tolist())
-    elif isinstance(field, PlanarMapping):
-        lines = map("{!r} {!r}".format, field.p.ravel().tolist(), field.q.ravel().tolist())
-    else:
-        raise ValueError(f"invalid-dimension: cannot snapshot {type(field).__name__}")
     with open(path, "w") as fh:
-        fh.write(header + "\n" + "\n".join(lines) + "\n")
+        fh.write(header + "\n" + "\n".join(map(repr, field.values.ravel().tolist())) + "\n")
 
 
-def read_snapshot(path):
-    """Read a snapshot; returns ScalarField or PlanarMapping by column count."""
+def read_snapshot(path) -> ScalarField:
+    """Read a snapshot written by ``write_snapshot``."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 7 or header[0] != SNAPSHOT_MAGIC or header[1] != SNAPSHOT_VERSION:
@@ -459,10 +448,6 @@ def read_snapshot(path):
             f"invalid-dimension: snapshot has {data.shape[0]} rows, "
             f"expected {n_r * n_theta}"
         )
-    if data.shape[1] == 1:
-        return ScalarField(grid, data[:, 0].reshape(grid.shape))
-    if data.shape[1] == 2:
-        return PlanarMapping(
-            grid, data[:, 0].reshape(grid.shape), data[:, 1].reshape(grid.shape)
-        )
-    raise ValueError(f"invalid-dimension: snapshot has {data.shape[1]} columns")
+    if data.shape[1] != 1:
+        raise ValueError(f"invalid-dimension: snapshot has {data.shape[1]} columns, expected 1")
+    return ScalarField(grid, data[:, 0].reshape(grid.shape))

@@ -1,64 +1,18 @@
 """Acceptance gate: every shipped capability checked at its pinned tolerance.
 
-Each test runs one registered criterion end to end and prints a single
+Each case runs one registered criterion end to end and prints a single
 pass/fail line with the measured numbers; ``annulab verify`` runs the same
 registry from the command line.
 """
 
+import pytest
+
 from annulab.cli import ACCEPTANCE_CHECKS
 
-REGISTRY = dict(ACCEPTANCE_CHECKS)
 
-
-def run(name):
-    passed, detail = REGISTRY[name]()
+@pytest.mark.parametrize("name, check", ACCEPTANCE_CHECKS,
+                         ids=[name for name, _ in ACCEPTANCE_CHECKS])
+def test_acceptance_row(name, check):
+    passed, detail = check()
     print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     assert passed, f"{name}: {detail}"
-
-
-def test_01_log_coefficient_recovery_on_radial_family():
-    run("01-d-recovery-radial-family")
-
-
-def test_02_constant_term_recovery():
-    run("02-constant-term-recovery")
-
-
-def test_03_holder_exponent_formula():
-    run("03-holder-exponent-formula")
-
-
-def test_04_kelvin_identities():
-    run("04-kelvin-identities")
-
-
-def test_05_gradient_map_quasiconformality():
-    run("05-gradient-map-quasiconformality")
-
-
-def test_06_newton_solver_convergence():
-    run("06-newton-solver-convergence")
-
-
-def test_07_special_lagrangian_cross_check():
-    run("07-special-lagrangian-cross-check")
-
-
-def test_08_decay_rate_estimator():
-    run("08-decay-rate-estimator")
-
-
-def test_09_laurent_extraction():
-    run("09-laurent-extraction")
-
-
-def test_10_newtonian_potential():
-    run("10-newtonian-potential")
-
-
-def test_11_bootstrap_scheduler():
-    run("11-bootstrap-scheduler")
-
-
-def test_12_hessian_limit_decay():
-    run("12-hessian-limit-decay")

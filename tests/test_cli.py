@@ -2,11 +2,13 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, hessian, write
 from annulab.nonlinear import radial_ma_reference
 
 
-def builtin_config(name, **overrides):
+def builtin_config(name, /, **overrides):
     config = json.loads(json.dumps(BUILTIN_SCENARIOS[name]))
     config.update(overrides)
     return config
@@ -106,17 +108,28 @@ class TestScenarioConfig:
             Scenario.from_config(config)
 
     @pytest.mark.parametrize("key, entry, message", [
-        ("d", {"value": 0.0}, "expect 'd' needs a finite positive 'tol'"),
-        ("A", {"value": [[1.0, 0.0], [0.0, 1.0]], "tol": 0.0}, "expect 'A' needs"),
-        ("d_divergence", {"value": 1.0, "tol": float("nan")}, "'d_divergence' needs"),
-        ("c", {"value": 0.0, "tol": "tight"}, "expect 'c' needs"),
-        ("e", {"tol": 1e-8}, "expect 'e' needs a 'value'"),
-        ("b", {"value": [0.0], "tol": 1e-8}, "'b' value must be a finite array"),
-        ("K_min_max", 2.0, "expect 'K_min_max' needs a 'value'"),
-    ])
+        ("d", {"value": 0.0}, "missing key expect.d.tol; known: value, tol"),
+        ("A", {"value": [[1.0, 0.0], [0.0, 1.0]], "tol": 0.0},
+         "expect.A.tol must be positive, got 0.0"),
+        ("d_divergence", {"value": 1.0, "tol": float("nan")},
+         "expect.d_divergence.tol must be a finite number, got nan"),
+        ("c", {"value": 0.0, "tol": "tight"}, "expect.c.tol must be a finite number"),
+        ("e", {"tol": 1e-8}, "missing key expect.e.value; known: value, tol"),
+        ("b", {"value": [0.0], "tol": 1e-8},
+         "expect.b.value must be a finite array of shape (2,), got [0.0]"),
+        ("K_min_max", 2.0, "expect.K_min_max must be a JSON object, got 2.0"),
+    ], ids=["d-no-tol", "A-zero-tol", "d_divergence-nan-tol", "c-string-tol", "e-no-value",
+            "b-wrong-shape", "K_min_max-not-an-object"])
     def test_bad_expect_entry_rejected(self, key, entry, message):
         config = builtin_config("identity-quadratic", expect={key: entry})
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(f"invalid-config: {message}")):
+            Scenario.from_config(config)
+
+    @pytest.mark.parametrize("name", ["..", ".", "runs/x", "/x", "x/", ""])
+    def test_name_must_be_a_plain_file_name(self, name):
+        # the run directory is named after the scenario, under --out
+        config = builtin_config("identity-quadratic", name=name)
+        with pytest.raises(ValueError, match="invalid-config: name must be a "):
             Scenario.from_config(config)
 
     def test_one_sided_expectations_need_no_tol(self):
@@ -243,7 +256,7 @@ class TestCommandLine:
 
         monkeypatch.setattr(cli, "_solve", no_solve)
         assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
-        assert "expect 'd' needs a finite positive 'tol'" in capsys.readouterr().err
+        assert "missing key expect.d.tol;" in capsys.readouterr().err
         assert not (tmp_path / "identity-quadratic").exists()
 
     @pytest.mark.parametrize("overrides, message", [
@@ -256,6 +269,9 @@ class TestCommandLine:
         ({"grid": {"n_theta": 64.5}}, "grid.n_theta must be an integer"),
         ({"grid": {"r_inner": math.nan}}, "grid.r_inner must be a finite number"),
         ({"grid": {"r_outer": math.inf}}, "grid.r_outer must be a finite number"),
+        # beyond the float range, which JSON integers may be
+        ({"grid": {"n_r": 10 ** 400}}, "grid.n_r must be an integer"),
+        ({"windows": [[4, 10 ** 400]]}, "windows[0] must be a finite number"),
     ])
     def test_malformed_windows_and_grid_exit_2_before_solving(
             self, tmp_path, monkeypatch, capsys, overrides, message):
@@ -319,6 +335,42 @@ class TestCommandLine:
         monkeypatch.setattr(cli, "_solve", no_solve)
         assert cli.main(["solve", str(path), "--out", str(tmp_path), *options]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("builtin, key, value, named", [
+        ("identity-quadratic", "boundary", {"kind": "explicit_polynomial", "A": [1, 2],
+                                            "b": [0, 0], "d": 0, "c": 0, "e": [0, 0]},
+         "boundary.A"),
+        ("identity-quadratic", "boundary", {"kind": "file", "path": 5}, "boundary.path"),
+        ("identity-quadratic", "name", "../escaped", "name"),
+        ("identity-quadratic", "name", ["x"], "name"),
+        ("ma-radial-a2", "boundary", {"kind": "radial_reference", "a": True}, "boundary.a"),
+        ("identity-quadratic", "operator",
+         {"kind": "linear_custom", "a11": 1.0, "a12": 0.0, "a22": "2"}, "operator.a22"),
+        ("ma-radial-a2", "operator", {"kind": "special_lagrangian", "theta": "x"},
+         "operator.theta"),
+        ("identity-quadratic", "operator", {"kind": "linear_trace", "rhs": "x"},
+         "operator.rhs"),
+        ("ma-radial-a2", "expect", {"d": {"value": 1.0, "tol": 5e-3, "tolerance": 1e-9}},
+         "expect.d.tolerance"),
+        ("ma-radial-a2", "expect", {"K_min_max": {"value": 1.0, "tol": 5.0}},
+         "expect.K_min_max.tol"),
+    ], ids=["boundary.A-shape", "boundary.path-number", "name-outside-out", "name-list",
+            "boundary.a-bool", "operator.a22-string", "operator.theta-string",
+            "operator.rhs-string", "expect.d-extra-key", "expect.K_min_max-tol"])
+    def test_bad_value_exits_2_before_solving_and_names_the_key(
+            self, tmp_path, monkeypatch, capsys, builtin, key, value, named):
+        path = tmp_path / "bad-value.json"
+        path.write_text(json.dumps(builtin_config(builtin, **{key: value})))
+
+        def no_solve(scenario):
+            raise AssertionError("the solve ran for an invalid config")
+
+        monkeypatch.setattr(cli, "_solve", no_solve)
+        assert cli.main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-config: ")
+        assert re.search(rf" {re.escape(named)}[ ;]", err), err
+        assert list(tmp_path.rglob("*")) == [path]
 
     @pytest.mark.parametrize("section", ["operator", "grid", "boundary", "tolerances"])
     def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, section):
@@ -389,6 +441,30 @@ class TestCommandLine:
         det = (h.m11 * h.m22 - h.m12 * h.m12 - 1.0)[1:-1]
         assert report["solve"]["final_residual"] == float(np.max(np.abs(det)))
         assert report["solve"]["final_residual"] < 0.1
+
+    def test_two_column_snapshot_exits_2(self, quad_run, tmp_path, capsys):
+        # a snapshot holds one scalar field; a two-column file is refused by
+        # every reader
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "report.json").write_bytes((quad_run / "report.json").read_bytes())
+        field = run / "solution.field"
+        header = (quad_run / "solution.field").read_text().splitlines()[0]
+        n_r, n_theta = map(int, header.split()[4:6])
+        field.write_text(header + "\n" + "0.5 -0.5\n" * (n_r * n_theta))
+        config = builtin_config("identity-quadratic",
+                                boundary={"kind": "file", "path": str(field)})
+        path = tmp_path / "file-boundary.json"
+        path.write_text(json.dumps(config))
+        out = ["--out", str(tmp_path / "out")]
+        for argv in (["analyze", str(field), "identity-quadratic", *out],
+                     ["report", str(run), "--format", "csv"],
+                     ["solve", str(path), *out]):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "invalid-dimension: snapshot has 2 columns" in err, argv
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in run.iterdir()) == ["report.json", "solution.field"]
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "nope.json"),
@@ -479,3 +555,20 @@ class TestAcceptanceHarness:
         row = cli._run_check(("synthetic", boom))
         assert not row["passed"]
         assert "RuntimeError" in row["detail"]
+
+
+# ---------------------------------------------------------------------------
+# benchmark hooks
+
+
+def test_benchmark_layer_functions_resolve():
+    # the benchmark's tracer replaces each of these names in its module; one
+    # that no longer resolves fails every traced run
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.LAYER_FUNCTIONS
+    missing = [(name, attr) for name, attr, *_ in module.LAYER_FUNCTIONS
+               if not callable(getattr(importlib.import_module(name), attr, None))]
+    assert not missing

@@ -354,15 +354,19 @@ def test_snapshot_roundtrip_scalar(tmp_path):
     assert np.array_equal(back.values, u.values)
 
 
-def test_snapshot_roundtrip_mapping(tmp_path):
+def test_snapshot_holds_one_scalar_field(tmp_path):
     g = build_grid(2.0, 4.0, 8, 16, UNIFORM_RADIAL)
     w = PlanarMapping.from_function(g, lambda x1, x2: (x1 * x2, x1 - x2))
     path = tmp_path / "w.field"
-    write_snapshot(path, w)
-    back = read_snapshot(path)
-    assert isinstance(back, PlanarMapping)
-    assert back.grid.spacing == UNIFORM_RADIAL
-    assert np.array_equal(back.p, w.p) and np.array_equal(back.q, w.q)
+    with pytest.raises(ValueError, match="invalid-dimension: cannot snapshot PlanarMapping"):
+        write_snapshot(path, w)
+    assert not path.exists()
+    # a two-column file, as planar mappings were once written
+    pairs = zip(w.p.ravel().tolist(), w.q.ravel().tolist())
+    rows = "".join(f"{p!r} {q!r}\n" for p, q in pairs)
+    path.write_text(f"annular-field v1 2.0 4.0 8 16 uniform-radial\n{rows}")
+    with pytest.raises(ValueError, match="invalid-dimension: snapshot has 2 columns"):
+        read_snapshot(path)
 
 
 def test_snapshot_deterministic_bytes(tmp_path):
@@ -375,25 +379,17 @@ def test_snapshot_deterministic_bytes(tmp_path):
 
 
 def test_snapshot_bytes_are_pinned(tmp_path):
-    # one repr per value, a space between mapping components, one final newline
+    # one repr per value, one final newline
     g = build_grid(1.0, 2.0, 8, 16)
     k = np.arange(g.n_r * g.n_theta, dtype=float).reshape(g.shape)
     u = ScalarField(g, 0.1 * k - 3.0)
     u.values[0, :4] = [-0.0, 1e-300, 1.0 / 3.0, 2.0 ** 60]
-    w = PlanarMapping(g, np.sqrt(k), -k / 7.0)
-    pinned = (
-        (u, b"annular-field v1 1.0 2.0 8 16 log-radial\n"
-            b"-0.0\n1e-300\n0.3333333333333333\n1.152921504606847e+18\n-2.6\n",
-         1602, "b65064a0848d91964fb4e4b0a023da077f9bc6fe70bcadfdf2a869f74bfa0283"),
-        (w, b"annular-field v1 1.0 2.0 8 16 log-radial\n"
-            b"0.0 -0.0\n1.0 -0.14285714285714285\n1.4142135623730951 -0.2857142857142857\n",
-         4430, "43bdd26384d0ac89b21ed6b9f976d758032d9d7eb25e3e89157f68e5695e644e"),
-    )
-    for field, head, size, digest in pinned:
-        path = tmp_path / "pinned.field"
-        write_snapshot(path, field)
-        data = path.read_bytes()
-        assert data.startswith(head)
-        assert data.endswith(b"\n") and not data.endswith(b"\n\n")
-        assert len(data) == size
-        assert hashlib.sha256(data).hexdigest() == digest
+    path = tmp_path / "pinned.field"
+    write_snapshot(path, u)
+    data = path.read_bytes()
+    assert data.startswith(b"annular-field v1 1.0 2.0 8 16 log-radial\n"
+                           b"-0.0\n1e-300\n0.3333333333333333\n1.152921504606847e+18\n-2.6\n")
+    assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+    assert len(data) == 1602
+    assert (hashlib.sha256(data).hexdigest()
+            == "b65064a0848d91964fb4e4b0a023da077f9bc6fe70bcadfdf2a869f74bfa0283")
