@@ -60,8 +60,9 @@ one = ScalarField.from_function(g_log, lambda x1, x2: np.ones_like(x1))
 area = annulus_integral(one, 2.0, 8.0)
 print(f"\narea of 2 <= |x| <= 8: {area:.6f} (exact {np.pi * (64 - 4):.6f})")
 
-# snapshots: a plain-text header, then the repr of one value per line, so
-# the file is byte-stable and reads back exactly
+# snapshots: an ASCII header line, then the n_r * n_theta values as
+# little-endian float64, radial then angular, so the file is byte-stable
+# and reads back exactly
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.field"
     write_snapshot(path, u)

@@ -466,16 +466,14 @@ def _report_json(report) -> str:
 
 
 def _profile_csv(u, A) -> str:
-    grid = u.grid
     h = hessian(u)
     Am = np.asarray(A, dtype=float)
     dev = np.maximum(np.abs(h.m11 - Am[0, 0]),
                      np.maximum(np.abs(h.m12 - Am[0, 1]), np.abs(h.m22 - Am[1, 1])))
+    columns = (u.grid.radii, u.values.min(axis=1), u.values.mean(axis=1),
+               u.values.max(axis=1), dev.max(axis=1))
     lines = ["radius,u_min,u_mean,u_max,hessian_dev_max"]
-    for i, r in enumerate(grid.radii):
-        row = u.values[i]
-        lines.append(f"{r!r},{row.min()!r},{row.mean()!r},{row.max()!r},"
-                     f"{dev[i].max()!r}")
+    lines += [",".join(map(repr, row)) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -896,6 +894,8 @@ def _load_scenario(ref, args):
             config = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             _config_error(f"config {ref} is not valid JSON: {err}")
+    if not isinstance(config, dict):
+        _config_error("scenario config must be a JSON object")
     if getattr(args, "grid", None):
         parts = args.grid.split(",")
         if len(parts) not in (4, 5):
@@ -1027,7 +1027,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -13,8 +13,8 @@ convert to Cartesian components.  The angular direction is periodic, so
 every angular stencil is centered.
 
 Storage convention: node (i, j) is (radii[i], theta[j]); flattening is
-row-major radial-then-angular, which is also the order used by the
-snapshot file format.
+row-major radial-then-angular.  A snapshot file is one ASCII header line,
+then the n_r * n_theta values as little-endian float64 in that order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ UNIFORM_RADIAL = "uniform-radial"
 _SPACINGS = (LOG_RADIAL, UNIFORM_RADIAL)
 
 SNAPSHOT_MAGIC = "annular-field"
-SNAPSHOT_VERSION = "v1"
+SNAPSHOT_VERSION = "v2"
 
 __all__ = [
     "LOG_RADIAL",
@@ -415,39 +415,49 @@ def annulus_integral(f: ScalarField, r_lo: float, r_hi: float) -> float:
 # ---------------------------------------------------------------------------
 # Snapshot file format
 #
-# header:  annular-field v1 <r_inner> <r_outer> <n_r> <n_theta> <spacing>
-# then the repr of one scalar value per line, in row-major
-# radial-then-angular order.
+# header:  annular-field v2 <r_inner> <r_outer> <n_r> <n_theta> <spacing>
+# then the raw bytes of the n_r * n_theta values as little-endian float64,
+# row-major radial-then-angular, with nothing after them.
 
 
 def write_snapshot(path, field: ScalarField) -> None:
-    """Write a ScalarField to a text snapshot."""
+    """Write a ScalarField to a snapshot; reading it back is exact to the bit."""
     if not isinstance(field, ScalarField):
         raise ValueError(f"invalid-dimension: cannot snapshot {type(field).__name__}")
     g = field.grid
     header = (
         f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} {float(g.r_inner)!r} {float(g.r_outer)!r} "
-        f"{g.n_r} {g.n_theta} {g.spacing}"
+        f"{g.n_r} {g.n_theta} {g.spacing}\n"
     )
-    with open(path, "w") as fh:
-        fh.write(header + "\n" + "\n".join(map(repr, field.values.ravel().tolist())) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> ScalarField:
-    """Read a snapshot written by ``write_snapshot``."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 7 or header[0] != SNAPSHOT_MAGIC or header[1] != SNAPSHOT_VERSION:
-            raise ValueError(f"invalid-dimension: bad snapshot header in {path}")
-        r_inner, r_outer = float(header[2]), float(header[3])
-        n_r, n_theta, spacing = int(header[4]), int(header[5]), header[6]
-        data = np.loadtxt(fh, ndmin=2)
-    grid = build_grid(r_inner, r_outer, n_r, n_theta, spacing)
-    if data.shape[0] != n_r * n_theta:
+    """Read a snapshot written by ``write_snapshot``.
+
+    The values come back as written, non-finite ones included.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().decode("ascii", "replace").split()
+        payload = fh.read()
+    if len(header) < 2 or header[0] != SNAPSHOT_MAGIC:
+        raise ValueError(f"invalid-dimension: bad snapshot header in {path}")
+    if header[1] != SNAPSHOT_VERSION:
         raise ValueError(
-            f"invalid-dimension: snapshot has {data.shape[0]} rows, "
-            f"expected {n_r * n_theta}"
+            f"invalid-dimension: snapshot {path} has version {header[1]!r}, "
+            f"expected {SNAPSHOT_VERSION}"
         )
-    if data.shape[1] != 1:
-        raise ValueError(f"invalid-dimension: snapshot has {data.shape[1]} columns, expected 1")
-    return ScalarField(grid, data[:, 0].reshape(grid.shape))
+    if len(header) != 7:
+        raise ValueError(f"invalid-dimension: bad snapshot header in {path}")
+    grid = build_grid(float(header[2]), float(header[3]), int(header[4]), int(header[5]),
+                      header[6])
+    expected = 8 * grid.n_r * grid.n_theta
+    if len(payload) != expected:
+        raise ValueError(
+            f"invalid-dimension: snapshot payload has {len(payload)} bytes, "
+            f"expected {expected}"
+        )
+    values = np.frombuffer(payload, "<f8").astype(float).reshape(grid.shape)
+    return ScalarField(grid, values, allow_nonfinite=True)

@@ -443,28 +443,82 @@ class TestCommandLine:
         assert report["solve"]["final_residual"] < 0.1
 
     def test_two_column_snapshot_exits_2(self, quad_run, tmp_path, capsys):
-        # a snapshot holds one scalar field; a two-column file is refused by
-        # every reader
+        # a snapshot holds one scalar field; a payload of two values per node
+        # is refused by every reader
         run = tmp_path / "run"
         run.mkdir()
         (run / "report.json").write_bytes((quad_run / "report.json").read_bytes())
         field = run / "solution.field"
-        header = (quad_run / "solution.field").read_text().splitlines()[0]
+        header = (quad_run / "solution.field").read_bytes().split(b"\n")[0]
         n_r, n_theta = map(int, header.split()[4:6])
-        field.write_text(header + "\n" + "0.5 -0.5\n" * (n_r * n_theta))
+        pairs = np.tile([0.5, -0.5], n_r * n_theta).astype("<f8")
+        field.write_bytes(header + b"\n" + pairs.tobytes())
+        n = 8 * n_r * n_theta
+        for argv in self.snapshot_readers(field, run, tmp_path):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert (f"invalid-dimension: snapshot payload has {2 * n} bytes, "
+                    f"expected {n}") in err, argv
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in run.iterdir()) == ["report.json", "solution.field"]
+
+    @staticmethod
+    def snapshot_readers(field, run, tmp_path):
+        """argv of analyze, report --format csv and a file boundary of ``field``."""
         config = builtin_config("identity-quadratic",
                                 boundary={"kind": "file", "path": str(field)})
         path = tmp_path / "file-boundary.json"
         path.write_text(json.dumps(config))
         out = ["--out", str(tmp_path / "out")]
-        for argv in (["analyze", str(field), "identity-quadratic", *out],
-                     ["report", str(run), "--format", "csv"],
-                     ["solve", str(path), *out]):
-            assert cli.main(argv) == 2, argv
-            err = capsys.readouterr().err
-            assert "invalid-dimension: snapshot has 2 columns" in err, argv
+        return (["analyze", str(field), "identity-quadratic", *out],
+                ["report", str(run), "--format", "csv"],
+                ["solve", str(path), *out])
+
+    def test_truncated_snapshot_exits_2(self, quad_run, tmp_path, capsys):
+        data = (quad_run / "solution.field").read_bytes()
+        n_r, n_theta = map(int, data.split(b"\n")[0].split()[4:6])
+        field = tmp_path / "solution.field"
+        field.write_bytes(data[:-3])
+        assert cli.main(["analyze", str(field), "identity-quadratic",
+                         "--out", str(tmp_path / "out")]) == 2
+        n = 8 * n_r * n_theta
+        assert (f"invalid-dimension: snapshot payload has {n - 3} bytes, expected {n}"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
-        assert sorted(p.name for p in run.iterdir()) == ["report.json", "solution.field"]
+
+    def test_text_snapshot_exits_2(self, quad_run, tmp_path, capsys):
+        # the one-repr-per-line format of version v1 is not read
+        u = cli.read_snapshot(quad_run / "solution.field")
+        g = u.grid
+        field = tmp_path / "solution.field"
+        field.write_text(f"annular-field v1 {g.r_inner!r} {g.r_outer!r} {g.n_r} "
+                         f"{g.n_theta} {g.spacing}\n"
+                         + "".join(f"{v!r}\n" for v in u.values.ravel().tolist()))
+        assert cli.main(["analyze", str(field), "identity-quadratic",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "has version 'v1', expected v2" in capsys.readouterr().err
+
+    def test_non_finite_snapshot_is_not_analyzed(self, quad_run, tmp_path, capsys):
+        # the snapshot keeps the NaN as written; the Hessian refuses it
+        u = cli.read_snapshot(quad_run / "solution.field")
+        u.values[5, 3] = np.nan
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "report.json").write_bytes((quad_run / "report.json").read_bytes())
+        write_snapshot(run / "solution.field", u)
+        analyze, report, _ = self.snapshot_readers(run / "solution.field", run, tmp_path)
+        for argv in (analyze, report):
+            assert cli.main(argv) == 2, argv
+            assert "singular-input: non-finite entries" in capsys.readouterr().err, argv
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_snapshot_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.field"
+        analyze, _, file_boundary = self.snapshot_readers(missing, tmp_path, tmp_path)
+        for argv in (analyze, file_boundary):
+            assert cli.main(argv) == 2, argv
+            assert str(missing) in capsys.readouterr().err, argv
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["solve", str(tmp_path / "nope.json"),
@@ -474,6 +528,15 @@ class TestCommandLine:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("option", [["--tol", "1e-9"], ["--grid", "1,64,97,32"]],
+                             ids=["tol", "grid"])
+    def test_list_config_with_override_exits_2(self, tmp_path, capsys, option):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert cli.main(["solve", str(path), "--out", str(tmp_path), *option]) == 2
+        assert ("invalid-config: scenario config must be a JSON object"
+                in capsys.readouterr().err)
 
     def test_failed_expectation_exits_1(self, tmp_path):
         config = builtin_config(

@@ -1,8 +1,11 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annulab.grid import (
     LOG_RADIAL,
@@ -361,11 +364,12 @@ def test_snapshot_holds_one_scalar_field(tmp_path):
     with pytest.raises(ValueError, match="invalid-dimension: cannot snapshot PlanarMapping"):
         write_snapshot(path, w)
     assert not path.exists()
-    # a two-column file, as planar mappings were once written
-    pairs = zip(w.p.ravel().tolist(), w.q.ravel().tolist())
-    rows = "".join(f"{p!r} {q!r}\n" for p, q in pairs)
-    path.write_text(f"annular-field v1 2.0 4.0 8 16 uniform-radial\n{rows}")
-    with pytest.raises(ValueError, match="invalid-dimension: snapshot has 2 columns"):
+    # both components of the mapping, 2 n values behind a one-field header
+    pairs = np.stack([w.p, w.q], axis=-1)
+    path.write_bytes(b"annular-field v2 2.0 4.0 8 16 uniform-radial\n"
+                     + pairs.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="invalid-dimension: snapshot payload has "
+                                         "2048 bytes, expected 1024"):
         read_snapshot(path)
 
 
@@ -379,7 +383,7 @@ def test_snapshot_deterministic_bytes(tmp_path):
 
 
 def test_snapshot_bytes_are_pinned(tmp_path):
-    # one repr per value, one final newline
+    # an ASCII header line, then the values as little-endian float64
     g = build_grid(1.0, 2.0, 8, 16)
     k = np.arange(g.n_r * g.n_theta, dtype=float).reshape(g.shape)
     u = ScalarField(g, 0.1 * k - 3.0)
@@ -387,9 +391,31 @@ def test_snapshot_bytes_are_pinned(tmp_path):
     path = tmp_path / "pinned.field"
     write_snapshot(path, u)
     data = path.read_bytes()
-    assert data.startswith(b"annular-field v1 1.0 2.0 8 16 log-radial\n"
-                           b"-0.0\n1e-300\n0.3333333333333333\n1.152921504606847e+18\n-2.6\n")
-    assert data.endswith(b"\n") and not data.endswith(b"\n\n")
-    assert len(data) == 1602
+    header = b"annular-field v2 1.0 2.0 8 16 log-radial\n"
+    assert data.startswith(header)
+    assert data[len(header):] == struct.pack("<128d", *u.values.ravel().tolist())
+    assert len(data) == 1065
     assert (hashlib.sha256(data).hexdigest()
-            == "b65064a0848d91964fb4e4b0a023da077f9bc6fe70bcadfdf2a869f74bfa0283")
+            == "7c5dcf145ef9c8c7aec8d45cc2c60511ac1e38e8b5596f92732d44f3f368bc4f")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_r=st.integers(8, 12),
+    half_theta=st.integers(8, 12),
+    data=st.data(),
+)
+def test_snapshot_roundtrip_is_bitwise(tmp_path_factory, n_r, half_theta, data):
+    g = build_grid(0.5, 3.0, n_r, 2 * half_theta)
+    bits = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=g.n_r * g.n_theta,
+                              max_size=g.n_r * g.n_theta))
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2e-308])
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values[:special.size] = special
+    u = ScalarField(g, values.reshape(g.shape), allow_nonfinite=True)
+    path = tmp_path_factory.mktemp("bits") / "u.field"
+    write_snapshot(path, u)
+    back = read_snapshot(path)
+    assert back.grid.same_geometry(g)
+    assert back.values.flags.writeable and back.values.dtype.isnative
+    assert np.array_equal(back.values.view(np.uint64), u.values.view(np.uint64))
