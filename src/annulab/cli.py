@@ -33,6 +33,7 @@ from .expansion import (
     formula_schedule,
     laurent_coefficients,
     hessian_limit,
+    window_slices,
 )
 from .grid import (
     LOG_RADIAL,
@@ -216,10 +217,17 @@ _CONFIG_KEYS = ({"name": _file_name, "operator": _kinded(_OPERATOR_KEYS),
                 {"tolerances": _object(), "expect": _object(_EXPECT_KEYS)})
 
 
-def _check_windows_inside(windows, r_inner, r_outer, what):
-    for lo, hi in windows:
-        if not (r_inner <= lo < hi <= r_outer * (1.0 + 1e-12)):
-            _config_error(f"window [{lo}, {hi}] not inside {what} [{r_inner}, {r_outer}]")
+def _scenario_grid(gp):
+    return build_grid(float(gp["r_inner"]), float(gp["r_outer"]), int(gp["n_r"]),
+                      int(gp["n_theta"]), spacing=_SPACINGS[gp["spacing"]])
+
+
+def _check_windows(windows, grid, what):
+    """The fit's window rule, applied before any solve or analysis."""
+    try:
+        window_slices(grid, windows)
+    except ValueError as err:
+        _config_error(f"windows {[list(w) for w in windows]} do not suit {what}: {err}")
 
 
 @dataclass(frozen=True)
@@ -242,7 +250,7 @@ class Scenario:
         operator = dict(config["operator"])
         gp = {"spacing": "log", **config["grid"]}
         windows = tuple((float(lo), float(hi)) for lo, hi in config["windows"])
-        _check_windows_inside(windows, float(gp["r_inner"]), float(gp["r_outer"]), "grid")
+        _check_windows(windows, _scenario_grid(gp), "the grid")
         tolerances = dict(config.get("tolerances", {}))
         _check_keys(tolerances, "tolerances", _TOLERANCE_KEYS[operator["kind"]],
                     f" for operator kind {operator['kind']!r}")
@@ -329,9 +337,7 @@ def _operator_residual(scenario, op, u):
 
 
 def _solve(scenario):
-    gp = scenario.grid
-    grid = build_grid(float(gp["r_inner"]), float(gp["r_outer"]), int(gp["n_r"]),
-                      int(gp["n_theta"]), spacing=_SPACINGS[gp["spacing"]])
+    grid = _scenario_grid(scenario.grid)
     gin, gout = _boundary_data(scenario, grid)
     op = _operator(scenario, grid)
     tols = scenario.tolerances
@@ -473,7 +479,7 @@ def _profile_csv(u, A) -> str:
     columns = (u.grid.radii, u.values.min(axis=1), u.values.mean(axis=1),
                u.values.max(axis=1), dev.max(axis=1))
     lines = ["radius,u_min,u_mean,u_max,hessian_dev_max"]
-    lines += [",".join(map(repr, row)) for row in zip(*columns)]
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -527,13 +533,14 @@ def _decay_svg(fit_dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _write_tables(report, u, out_dir: Path, fmt: str):
+def _tables(report, u, fmt: str) -> dict:
+    """The text of each table ``fmt`` asks for, by file name."""
+    tables = {}
     if fmt in ("csv", "svg"):
-        (out_dir / "profile.csv").write_text(
-            _profile_csv(u, report["expansion"]["A"]))
+        tables["profile.csv"] = _profile_csv(u, report["expansion"]["A"])
     if fmt == "svg":
-        (out_dir / "decay.svg").write_text(
-            _decay_svg(report["expansion"]["residual_fit"]))
+        tables["decay.svg"] = _decay_svg(report["expansion"]["residual_fit"])
+    return tables
 
 
 def _print_report_summary(report):
@@ -931,7 +938,8 @@ def _emit(scenario, report, u, args):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(_report_json(report))
     write_snapshot(out_dir / "solution.field", u)
-    _write_tables(report, u, out_dir, args.format)
+    for name, text in _tables(report, u, args.format).items():
+        (out_dir / name).write_text(text)
     _print_report_summary(report)
     print(f"artifacts written to {out_dir}")
     return 0 if report["status"] == "pass" else 1
@@ -954,7 +962,7 @@ def _cmd_analyze(args):
     scenario = _load_scenario(args.config, args)
     field = read_snapshot(args.field_file)
     grid = field.grid
-    _check_windows_inside(scenario.windows, grid.r_inner, grid.r_outer, "the snapshot grid")
+    _check_windows(scenario.windows, grid, "the snapshot grid")
     residual = _operator_residual(scenario, _operator(scenario, grid), field)
     solve_info = {"method": "loaded", "iterations": None, "final_residual": residual}
     try:
@@ -976,12 +984,16 @@ def _cmd_report(args):
     if not report_path.exists():
         _config_error(f"no report.json under {run_dir}")
     report = json.loads(report_path.read_text())
-    _print_report_summary(report)
+    tables = {}
     if args.format in ("csv", "svg"):
         field_path = run_dir / "solution.field"
         if not field_path.exists():
             _config_error(f"no solution.field under {run_dir} to derive tables from")
-        _write_tables(report, read_snapshot(field_path), run_dir, args.format)
+        tables = _tables(report, read_snapshot(field_path), args.format)
+    # a bad snapshot fails above, before the summary claims anything
+    _print_report_summary(report)
+    for name, text in tables.items():
+        (run_dir / name).write_text(text)
     return 0 if report["status"] == "pass" else 1
 
 

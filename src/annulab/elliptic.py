@@ -1,8 +1,8 @@
 """Linear uniformly elliptic solves on annuli and the log-kernel potential.
 
 Two workhorses live here.  ``solve_linear_dirichlet`` solves the second-order
-nine-point stencil system for a_ij u_ij = f on an annular grid and refines
-until the discrete residual sits at rounding level.  ``newtonian_potential``
+nine-point stencil system for a_ij u_ij = f on an annular grid to a
+normwise backward error of 1e-10.  ``newtonian_potential``
 integrates the normalized kernel log|x - y| - log|y| against a compactly
 supported density: node-centered product quadrature in the bulk, 8x8
 subdivision of cells near each target, and local polar integration (exact
@@ -31,14 +31,13 @@ take GMRES iterations with that preconditioner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grid import (
-    LOG_RADIAL,
     AnnularGrid,
     ScalarField,
     _check_values,
@@ -76,21 +75,18 @@ def ellipticity_constants(a11, a12, a22):
 
 @dataclass(frozen=True, eq=False)
 class LinearCoefficients:
-    """Symmetric coefficient field a(x) with its ellipticity constants.
+    """Symmetric, uniformly elliptic coefficient field a(x).
 
     Scalar entries broadcast across the grid, so constant operators read
     ``LinearCoefficients(grid, 1.0, 0.0, 1.0)``.  Construction validates
-    uniform ellipticity and records (lam, Lam, gamma); the entries are
-    private read-only copies, so the recorded constants stay theirs.
+    uniform ellipticity with ``ellipticity_constants``; the entries are
+    private read-only copies, so they stay the ones validated.
     """
 
     grid: AnnularGrid
     a11: np.ndarray
     a12: np.ndarray
     a22: np.ndarray
-    lam: float = field(init=False)
-    Lam: float = field(init=False)
-    gamma: float = field(init=False)
 
     def __post_init__(self):
         for name in ("a11", "a12", "a22"):
@@ -99,10 +95,7 @@ class LinearCoefficients:
             )
             arr.setflags(write=False)
             object.__setattr__(self, name, _check_values(self.grid, arr, name))
-        lam, big, gamma = ellipticity_constants(self.a11, self.a12, self.a22)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "Lam", big)
-        object.__setattr__(self, "gamma", gamma)
+        ellipticity_constants(self.a11, self.a12, self.a22)
 
     @classmethod
     def trace_operator(cls, grid):
@@ -128,7 +121,7 @@ def _stencil_coefficients(coeffs):
 
     The Cartesian operator a_ij u_ij is rotated to the polar frame
     (A_rr, A_rt, A_tt) and expressed in the differenced parameters
-    (t, theta), with t = log r on log-radial grids and t = r otherwise.
+    (t, theta) through the grid's dr/dt and d2r/dt2 / (dr/dt).
     """
     g = coeffs.grid
     r = g.radii[:, None]
@@ -138,16 +131,17 @@ def _stencil_coefficients(coeffs):
     a_rr = a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
     a_tt = a11 * s * s - 2.0 * a12 * c * s + a22 * c * c
     a_rt = 2.0 * ((a22 - a11) * c * s + a12 * (c * c - s * s))
+    h = g.dr_dt[:, None]
+    stretch = r / h  # 1 on log-radial grids
+    inv_h2 = 1.0 / (h * h)
     inv_r2 = 1.0 / (r * r)
-    if g.spacing == LOG_RADIAL:
-        return (
-            a_rr * inv_r2,
-            a_rt * inv_r2,
-            a_tt * inv_r2,
-            (a_tt - a_rr) * inv_r2,
-            -a_rt * inv_r2,
-        )
-    return a_rr, a_rt / r, a_tt * inv_r2, a_tt / r, -a_rt * inv_r2
+    return (
+        a_rr * inv_h2,
+        a_rt * inv_h2 / stretch,
+        a_tt * inv_r2,
+        (a_tt / stretch - g.d2r_ratio * a_rr) * inv_h2,
+        -a_rt * inv_r2,
+    )
 
 
 _BACKWARD_TOL = 1e-10  # normwise backward error a linear solve must meet
@@ -335,9 +329,7 @@ def _cell_bounds(grid):
     half = 0.5 * grid.dt
     t_lo = np.maximum(t - half, t[0])
     t_hi = np.minimum(t + half, t[-1])
-    if grid.spacing == LOG_RADIAL:
-        return np.exp(t_lo), np.exp(t_hi), t_lo, t_hi
-    return t_lo, t_hi, t_lo, t_hi
+    return grid.r_of_t(t_lo), grid.r_of_t(t_hi), t_lo, t_hi
 
 
 def _t_weights(grid, tq):
@@ -457,13 +449,10 @@ def _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
     tb = t_hi[idx_r][:, None]
     frac = np.arange(_N_SUB + 1) / _N_SUB
     edges = ta + (tb - ta) * frac[None, :]
-    if grid.spacing == LOG_RADIAL:
-        r_edges = np.exp(edges)
-    else:
-        r_edges = edges
+    r_edges = grid.r_of_t(edges)
     wr_sub = 0.5 * (r_edges[:, 1:] ** 2 - r_edges[:, :-1] ** 2)
     t_mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    r_mid = np.exp(t_mid) if grid.spacing == LOG_RADIAL else t_mid
+    r_mid = grid.r_of_t(t_mid)
 
     r3 = r_mid[:, :, None]
     th3 = _sub_theta(grid, idx_q)[:, None, :]
@@ -524,10 +513,8 @@ def _node_indices(grid, pts):
     """
     r = np.hypot(pts[:, 0], pts[:, 1])
     on = r > 0.0
-    if grid.spacing == LOG_RADIAL:
-        t = np.log(r, out=np.full_like(r, grid.t[0]), where=on)
-    else:
-        t = r
+    t = np.full_like(r, grid.t[0])
+    t[on] = grid.t_of_r(r[on])
     tf = (t - grid.t[0]) / grid.dt
     jf = (np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)) / grid.dtheta
     i, j = np.rint(tf), np.rint(jf)
@@ -662,11 +649,8 @@ def _target_sums(grid, fvals, area, pts):
     r_lo, r_hi, t_lo, t_hi = _cell_bounds(grid)
     log_r = np.log(grid.radii)
     two_pi = 2.0 * math.pi
-    if grid.spacing == LOG_RADIAL:
-        t = np.full(r.shape, -np.inf)  # the origin is beyond reach
-        t[r > 0.0] = _libm(math.log, r[r > 0.0])
-    else:
-        t = r
+    t = np.full(r.shape, -np.inf)  # the origin is beyond reach
+    t[r > 0.0] = grid.t_of_r(r[r > 0.0], log=lambda v: _libm(math.log, v))
     tf = (t - grid.t[0]) / grid.dt
     # the kernel vanishes identically at the origin
     near = np.flatnonzero((r > 0.0) & (tf >= -_REACH) & (tf <= (n_r - 1) + _REACH))

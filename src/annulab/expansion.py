@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    LOG_RADIAL,
     ScalarField,
     annulus_integral,
     hessian,
@@ -44,6 +43,7 @@ __all__ = [
     "formula_schedule",
     "hessian_limit",
     "laurent_coefficients",
+    "window_slices",
 ]
 
 _CONDITION_LIMIT = 1e10
@@ -158,7 +158,14 @@ class BootstrapSchedule:
 # Windowed least squares
 
 
-def _window_slices(grid, windows):
+def window_slices(grid, windows):
+    """Ring slices of the fitting windows, after the one window rule.
+
+    There must be at least 3 windows, each [lo, hi] inside the grid
+    (r_inner <= lo < hi <= r_outer) and spanning at least 8 rings once its
+    edges snap to rings.  Returns the windows as float pairs and their
+    slices.
+    """
     wins = [(float(lo), float(hi)) for lo, hi in windows]
     if len(wins) < _MIN_WINDOWS:
         raise ValueError(
@@ -166,6 +173,11 @@ def _window_slices(grid, windows):
         )
     slices = []
     for lo, hi in wins:
+        if not (grid.r_inner <= lo < hi <= grid.r_outer * (1.0 + 1e-12)):
+            raise ValueError(
+                f"window-outside-grid: [{lo}, {hi}] not inside the grid "
+                f"[{grid.r_inner}, {grid.r_outer}]"
+            )
         sl = window_slice(grid, lo, hi)
         if sl.stop - sl.start < _MIN_RINGS:
             raise ValueError(
@@ -181,10 +193,8 @@ def _largest_window(wins):
 
 
 def _measure_weights(grid, sl):
-    """Node weights uniform in (log r, theta); constant on log grids."""
-    if grid.spacing == LOG_RADIAL:
-        return np.ones(sl.stop - sl.start)
-    return 1.0 / grid.radii[sl]
+    """Node weights uniform in (log r, theta): d(log r)/dt = (dr/dt) / r."""
+    return grid.dr_dt[sl] / grid.radii[sl]
 
 
 def _basis_functions(x1, x2):
@@ -221,7 +231,7 @@ def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
     window center radius, which measures the remainder decay.
     """
     grid = u.grid
-    wins, slices = _window_slices(grid, windows)
+    wins, slices = window_slices(grid, windows)
     nodes = grid.nodes()
 
     mids, sups, betas = [], [], []
@@ -272,7 +282,7 @@ def hessian_limit(u: ScalarField, windows):
     ``(A, fit)`` with ``A`` taken from the largest window.
     """
     grid = u.grid
-    wins, slices = _window_slices(grid, windows)
+    wins, slices = window_slices(grid, windows)
     h = hessian(u)
 
     mids, devs, means = [], [], []
@@ -352,7 +362,7 @@ def laurent_coefficients(
 
     r = float(grid.radii[i])
     ut = radial_derivative(u.values[i - 3:i + 4], grid.dt, 1, 6)[3]
-    u_r = ut / r if grid.spacing == LOG_RADIAL else ut
+    u_r = ut / grid.dr_dt[i]
     u_q = _theta_derivative(u.values[i], 1)
     c, s = np.cos(grid.theta), np.sin(grid.theta)
     ux = c * u_r - s * u_q / r
@@ -378,20 +388,19 @@ def _fine_laplacian(w: ScalarField) -> ScalarField:
     """
     grid = w.grid
     wqq = _theta_derivative(w.values, 2)
-    wtt = radial_derivative(w.values, grid.dt, 2, 4)
-    rsq = grid.radii[:, None] ** 2
-    if grid.spacing == LOG_RADIAL:
-        lap = (wtt + wqq) / rsq
-    else:
-        wt = radial_derivative(w.values, grid.dt, 1, 4)
-        lap = wtt + wt / grid.radii[:, None] + wqq / rsq
-    return ScalarField(grid, lap)
+    lap = radial_derivative(w.values, grid.dt, 2, 4)
+    r, h = grid.radii[:, None], grid.dr_dt[:, None]
+    # (dr/dt)^2 times the Laplacian is w_tt + lift w_t / r + w_qq (dr/dt)^2 / r^2
+    lift = h - grid.d2r_ratio * r
+    if np.any(lift):  # w_t drops out where it vanishes, as on log-radial grids
+        lap = lap + radial_derivative(w.values, grid.dt, 1, 4) * lift / r
+    return ScalarField(grid, (lap + wqq / (r ** 2 / h ** 2)) / h ** 2)
 
 
 def _raw_divergence_d(w: ScalarField, R: float) -> tuple:
     grid = w.grid
     ut0 = radial_derivative(w.values[:5], grid.dt, 1, 4)[0]
-    w_r = ut0 / grid.r_inner if grid.spacing == LOG_RADIAL else ut0
+    w_r = ut0 / grid.dr_dt[0]
     flux = float(grid.r_inner * grid.dtheta * np.sum(w_r))
     area = annulus_integral(_fine_laplacian(w), grid.r_inner, R)
     return (flux + area) / (2.0 * math.pi), flux, area

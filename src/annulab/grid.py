@@ -6,6 +6,11 @@ a fixed number of rings per dyadic shell resolves power-law behaviour all
 the way to the outer edge; uniform radial spacing is available for cases
 where polynomial profiles should be differenced exactly.
 
+The grid owns the radial parameter t that the stencils difference: the
+maps r(t) and t(r), dr/dt per ring and the ratio d2r/dt2 / (dr/dt) that
+the second-derivative chain rule needs.  Every other module writes its
+radial formulas in these values and never asks which spacing it is on.
+
 All derivative operators are second order: centered stencils in the
 (radial coordinate, theta) plane at interior rings, one-sided stencils of
 the same order on the two boundary rings, and the polar chain rule to
@@ -64,7 +69,10 @@ class AnnularGrid:
     ``radii`` holds the n_r ring radii (increasing), ``theta`` the n_theta
     angles in [0, 2pi).  ``t`` is the radial parameter actually differenced:
     log(r) for log-radial spacing, r itself for uniform spacing.  ``dt`` and
-    ``dtheta`` are the constant parameter spacings.
+    ``dtheta`` are the constant parameter spacings.  ``dr_dt`` holds dr/dt
+    on each ring and ``d2r_ratio`` the constant d2r/dt2 / (dr/dt): 1 on
+    log-radial grids, 0 on uniform ones.  ``r_of_t`` and ``t_of_r`` map
+    between the parameter and the radius.
     """
 
     r_inner: float
@@ -87,17 +95,19 @@ class AnnularGrid:
             )
         if self.spacing not in _SPACINGS:
             raise ValueError(f"invalid-dimension: unknown spacing {self.spacing!r}")
-        if self.spacing == LOG_RADIAL:
-            t = np.linspace(math.log(self.r_inner), math.log(self.r_outer), self.n_r)
-            radii = np.exp(t)
-            # pin the endpoints so snapshot round-trips compare exactly
-            radii[0], radii[-1] = self.r_inner, self.r_outer
-        else:
-            t = np.linspace(self.r_inner, self.r_outer, self.n_r)
-            radii = t.copy()
+        # the C library's log at the ends: numpy's may round differently
+        t_lo, t_hi = (self.t_of_r(r, log=math.log) for r in (self.r_inner, self.r_outer))
+        t = np.linspace(t_lo, t_hi, self.n_r)
+        radii = self.r_of_t(t).copy()
+        # pin the endpoints so snapshot round-trips compare exactly
+        radii[0], radii[-1] = self.r_inner, self.r_outer
+        log = self.spacing == LOG_RADIAL
+        dr_dt, d2r_ratio = (radii, 1.0) if log else (np.ones(self.n_r), 0.0)
         theta = np.arange(self.n_theta) * (2.0 * math.pi / self.n_theta)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "dr_dt", dr_dt)
+        object.__setattr__(self, "d2r_ratio", d2r_ratio)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "dt", float(t[1] - t[0]))
         object.__setattr__(self, "dtheta", 2.0 * math.pi / self.n_theta)
@@ -114,6 +124,21 @@ class AnnularGrid:
         """Cartesian (X1, X2) node arrays of shape (n_r, n_theta)."""
         rr, th = self.polar()
         return rr * np.cos(th), rr * np.sin(th)
+
+    def r_of_t(self, t):
+        """Radius at radial parameter values ``t``."""
+        return np.exp(t) if self.spacing == LOG_RADIAL else np.asarray(t, dtype=float)
+
+    def t_of_r(self, r, log=np.log):
+        """Radial parameter at radii ``r`` > 0; ``log`` is the logarithm to use."""
+        return log(r) if self.spacing == LOG_RADIAL else np.asarray(r, dtype=float)
+
+    def inverted(self) -> "AnnularGrid":
+        """The log-radial grid of the images x/|x|^2, ring i on ring n_r - 1 - i."""
+        if self.spacing != LOG_RADIAL:
+            raise ValueError("invalid-dimension: kelvin_conjugate needs a log-radial grid")
+        return build_grid(1.0 / self.r_outer, 1.0 / self.r_inner, self.n_r, self.n_theta,
+                          LOG_RADIAL)
 
     def same_geometry(self, other) -> bool:
         return (
@@ -299,14 +324,9 @@ def _polar_derivatives(field: ScalarField):
     u_q = _diff_theta(u, g.dtheta)
     u_qq = _diff2_theta(u, g.dtheta)
     u_tq = _diff_theta(u_t, g.dtheta)
-    r = g.radii[:, None]
-    if g.spacing == LOG_RADIAL:
-        u_r = u_t / r
-        u_rr = (u_tt - u_t) / r ** 2
-        u_rq = u_tq / r
-    else:
-        u_r, u_rr, u_rq = u_t, u_tt, u_tq
-    return u_r, u_q, u_rr, u_rq, u_qq
+    h = g.dr_dt[:, None]
+    u_rr = (u_tt - g.d2r_ratio * u_t) / h ** 2
+    return u_t / h, u_q, u_rr, u_tq / h, u_qq
 
 
 def gradient(field: ScalarField) -> PlanarMapping:
@@ -404,8 +424,8 @@ def annulus_integral(f: ScalarField, r_lo: float, r_hi: float) -> float:
     sl = window_slice(g, r_lo, r_hi)
     vals = f.values[sl]
     r = g.radii[sl]
-    # weight in the differenced parameter: r dr = r^2 ds on log grids
-    jac = r ** 2 if g.spacing == LOG_RADIAL else r
+    # weight in the differenced parameter: r dr = r (dr/dt) dt
+    jac = r * g.dr_dt[sl]
     w = np.full(r.shape, g.dt)
     w[0] = w[-1] = 0.5 * g.dt
     radial = vals.sum(axis=1) * g.dtheta

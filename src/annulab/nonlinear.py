@@ -2,10 +2,10 @@
 
 An operator acts pointwise on the Hessian of a scalar field.  A
 ``FullyNonlinearSpec`` packages the scalar map ``F`` together with its matrix
-derivative and the ellipticity window the derivative guarantees on the
-operator's admissible branch.  ``newton_solve`` linearizes around the current
-iterate, reuses the linear Dirichlet solver for the correction, and backtracks
-until the interior residual drops while the linearization stays elliptic.
+derivative.  ``newton_solve`` linearizes around the current iterate, reuses
+the linear Dirichlet solver for the correction, and backtracks until the
+interior residual drops while the linearization stays elliptic, which it
+checks on the derivative's nodal eigenvalues.
 
 Hessian entries are formed with the same centered stencils as the linear
 solver's nine-point operator, so the linearization is consistent with the
@@ -48,30 +48,21 @@ class FullyNonlinearSpec:
     matrix entries.  ``derivative(m11, m12, m22)`` returns the entries
     ``(F_11, F_12, F_22)`` of the matrix derivative; the off-diagonal entry
     enters the linearized operator with multiplicity two, which is exactly
-    the convention ``LinearCoefficients`` expects.  ``lam`` and ``Lam`` bound
-    the derivative's eigenvalues for Hessians on the operator's admissible
-    branch with norm up to ``hessian_bound``.
+    the convention ``LinearCoefficients`` expects.
     """
 
     name: str
     evaluate: Callable[..., np.ndarray]
     derivative: Callable[..., tuple]
-    lam: float
-    Lam: float
-    hessian_bound: float
 
 
-def monge_ampere_spec(hessian_bound: float = 3.0) -> FullyNonlinearSpec:
+def monge_ampere_spec() -> FullyNonlinearSpec:
     """``det D^2 u = 1`` on the convex branch.
 
     The matrix derivative is the cofactor matrix.  On the solution branch
-    the eigenvalues multiply to one, so with both of them below
-    ``hessian_bound`` the linearization's spectrum sits inside
-    ``[1/hessian_bound, hessian_bound]``.
+    the eigenvalues multiply to one, so with both of them below a bound b
+    the linearization's spectrum sits inside ``[1/b, b]``.
     """
-    b = float(hessian_bound)
-    if not (math.isfinite(b) and b > 1.0):
-        raise ValueError("singular-input: hessian_bound must be finite and > 1")
 
     def evaluate(m11, m12, m22):
         return m11 * m22 - m12 * m12 - 1.0
@@ -83,28 +74,22 @@ def monge_ampere_spec(hessian_bound: float = 3.0) -> FullyNonlinearSpec:
         name="monge-ampere",
         evaluate=evaluate,
         derivative=derivative,
-        lam=1.0 / b,
-        Lam=b,
-        hessian_bound=b,
     )
 
 
-def special_lagrangian_spec(theta: float, hessian_bound: float = 3.0) -> FullyNonlinearSpec:
+def special_lagrangian_spec(theta: float) -> FullyNonlinearSpec:
     """``arctan(lambda_1) + arctan(lambda_2) = theta`` with ``|theta| < pi``.
 
     The derivative is the spectral function ``1/(1 + lambda^2)`` applied to
-    the Hessian; its eigenvalues lie in ``[1/(1 + hessian_bound^2), 1]``
-    whenever the Hessian norm stays below ``hessian_bound``, so the equation
-    is unconditionally elliptic there.  At ``theta = pi/2`` the equation
-    pins ``lambda_1 * lambda_2 = 1`` on the positive branch and shares its
-    solutions with the determinant equation.
+    the Hessian; its eigenvalues lie in ``[1/(1 + b^2), 1]`` whenever the
+    Hessian norm stays below b, so the equation is unconditionally elliptic
+    there.  At ``theta = pi/2`` the equation pins ``lambda_1 * lambda_2 = 1``
+    on the positive branch and shares its solutions with the determinant
+    equation.
     """
     th = float(theta)
     if not (math.isfinite(th) and abs(th) < math.pi):
         raise ValueError("singular-input: phase must satisfy |theta| < pi")
-    b = float(hessian_bound)
-    if not (math.isfinite(b) and b > 0.0):
-        raise ValueError("singular-input: hessian_bound must be finite and positive")
 
     def evaluate(m11, m12, m22):
         lo, hi = sym2_eig(m11, m12, m22)
@@ -131,9 +116,6 @@ def special_lagrangian_spec(theta: float, hessian_bound: float = 3.0) -> FullyNo
         name="special-lagrangian",
         evaluate=evaluate,
         derivative=derivative,
-        lam=1.0 / (1.0 + b * b),
-        Lam=1.0,
-        hessian_bound=b,
     )
 
 

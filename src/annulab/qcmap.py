@@ -25,11 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    LOG_RADIAL,
-    AnnularGrid,
     PlanarMapping,
     ScalarField,
-    build_grid,
     gradient,
     ring_index,
 )
@@ -135,31 +132,15 @@ def dilatation_field(w: PlanarMapping, derivatives=None) -> DilatationReport:
     )
 
 
-def _inverted_grid(grid: AnnularGrid) -> AnnularGrid:
-    if grid.spacing != LOG_RADIAL:
-        raise ValueError("invalid-dimension: kelvin_conjugate needs a log-radial grid")
-    return build_grid(1.0 / grid.r_outer, 1.0 / grid.r_inner, grid.n_r, grid.n_theta, LOG_RADIAL)
-
-
-def _kelvin_transform_components(w: PlanarMapping):
-    """Raw Kelvin transforms p~, q~ on the inverted grid (no component swap).
-
-    The inversion fixes angles and maps ring i to ring n_r - 1 - i of the
-    inverted grid, so the transform is a pure radial reindexing.
-    """
-    gi = _inverted_grid(w.grid)
-    return gi, w.p[::-1].copy(), w.q[::-1].copy()
-
-
 def kelvin_conjugate(w: PlanarMapping) -> PlanarMapping:
     """Kelvin conjugate (q~, p~) of w on the inverted annulus.
 
     The component swap keeps the conjugate orientation-preserving: the raw
     transform flips the sign of the Jacobian.  Applying the conjugate twice
-    returns the original map exactly (pure permutation of samples).
+    returns the original map exactly (pure permutation of samples): the
+    inversion maps ring i to ring n_r - 1 - i of the inverted grid.
     """
-    gi, pt, qt = _kelvin_transform_components(w)
-    return PlanarMapping(gi, qt, pt)
+    return PlanarMapping(w.grid.inverted(), w.q[::-1].copy(), w.p[::-1].copy())
 
 
 def verify_kelvin_identities(w: PlanarMapping, derivatives=None, image_side=None):
@@ -191,7 +172,8 @@ def verify_kelvin_identities(w: PlanarMapping, derivatives=None, image_side=None
     energy = p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2
     jac = p1 * q2 - p2 * q1
 
-    gi, pt, qt = _kelvin_transform_components(w)
+    # the raw transforms p~, q~ on the inverted grid, not swapped
+    gi, pt, qt = w.grid.inverted(), w.p[::-1], w.q[::-1]
     if image_side == "stencil":
         tp1, tp2, tq1, tq2 = _map_derivatives(PlanarMapping(gi, pt, qt))
     elif image_side == "chain-rule":

@@ -218,6 +218,13 @@ class TestCommandLine:
     def test_report_subcommand(self, quad_run):
         assert cli.main(["report", str(quad_run)]) == 0
 
+    def test_profile_cells_are_plain_numbers(self, quad_run):
+        rows = (quad_run / "profile.csv").read_text().splitlines()[1:]
+        cells = [[float(v) for v in row.split(",")] for row in rows]
+        assert all(len(row) == 5 for row in cells)
+        radii = build_grid(1.0, 64.0, 193, 64, UNIFORM_RADIAL).radii
+        assert [row[0] for row in cells] == radii.tolist()
+
     def test_analyze_roundtrip(self, quad_run, tmp_path):
         code = cli.main(["analyze", str(quad_run / "solution.field"),
                          "identity-quadratic", "--out", str(tmp_path)])
@@ -238,6 +245,36 @@ class TestCommandLine:
             (tmp_path / "identity-quadratic" / "report.json").read_text())
         assert report["scenario"]["grid"]["n_r"] == 97
         assert report["expansion"]["windows"] == [[8, 16], [16, 32], [32, 64]]
+
+    @pytest.mark.parametrize("windows", ["4:8,8:16", "4:8,8:16,63:64", "4:8,8:16,32:128"],
+                             ids=["two-windows", "thin-window", "beyond-the-grid"])
+    def test_windows_the_fit_refuses_exit_2_before_solving(self, tmp_path, monkeypatch,
+                                                           capsys, windows):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the Newton solve ran for windows the fit refuses")
+
+        monkeypatch.setattr(cli, "newton_solve", no_solve)
+        assert cli.main(["solve", "ma-radial-a2", "--windows", windows,
+                         "--out", str(tmp_path)]) == 2
+        named = [[float(v) for v in pair.split(":")] for pair in windows.split(",")]
+        assert f"windows {named} do not suit the grid" in capsys.readouterr().err
+        assert not (tmp_path / "ma-radial-a2").exists()
+
+    def test_windows_are_checked_against_the_snapshot_grid(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # [4, 8] spans 6 rings of this snapshot, though 171 of the config's grid
+        grid = build_grid(1.0, 64.0, 33, 16)
+        write_snapshot(tmp_path / "coarse.field",
+                       ScalarField.from_radial(grid, lambda r: 0.5 * r * r))
+
+        def no_analysis(*args):
+            raise AssertionError("the analysis ran for windows the fit refuses")
+
+        monkeypatch.setattr(cli, "_analyze", no_analysis)
+        assert cli.main(["analyze", str(tmp_path / "coarse.field"), "ma-radial-a2",
+                         "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "do not suit the snapshot grid: insufficient-window: [4.0, 8.0]" in err
 
     def test_config_error_exits_2(self, tmp_path):
         config = builtin_config("identity-quadratic", windows=[[4, 128]])
@@ -512,6 +549,19 @@ class TestCommandLine:
             assert "singular-input: non-finite entries" in capsys.readouterr().err, argv
         assert not (tmp_path / "out").exists()
 
+    def test_report_reads_the_snapshot_before_it_prints(self, quad_run, tmp_path, capsys):
+        u = cli.read_snapshot(quad_run / "solution.field")
+        u.values[5, 3] = np.nan
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "report.json").write_bytes((quad_run / "report.json").read_bytes())
+        write_snapshot(run / "solution.field", u)
+        assert cli.main(["report", str(run), "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "singular-input: non-finite entries" in err
+        assert not (run / "profile.csv").exists()
+
     def test_missing_snapshot_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.field"
         analyze, _, file_boundary = self.snapshot_readers(missing, tmp_path, tmp_path)
@@ -553,7 +603,7 @@ class TestCommandLine:
         config = builtin_config("ma-radial-a2")
         config["grid"] = {"r_inner": 1.0, "r_outer": 8.0, "n_r": 33,
                           "n_theta": 16, "spacing": "log"}
-        config["windows"] = [[2, 4], [4, 8]]
+        config["windows"] = [[1, 2], [2, 4], [4, 8]]
         config["tolerances"] = {"max_iters": 1}
         config["expect"] = {}
         path = tmp_path / "stall.json"

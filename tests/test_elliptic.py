@@ -95,14 +95,14 @@ def test_coefficients_broadcast_and_constants():
     g = build_grid(1.0, 2.0, 16, 16)
     co = LinearCoefficients(g, 1.0, 0.0, 3.0)
     assert co.a11.shape == g.shape
-    assert (co.lam, co.Lam, co.gamma) == (1.0, 3.0, 3.0)
+    assert ellipticity_constants(co.a11, co.a12, co.a22) == (1.0, 3.0, 3.0)
     tr = LinearCoefficients.trace_operator(g)
-    assert (tr.lam, tr.Lam, tr.gamma) == (1.0, 1.0, 1.0)
+    assert ellipticity_constants(tr.a11, tr.a12, tr.a22) == (1.0, 1.0, 1.0)
 
 
 def test_coefficients_are_read_only():
-    # the constants are computed once, at construction, so the entries
-    # they were computed from must not change afterwards
+    # ellipticity is checked once, at construction, so the entries it was
+    # checked on must not change afterwards
     g = build_grid(1.0, 2.0, 16, 16)
     a22 = np.full(g.shape, 3.0)
     co = LinearCoefficients(g, 1.0, 0.0, a22)
@@ -114,8 +114,8 @@ def test_coefficients_are_read_only():
 
 
 def test_ellipticity_constants_are_not_arguments():
-    # lam, Lam and gamma are computed from the entries; a value passed for
-    # them would be overwritten without a word, so passing one is an error
+    # the coefficients carry no ellipticity constants: they follow from the
+    # entries, so passing one is an error
     g = build_grid(1.0, 2.0, 16, 16)
     for kwargs in ({"lam": 5.0}, {"Lam": -2.0}, {"gamma": 0.5}):
         with pytest.raises(TypeError):
@@ -182,13 +182,14 @@ def test_homogeneous_extremes_on_boundary():
 
 def test_gradient_map_dilatation_within_ellipticity_bound():
     # swapped gradient components orient the map; K stays below (1+gamma)/2
+    # with gamma = 3, the eigenvalue ratio of diag(1, 3)
     g = build_grid(1.0, 8.0, 97, 64)
     co = LinearCoefficients(g, 1.0, 0.0, 3.0)
     u, _ = solve_with_boundary(co, lambda a, b: 0.0 * a, lambda a, b: a * a - b * b / 3.0)
     grad = gradient(u)
     report = dilatation_field(PlanarMapping(g, grad.q, grad.p))
     assert report.orientation_ok
-    assert report.K_min <= 0.5 * (1.0 + co.gamma) + 0.05
+    assert report.K_min <= 0.5 * (1.0 + 3.0) + 0.05
 
 
 def test_solve_input_validation():

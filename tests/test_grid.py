@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import annulab
 from annulab.grid import (
     LOG_RADIAL,
     UNIFORM_RADIAL,
@@ -419,3 +422,57 @@ def test_snapshot_roundtrip_is_bitwise(tmp_path_factory, n_r, half_theta, data):
     assert back.grid.same_geometry(g)
     assert back.values.flags.writeable and back.values.dtype.isnative
     assert np.array_equal(back.values.view(np.uint64), u.values.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# the radial parameter map stays in this module
+
+_SPACING_NAMES = {"spacing", "LOG_RADIAL", "UNIFORM_RADIAL"}
+
+
+def _spacing_reads(source, may_import):
+    """Lines that read ``.spacing`` or name a spacing constant.
+
+    Names inside the ``_SPACINGS`` table (config name -> spacing) are not
+    reads, and imports are not when ``may_import`` is set.
+    """
+    tree = ast.parse(source)
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_SPACINGS" for t in node.targets):
+            skip |= {id(n) for n in ast.walk(node.value)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in _SPACING_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in _SPACING_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and not may_import and any(
+                alias.name in _SPACING_NAMES for alias in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_grid_reads_the_spacing():
+    # every radial formula outside grid.py is written in the grid's r(t),
+    # t(r), dr/dt and d2r/dt2 / (dr/dt); cli.py names the spacings only in
+    # its config-name table, and the package re-exports them
+    package = Path(annulab.__file__).resolve().parent
+    reads = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "grid.py":
+            found = _spacing_reads(path.read_text(), path.name in ("__init__.py", "cli.py"))
+            if found:
+                reads[path.name] = found
+    assert reads == {}
+
+
+def test_spacing_guard_sees_branches_and_imports():
+    branch = "from .grid import LOG_RADIAL\nif g.spacing == LOG_RADIAL:\n    pass\n"
+    assert _spacing_reads(branch, may_import=False) == [1, 2, 2]
+    assert _spacing_reads(branch, may_import=True) == [2, 2]
+    table = "_SPACINGS = {'log': LOG_RADIAL, 'uniform': UNIFORM_RADIAL}\n"
+    assert _spacing_reads(table, may_import=False) == []

@@ -48,15 +48,16 @@ class TestOperatorSpecs:
         assert (d11, d12, d22) == (1.0, -0.7, 3.0)
 
     def test_monge_ampere_derivative_eigenvalue_window(self):
+        # det 1 with eigenvalues in [1/3, 3]: the cofactor's lie there too
         spec = monge_ampere_spec()
         rng = np.random.default_rng(7)
         for _ in range(200):
-            m11, m12, m22 = random_symmetric(rng, spec.hessian_bound, det_one=True)
+            m11, m12, m22 = random_symmetric(rng, 3.0, det_one=True)
             a11, a12, a22 = spec.derivative(m11, m12, m22)
             mean = 0.5 * (a11 + a22)
             rad = np.hypot(0.5 * (a11 - a22), a12)
-            assert mean - rad >= spec.lam - 1e-12
-            assert mean + rad <= spec.Lam + 1e-12
+            assert mean - rad >= 1.0 / 3.0 - 1e-12
+            assert mean + rad <= 3.0 + 1e-12
 
     def test_special_lagrangian_trivial_roots(self):
         spec = special_lagrangian_spec(np.pi / 2)
@@ -79,15 +80,16 @@ class TestOperatorSpecs:
             assert abs(spec.evaluate(m11, m12, m22) - direct) <= 1e-14
 
     def test_special_lagrangian_derivative_eigenvalue_window(self):
+        # Hessian eigenvalues in [1/3, 3]: 1/(1 + lambda^2) lies in [1/10, 1]
         spec = special_lagrangian_spec(np.pi / 2)
         rng = np.random.default_rng(13)
         for _ in range(200):
-            m11, m12, m22 = random_symmetric(rng, spec.hessian_bound)
+            m11, m12, m22 = random_symmetric(rng, 3.0)
             a11, a12, a22 = spec.derivative(m11, m12, m22)
             mean = 0.5 * (a11 + a22)
             rad = np.hypot(0.5 * (a11 - a22), a12)
-            assert mean - rad >= spec.lam - 1e-12
-            assert mean + rad <= spec.Lam + 1e-12
+            assert mean - rad >= 1.0 / 10.0 - 1e-12
+            assert mean + rad <= 1.0 + 1e-12
 
     def test_special_lagrangian_derivative_smooth_at_coalescence(self):
         # the divided difference hands off to its analytic limit; the two
@@ -109,10 +111,6 @@ class TestOperatorSpecs:
             special_lagrangian_spec(np.pi)
         with pytest.raises(ValueError, match="singular-input"):
             special_lagrangian_spec(-3.5)
-
-    def test_monge_ampere_bound_validation(self):
-        with pytest.raises(ValueError, match="singular-input"):
-            monge_ampere_spec(hessian_bound=0.5)
 
 
 class TestRadialReference:
@@ -164,9 +162,6 @@ class TestNewtonSolve:
             evaluate=lambda m11, m12, m22: m11 + m22 - 2.0,
             derivative=lambda m11, m12, m22: (
                 np.ones_like(m11), np.zeros_like(m12), np.ones_like(m22)),
-            lam=1.0,
-            Lam=1.0,
-            hessian_bound=10.0,
         )
 
         def target(x1, x2):
@@ -300,9 +295,6 @@ class TestNewtonSolve:
             evaluate=lambda m11, m12, m22: m11 - m22,
             derivative=lambda m11, m12, m22: (
                 np.ones_like(m11), np.zeros_like(m12), -np.ones_like(m22)),
-            lam=-1.0,
-            Lam=1.0,
-            hessian_bound=10.0,
         )
         with pytest.raises(NewtonError, match="ellipticity-lost") as info:
             newton_solve(spec, grid, 0.0, 0.0, max_iters=60)
