@@ -8,16 +8,19 @@ supported density: node-centered product quadrature in the bulk, 8x8
 subdivision of cells near each target, and local polar integration (exact
 cell geometry, closed-form ray exits) of the cell containing the target.
 
-The potential has two paths for the same rule.  Targets on grid nodes
-(both index coordinates within 1e-12 of integers, r > 0) are evaluated a
-ring at a time: for such targets the rule is circulant in theta, so one
-per-ring weight array (far-field kernel, near-cell stencil, polar cell)
-applied by FFT correlation gives the whole ring.  All other targets are
-evaluated as one batch.  The dense kernel sum forms |x - y|^2 at every
-node as a product of ring and column factors, a few targets at a time in
-one reused buffer.  The near-cell corrections of every (target, near
-cell) pair and the polar integrals of the targets' own cells are then
-computed together, in blocks of targets.
+The rule depends only on the grid, and ``_rule`` builds it once per call:
+cell edges and areas, and the sub-cell midpoints, areas and interpolation
+stencils, per ring and per column.  Two target paths then only apply it.
+Targets on grid nodes (both index coordinates within 1e-12 of integers,
+r > 0) are evaluated a ring at a time: for such targets the rule is
+circulant in theta, so one per-ring weight array (far-field kernel,
+near-cell stencil, polar cell) applied by FFT correlation gives the whole
+ring.  All other targets are evaluated as one batch.  The dense kernel sum
+forms |x - y|^2 at every node as a product of ring and column factors, a
+few targets at a time in one reused buffer.  The near-cell corrections of
+every (target, near cell) pair, for which only |x - y| at the sub-cell
+midpoints is new, and the polar integrals of the targets' own cells are
+then computed together, in blocks of targets.
 
 The linear solve applies its operator from the nine stencil weight
 arrays, with no matrix.  Its preconditioner solves with the ring means of
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -323,15 +327,6 @@ _FAR_BLOCK = 4  # targets per buffer of the dense kernel sum, small enough for c
 _NEAR_ELEMENTS = 250_000  # size of the largest temporary of the near-cell pass
 
 
-def _cell_bounds(grid):
-    """Node-centered cell edges: radii and parameter values per ring."""
-    t = grid.t
-    half = 0.5 * grid.dt
-    t_lo = np.maximum(t - half, t[0])
-    t_hi = np.minimum(t + half, t[-1])
-    return grid.r_of_t(t_lo), grid.r_of_t(t_hi), t_lo, t_hi
-
-
 def _t_weights(grid, tq):
     """Ring it and weight wt of linear interpolation in t at tq.
 
@@ -353,22 +348,51 @@ def _theta_weights(grid, thq):
     return j0, (j0 + 1) % grid.n_theta, jf - j0f
 
 
-def _bilinear_weights(grid, tq, thq):
-    """Bilinear interpolation stencil at parameters (tq, thq).
-
-    Returns ``(it, wt, j0, j1, wj)``: the value at (tq, thq) is
-    (1 - wt) * low + wt * high, where low = (1 - wj) v[it, j0] + wj v[it, j1]
-    and high is the same on ring it + 1.
-    """
-    return (*_t_weights(grid, tq), *_theta_weights(grid, thq))
-
-
 def _bilinear(grid, vals, tq, thq):
     """Bilinear interpolation of nodal values at parameters (tq, thq)."""
-    it, wt, j0, j1, wj = _bilinear_weights(grid, tq, thq)
+    it, wt = _t_weights(grid, tq)
+    j0, j1, wj = _theta_weights(grid, thq)
     low = (1.0 - wj) * vals[it, j0] + wj * vals[it, j1]
     high = (1.0 - wj) * vals[it + 1, j0] + wj * vals[it + 1, j1]
     return (1.0 - wt) * low + wt * high
+
+
+def _rule(grid):
+    """The potential's quadrature rule on ``grid``: every part no target changes.
+
+    Node-centered cells span t +- dt/2, clipped to the grid, and one dtheta;
+    ``r_lo``, ``r_hi`` are their edge radii, ``area`` their areas (n_r, 1),
+    ``log_r`` the log of the node radii and ``n_rays`` the ray count of the
+    polar integral over a target's own cell.  A cell near a target is split
+    into _N_SUB x _N_SUB sub-cells, the product of one radial split per
+    ring and one angular split per column.  Per ring, shaped (n_r, _N_SUB):
+    the midpoints ``sub_r``, ``sub_log_r``, ``sub_t``, the sub-cell areas
+    ``sub_area`` and the t-interpolation stencil ``it``, ``wt`` at
+    ``sub_t``.  Per column, shaped (n_theta, _N_SUB): the midpoint angles
+    ``sub_theta`` in [0, 2 pi), ``cos`` and ``sin`` of the midpoint angles,
+    and the theta-interpolation stencil ``j0``, ``j1``, ``wj`` at ``sub_theta``.
+    """
+    t, dq = grid.t, grid.dtheta
+    t_lo = np.maximum(t - 0.5 * grid.dt, t[0])
+    t_hi = np.minimum(t + 0.5 * grid.dt, t[-1])
+    r_lo, r_hi = grid.r_of_t(t_lo), grid.r_of_t(t_hi)
+    edges = t_lo[:, None] + (t_hi - t_lo)[:, None] * (np.arange(_N_SUB + 1) / _N_SUB)
+    r_edges = grid.r_of_t(edges)
+    sub_t = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    sub_r = grid.r_of_t(sub_t)
+    # the angles stay unreduced for the midpoints and are reduced for the stencil
+    angles = grid.theta[:, None] + ((np.arange(_N_SUB) + 0.5) / _N_SUB - 0.5) * dq
+    sub_theta = angles % (2.0 * math.pi)
+    it, wt = _t_weights(grid, sub_t)
+    j0, j1, wj = _theta_weights(grid, sub_theta)
+    return SimpleNamespace(
+        grid=grid, r_lo=r_lo, r_hi=r_hi, area=0.5 * (r_hi * r_hi - r_lo * r_lo)[:, None] * dq,
+        log_r=np.log(grid.radii), n_rays=max(64, 4 * grid.n_theta),
+        sub_r=sub_r, sub_log_r=np.log(sub_r), sub_t=sub_t,
+        sub_area=0.5 * (r_edges[:, 1:] ** 2 - r_edges[:, :-1] ** 2) * (dq / _N_SUB),
+        it=it, wt=wt, sub_theta=sub_theta, cos=np.cos(angles), sin=np.sin(angles),
+        j0=j0, j1=j1, wj=wj,
+    )
 
 
 def _libm(fn, *args):
@@ -423,64 +447,33 @@ def _polar_cell_integral(r_x, r_lo, r_hi, beta_lo, beta_hi, n_phi):
     return s_log, area
 
 
-def _n_rays(grid):
-    """Ray count of the polar integral over a target's own cell."""
-    return max(64, 4 * grid.n_theta)
+def _sub_cells(rule, rows, cols, x1, x2):
+    """Kernel log|x - y| - log|y| at the sub-cell midpoints of the listed cells.
 
-
-def _sub_theta(grid, idx_q):
-    """Angles of the _N_SUB sub-cell midpoints of each listed column."""
-    offs = (np.arange(_N_SUB) + 0.5) / _N_SUB - 0.5
-    return grid.theta[idx_q][:, None] + offs[None, :] * grid.dtheta
-
-
-def _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
-    """Subdivided midpoint rule of the listed cells for their targets.
-
-    Each cell is split into _N_SUB x _N_SUB sub-cells.  The target
+    Cell k is (rows[k], cols[k]); its sub-cells are the rule's.  The target
     coordinates are scalars, or arrays of shape (cells, 1, 1) with one
-    target per cell.  Returns the kernel log|x - y| - log|y| at the sub-cell
-    midpoints and their areas, shaped (cells, _N_SUB, _N_SUB) and
-    (cells, _N_SUB, 1), and the midpoints' parameters t and theta, shaped
-    (cells, _N_SUB, 1) and (cells, 1, _N_SUB) so that they broadcast.
+    target per cell.  Returns shape (cells, _N_SUB, _N_SUB): radial
+    sub-cells along axis 1, angular along axis 2.
     """
-    dq = grid.dtheta
-    ta = t_lo[idx_r][:, None]
-    tb = t_hi[idx_r][:, None]
-    frac = np.arange(_N_SUB + 1) / _N_SUB
-    edges = ta + (tb - ta) * frac[None, :]
-    r_edges = grid.r_of_t(edges)
-    wr_sub = 0.5 * (r_edges[:, 1:] ** 2 - r_edges[:, :-1] ** 2)
-    t_mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    r_mid = grid.r_of_t(t_mid)
-
-    r3 = r_mid[:, :, None]
-    th3 = _sub_theta(grid, idx_q)[:, None, :]
-    yy1 = r3 * np.cos(th3)
-    yy2 = r3 * np.sin(th3)
-    d2 = (x1k - yy1) ** 2 + (x2k - yy2) ** 2
+    r3 = rule.sub_r[rows][:, :, None]
+    d2 = ((x1 - r3 * rule.cos[cols][:, None, :]) ** 2
+          + (x2 - r3 * rule.sin[cols][:, None, :]) ** 2)
     if np.min(d2) <= 0.0:
         bad = np.unravel_index(np.argmin(d2), d2.shape)
-        x1b, x2b = (float(np.broadcast_to(x, d2.shape)[bad]) for x in (x1k, x2k))
+        x1b, x2b = (float(np.broadcast_to(x, d2.shape)[bad]) for x in (x1, x2))
         raise ValueError(
             "target-inside-singular-cell: target coincides with a quadrature node "
             f"near ({x1b!r}, {x2b!r})"
         )
-    kern = 0.5 * np.log(d2) - np.log(r3)
-    w3 = wr_sub[:, :, None] * (dq / _N_SUB)
-    return kern, w3, t_mid[:, :, None], th3 % (2.0 * math.pi)
+    return 0.5 * np.log(d2) - rule.sub_log_r[rows][:, :, None]
 
 
-def _density(f):
-    """Validated density values, node-cell areas and log_mass."""
-    g = f.grid
+def _density(f, rule):
+    """Validated density values and log_mass."""
     fvals = f.values
     if not np.all(np.isfinite(fvals)):
         raise ValueError("singular-input: non-finite density values")
-    r_lo, r_hi, _, _ = _cell_bounds(g)
-    area = 0.5 * (r_hi * r_hi - r_lo * r_lo)[:, None] * g.dtheta
-    log_mass = float(np.sum(fvals * area)) / (2.0 * math.pi)
-    return fvals, area, log_mass
+    return fvals, float(np.sum(fvals * rule.area)) / (2.0 * math.pi)
 
 
 def _target_array(targets):
@@ -525,25 +518,26 @@ def _node_indices(grid, pts):
     return ring, col
 
 
-def _near_stencil(grid, i, t_lo, t_hi):
+def _near_stencil(rule, i):
     """Node weights of the refined near cells for a target at node (i, 0).
 
     The near cells are those within _REACH index units: rings i-2..i+2
-    that exist, columns -2..2, less the target's own cell.  The sub-cell
-    rule of ``_sub_cells`` is scattered through the bilinear weights, so
+    that exist, columns -2..2, less the target's own cell.  Their sub-cell
+    terms are scattered through the rule's bilinear stencil, so
     ``sum(weights * f)`` is the sub-cell sum of those cells for the same target.
     Returns the weights and the index of the near-cell block.
     """
+    grid = rule.grid
     n_r, n_q = grid.shape
     rings = np.arange(max(i - 2, 0), min(i + 3, n_r))
     cols = np.arange(-2, 3) % n_q
     ii = np.repeat(rings, cols.size)
     jj = np.tile(cols, rings.size)
     far = (ii != i) | (jj != 0)
-    kern, w3, tq, thq = _sub_cells(grid, ii[far], jj[far], grid.radii[i], 0.0,
-                                   t_lo, t_hi)
-    coef = kern * w3
-    it, wt, j0, j1, wj = _bilinear_weights(grid, tq, thq)
+    ii, jj = ii[far], jj[far]
+    coef = _sub_cells(rule, ii, jj, grid.radii[i], 0.0) * rule.sub_area[ii][:, :, None]
+    it, wt = (a[ii][:, :, None] for a in (rule.it, rule.wt))
+    j0, j1, wj = (a[jj][:, None, :] for a in (rule.j0, rule.j1, rule.wj))
     weights = np.zeros(grid.shape)
     for rows, w_r in ((it, 1.0 - wt), (it + 1, wt)):
         for columns, w_q in ((j0, 1.0 - wj), (j1, wj)):
@@ -551,7 +545,7 @@ def _near_stencil(grid, i, t_lo, t_hi):
     return weights, np.ix_(rings, cols)
 
 
-def _node_sums(grid, fvals, area, ring, col):
+def _node_sums(rule, fvals, ring, col):
     """Quadrature sums for targets on grid nodes, one whole ring at a time.
 
     For the target at node (i, 0) the whole quadrature is a weight array
@@ -561,10 +555,10 @@ def _node_sums(grid, fvals, area, ring, col):
     weights, so every node of ring i follows from one circular correlation
     over theta, done by rfft.
     """
+    grid = rule.grid
     n_q = grid.n_theta
-    r_lo, r_hi, t_lo, t_hi = _cell_bounds(grid)
     y1, y2 = grid.nodes()
-    log_r = np.log(grid.radii)[:, None]
+    log_r = rule.log_r[:, None]
     f_hat = np.fft.rfft(fvals, axis=1)
     half = 0.5 * grid.dtheta
     acc = np.empty(ring.size)
@@ -572,11 +566,11 @@ def _node_sums(grid, fvals, area, ring, col):
         r_i = float(grid.radii[i])
         dx = r_i - y1
         kern = 0.5 * np.log(np.maximum(dx * dx + y2 * y2, 1e-300)) - log_r
-        weights, near = _near_stencil(grid, i, t_lo, t_hi)
+        weights, near = _near_stencil(rule, i)
         kern[near] = 0.0
-        weights += kern * area
-        s_log, cell_area = _polar_cell_integral(r_i, r_lo[i], r_hi[i], -half, half,
-                                                _n_rays(grid))
+        weights += kern * rule.area
+        s_log, cell_area = _polar_cell_integral(r_i, rule.r_lo[i], rule.r_hi[i],
+                                                -half, half, rule.n_rays)
         weights[i, 0] += s_log - math.log(r_i) * cell_area
         spectrum = np.sum(np.conj(np.fft.rfft(weights, axis=1)) * f_hat, axis=0)
         sel = ring == i
@@ -596,7 +590,7 @@ def _distance_factors(r, theta, rho, phi):
     return (r - rho) ** 2 + 1e-300, 4.0 * r * rho, s * s
 
 
-def _far_sums(grid, fw, rho, phi):
+def _far_sums(rule, fw, rho, phi):
     """Plain midpoint sums of (log|x - y| - log|y|) f(y) area(y) over all nodes.
 
     For each target, |x - y|^2 at every node is a rank-2 product of ring
@@ -604,9 +598,10 @@ def _far_sums(grid, fw, rho, phi):
     targets share one buffer that stays in cache through the logarithm and
     the sum.  The -log|y| term is one scalar for every target.
     """
+    grid = rule.grid
     n_r, n_q = grid.shape
     fwf = fw.ravel()
-    log_term = float(np.log(grid.radii) @ np.sum(fw, axis=1))
+    log_term = float(rule.log_r @ np.sum(fw, axis=1))
     m = rho.size
     acc = np.empty(m)
     width = min(m, _FAR_BLOCK)
@@ -627,7 +622,7 @@ def _far_sums(grid, fw, rho, phi):
     return 0.5 * acc - log_term
 
 
-def _target_sums(grid, fvals, area, pts):
+def _target_sums(rule, fvals, pts):
     """Quadrature sums of a batch of targets: dense kernel sum plus local fixes.
 
     After the dense sum, every target within _REACH index units of the grid
@@ -639,15 +634,14 @@ def _target_sums(grid, fvals, area, pts):
     each index direction.  All (target, near cell) pairs of a block of
     targets are evaluated at once.
     """
-    fw = fvals * area
+    grid = rule.grid
+    fw = fvals * rule.area
     x1, x2 = pts[:, 0], pts[:, 1]
     r = _libm(math.hypot, x1, x2)
     phi = _libm(math.atan2, x2, x1)
-    acc = _far_sums(grid, fw, r, phi)
+    acc = _far_sums(rule, fw, r, phi)
 
     n_r, n_q = grid.shape
-    r_lo, r_hi, t_lo, t_hi = _cell_bounds(grid)
-    log_r = np.log(grid.radii)
     two_pi = 2.0 * math.pi
     t = np.full(r.shape, -np.inf)  # the origin is beyond reach
     t[r > 0.0] = grid.t_of_r(r[r > 0.0], log=lambda v: _libm(math.log, v))
@@ -656,11 +650,10 @@ def _target_sums(grid, fvals, area, pts):
     near = np.flatnonzero((r > 0.0) & (tf >= -_REACH) & (tf <= (n_r - 1) + _REACH))
     # the bilinear density at sub-cell midpoints is a tensor product: the
     # interpolation in theta is done once on every ring, the one in t per cell
-    j0, j1, wj = _theta_weights(grid, _sub_theta(grid, slice(None)) % two_pi)
-    f_theta = (1.0 - wj) * fvals[:, j0] + wj * fvals[:, j1]
+    f_theta = (1.0 - rule.wj) * fvals[:, rule.j0] + rule.wj * fvals[:, rule.j1]
     offsets = np.arange(-3, 4)
-    # a target has up to 49 pairs of _N_SUB**2 sub-cells, and _n_rays rays
-    block = max(1, _NEAR_ELEMENTS // max(offsets.size ** 2 * _N_SUB * _N_SUB, _n_rays(grid)))
+    # a target has up to 49 pairs of _N_SUB**2 sub-cells, and n_rays rays
+    block = max(1, _NEAR_ELEMENTS // max(offsets.size ** 2 * _N_SUB * _N_SUB, rule.n_rays))
     for lo in range(0, near.size, block):
         tgt = near[lo:lo + block]
         tfb = tf[tgt]
@@ -679,18 +672,17 @@ def _target_sums(grid, fvals, area, pts):
 
         # remove the plain midpoint contribution of every near cell
         a, b, s = _distance_factors(grid.radii[ii], grid.theta[jj], r[kk], phi[kk])
-        base = (0.5 * np.log(a + b * s) - log_r[ii]) * fw[ii, jj]
+        base = (0.5 * np.log(a + b * s) - rule.log_r[ii]) * fw[ii, jj]
         acc[tgt] -= np.bincount(k, base, minlength=tgt.size)
 
         rest = ~(inside[k] & (ii == i_c[k]) & (jj == j_c[k]))
         if np.any(rest):
-            kern, w3, tq, _ = _sub_cells(grid, ii[rest], jj[rest],
-                                         x1[kk[rest], None, None],
-                                         x2[kk[rest], None, None], t_lo, t_hi)
-            it, wt = _t_weights(grid, tq)
-            cells = it[:, :, 0], jj[rest, None]
+            ir, jr, kr = ii[rest], jj[rest], kk[rest]
+            kern = _sub_cells(rule, ir, jr, x1[kr, None, None], x2[kr, None, None])
+            cells = rule.it[ir], jr[:, None]
+            wt = rule.wt[ir][:, :, None]
             f_sub = (1.0 - wt) * f_theta[cells] + wt * f_theta[cells[0] + 1, cells[1]]
-            sub = kern * f_sub * w3
+            sub = kern * f_sub * rule.sub_area[ir][:, :, None]
             acc[tgt] += np.bincount(k[rest], np.sum(sub.reshape(sub.shape[0], -1), axis=1),
                                     minlength=tgt.size)
 
@@ -699,9 +691,9 @@ def _target_sums(grid, fvals, area, pts):
             i_o, j_o, th_o = i_c[inside], j_c[inside], th[inside]
             delta = (grid.theta[j_o] - th_o + math.pi) % two_pi - math.pi
             s_log, cell_area = _polar_cell_integral(
-                r[own], r_lo[i_o], r_hi[i_o],
+                r[own], rule.r_lo[i_o], rule.r_hi[i_o],
                 np.minimum(delta - 0.5 * grid.dtheta, 0.0),
-                np.maximum(delta + 0.5 * grid.dtheta, 0.0), _n_rays(grid))
+                np.maximum(delta + 0.5 * grid.dtheta, 0.0), rule.n_rays)
             f_at_x = _bilinear(grid, fvals, np.clip(t[own], grid.t[0], grid.t[-1]), th_o)
             acc[own] += f_at_x * (s_log - _libm(math.log, r[own]) * cell_area)
     return acc
@@ -723,24 +715,24 @@ def newtonian_potential(f, targets):
     containing the target is integrated in local polar coordinates about
     the target with max(64, 4 n_theta) rays.  Returns ``(values, log_mass)``.
 
-    Two paths evaluate the same rule.  A target on a grid node (r > 0 and
-    both index coordinates within 1e-12 of integers, the ring inside the
-    grid) is computed with its whole ring: the rule is circulant in theta,
-    so one weight array per ring and an FFT correlation give every node of
-    the ring at about the cost of one target.  Every other target (off the
-    nodes, the origin, or beyond the grid) is part of one batch: a dense
-    kernel sum over cache-sized blocks of targets, then one vectorized
-    pass over all (target, near cell) pairs and own cells.  The two paths
-    agree to rounding.
+    Two paths apply the same rule, built once per call.  A target on a
+    grid node (r > 0 and both index coordinates within 1e-12 of integers,
+    the ring inside the grid) is computed with its whole ring: the rule is
+    circulant in theta, so one weight array per ring and an FFT correlation
+    give every node of the ring at about the cost of one target.  Every
+    other target (off the nodes, the origin, or beyond the grid) is part
+    of one batch: a dense kernel sum over cache-sized blocks of targets,
+    then one vectorized pass over all (target, near cell) pairs and own
+    cells.  The two paths agree to rounding.
     """
-    fvals, area, log_mass = _density(f)
+    rule = _rule(f.grid)
+    fvals, log_mass = _density(f, rule)
     pts = _target_array(targets)
-    g = f.grid
-    ring, col = _node_indices(g, pts)
+    ring, col = _node_indices(f.grid, pts)
     on = ring >= 0
     acc = np.empty(pts.shape[0])
     if np.any(on):
-        acc[on] = _node_sums(g, fvals, area, ring[on], col[on])
+        acc[on] = _node_sums(rule, fvals, ring[on], col[on])
     if not np.all(on):
-        acc[~on] = _target_sums(g, fvals, area, pts[~on])
+        acc[~on] = _target_sums(rule, fvals, pts[~on])
     return _checked(acc, pts), log_mass

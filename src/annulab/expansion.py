@@ -197,26 +197,31 @@ def _measure_weights(grid, sl):
     return grid.dr_dt[sl] / grid.radii[sl]
 
 
-def _basis_functions(x1, x2):
-    """The basis at the points, in the order A11, A12, A22, b1, b2, d, c, e1, e2."""
-    rsq = x1 * x1 + x2 * x2
-    return [
-        0.5 * x1 * x1,
-        x1 * x2,
-        0.5 * x2 * x2,
-        x1,
-        x2,
-        0.5 * np.log(rsq),
-        np.ones_like(x1),
-        x1 / rsq,
-        x2 / rsq,
-    ]
+# the fitting basis, in the order A11, A12, A22, b1, b2, d, c, e1, e2
+_BASIS = (
+    lambda x1, x2: 0.5 * x1 * x1,
+    lambda x1, x2: x1 * x2,
+    lambda x1, x2: 0.5 * x2 * x2,
+    lambda x1, x2: x1,
+    lambda x1, x2: x2,
+    lambda x1, x2: 0.5 * np.log(x1 * x1 + x2 * x2),
+    lambda x1, x2: np.ones_like(x1),
+    lambda x1, x2: x1 / (x1 * x1 + x2 * x2),
+    lambda x1, x2: x2 / (x1 * x1 + x2 * x2),
+)
 
 
 def far_field(x1, x2, A, b=(0.0, 0.0), d=0.0, c=0.0, e=(0.0, 0.0)):
-    """x'Ax/2 + b.x + d log|x| + c + e.x/|x|^2 at the points, through the fitting basis."""
+    """x'Ax/2 + b.x + d log|x| + c + e.x/|x|^2 at the points, term by term in basis order.
+
+    Terms whose coefficient is zero are not evaluated.
+    """
     beta = (A[0][0], A[0][1], A[1][1], *b, d, c, *e)
-    return sum(float(coef) * f for coef, f in zip(beta, _basis_functions(x1, x2)))
+    total = np.zeros(np.broadcast(x1, x2).shape)
+    for coef, f in zip(beta, _BASIS):
+        if coef != 0.0:
+            total = total + float(coef) * f(x1, x2)
+    return total
 
 
 def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
@@ -238,7 +243,7 @@ def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
     for (lo, hi), sl in zip(wins, slices):
         x1, x2 = (x[sl].ravel() for x in nodes)
         y = u.values[sl].ravel()
-        X = np.column_stack(_basis_functions(x1, x2))
+        X = np.column_stack([f(x1, x2) for f in _BASIS])
         scale = np.max(np.abs(X), axis=0)
         Xn = X / scale
         w = np.sqrt(np.repeat(_measure_weights(grid, sl), grid.n_theta))
@@ -397,15 +402,6 @@ def _fine_laplacian(w: ScalarField) -> ScalarField:
     return ScalarField(grid, (lap + wqq / (r ** 2 / h ** 2)) / h ** 2)
 
 
-def _raw_divergence_d(w: ScalarField, R: float) -> tuple:
-    grid = w.grid
-    ut0 = radial_derivative(w.values[:5], grid.dt, 1, 4)[0]
-    w_r = ut0 / grid.dr_dt[0]
-    flux = float(grid.r_inner * grid.dtheta * np.sum(w_r))
-    area = annulus_integral(_fine_laplacian(w), grid.r_inner, R)
-    return (flux + area) / (2.0 * math.pi), flux, area
-
-
 def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
                       full_output: bool = False):
     """Log coefficient from the divergence-theorem identity.
@@ -434,9 +430,18 @@ def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
         )
 
     w = ScalarField(grid, u.values - far_field(*grid.nodes(), Am))
+    # the flux and the Laplacian are the same for both radii; only the
+    # area integral runs to R
+    ut0 = radial_derivative(w.values[:5], grid.dt, 1, 4)[0]
+    flux = float(grid.r_inner * grid.dtheta * np.sum(ut0 / grid.dr_dt[0]))
+    lap = _fine_laplacian(w)
+
+    def raw(radius):
+        area = annulus_integral(lap, grid.r_inner, radius)
+        return (flux + area) / (2.0 * math.pi), area
 
     R1 = float(grid.radii[i_R])
-    d1, flux, area = _raw_divergence_d(w, R1)
+    d1, area = raw(R1)
     info = {"R": R1, "raw": d1, "flux_term": flux, "area_term": area}
 
     if extrapolate:
@@ -447,7 +452,7 @@ def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
                 f"between r_inner and R = {R1}"
             )
         R2 = float(grid.radii[j])
-        d2, _, _ = _raw_divergence_d(w, R2)
+        d2, _ = raw(R2)
         d = (d1 * R1 ** 2 - d2 * R2 ** 2) / (R1 ** 2 - R2 ** 2)
         info.update({"pair_radius": R2, "raw_pair": d2, "truncation": d - d1})
     else:

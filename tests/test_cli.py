@@ -38,6 +38,40 @@ def quad_run(tmp_path_factory):
     return out / "identity-quadratic"
 
 
+# ma-radial-a2 on a grid small enough to solve in a test, with one-sided
+# bounds that its report meets: K_min is about 1.59, the residual exponent 1.73
+SMALL_MA = {"name": "ma-small",
+            "grid": {"r_inner": 1.0, "r_outer": 16.0, "n_r": 129, "n_theta": 32,
+                     "spacing": "log"},
+            "windows": [[2, 4], [4, 8], [8, 16]],
+            "expect": {"K_min_max": {"value": 2.0}, "residual_exponent_min": {"value": 1.0}}}
+
+
+@pytest.fixture(scope="module")
+def small_ma_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs")
+    path = out / "ma-small.json"
+    path.write_text(json.dumps(builtin_config("ma-radial-a2", **SMALL_MA)))
+    assert cli.main(["solve", str(path), "--out", str(out), "--format", "svg"]) == 0
+    return out / "ma-small"
+
+
+def assert_reports_agree(report, other, rel):
+    """Every number of two reports agrees to ``rel``, every other entry exactly."""
+    if isinstance(report, dict):
+        assert sorted(report) == sorted(other)
+        for key in report:
+            assert_reports_agree(report[key], other[key], rel)
+    elif isinstance(report, list):
+        assert len(report) == len(other)
+        for item, item_other in zip(report, other):
+            assert_reports_agree(item, item_other, rel)
+    elif isinstance(report, float):
+        assert abs(report - other) <= rel * max(1.0, abs(report)), (report, other)
+    else:
+        assert report == other
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -194,11 +228,128 @@ class TestRunScenario:
             assert np.max(np.abs(g - closed)) <= 1e-14 * np.max(np.abs(g))
 
 
+    def test_special_lagrangian_at_right_angle_matches_monge_ampere(self, small_ma_run):
+        # SL(pi/2) is det D^2 u = 1 written through arctangents of the eigenvalues
+        config = builtin_config("ma-radial-a2", **SMALL_MA,
+                                operator={"kind": "special_lagrangian",
+                                          "theta": math.pi / 2.0})
+        report = run_scenario(Scenario.from_config(config))
+        monge_ampere = json.loads((small_ma_run / "report.json").read_text())
+        assert report["status"] == monge_ampere["status"] == "pass"
+        assert report["solve"]["iterations"] == monge_ampere["solve"]["iterations"]
+        assert report["solve"]["final_residual"] <= 1e-9
+        drop = ("scenario", "solve")
+        assert_reports_agree({k: v for k, v in report.items() if k not in drop},
+                             {k: v for k, v in monge_ampere.items() if k not in drop},
+                             1e-9)
+
+    def test_identity_linear_custom_matches_the_trace_operator(self):
+        grid = {"r_inner": 1.0, "r_outer": 64.0, "n_r": 97, "n_theta": 32,
+                "spacing": "uniform"}
+        windows = [[8, 16], [16, 32], [32, 64]]
+        trace = run_scenario(Scenario.from_config(builtin_config(
+            "identity-quadratic", grid=grid, windows=windows)))
+        custom = run_scenario(Scenario.from_config(builtin_config(
+            "identity-quadratic", grid=grid, windows=windows,
+            operator={"kind": "linear_custom", "a11": 1.0, "a12": 0.0, "a22": 1.0,
+                      "rhs": 2.0})))
+        assert trace["status"] == "pass"
+        del trace["scenario"], custom["scenario"]
+        assert custom == trace
+
+    def test_file_boundary_from_a_solved_field_on_another_grid(self, quad_run):
+        # the snapshot's boundary rings carry |x|^2/2 on a 193-ring grid; they
+        # are the Dirichlet data of a 97-ring solve of the same problem
+        path = quad_run / "solution.field"
+        config = builtin_config("identity-quadratic",
+                                boundary={"kind": "file", "path": str(path)},
+                                grid={"r_inner": 1.0, "r_outer": 64.0, "n_r": 97,
+                                      "n_theta": 64, "spacing": "uniform"},
+                                windows=[[8, 16], [16, 32], [32, 64]])
+        scenario = Scenario.from_config(config)
+        grid = build_grid(1.0, 64.0, 97, 64, UNIFORM_RADIAL)
+        gin, gout = cli._boundary_data(scenario, grid)
+        solved = cli.read_snapshot(path)
+        assert solved.grid.n_r == 193
+        assert gin.tobytes() == solved.values[0].tobytes()
+        assert gout.tobytes() == solved.values[-1].tobytes()
+        report = run_scenario(scenario)
+        assert report["status"] == "pass"
+        assert report["scenario"]["grid"]["n_r"] == 97
+        assert len(report["assertions"]) == 5
+
+    def test_file_boundary_on_another_circle_is_refused(self, quad_run):
+        config = builtin_config("identity-quadratic",
+                                boundary={"kind": "file",
+                                          "path": str(quad_run / "solution.field")},
+                                grid={"r_inner": 1.0, "r_outer": 32.0, "n_r": 97,
+                                      "n_theta": 64, "spacing": "uniform"},
+                                windows=[[4, 8], [8, 16], [16, 32]])
+        with pytest.raises(ValueError, match="boundary file grid does not match"):
+            run_scenario(Scenario.from_config(config))
+
+    def test_one_sided_bounds_pass_and_fail(self, small_ma_run):
+        report = json.loads((small_ma_run / "report.json").read_text())
+        k_min = report["gradient_map"]["K_min"]
+        exponent = report["expansion"]["residual_fit"]["exponent"]
+        assert 1.5 < k_min < 2.0 and 1.0 < exponent < 2.0
+        met = {row["name"]: row for row in report["assertions"]}
+        assert met["K_min_max"] == {"name": "K_min_max", "measured": k_min,
+                                    "expected": 2.0, "tolerance": 0.0, "gap": 0.0,
+                                    "pass": True}
+        assert met["residual_exponent_min"]["measured"] == exponent
+        assert met["residual_exponent_min"]["pass"]
+        scenario = Scenario.from_config(builtin_config("ma-radial-a2", **dict(
+            SMALL_MA, expect={"K_min_max": {"value": 1.5},
+                              "residual_exponent_min": {"value": 2.0}})))
+        missed = cli._evaluate_expectations(scenario, report)
+        assert [(row["name"], row["expected"], row["pass"]) for row in missed] == [
+            ("K_min_max", 1.5, False), ("residual_exponent_min", 2.0, False)]
+
+    def test_saddle_swaps_components_and_skips_laurent(self):
+        # u = x1^2/2 - x2^2/4 solves u_11 + 2 u_22 = 0; its gradient map
+        # reverses orientation, and the residual left after the fit is
+        # not harmonic, so the Laurent cross-check is skipped with the reason
+        config = builtin_config(
+            "identity-quadratic",
+            operator={"kind": "linear_custom", "a11": 1.0, "a12": 0.0, "a22": 2.0},
+            boundary={"kind": "explicit_polynomial", "A": [[1.0, 0.0], [0.0, -0.5]],
+                      "b": [0.0, 0.0], "d": 0.0, "c": 0.0, "e": [0.0, 0.0]},
+            grid={"r_inner": 1.0, "r_outer": 16.0, "n_r": 65, "n_theta": 64,
+                  "spacing": "uniform"},
+            windows=[[2, 4], [4, 8], [8, 16]], expect={})
+        report = run_scenario(Scenario.from_config(config))
+        gradient_map = report["gradient_map"]
+        assert gradient_map["components_swapped"] and gradient_map["orientation_ok"]
+        assert gradient_map["jacobian_min"] > 0.0
+        cross = report["cross_checks"]
+        assert cross["d_laurent"] is None
+        assert cross["d_laurent_skipped"].startswith("not-harmonic: ")
+        d_values = [cross["d_fit"], cross["d_divergence"]["value"]]
+        assert cross["max_pairwise_gap"] == max(d_values) - min(d_values)
+        assert report["status"] == "pass" and report["assertions"] == []
+        (a11, a12), (_, a22) = report["expansion"]["A"]
+        assert abs(a11 - 1.0) <= 1e-2 and abs(a22 + 0.5) <= 1e-2 and abs(a12) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # command line
 
 
 class TestCommandLine:
+    def test_decay_plot_draws_the_fit(self, small_ma_run):
+        fit = json.loads((small_ma_run / "report.json").read_text())[
+            "expansion"]["residual_fit"]
+        svg = (small_ma_run / "decay.svg").read_text()
+        assert svg == cli._decay_svg(fit)
+        assert svg.count("<circle ") == len(fit["windows"]) == 3
+        assert svg.count('stroke="#888"') == 1
+        assert f"deviation ~ C R^-{fit['exponent']:.4f}" in svg
+        assert "degenerate" not in svg
+        # the points span the plot: the first at the left axis, the last at the right
+        xs = [float(x) for x in re.findall(r'<circle cx="([0-9.]+)"', svg)]
+        assert xs[0] == 60.0 and xs[-1] == 580.0
+
     def test_solve_writes_artifacts(self, quad_run):
         for name in ("report.json", "solution.field", "profile.csv", "decay.svg"):
             assert (quad_run / name).exists()

@@ -24,9 +24,8 @@ from annulab.elliptic import (
     _REACH,
     LinearCoefficients,
     _bilinear,
-    _cell_bounds,
-    _n_rays,
     _polar_cell_integral,
+    _rule,
     _sub_cells,
     ellipticity_constants,
     newtonian_potential,
@@ -321,9 +320,10 @@ def test_potential_input_validation():
 
 def reference_potential(f, targets):
     """``newtonian_potential`` with every target on the batched off-node path."""
-    fvals, area, log_mass = elliptic._density(f)
+    rule = _rule(f.grid)
+    fvals, log_mass = elliptic._density(f, rule)
     pts = elliptic._target_array(targets)
-    return elliptic._checked(elliptic._target_sums(f.grid, fvals, area, pts), pts), log_mass
+    return elliptic._checked(elliptic._target_sums(rule, fvals, pts), pts), log_mass
 
 
 def potential_and_loop_count(f, pts):
@@ -331,7 +331,7 @@ def potential_and_loop_count(f, pts):
     with mock.patch.object(elliptic, "_target_sums",
                            wraps=elliptic._target_sums) as loop:
         vals, log_mass = newtonian_potential(f, pts)
-    looped = sum(call.args[3].shape[0] for call in loop.call_args_list)
+    looped = sum(call.args[2].shape[0] for call in loop.call_args_list)
     return vals, log_mass, looped
 
 
@@ -404,21 +404,26 @@ def test_target_off_a_node_takes_the_loop(offset):
 # -- the batched off-node path against the per-target loop ------------------
 
 
-def _refined_cells(grid, fvals, idx_r, idx_q, x1k, x2k, t_lo, t_hi):
-    """Subdivided midpoint contribution of the listed cells for one target."""
-    kern, w3, tq, thq = _sub_cells(grid, idx_r, idx_q, x1k, x2k, t_lo, t_hi)
-    f_sub = _bilinear(grid, fvals, tq, thq).reshape(kern.shape)
-    return float(np.sum(kern * f_sub * w3))
+def _refined_cells(rule, fvals, idx_r, idx_q, x1k, x2k):
+    """Subdivided midpoint contribution of the listed cells for one target.
+
+    Only the sub-cell geometry comes from the rule; the density is
+    interpolated here, at the midpoints' own (t, theta).
+    """
+    kern = _sub_cells(rule, idx_r, idx_q, x1k, x2k)
+    tq, thq = rule.sub_t[idx_r][:, :, None], rule.sub_theta[idx_q][:, None, :]
+    f_sub = _bilinear(rule.grid, fvals, tq, thq).reshape(kern.shape)
+    return float(np.sum(kern * f_sub * rule.sub_area[idx_r][:, :, None]))
 
 
-def _loop_target_sums(grid, fvals, area, pts):
+def _loop_target_sums(rule, fvals, pts):
     """Quadrature sums target by target: dense kernel sum plus local fixes.
 
     The same rule as ``elliptic._target_sums``, one target at a time: the
     oracle of the batched evaluation.
     """
-    r_lo, r_hi, t_lo, t_hi = _cell_bounds(grid)
-    fw = fvals * area
+    grid = rule.grid
+    fw = fvals * rule.area
     y1, y2 = grid.nodes()
     y1f, y2f = y1.ravel(), y2.ravel()
     fwf = fw.ravel()
@@ -471,15 +476,13 @@ def _loop_target_sums(grid, fvals, area, pts):
 
         singular = inside & (ii == i_c) & (jj == j_c)
         if np.any(~singular):
-            acc[k] += _refined_cells(
-                grid, fvals, ii[~singular], jj[~singular], x1k, x2k, t_lo, t_hi
-            )
+            acc[k] += _refined_cells(rule, fvals, ii[~singular], jj[~singular], x1k, x2k)
         if inside:
             delta = (grid.theta[j_c] - th_k + math.pi) % two_pi - math.pi
             beta_lo = min(delta - 0.5 * grid.dtheta, 0.0)
             beta_hi = max(delta + 0.5 * grid.dtheta, 0.0)
             s_log, cell_area = _polar_cell_integral(
-                r_k, r_lo[i_c], r_hi[i_c], beta_lo, beta_hi, _n_rays(grid)
+                r_k, rule.r_lo[i_c], rule.r_hi[i_c], beta_lo, beta_hi, rule.n_rays
             )
             t_k = min(max(math.log(r_k) if grid.spacing == LOG_RADIAL else r_k,
                           grid.t[0]), grid.t[-1])
@@ -556,11 +559,12 @@ def edge_case_targets(g, rng):
 
 
 def batched_and_loop_sums(f, pts):
-    fvals, area, _ = elliptic._density(f)
+    rule = _rule(f.grid)
+    fvals, _ = elliptic._density(f, rule)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        acc = elliptic._target_sums(f.grid, fvals, area, pts)
-    return acc, _loop_target_sums(f.grid, fvals, area, pts)
+        acc = elliptic._target_sums(rule, fvals, pts)
+    return acc, _loop_target_sums(rule, fvals, pts)
 
 
 @settings(max_examples=30, deadline=None)
@@ -577,6 +581,28 @@ def test_batched_target_sums_match_the_loop(spacing, n_r, n_q, seed):
     f = ScalarField(g, rng.uniform(0.5, 1.5, g.shape) / g.radii[:, None] ** 2)
     acc, ref = batched_and_loop_sums(f, edge_case_targets(g, rng))
     assert np.abs(acc - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("grid_args", [
+    (1.0, 4.0, 17, 16, LOG_RADIAL),
+    (1.0, 16.0, 257, 128, LOG_RADIAL),
+    (1.0, 4.0, 9, 18, UNIFORM_RADIAL),
+    (0.5, 3.0, 64, 40, UNIFORM_RADIAL),
+])
+def test_rule_is_consistent_with_itself(grid_args):
+    # independent of the loop: the sub-cells of a ring tile its node cell,
+    # boundary half cells included, and the stencils at the sub-cell
+    # midpoints reproduce the midpoints' own t and theta
+    g = build_grid(*grid_args)
+    rule = _rule(g)
+    tiled = np.sum(rule.sub_area, axis=1) * elliptic._N_SUB
+    assert np.abs(tiled / rule.area[:, 0] - 1.0).max() <= 1e-14
+    t_sub = (1.0 - rule.wt) * g.t[rule.it] + rule.wt * g.t[rule.it + 1]
+    assert np.all(np.abs(t_sub - rule.sub_t) <= 1e-14 * np.abs(rule.sub_t))
+    assert np.all(rule.j1 == (rule.j0 + 1) % g.n_theta)
+    theta_sub = ((1.0 - rule.wj) * rule.j0 + rule.wj * (rule.j0 + 1)) * g.dtheta
+    assert np.abs(theta_sub - rule.sub_theta).max() <= 1e-14 * 2.0 * math.pi
+    assert np.all((rule.sub_theta >= 0.0) & (rule.sub_theta < 2.0 * math.pi))
 
 
 def test_polar_cell_integral_of_several_targets():

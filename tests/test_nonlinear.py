@@ -300,6 +300,18 @@ class TestNewtonSolve:
             newton_solve(spec, grid, 0.0, 0.0, max_iters=60)
         assert len(info.value.trace.residuals) >= 1
 
+    def test_converged_off_the_elliptic_branch_raises(self):
+        # -|x|^2/2 has det D^2 u = 1 exactly on a uniform grid, but its
+        # Hessian -I is on the concave branch: the start is already converged
+        grid = build_grid(1.0, 4.0, 33, 16, UNIFORM_RADIAL)
+        u0 = ScalarField(grid, -0.5 * grid.radii[:, None] ** 2 * np.ones((1, grid.n_theta)))
+        with pytest.raises(NewtonError, match="ellipticity-lost: converged with "
+                                              "linearization eigenvalue .* off the "
+                                              "elliptic branch") as info:
+            newton_solve(monge_ampere_spec(), grid, u0.values[0], u0.values[-1], u0=u0)
+        assert info.value.trace.iterations == 0
+        assert info.value.trace.residuals[0] <= 1e-10
+
     def test_concave_start_recovers_convex_branch(self):
         # the radial lift of the boundary mismatch plus the clamped step
         # computation walk a concave start back onto the convex branch
