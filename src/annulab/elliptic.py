@@ -15,10 +15,12 @@ Targets on grid nodes (both index coordinates within 1e-12 of integers,
 r > 0) are evaluated a ring at a time: for such targets the rule is
 circulant in theta, so one per-ring weight array (far-field kernel,
 near-cell stencil, polar cell) applied by FFT correlation gives the whole
-ring.  All other targets are evaluated as one batch.  The dense kernel sum
-forms |x - y|^2 at every node as a product of ring and column factors, a
-few targets at a time in one reused buffer.  The near-cell corrections of
-every (target, near cell) pair, for which only |x - y| at the sub-cell
+ring.  All other targets are evaluated as one batch.  Its midpoint sum
+takes the rings beyond a radius ratio of 0.8 from a target from the
+kernel's Fourier-Laurent series, whose coefficient tables are built once
+per call by one DFT per ring and a recurrence over the rings, and sums
+only the rings between node by node.  The near-cell corrections of every
+(target, near cell) pair, for which only |x - y| at the sub-cell
 midpoints is new, and the polar integrals of the targets' own cells are
 then computed together, in blocks of targets.
 
@@ -289,23 +291,26 @@ def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
 def _krylov_solve(apply, b, precondition, gate):
     """Solve A x = b, A x = apply(x), by GMRES left-preconditioned with M.
 
-    Starts from x0 = M b and keeps it when the residual max-norm is within
-    gate(x0) / 4, as it is when M is the exact inverse.  Otherwise
-    restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)
-    856) iterates from x0 until the residual 2-norm, which bounds the
-    max-norm, is within gate(x0) / 4, or for at most _GMRES_CYCLES
-    restarts.  Raises ``singular-system`` when M fails or the result
+    Starts from x0 = M b.  Restarted GMRES (Saad & Schultz, SIAM J. Sci.
+    Stat. Comput. 7 (1986) 856) then runs one restart cycle at a time, for
+    at most _GMRES_CYCLES cycles, until the residual max-norm is within
+    gate(x) / 4; x0 is kept when it already is, as when M is the exact
+    inverse.  Raises ``singular-system`` when M fails or the result
     misses gate(x).
     """
     shape = (b.size, b.size)
+    operator = LinearOperator(shape, matvec=apply, dtype=float)
+    inverse = LinearOperator(shape, matvec=precondition, dtype=float)
     try:
         x = precondition(b)
         final = float(np.max(np.abs(b - apply(x))))
-        if final > 0.25 * gate(x):
-            x, _ = gmres(LinearOperator(shape, matvec=apply, dtype=float), b, x0=x,
-                         rtol=0.0, atol=0.25 * gate(x), restart=_GMRES_RESTART,
-                         maxiter=_GMRES_CYCLES,
-                         M=LinearOperator(shape, matvec=precondition, dtype=float))
+        for _ in range(_GMRES_CYCLES):
+            if final <= 0.25 * gate(x):
+                break
+            # atol 0: a fresh call would stop the cycle on a preconditioned
+            # residual scaled by atol, which can stall; the gate decides here
+            x, _ = gmres(operator, b, x0=x, rtol=0.0, atol=0.0,
+                         restart=_GMRES_RESTART, maxiter=1, M=inverse)
             final = float(np.max(np.abs(b - apply(x))))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular-system: ring-mean mode solver failed ({exc})") from None
@@ -323,7 +328,8 @@ def _krylov_solve(apply, b, precondition, gate):
 _N_SUB = 8  # subdivision factor for cells near a target
 _REACH = 2.5 + 1e-9  # cells within this index distance of a target are refined
 _NODE_TOL = 1e-12  # index-coordinate tolerance for a target to count as a node
-_FAR_BLOCK = 4  # targets per buffer of the dense kernel sum, small enough for cache
+_RATIO = 0.8  # rings within this radius ratio of a target are summed by series
+_TERMS = 192  # series terms: _RATIO**_TERMS / (_TERMS (1 - _RATIO)) < 2**-53
 _NEAR_ELEMENTS = 250_000  # size of the largest temporary of the near-cell pass
 
 
@@ -561,16 +567,17 @@ def _node_sums(rule, fvals, ring, col):
     log_r = rule.log_r[:, None]
     f_hat = np.fft.rfft(fvals, axis=1)
     half = 0.5 * grid.dtheta
+    rings = np.unique(ring)
+    own = _polar_cell_integral(grid.radii[rings], rule.r_lo[rings], rule.r_hi[rings],
+                               -half, half, rule.n_rays)
     acc = np.empty(ring.size)
-    for i in np.unique(ring):
+    for i, s_log, cell_area in zip(rings, *own):
         r_i = float(grid.radii[i])
         dx = r_i - y1
         kern = 0.5 * np.log(np.maximum(dx * dx + y2 * y2, 1e-300)) - log_r
         weights, near = _near_stencil(rule, i)
         kern[near] = 0.0
         weights += kern * rule.area
-        s_log, cell_area = _polar_cell_integral(r_i, rule.r_lo[i], rule.r_hi[i],
-                                                -half, half, rule.n_rays)
         weights[i, 0] += s_log - math.log(r_i) * cell_area
         spectrum = np.sum(np.conj(np.fft.rfft(weights, axis=1)) * f_hat, axis=0)
         sel = ring == i
@@ -590,42 +597,74 @@ def _distance_factors(r, theta, rho, phi):
     return (r - rho) ** 2 + 1e-300, 4.0 * r * rho, s * s
 
 
-def _far_sums(rule, fw, rho, phi):
-    """Plain midpoint sums of (log|x - y| - log|y|) f(y) area(y) over all nodes.
+def _ring_sums(rule, fw, rho, phi):
+    """Midpoint sums of (log|x - y| - log|y|) fw(y) over all nodes, ring by ring.
 
-    For each target, |x - y|^2 at every node is a rank-2 product of ring
-    and column factors, formed by one matrix product; blocks of _FAR_BLOCK
-    targets share one buffer that stays in cache through the logarithm and
-    the sum.  The -log|y| term is one scalar for every target.
+    Rings far from the target enter by the Fourier-Laurent series of the
+    kernel (Greengard & Rokhlin, J. Comput. Phys. 73 (1987) 325), with
+    F_i(k) = sum_j fw_ij e^{ik theta_j} from one DFT.  The rings i <= c,
+    r_c <= _RATIO rho, add S log rho - sum S_i log r_i - Re sum_k (r_c /
+    rho)^k e^{-ik phi} A[c, k], A[c, k] = sum_{i <= c} (r_i / r_c)^k F_i(k) / k
+    and S_i the ring masses; the rings i >= d, r_d >= rho / _RATIO, add
+    -Re sum_k (rho / r_d)^k e^{-ik phi} B[d, k], B[d, k] = sum_{i >= d} (r_d /
+    r_i)^k F_i(k) / k.  Only the rings between are summed node by node.
     """
     grid = rule.grid
+    radii = grid.radii
     n_r, n_q = grid.shape
-    fwf = fw.ravel()
-    log_term = float(rule.log_r @ np.sum(fw, axis=1))
-    m = rho.size
-    acc = np.empty(m)
-    width = min(m, _FAR_BLOCK)
-    d2_all = np.empty((width, n_r, n_q))
-    rings = np.empty((width, n_r, 2))
-    cols = np.ones((width, 2, n_q))
-    for lo in range(0, m, _FAR_BLOCK):
-        hi = min(m, lo + _FAR_BLOCK)
-        n = hi - lo
-        a, b, s = _distance_factors(grid.radii[None, :], grid.theta[None, :],
-                                    rho[lo:hi, None], phi[lo:hi, None])
-        rings[:n, :, 0] = a
-        rings[:n, :, 1] = b
-        cols[:n, 1] = s
-        d2 = np.matmul(rings[:n], cols[:n], out=d2_all[:n])
-        np.log(d2, out=d2)
-        acc[lo:hi] = d2.reshape(n, -1) @ fwf
-    return 0.5 * acc - log_term
+    k = np.arange(1, _TERMS + 1)
+    inner = (n_q * np.fft.ifft(fw, axis=1))[:, k % n_q] / k
+    outer = inner.copy()
+    step = (radii[:-1] / radii[1:])[:, None] ** k
+    for i in range(1, n_r):
+        inner[i] += step[i - 1] * inner[i - 1]
+        outer[-1 - i] += step[-i] * outer[-i]
+    mass = np.sum(fw, axis=1)
+    c = np.searchsorted(radii, _RATIO * rho, side="right") - 1
+    d = np.searchsorted(radii, rho / _RATIO, side="left")
+    acc = np.zeros(rho.size)
+    low = np.flatnonzero(c >= 0)
+    acc[low] = (np.log(rho[low]) * np.cumsum(mass)[c[low]]
+                - np.cumsum(mass * rule.log_r)[c[low]]
+                - _series(radii[c[low]] / rho[low], phi[low], inner, c[low]))
+    width = d - c - 1  # rings summed node by node, narrowest bands first
+    band = np.flatnonzero(width)[np.argsort(width[width > 0], kind="stable")]
+    per = max(1, _NEAR_ELEMENTS // (n_q * int(width.max(initial=1))))
+    for lo in range(0, band.size, per):
+        tgt = band[lo:lo + per]
+        rows = c[tgt, None] + 1 + np.arange(width[tgt[-1]])
+        keep = rows < d[tgt, None]
+        rows = np.minimum(rows, n_r - 1)
+        a, b, s = _distance_factors(radii[rows], grid.theta, rho[tgt, None], phi[tgt, None])
+        d2 = b[:, :, None] * s[:, None, :]
+        d2 += a[:, :, None]
+        part = (0.5 * np.einsum("bwn,bwn->bw", np.log(d2, out=d2), fw[rows])
+                - mass[rows] * rule.log_r[rows])
+        # a sequential sum, so that masked rings change no rounding
+        acc[tgt] += np.cumsum(np.where(keep, part, 0.0), axis=1)[:, -1]
+    high = np.flatnonzero(d < n_r)
+    acc[high] -= _series(rho[high] / radii[d[high]], phi[high], outer, d[high])
+    return acc
+
+
+def _series(ratio, phi, table, rows):
+    """Re sum_k z^k table[rows, k - 1] with z = ratio e^{-i phi}, per target.
+
+    The powers of z come from one cumulative product, in blocks of targets.
+    """
+    out = np.empty(ratio.size)
+    per = max(1, _NEAR_ELEMENTS // (2 * _TERMS))
+    for lo in range(0, ratio.size, per):
+        sl = slice(lo, lo + per)
+        z = np.repeat((ratio[sl] * np.exp(-1j * phi[sl]))[:, None], _TERMS, axis=1)
+        out[sl] = np.einsum("mk,mk->m", np.cumprod(z, axis=1, out=z), table[rows[sl]]).real
+    return out
 
 
 def _target_sums(rule, fvals, pts):
-    """Quadrature sums of a batch of targets: dense kernel sum plus local fixes.
+    """Quadrature sums of a batch of targets: midpoint sum plus local fixes.
 
-    After the dense sum, every target within _REACH index units of the grid
+    After the midpoint sum of ``_ring_sums``, every target within _REACH index units of the grid
     has the plain midpoint terms of its near cells replaced: by the 8x8
     sub-cell rule for each near cell but its own, and by the polar
     integral for its own cell when the target lies inside the grid.  The
@@ -639,7 +678,7 @@ def _target_sums(rule, fvals, pts):
     x1, x2 = pts[:, 0], pts[:, 1]
     r = _libm(math.hypot, x1, x2)
     phi = _libm(math.atan2, x2, x1)
-    acc = _far_sums(rule, fw, r, phi)
+    acc = _ring_sums(rule, fw, r, phi)
 
     n_r, n_q = grid.shape
     two_pi = 2.0 * math.pi
@@ -721,7 +760,8 @@ def newtonian_potential(f, targets):
     circulant in theta, so one weight array per ring and an FFT correlation
     give every node of the ring at about the cost of one target.  Every
     other target (off the nodes, the origin, or beyond the grid) is part
-    of one batch: a dense kernel sum over cache-sized blocks of targets,
+    of one batch: a midpoint sum that takes the rings beyond a radius
+    ratio of 0.8 from each target from the kernel's Fourier-Laurent series,
     then one vectorized pass over all (target, near cell) pairs and own
     cells.  The two paths agree to rounding.
     """
