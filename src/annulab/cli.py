@@ -51,6 +51,7 @@ from .grid import (
 from .nonlinear import (
     FullyNonlinearSpec,
     NewtonError,
+    _interior_state,
     monge_ampere_spec,
     newton_solve,
     radial_ma_reference,
@@ -326,13 +327,11 @@ def _operator(scenario, grid):
 
 def _operator_residual(scenario, op, u):
     """Sup over the interior rings of the scenario operator's residual at ``u``."""
-    h = hessian(u)
-    m11, m12, m22 = h.m11[1:-1], h.m12[1:-1], h.m22[1:-1]
     if isinstance(op, FullyNonlinearSpec):
-        resid = op.evaluate(m11, m12, m22)
-    else:
-        resid = (op.a11[1:-1] * m11 + 2.0 * op.a12[1:-1] * m12 + op.a22[1:-1] * m22
-                 - float(scenario.operator.get("rhs", 0.0)))
+        return _interior_state(op, u)[2]  # the residual Newton iterates on
+    h = hessian(u)
+    resid = (op.a11[1:-1] * h.m11[1:-1] + 2.0 * op.a12[1:-1] * h.m12[1:-1]
+             + op.a22[1:-1] * h.m22[1:-1] - float(scenario.operator.get("rhs", 0.0)))
     return float(np.max(np.abs(resid)))
 
 
@@ -375,20 +374,44 @@ def _fit_to_dict(fit):
     }
 
 
-def _analyze(scenario, u, solve_info):
+def _gradient_map(u):
+    """Dilatation of grad u and whether swapping its components restored orientation."""
+    grad = gradient(u)
+    rep = dilatation_field(grad)
+    if not rep.orientation_ok:
+        swapped = dilatation_field(PlanarMapping(u.grid, grad.q, grad.p))
+        if swapped.orientation_ok:
+            return swapped, True
+    return rep, False
+
+
+def _d_cross_checks(u, A, b, d_fit, harmonic_tol):
+    """The report's ``cross_checks``: d from the fit (``d_fit``), from the
+    divergence identity at the outer ring R, and from the Laurent series of
+    u - x'Ax/2 - b.x on the ring nearest R/2, skipped where it is not harmonic.
+    """
     grid = u.grid
+    R = float(grid.radii[-1])
+    d_div = float(d_from_divergence(u, A, R, extrapolate=True))
+    cross = {"d_fit": d_fit, "d_divergence": {"value": d_div, "R": R, "extrapolated": True}}
+    w = ScalarField(grid, u.values - far_field(*grid.nodes(), A, b))
+    contour = float(grid.radii[int(np.argmin(np.abs(grid.radii - 0.5 * R)))])
+    d_values = [d_fit, d_div]
+    try:
+        lc = laurent_coefficients(w, contour, 3, harmonic_tol=harmonic_tol)
+        cross["d_laurent"] = {"value": float(lc.d), "radius": float(lc.radius_used)}
+        d_values.append(float(lc.d))
+    except ValueError as err:
+        cross["d_laurent"], cross["d_laurent_skipped"] = None, str(err)
+    cross["max_pairwise_gap"] = float(max(d_values) - min(d_values))
+    return cross
+
+
+def _analyze(scenario, u, solve_info):
     report = {"report_version": 1, "scenario": asdict(scenario),
               "solve": solve_info}
 
-    grad = gradient(u)
-    rep = dilatation_field(grad)
-    swapped = False
-    if not rep.orientation_ok:
-        # saddle-type solutions reverse orientation; the component swap
-        # restores it without changing the dilatation
-        swapped_rep = dilatation_field(PlanarMapping(grid, grad.q, grad.p))
-        if swapped_rep.orientation_ok:
-            rep, swapped = swapped_rep, True
+    rep, swapped = _gradient_map(u)
     report["gradient_map"] = {
         "K_min": float(rep.K_min),
         "alpha": float(rep.alpha),
@@ -404,26 +427,8 @@ def _analyze(scenario, u, solve_info):
         "windows": [list(w) for w in scenario.windows],
     }
 
-    R = float(grid.radii[-1])
-    d_div = d_from_divergence(u, fit.A, R, extrapolate=True)
-    cross = {
-        "d_fit": fit.d,
-        "d_divergence": {"value": float(d_div), "R": R, "extrapolated": True},
-    }
-    w_vals = u.values - far_field(*grid.nodes(), fit.A, fit.b)
-    contour = float(grid.radii[int(np.argmin(np.abs(grid.radii - 0.5 * R)))])
-    try:
-        lc = laurent_coefficients(
-            ScalarField(grid, w_vals), contour, 3,
-            harmonic_tol=float(scenario.tolerances.get("harmonic_tol", 1e-4)))
-        cross["d_laurent"] = {"value": float(lc.d), "radius": float(lc.radius_used)}
-        d_values = [fit.d, float(d_div), float(lc.d)]
-    except ValueError as err:
-        cross["d_laurent"] = None
-        cross["d_laurent_skipped"] = str(err)
-        d_values = [fit.d, float(d_div)]
-    cross["max_pairwise_gap"] = float(max(d_values) - min(d_values))
-    report["cross_checks"] = cross
+    report["cross_checks"] = _d_cross_checks(
+        u, fit.A, fit.b, fit.d, float(scenario.tolerances.get("harmonic_tol", 1e-4)))
 
     report["assertions"] = _evaluate_expectations(scenario, report)
     report["status"] = ("pass" if all(row["pass"] for row in report["assertions"])
@@ -678,10 +683,8 @@ def _check_gradient_map_qc():
             exact = 0.5 * (x1 * x1 - x2 * x2 / gamma)
         f = ScalarField(grid, np.zeros(grid.shape))
         u = solve_linear_dirichlet(coeffs, f, exact[0], exact[-1])
-        grad = gradient(u)
-        # these gradients reverse orientation; swapping components restores it
-        w = PlanarMapping(grid, grad.q, grad.p)
-        k_min = dilatation_field(w).K_min
+        # these gradients reverse orientation; the swap restores it
+        k_min = _gradient_map(u)[0].K_min
         bound = (1.0 + gamma) / 2.0 + 0.05
         ok = ok and k_min <= bound
         results.append(f"gamma={gamma:.0f}: K_min {k_min:.4f} <= {bound:.4f}")
@@ -809,7 +812,7 @@ def _check_hessian_limit_decay():
     for a in (1.0, 2.0):
         u = _radial_field(grid, a)
         _, fit = hessian_limit(u, windows)
-        alpha = holder_exponent(dilatation_field(gradient(u)).K_min)
+        alpha = holder_exponent(_gradient_map(u)[0].K_min)
         within = abs(fit.exponent - 2.0) <= 0.2
         above = fit.exponent >= alpha
         ok = ok and within and above
@@ -817,18 +820,16 @@ def _check_hessian_limit_decay():
                      f"(band 2 +- 0.2, alpha(K) = {alpha:.4f})")
 
     u = _radial_field(grid, 2.0)
-    fit = fit_expansion(u, _STANDARD_WINDOWS)
-    d_div = d_from_divergence(u, np.eye(2), 64.0, extrapolate=True)
-    w = ScalarField(grid, u.values - far_field(*grid.nodes(), np.eye(2)))
-    contour = float(grid.radii[int(np.argmin(np.abs(grid.radii - 32.0)))])
-    lau = laurent_coefficients(w, contour, 3).d
-    ds = [fit.d, float(d_div), float(lau)]
-    gap = max(ds) - min(ds)
-    ok = ok and gap <= 2e-3
+    cross = _d_cross_checks(u, np.eye(2), np.zeros(2),
+                            fit_expansion(u, _STANDARD_WINDOWS).d, 1e-4)
+    if cross["d_laurent"] is None:
+        return False, "; ".join(parts + [f"laurent skipped: {cross['d_laurent_skipped']}"])
+    ds = [cross["d_fit"], cross["d_divergence"]["value"], cross["d_laurent"]["value"]]
+    gap = cross["max_pairwise_gap"]
     parts.append(f"d triangle fit/divergence/laurent = "
                  f"{ds[0]:.6f}/{ds[1]:.6f}/{ds[2]:.6f}, max gap {gap:.3e} "
                  f"(tol 2e-3)")
-    return ok, "; ".join(parts)
+    return ok and gap <= 2e-3, "; ".join(parts)
 
 
 ACCEPTANCE_CHECKS = (

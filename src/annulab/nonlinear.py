@@ -5,7 +5,7 @@ An operator acts pointwise on the Hessian of a scalar field.  A
 derivative.  ``newton_solve`` linearizes around the current iterate, reuses
 the linear Dirichlet solver for the correction, and backtracks until the
 interior residual drops while the linearization stays elliptic, which it
-checks on the derivative's nodal eigenvalues.
+checks on the derivative's nodal eigenvalues.  Each iterate is linearized once.
 
 Hessian entries are formed with the same centered stencils as the linear
 solver's nine-point operator, so the linearization is consistent with the
@@ -168,10 +168,6 @@ def _interior_state(spec, field):
     return m, fvals, float(np.max(np.abs(fvals)))
 
 
-def _min_eigenvalue(spec, m):
-    return float(np.min(sym2_eig(*spec.derivative(*m))[0]))
-
-
 def _linearization(spec, m):
     """Full-shape coefficient arrays plus the smallest raw eigenvalue.
 
@@ -213,6 +209,8 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
     only has to be accurate in the interior.  Should the linearization still
     go indefinite somewhere, the step computation clamps its nodal
     eigenvalues to a positive floor until the iterate is back on the branch.
+    Each iterate is linearized once: an accepted trial keeps the
+    linearization its branch test formed for the next step and the final check.
 
     Returns ``(solution, NewtonTrace)``.  Raises ``NewtonError`` carrying
     the partial trace when the iteration converges or stalls off the
@@ -245,6 +243,7 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
     u = ScalarField(grid, vals)
 
     m, fvals, resid = _interior_state(spec, u)
+    lin = None  # the linearization at u, once formed
     residuals = [resid]
     steps = []
 
@@ -258,7 +257,7 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
                 f"max-iters-exceeded: residual {residuals[-1]:.3e} "
                 f"after {int(max_iters)} iterations"
             )
-        coeff_rows, lam = _linearization(spec, m)
+        coeff_rows, lam = lin or _linearization(spec, m)
         on_branch = lam > 0.0
         coeffs = LinearCoefficients(grid, *coeff_rows)
         rhs = np.zeros(grid.shape)
@@ -270,10 +269,9 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
             trial = ScalarField(grid, u.values + s * delta.values)
             m_t, f_t, r_t = _interior_state(spec, trial)
             admissible = np.all(np.isfinite(f_t)) and r_t < residuals[-1]
-            if admissible and on_branch:
-                # never step off the elliptic branch once it is reached
-                admissible = _min_eigenvalue(spec, m_t) > 0.0
-            if admissible:
+            # never step off the elliptic branch once it is reached
+            lin_t = _linearization(spec, m_t) if admissible and on_branch else None
+            if admissible and (lin_t is None or lin_t[1] > 0.0):
                 break
             s *= 0.5
             if s < _STEP_FLOOR:
@@ -286,11 +284,11 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
                     f"ellipticity-lost: linearization eigenvalue {lam:.3e} "
                     f"and no recovering step at iteration {len(steps) + 1}"
                 )
-        u, m, fvals = trial, m_t, f_t
+        u, m, fvals, lin = trial, m_t, f_t, lin_t
         residuals.append(r_t)
         steps.append(s)
 
-    lam_final = _min_eigenvalue(spec, m)
+    lam_final = (lin or _linearization(spec, m))[1]
     if lam_final <= 0.0:
         raise fail(
             f"ellipticity-lost: converged with linearization eigenvalue "

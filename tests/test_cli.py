@@ -9,10 +9,12 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,6 +79,10 @@ def assert_reports_agree(report, other, rel):
 
 
 class TestScenarioConfig:
+    def test_config_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="scenario config must be a JSON object"):
+            Scenario.from_config([])
+
     def test_builtins_parse(self):
         for name, config in BUILTIN_SCENARIOS.items():
             scenario = Scenario.from_config(config)
@@ -369,6 +375,23 @@ class TestCommandLine:
     def test_report_subcommand(self, quad_run):
         assert cli.main(["report", str(quad_run)]) == 0
 
+    def test_report_svg_rewrites_the_tables_solve_wrote(self, quad_run, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("report.json", "solution.field"):
+            shutil.copy(quad_run / name, run / name)
+        assert cli.main(["report", str(run), "--format", "svg"]) == 0
+        for name in ("profile.csv", "decay.svg"):
+            assert (run / name).read_bytes() == (quad_run / name).read_bytes()
+
+    def test_report_without_its_files_exits_2(self, quad_run, tmp_path, capsys):
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert f"no report.json under {tmp_path}" in capsys.readouterr().err
+        shutil.copy(quad_run / "report.json", tmp_path / "report.json")
+        assert cli.main(["report", str(tmp_path), "--format", "csv"]) == 2
+        assert f"no solution.field under {tmp_path}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
     def test_profile_cells_are_plain_numbers(self, quad_run):
         rows = (quad_run / "profile.csv").read_text().splitlines()[1:]
         cells = [[float(v) for v in row.split(",")] for row in rows]
@@ -575,7 +598,9 @@ class TestCommandLine:
         assert "unknown key tolerances.newton_tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", [["--grid", "1,64,many,64"],
-                                        ["--windows", "8:sixteen"]])
+                                        ["--windows", "8:sixteen"],
+                                        ["--grid", "1,64,97"],
+                                        ["--windows", "8-16"]])
     def test_malformed_overrides_exit_2(self, tmp_path, capsys, option):
         code = cli.main(["solve", "identity-quadratic", "--out", str(tmp_path), *option])
         assert code == 2
@@ -629,6 +654,18 @@ class TestCommandLine:
         det = (h.m11 * h.m22 - h.m12 * h.m12 - 1.0)[1:-1]
         assert report["solve"]["final_residual"] == float(np.max(np.abs(det)))
         assert report["solve"]["final_residual"] < 0.1
+
+    def test_analysis_error_names_the_scenario(self, quad_run, tmp_path, monkeypatch,
+                                               capsys):
+        def refused(u, windows):
+            raise ValueError("ill-conditioned: synthetic")
+
+        monkeypatch.setattr(cli, "fit_expansion", refused)
+        assert cli.main(["analyze", str(quad_run / "solution.field"), "identity-quadratic",
+                         "--out", str(tmp_path)]) == 2
+        assert ("error: scenario identity-quadratic: ill-conditioned: synthetic"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "identity-quadratic").exists()
 
     def test_two_column_snapshot_exits_2(self, quad_run, tmp_path, capsys):
         # a snapshot holds one scalar field; a payload of two values per node
@@ -790,6 +827,35 @@ class TestAcceptanceHarness:
         rows = run_acceptance(names=["02-constant-term-recovery"])
         assert not rows[0]["passed"]
 
+    def test_no_names_runs_the_whole_registry(self, monkeypatch):
+        checks = (("a-passes", lambda: (True, "fine")), ("b-fails", lambda: (False, "off")))
+        monkeypatch.setattr(cli, "ACCEPTANCE_CHECKS", checks)
+        rows = run_acceptance()
+        assert [(r["name"], r["passed"], r["detail"]) for r in rows] == [
+            ("a-passes", True, "fine"), ("b-fails", False, "off")]
+
+    def test_rows_05_and_12_run_the_pipeline_steps(self, monkeypatch):
+        # the gradient map and the d cross-check each have one implementation,
+        # which the reports and these rows share
+        steps = {name: mock.Mock(wraps=getattr(cli, name))
+                 for name in ("_gradient_map", "_d_cross_checks")}
+        for name, step in steps.items():
+            monkeypatch.setattr(cli, name, step)
+        rows = run_acceptance(names=["05-gradient-map-quasiconformality",
+                                     "12-hessian-limit-decay"])
+        assert all(row["passed"] for row in rows)
+        assert steps["_gradient_map"].call_count == 3 + 2
+        assert steps["_d_cross_checks"].call_count == 1
+
+    def test_row_12_fails_when_laurent_is_skipped(self, monkeypatch):
+        def not_harmonic(*args, **kwargs):
+            raise ValueError("not-harmonic: synthetic")
+
+        monkeypatch.setattr(cli, "laurent_coefficients", not_harmonic)
+        row, = run_acceptance(names=["12-hessian-limit-decay"])
+        assert not row["passed"]
+        assert row["detail"].endswith("; laurent skipped: not-harmonic: synthetic")
+
     def test_empty_selection_raises(self):
         with pytest.raises(ValueError, match="no scenarios"):
             run_acceptance(names=[])
@@ -825,14 +891,42 @@ class TestAcceptanceHarness:
 # benchmark hooks
 
 
-def test_benchmark_layer_functions_resolve():
-    # the benchmark's tracer replaces each of these names in its module; one
-    # that no longer resolves fails every traced run
+def load_tracing():
+    """The benchmark's span recorder, ``perfbench/tracing.py``."""
     tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_layer_functions_resolve():
+    # the benchmark's tracer replaces each of these names in its module; one
+    # that no longer resolves fails every traced run
+    module = load_tracing()
     assert module.LAYER_FUNCTIONS
     missing = [(name, attr) for name, attr, *_ in module.LAYER_FUNCTIONS
                if not callable(getattr(importlib.import_module(name), attr, None))]
     assert not missing
+
+
+def test_traced_solve_and_analyze_record_every_layer(tmp_path):
+    # the tracer wraps each layer function by name in the module that calls
+    # it; a call that moved out of that module would record no span and
+    # read zero in the benchmark, without an error
+    tracer = load_tracing().Tracer()
+    config = tmp_path / "ma-small.json"
+    config.write_text(json.dumps(builtin_config("ma-radial-a2", **SMALL_MA)))
+    with tracer.installed():
+        assert cli.main(["solve", str(config), "--format", "svg",
+                         "--out", str(tmp_path / "solved")]) == 0
+        assert cli.main(["analyze", str(tmp_path / "solved" / "ma-small" / "solution.field"),
+                         str(config), "--format", "svg",
+                         "--out", str(tmp_path / "analyzed")]) == 0
+    recorded = {span["name"] for span in tracer.spans}
+    expected = {"nonlinear.newton_solve", "elliptic.solve_linear_dirichlet",
+                "expansion.fit_expansion", "expansion.d_from_divergence",
+                "expansion.laurent_coefficients", "qcmap.dilatation_field",
+                "grid.gradient", "grid.hessian", "grid.read_snapshot",
+                "grid.write_snapshot"}
+    assert expected <= recorded, sorted(expected - recorded)

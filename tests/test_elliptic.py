@@ -316,6 +316,16 @@ def test_potential_input_validation():
         newtonian_potential(bad, [(2.0, 0.0)])
 
 
+def test_potential_of_one_target_as_a_2_vector():
+    g = build_grid(1.0, 4.0, 17, 16)
+    f = ScalarField.from_function(g, inverse_quartic)
+    for target in ((2.3, -0.7), (float(g.radii[5]), 0.0)):  # off and on a node
+        single, mass = newtonian_potential(f, np.array(target))
+        batch, batch_mass = newtonian_potential(f, np.array([target]))
+        assert single.shape == (1,)
+        assert np.array_equal(single, batch) and mass == batch_mass
+
+
 # -- the on-node path against the per-target loop --------------------------
 
 

@@ -70,6 +70,10 @@ class TestTypes:
         assert np.allclose(lc.b, [1.0, 2.0])
         assert lc.d == 3.0
 
+    def test_laurent_coefficients_are_one_dimensional(self):
+        with pytest.raises(ValueError, match="invalid-dimension: coefficients must be a 1-d"):
+            LaurentCoefficients(np.ones((2, 2), dtype=complex), 8.0)
+
     def test_laurent_d_needs_first_order(self):
         lc = LaurentCoefficients(np.array([1.0 + 0.0j]), 8.0)
         with pytest.raises(ValueError, match="invalid-dimension"):
@@ -85,6 +89,11 @@ class TestTypes:
             BootstrapSchedule(alpha=1.2, epsilon=0.1, n=1, delta=0.0625)
         with pytest.raises(ValueError, match="singular-input"):
             BootstrapSchedule(alpha=0.3, epsilon=0.29, n=-1, delta=0.06)
+
+    def test_bootstrap_schedule_delta_below_one_eighth(self):
+        # consistent with the identity, 1 - 2 * 0.5 + 0.25 = 0.25, but too large
+        with pytest.raises(ValueError, match=r"singular-input: delta must lie in \(0, 1/8\)"):
+            BootstrapSchedule(alpha=0.5, epsilon=0.25, n=1, delta=0.25)
 
 
 class TestFitExpansion:

@@ -25,6 +25,7 @@ from annulab.grid import (
     radial_derivative,
     read_snapshot,
     sym2_eig,
+    window_slice,
     write_snapshot,
 )
 
@@ -59,11 +60,17 @@ def test_build_grid_uniform_spacing():
         ((1.0, 4.0, 4, 16), "invalid-dimension"),
         ((1.0, 4.0, 16, 8), "invalid-dimension"),
         ((1.0, 4.0, 16, 17), "invalid-dimension"),
+        ((1.0, 4.0, 16, 16, "cubic"), "invalid-dimension: unknown spacing 'cubic'"),
     ],
 )
 def test_build_grid_rejects_bad_input(args, msg):
     with pytest.raises(ValueError, match=msg):
         build_grid(*args)
+
+
+def test_only_a_log_radial_grid_inverts():
+    with pytest.raises(ValueError, match="invalid-dimension: kelvin_conjugate needs"):
+        build_grid(1.0, 4.0, 16, 16, UNIFORM_RADIAL).inverted()
 
 
 def test_field_rejects_nonfinite():
@@ -93,6 +100,12 @@ def test_kelvin_point_involution_machine_precision():
 def test_kelvin_point_rejects_origin():
     with pytest.raises(ValueError, match="singular-input"):
         kelvin_point([0.0, 0.0])
+
+
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [[1.0], [2.0]]])
+def test_kelvin_point_rejects_other_than_2_vectors(x):
+    with pytest.raises(ValueError, match="invalid-dimension: expected 2-vectors"):
+        kelvin_point(x)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +357,13 @@ def test_annulus_integral_window_errors():
         annulus_integral(f, 3.0, 2.0)
 
 
+def test_window_that_snaps_to_one_ring_is_refused():
+    # both edges of [2.0, 2.05] snap to the ring at 2.0 on this coarse grid
+    g = build_grid(1.0, 8.0, 16, 16)
+    with pytest.raises(ValueError, match="window-outside-grid: .* spans fewer than 2 rings"):
+        window_slice(g, 2.0, 2.05)
+
+
 # ---------------------------------------------------------------------------
 # snapshots
 
@@ -373,6 +393,18 @@ def test_snapshot_holds_one_scalar_field(tmp_path):
                      + pairs.astype("<f8").tobytes())
     with pytest.raises(ValueError, match="invalid-dimension: snapshot payload has "
                                          "2048 bytes, expected 1024"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"annular-fields v2 1.0 2.0 8 16 log-radial\n",
+    b"annular-field v2 1.0 2.0 8 16\n",
+    b"annular-field v2 1.0 2.0 8 16 log-radial extra\n",
+], ids=["bad-magic", "six-fields", "eight-fields"])
+def test_snapshot_with_a_bad_header_is_refused(tmp_path, header):
+    path = tmp_path / "bad.field"
+    path.write_bytes(header + np.zeros(8 * 16, "<f8").tobytes())
+    with pytest.raises(ValueError, match="invalid-dimension: bad snapshot header"):
         read_snapshot(path)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -278,6 +279,28 @@ class TestNewtonSolve:
         assert trace.residuals[0] <= 1e-11
         assert np.max(np.abs(u.values - vals)) <= 1e-13
 
+    @pytest.mark.parametrize("spec", [monge_ampere_spec(), special_lagrangian_spec(np.pi / 2)],
+                             ids=["monge-ampere", "special-lagrangian"])
+    def test_each_iterate_is_linearized_once(self, spec):
+        # the linearization that admits a trial step serves the next
+        # correction and the final branch check: n iterations, n + 1 calls
+        derivative = mock.Mock(wraps=spec.derivative)
+        grid = build_grid(1.0, 16.0, 65, 32)
+        g_in, g_out = reference_boundary(1.0, grid)
+        _, trace = newton_solve(dataclasses.replace(spec, derivative=derivative),
+                                grid, g_in, g_out)
+        assert trace.iterations >= 3
+        assert derivative.call_count == trace.iterations + 1
+
+    def test_no_admissible_step_below_rounding(self):
+        # no step lowers the residual once it sits at rounding level
+        grid = build_grid(1.0, 16.0, 65, 32)
+        g_in, g_out = reference_boundary(1.0, grid)
+        with pytest.raises(NewtonError, match="max-iters-exceeded: no admissible step "
+                                              "at iteration") as info:
+            newton_solve(monge_ampere_spec(), grid, g_in, g_out, tol=1e-300)
+        assert info.value.trace.residuals[-1] < 1e-10
+
     def test_max_iters_exceeded_carries_trace(self):
         grid = build_grid(1.0, 16.0, 65, 32)
         g_in, g_out = reference_boundary(1.0, grid)
@@ -339,3 +362,5 @@ class TestNewtonSolve:
             newton_solve(spec, grid, 0.0, 0.0, max_iters=0)
         with pytest.raises(ValueError, match="invalid-dimension"):
             newton_solve(spec, grid, np.zeros(7), 0.0)
+        with pytest.raises(TypeError, match="invalid-dimension: grid must be an AnnularGrid"):
+            newton_solve(spec, (1.0, 4.0, 33, 24), 0.0, 0.0)

@@ -227,6 +227,14 @@ def test_kelvin_identities_stencil_transport_consistency():
     assert max(res) <= 1e-9
 
 
+def test_kelvin_identities_refuse_an_unusable_image_side():
+    w = w_zsquared(build_grid(1.0, 2.0, 16, 16))
+    with pytest.raises(ValueError, match="singular-input: chain-rule image side needs"):
+        verify_kelvin_identities(w, image_side="chain-rule")
+    with pytest.raises(ValueError, match="invalid-dimension: unknown image_side 'spectral'"):
+        verify_kelvin_identities(w, d_zsquared, image_side="spectral")
+
+
 def test_kelvin_identities_stencil_convergence_order():
     errs = []
     for n in (32, 64, 128):
@@ -289,6 +297,19 @@ def test_limit_and_decay_requires_four_radii():
     g = build_grid(1.0, 64.0, 97, 32)
     with pytest.raises(ValueError, match="window-outside-grid"):
         limit_and_decay(w_identity(g), [4.0, 8.0, 16.0])
+
+
+def test_limit_and_decay_requires_increasing_radii():
+    g = build_grid(1.0, 64.0, 97, 32)
+    with pytest.raises(ValueError, match="window-outside-grid: window radii must increase"):
+        limit_and_decay(w_identity(g), [4.0, 8.0, 8.0, 16.0])
+    with pytest.raises(ValueError, match="window-outside-grid: window radii must increase"):
+        limit_and_decay(w_identity(g), [4.0, 16.0, 8.0, 32.0])
+
+
+def test_fit_power_law_needs_two_radii():
+    with pytest.raises(ValueError, match="window-outside-grid: need at least 2 radii"):
+        fit_power_law([4.0], [0.5])
 
 
 def test_fit_power_law_recovers_exact_power():
