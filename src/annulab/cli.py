@@ -305,9 +305,7 @@ def _boundary_data(scenario, grid):
         return far_field(x1[[0, -1]], x2[[0, -1]],
                          *(boundary[key] for key in ("A", "b", "d", "c", "e")))
     field = read_snapshot(boundary["path"])
-    g = field.grid
-    if g.n_theta != grid.n_theta or abs(g.r_inner - grid.r_inner) > 1e-12 or \
-            abs(g.r_outer - grid.r_outer) > 1e-12:
+    if not field.grid.same_boundary(grid):
         _config_error("boundary file grid does not match the scenario grid")
     return field.values[0].copy(), field.values[-1].copy()
 
@@ -592,7 +590,8 @@ def _check_d_recovery():
         start = time.perf_counter()
         u = _radial_field(grid, a)
         fit = fit_expansion(u, _STANDARD_WINDOWS)
-        d_div = d_from_divergence(u, np.eye(2), 64.0, extrapolate=True)
+        cross = _d_cross_checks(u, np.eye(2), np.zeros(2), fit.d, 1e-4)
+        d_div = cross["d_divergence"]["value"]
         worst_time = max(worst_time, time.perf_counter() - start)
         worst_fit = max(worst_fit, abs(fit.d - a / 2.0))
         worst_div = max(worst_div, abs(d_div - a / 2.0))
@@ -770,10 +769,9 @@ def _check_newtonian_potential():
         i_lo = ring_index(g, 2.0)
         i_hi = ring_index(g, 2.0 * math.sqrt(2.0))
         sub = build_grid(2.0, float(g.radii[i_hi]), i_hi - i_lo + 1, n_t)
-        rr, th = np.meshgrid(g.radii[i_lo:i_hi + 1], g.theta, indexing="ij")
-        pts = np.column_stack([(rr * np.cos(th)).ravel(), (rr * np.sin(th)).ravel()])
+        pts = np.column_stack([x[i_lo:i_hi + 1].ravel() for x in g.nodes()])
         vals, _ = newtonian_potential(f, pts)
-        lap = laplacian(ScalarField(sub, vals.reshape(rr.shape)))
+        lap = laplacian(ScalarField(sub, vals.reshape(sub.shape)))
         fsub = ScalarField.from_function(sub, inverse_quartic)
         resids.append(float(np.max(np.abs(lap.values - fsub.values)[2:-2])))
         hs.append(g.dt)

@@ -10,19 +10,10 @@ cell geometry, closed-form ray exits) of the cell containing the target.
 
 The rule depends only on the grid, and ``_rule`` builds it once per call:
 cell edges and areas, and the sub-cell midpoints, areas and interpolation
-stencils, per ring and per column.  Two target paths then only apply it.
-Targets on grid nodes (both index coordinates within 1e-12 of integers,
-r > 0) are evaluated a ring at a time: for such targets the rule is
-circulant in theta, so one per-ring weight array (far-field kernel,
-near-cell stencil, polar cell) applied by FFT correlation gives the whole
-ring.  All other targets are evaluated as one batch.  Its midpoint sum
-takes the rings beyond a radius ratio of 0.8 from a target from the
-kernel's Fourier-Laurent series, whose coefficient tables are built once
-per call by one DFT per ring and a recurrence over the rings, and sums
-only the rings between node by node.  The near-cell corrections of every
-(target, near cell) pair, for which only |x - y| at the sub-cell
-midpoints is new, and the polar integrals of the targets' own cells are
-then computed together, in blocks of targets.
+stencils, per ring and per column.  Two target paths, described in
+``newtonian_potential``, then only apply it: grid nodes a ring at a time by
+FFT correlation, all other targets as one batch.  Both take a target's near
+cells from ``_near_cells`` and the integral over its own cell from ``_own_cell``.
 
 The linear solve applies its operator from the nine stencil weight
 arrays, with no matrix.  Its preconditioner solves with the ring means of
@@ -131,8 +122,7 @@ def _stencil_coefficients(coeffs):
     """
     g = coeffs.grid
     r = g.radii[:, None]
-    c = np.cos(g.theta)[None, :]
-    s = np.sin(g.theta)[None, :]
+    c, s = g.cos_theta, g.sin_theta
     a11, a12, a22 = coeffs.a11, coeffs.a12, coeffs.a22
     a_rr = a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
     a_tt = a11 * s * s - 2.0 * a12 * c * s + a22 * c * c
@@ -524,31 +514,58 @@ def _node_indices(grid, pts):
     return ring, col
 
 
+def _near_cells(grid, tf, jf):
+    """Own and near cells of targets at index coordinates (tf, jf).
+
+    A target's own cell is its nearest node's, ties to even, the ring
+    clipped to the grid; its near cells lie within _REACH index units of it
+    in each index direction.  Returns the own ring ``i_c`` and column ``j_c``
+    of each target, and for each (target, near cell) pair, in target, ring,
+    column order, the target's index ``k`` and the cell's ``ii`` and ``jj``.
+    """
+    n_r, n_q = grid.shape
+    i_c = np.clip(np.rint(tf), 0, n_r - 1).astype(int)
+    j_c = np.rint(jf).astype(int) % n_q
+    span = int(_REACH + 0.5)  # near cells lie within _REACH + 1/2 of the own cell
+    offsets = np.arange(-span, span + 1)
+    rows = i_c[:, None] + offsets
+    ok_r = (rows >= 0) & (rows < n_r) & (np.abs(rows - tf[:, None]) <= _REACH)
+    cols = (j_c[:, None] + offsets) % n_q
+    ok_q = np.abs((cols - jf[:, None] + n_q / 2.0) % n_q - n_q / 2.0) <= _REACH
+    k, di, dj = np.nonzero(ok_r[:, :, None] & ok_q[:, None, :])
+    return i_c, j_c, k, rows[k, di], cols[k, dj]
+
+
+def _own_cell(rule, i, r_x, delta):
+    """S_log - log(r_x) area of the own cells, on rings ``i``, of targets at
+    radii ``r_x``: the cell's angular edges lie delta -+ dtheta / 2 from the target."""
+    half = 0.5 * rule.grid.dtheta
+    s_log, area = _polar_cell_integral(r_x, rule.r_lo[i], rule.r_hi[i],
+                                       np.minimum(delta - half, 0.0),
+                                       np.maximum(delta + half, 0.0), rule.n_rays)
+    return s_log - _libm(math.log, r_x) * area
+
+
 def _near_stencil(rule, i):
     """Node weights of the refined near cells for a target at node (i, 0).
 
-    The near cells are those within _REACH index units: rings i-2..i+2
-    that exist, columns -2..2, less the target's own cell.  Their sub-cell
-    terms are scattered through the rule's bilinear stencil, so
+    The near cells are the target's ``_near_cells`` but its own.  Their
+    sub-cell terms are scattered through the rule's bilinear stencil, so
     ``sum(weights * f)`` is the sub-cell sum of those cells for the same target.
-    Returns the weights and the index of the near-cell block.
+    Returns the weights and the index of all its near cells, its own included.
     """
     grid = rule.grid
-    n_r, n_q = grid.shape
-    rings = np.arange(max(i - 2, 0), min(i + 3, n_r))
-    cols = np.arange(-2, 3) % n_q
-    ii = np.repeat(rings, cols.size)
-    jj = np.tile(cols, rings.size)
+    _, _, _, ii, jj = _near_cells(grid, np.array([float(i)]), np.zeros(1))
     far = (ii != i) | (jj != 0)
-    ii, jj = ii[far], jj[far]
-    coef = _sub_cells(rule, ii, jj, grid.radii[i], 0.0) * rule.sub_area[ii][:, :, None]
-    it, wt = (a[ii][:, :, None] for a in (rule.it, rule.wt))
-    j0, j1, wj = (a[jj][:, None, :] for a in (rule.j0, rule.j1, rule.wj))
+    ir, jr = ii[far], jj[far]
+    coef = _sub_cells(rule, ir, jr, grid.radii[i], 0.0) * rule.sub_area[ir][:, :, None]
+    it, wt = (a[ir][:, :, None] for a in (rule.it, rule.wt))
+    j0, j1, wj = (a[jr][:, None, :] for a in (rule.j0, rule.j1, rule.wj))
     weights = np.zeros(grid.shape)
     for rows, w_r in ((it, 1.0 - wt), (it + 1, wt)):
         for columns, w_q in ((j0, 1.0 - wj), (j1, wj)):
             np.add.at(weights, (rows, columns), coef * w_r * w_q)
-    return weights, np.ix_(rings, cols)
+    return weights, (ii, jj)
 
 
 def _node_sums(rule, fvals, ring, col):
@@ -562,26 +579,21 @@ def _node_sums(rule, fvals, ring, col):
     over theta, done by rfft.
     """
     grid = rule.grid
-    n_q = grid.n_theta
     y1, y2 = grid.nodes()
     log_r = rule.log_r[:, None]
     f_hat = np.fft.rfft(fvals, axis=1)
-    half = 0.5 * grid.dtheta
     rings = np.unique(ring)
-    own = _polar_cell_integral(grid.radii[rings], rule.r_lo[rings], rule.r_hi[rings],
-                               -half, half, rule.n_rays)
     acc = np.empty(ring.size)
-    for i, s_log, cell_area in zip(rings, *own):
-        r_i = float(grid.radii[i])
-        dx = r_i - y1
+    for i, own in zip(rings, _own_cell(rule, rings, grid.radii[rings], 0.0)):
+        dx = float(grid.radii[i]) - y1
         kern = 0.5 * np.log(np.maximum(dx * dx + y2 * y2, 1e-300)) - log_r
         weights, near = _near_stencil(rule, i)
         kern[near] = 0.0
         weights += kern * rule.area
-        weights[i, 0] += s_log - math.log(r_i) * cell_area
+        weights[i, 0] += own
         spectrum = np.sum(np.conj(np.fft.rfft(weights, axis=1)) * f_hat, axis=0)
         sel = ring == i
-        acc[sel] = np.fft.irfft(spectrum, n=n_q)[col[sel]]
+        acc[sel] = np.fft.irfft(spectrum, n=grid.n_theta)[col[sel]]
     return acc
 
 
@@ -664,14 +676,12 @@ def _series(ratio, phi, table, rows):
 def _target_sums(rule, fvals, pts):
     """Quadrature sums of a batch of targets: midpoint sum plus local fixes.
 
-    After the midpoint sum of ``_ring_sums``, every target within _REACH index units of the grid
-    has the plain midpoint terms of its near cells replaced: by the 8x8
-    sub-cell rule for each near cell but its own, and by the polar
-    integral for its own cell when the target lies inside the grid.  The
-    near cells of a target are the candidates within three cells of its
-    own cell (nearest node, ties to even) that pass the _REACH test in
-    each index direction.  All (target, near cell) pairs of a block of
-    targets are evaluated at once.
+    After the midpoint sum of ``_ring_sums``, every target within _REACH
+    index units of the grid has the plain midpoint terms of the near cells
+    ``_near_cells`` lists for it replaced: by the 8x8 sub-cell rule for
+    each near cell but its own, and by the polar integral of ``_own_cell``
+    for its own cell when the target lies inside the grid.  All (target,
+    near cell) pairs of a block of targets are evaluated at once.
     """
     grid = rule.grid
     fw = fvals * rule.area
@@ -680,34 +690,25 @@ def _target_sums(rule, fvals, pts):
     phi = _libm(math.atan2, x2, x1)
     acc = _ring_sums(rule, fw, r, phi)
 
-    n_r, n_q = grid.shape
     two_pi = 2.0 * math.pi
     t = np.full(r.shape, -np.inf)  # the origin is beyond reach
     t[r > 0.0] = grid.t_of_r(r[r > 0.0], log=lambda v: _libm(math.log, v))
     tf = (t - grid.t[0]) / grid.dt
     # the kernel vanishes identically at the origin
-    near = np.flatnonzero((r > 0.0) & (tf >= -_REACH) & (tf <= (n_r - 1) + _REACH))
+    near = np.flatnonzero((r > 0.0) & (tf >= -_REACH) & (tf <= (grid.n_r - 1) + _REACH))
     # the bilinear density at sub-cell midpoints is a tensor product: the
     # interpolation in theta is done once on every ring, the one in t per cell
     f_theta = (1.0 - rule.wj) * fvals[:, rule.j0] + rule.wj * fvals[:, rule.j1]
-    offsets = np.arange(-3, 4)
-    # a target has up to 49 pairs of _N_SUB**2 sub-cells, and n_rays rays
-    block = max(1, _NEAR_ELEMENTS // max(offsets.size ** 2 * _N_SUB * _N_SUB, rule.n_rays))
+    # a target has up to width**2 pairs of _N_SUB**2 sub-cells, and n_rays rays
+    width = 2 * int(_REACH + 0.5) + 1
+    block = max(1, _NEAR_ELEMENTS // max(width * width * _N_SUB * _N_SUB, rule.n_rays))
     for lo in range(0, near.size, block):
         tgt = near[lo:lo + block]
         tfb = tf[tgt]
         th = phi[tgt] % two_pi
-        jf = th / grid.dtheta
-        inside = (tfb >= -1e-9) & (tfb <= (n_r - 1) + 1e-9)
-        i_c = np.clip(np.rint(tfb), 0, n_r - 1).astype(int)
-        j_c = np.rint(jf).astype(int) % n_q
-
-        rows = i_c[:, None] + offsets
-        ok_r = (rows >= 0) & (rows < n_r) & (np.abs(rows - tfb[:, None]) <= _REACH)
-        cols = (j_c[:, None] + offsets) % n_q
-        ok_q = np.abs((cols - jf[:, None] + n_q / 2.0) % n_q - n_q / 2.0) <= _REACH
-        k, di, dj = np.nonzero(ok_r[:, :, None] & ok_q[:, None, :])
-        ii, jj, kk = rows[k, di], cols[k, dj], tgt[k]
+        inside = (tfb >= -1e-9) & (tfb <= (grid.n_r - 1) + 1e-9)
+        i_c, j_c, k, ii, jj = _near_cells(grid, tfb, th / grid.dtheta)
+        kk = tgt[k]
 
         # remove the plain midpoint contribution of every near cell
         a, b, s = _distance_factors(grid.radii[ii], grid.theta[jj], r[kk], phi[kk])
@@ -729,12 +730,8 @@ def _target_sums(rule, fvals, pts):
             own = tgt[inside]
             i_o, j_o, th_o = i_c[inside], j_c[inside], th[inside]
             delta = (grid.theta[j_o] - th_o + math.pi) % two_pi - math.pi
-            s_log, cell_area = _polar_cell_integral(
-                r[own], rule.r_lo[i_o], rule.r_hi[i_o],
-                np.minimum(delta - 0.5 * grid.dtheta, 0.0),
-                np.maximum(delta + 0.5 * grid.dtheta, 0.0), rule.n_rays)
             f_at_x = _bilinear(grid, fvals, np.clip(t[own], grid.t[0], grid.t[-1]), th_o)
-            acc[own] += f_at_x * (s_log - _libm(math.log, r[own]) * cell_area)
+            acc[own] += f_at_x * _own_cell(rule, i_o, r[own], delta)
     return acc
 
 

@@ -369,7 +369,7 @@ def laurent_coefficients(
     ut = radial_derivative(u.values[i - 3:i + 4], grid.dt, 1, 6)[3]
     u_r = ut / grid.dr_dt[i]
     u_q = _theta_derivative(u.values[i], 1)
-    c, s = np.cos(grid.theta), np.sin(grid.theta)
+    c, s = grid.cos_theta, grid.sin_theta
     ux = c * u_r - s * u_q / r
     uy = s * u_r + c * u_q / r
     xi = ux - 1j * uy

@@ -67,7 +67,8 @@ class AnnularGrid:
     """Tensor-product polar grid on {r_inner <= |x| <= r_outer}.
 
     ``radii`` holds the n_r ring radii (increasing), ``theta`` the n_theta
-    angles in [0, 2pi).  ``t`` is the radial parameter actually differenced:
+    angles in [0, 2pi) and ``cos_theta``, ``sin_theta`` their cosines and
+    sines, read-only.  ``t`` is the radial parameter actually differenced:
     log(r) for log-radial spacing, r itself for uniform spacing.  ``dt`` and
     ``dtheta`` are the constant parameter spacings.  ``dr_dt`` holds dr/dt
     on each ring and ``d2r_ratio`` the constant d2r/dt2 / (dr/dt): 1 on
@@ -109,6 +110,9 @@ class AnnularGrid:
         object.__setattr__(self, "dr_dt", dr_dt)
         object.__setattr__(self, "d2r_ratio", d2r_ratio)
         object.__setattr__(self, "theta", theta)
+        for name, frame in (("cos_theta", np.cos(theta)), ("sin_theta", np.sin(theta))):
+            frame.setflags(write=False)
+            object.__setattr__(self, name, frame)
         object.__setattr__(self, "dt", float(t[1] - t[0]))
         object.__setattr__(self, "dtheta", 2.0 * math.pi / self.n_theta)
 
@@ -116,14 +120,14 @@ class AnnularGrid:
     def shape(self):
         return (self.n_r, self.n_theta)
 
-    def polar(self):
-        """Broadcast (R, THETA) node arrays of shape (n_r, n_theta)."""
-        return np.meshgrid(self.radii, self.theta, indexing="ij")
-
     def nodes(self):
-        """Cartesian (X1, X2) node arrays of shape (n_r, n_theta)."""
-        rr, th = self.polar()
-        return rr * np.cos(th), rr * np.sin(th)
+        """Read-only (X1, X2) node arrays of shape (n_r, n_theta), formed once, then kept."""
+        if "_nodes" not in self.__dict__:
+            xy = (self.radii[:, None] * self.cos_theta, self.radii[:, None] * self.sin_theta)
+            for x in xy:
+                x.setflags(write=False)
+            object.__setattr__(self, "_nodes", xy)
+        return self._nodes
 
     def r_of_t(self, t):
         """Radius at radial parameter values ``t``."""
@@ -140,13 +144,15 @@ class AnnularGrid:
         return build_grid(1.0 / self.r_outer, 1.0 / self.r_inner, self.n_r, self.n_theta,
                           LOG_RADIAL)
 
+    def same_boundary(self, other) -> bool:
+        """Whether ``other``'s boundary rings match: n_theta, radii to 1e-12 relative."""
+        return (self.n_theta == other.n_theta
+                and math.isclose(self.r_inner, other.r_inner, rel_tol=1e-12)
+                and math.isclose(self.r_outer, other.r_outer, rel_tol=1e-12))
+
     def same_geometry(self, other) -> bool:
-        return (
-            self.shape == other.shape
-            and self.spacing == other.spacing
-            and math.isclose(self.r_inner, other.r_inner, rel_tol=1e-12)
-            and math.isclose(self.r_outer, other.r_outer, rel_tol=1e-12)
-        )
+        return (self.same_boundary(other) and self.n_r == other.n_r
+                and self.spacing == other.spacing)
 
 
 def build_grid(r_inner, r_outer, n_r, n_theta, spacing=LOG_RADIAL) -> AnnularGrid:
@@ -188,8 +194,7 @@ class ScalarField:
     @classmethod
     def from_function(cls, grid, fn):
         """Sample fn(x1, x2) at the grid nodes."""
-        x1, x2 = grid.nodes()
-        return cls(grid, np.asarray(fn(x1, x2), dtype=float))
+        return cls(grid, np.asarray(fn(*grid.nodes()), dtype=float))
 
     @classmethod
     def from_radial(cls, grid, fn):
@@ -212,8 +217,7 @@ class PlanarMapping:
 
     @classmethod
     def from_function(cls, grid, fn):
-        x1, x2 = grid.nodes()
-        p, q = fn(x1, x2)
+        p, q = fn(*grid.nodes())
         return cls(grid, np.asarray(p, float), np.asarray(q, float))
 
 
@@ -334,8 +338,7 @@ def gradient(field: ScalarField) -> PlanarMapping:
     g = field.grid
     u_r, u_q, _, _, _ = _polar_derivatives(field)
     r = g.radii[:, None]
-    c = np.cos(g.theta)[None, :]
-    s = np.sin(g.theta)[None, :]
+    c, s = g.cos_theta, g.sin_theta
     u_q_over_r = u_q / r
     return PlanarMapping(g, c * u_r - s * u_q_over_r, s * u_r + c * u_q_over_r)
 
@@ -345,8 +348,7 @@ def hessian(field: ScalarField) -> SymMatrixField:
     g = field.grid
     u_r, u_q, u_rr, u_rq, u_qq = _polar_derivatives(field)
     r = g.radii[:, None]
-    c = np.cos(g.theta)[None, :]
-    s = np.sin(g.theta)[None, :]
+    c, s = g.cos_theta, g.sin_theta
     # angular pieces that recur in every entry
     a = u_r / r + u_qq / r ** 2          # tangential second derivative
     m = u_rq / r - u_q / r ** 2          # mixed radial/tangential piece
@@ -391,8 +393,7 @@ def circle_flux_integral(w: PlanarMapping, radius: float) -> float:
     """
     g = w.grid
     i = ring_index(g, radius)
-    c, s = np.cos(g.theta), np.sin(g.theta)
-    radial = w.p[i] * c + w.q[i] * s
+    radial = w.p[i] * g.cos_theta + w.q[i] * g.sin_theta
     return float(g.radii[i] * g.dtheta * np.sum(radial))
 
 

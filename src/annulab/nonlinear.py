@@ -169,7 +169,14 @@ def _interior_state(spec, field):
 
 
 def _linearization(spec, m):
-    """Full-shape coefficient arrays plus the smallest raw eigenvalue.
+    """Derivative entries at Hessian rows ``m``, their eigenvalues and the least one."""
+    a11, a12, a22 = (np.asarray(c, dtype=float) for c in spec.derivative(*m))
+    lo, hi = sym2_eig(a11, a12, a22)
+    return a11, a12, a22, lo, hi, float(np.min(lo))
+
+
+def _coefficient_rows(a11, a12, a22, lo, hi, lam):
+    """Full-shape coefficient arrays of a ``_linearization``, for a correction.
 
     Boundary-data kinks in the initial iterate can push the derivative
     indefinite on a ring or two.  The step computation then clamps the nodal
@@ -177,9 +184,6 @@ def _linearization(spec, m):
     search keeps global control), so the linear solve stays elliptic while
     the iterate works its way back onto the branch.
     """
-    a11, a12, a22 = (np.asarray(c, dtype=float) for c in spec.derivative(*m))
-    lo, hi = sym2_eig(a11, a12, a22)
-    lam = float(np.min(lo))
     if lam <= 0.0:
         floor = 1e-3 * max(1.0, float(np.max(hi)))
         gap = hi - lo
@@ -191,8 +195,7 @@ def _linearization(spec, m):
         a12 = scale * a12
     # boundary rows never reach the linear operator; copy the adjacent ring so
     # the coefficient validation reflects the interior operator
-    rows = [np.concatenate([arr[:1], arr, arr[-1:]]) for arr in (a11, a12, a22)]
-    return rows, lam
+    return [np.concatenate([arr[:1], arr, arr[-1:]]) for arr in (a11, a12, a22)]
 
 
 def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30):
@@ -257,9 +260,9 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
                 f"max-iters-exceeded: residual {residuals[-1]:.3e} "
                 f"after {int(max_iters)} iterations"
             )
-        coeff_rows, lam = lin or _linearization(spec, m)
-        on_branch = lam > 0.0
-        coeffs = LinearCoefficients(grid, *coeff_rows)
+        lin = lin or _linearization(spec, m)
+        on_branch = lin[-1] > 0.0
+        coeffs = LinearCoefficients(grid, *_coefficient_rows(*lin))
         rhs = np.zeros(grid.shape)
         rhs[1:-1] = -fvals
         delta = solve_linear_dirichlet(coeffs, ScalarField(grid, rhs), zero, zero)
@@ -271,7 +274,7 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
             admissible = np.all(np.isfinite(f_t)) and r_t < residuals[-1]
             # never step off the elliptic branch once it is reached
             lin_t = _linearization(spec, m_t) if admissible and on_branch else None
-            if admissible and (lin_t is None or lin_t[1] > 0.0):
+            if admissible and (lin_t is None or lin_t[-1] > 0.0):
                 break
             s *= 0.5
             if s < _STEP_FLOOR:
@@ -281,14 +284,14 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
                         f"at iteration {len(steps) + 1}"
                     )
                 raise fail(
-                    f"ellipticity-lost: linearization eigenvalue {lam:.3e} "
+                    f"ellipticity-lost: linearization eigenvalue {lin[-1]:.3e} "
                     f"and no recovering step at iteration {len(steps) + 1}"
                 )
         u, m, fvals, lin = trial, m_t, f_t, lin_t
         residuals.append(r_t)
         steps.append(s)
 
-    lam_final = (lin or _linearization(spec, m))[1]
+    lam_final = (lin or _linearization(spec, m))[-1]
     if lam_final <= 0.0:
         raise fail(
             f"ellipticity-lost: converged with linearization eigenvalue "

@@ -294,6 +294,24 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="boundary file grid does not match"):
             run_scenario(Scenario.from_config(config))
 
+    def test_file_boundary_circles_match_relative_to_their_radii(self, tmp_path):
+        # one ulp of 2^20 is 2.3e-10, far above an absolute 1e-12, yet the
+        # snapshot's outer circle is the scenario's to rounding
+        r_outer = 2.0 ** 20
+        # 8 rings per octave, as the scenario's windows need
+        snap = build_grid(1.0, math.nextafter(r_outer, math.inf), 161, 16)
+        values = np.arange(snap.n_r * snap.n_theta, dtype=float).reshape(snap.shape)
+        path = tmp_path / "far.field"
+        write_snapshot(path, ScalarField(snap, values))
+        config = builtin_config("identity-quadratic",
+                                boundary={"kind": "file", "path": str(path)},
+                                grid={"r_inner": 1.0, "r_outer": r_outer, "n_r": 161,
+                                      "n_theta": 16, "spacing": "log"})
+        gin, gout = cli._boundary_data(Scenario.from_config(config),
+                                       build_grid(1.0, r_outer, 161, 16))
+        assert gin.tobytes() == values[0].tobytes()
+        assert gout.tobytes() == values[-1].tobytes()
+
     def test_one_sided_bounds_pass_and_fail(self, small_ma_run):
         report = json.loads((small_ma_run / "report.json").read_text())
         k_min = report["gradient_map"]["K_min"]

@@ -68,7 +68,7 @@ def test_constants_cofactor_of_radial_hessian():
     # cofactor of D^2 u for u'(r) = sqrt(r^2 + 1): eigenvalues swap u'' and
     # u'/r, so the extremes over r >= 1 are attained on the inner ring
     g = build_grid(1.0, 4.0, 33, 32)
-    rr, th = g.polar()
+    rr, th = np.meshgrid(g.radii, g.theta, indexing="ij")
     up = np.sqrt(rr**2 + 1.0)
     upp = rr / np.sqrt(rr**2 + 1.0)
     c, s = np.cos(th), np.sin(th)
@@ -263,7 +263,7 @@ def test_potential_radial_derivative_profile():
     pts = np.column_stack([(rr * np.cos(th)).ravel(), (rr * np.sin(th)).ravel()])
     vals, _ = newtonian_potential(f, pts)
     grad = gradient(ScalarField(sub, vals.reshape(rr.shape)))
-    rs, ts = sub.polar()
+    rs, ts = np.meshgrid(sub.radii, sub.theta, indexing="ij")
     u_r = grad.p * np.cos(ts) + grad.q * np.sin(ts)
     profile = (1.0 - rs**-2) / (2.0 * rs)
     assert np.abs(u_r - profile)[1:-1, :].max() <= 5e-4
@@ -397,6 +397,23 @@ def test_node_path_matches_reference_on_named_grids(grid_args, rings):
     g = build_grid(*grid_args)
     f = ScalarField.from_function(g, inverse_quartic)
     cols = (7 * rings) % g.n_theta
+    pts = np.array([node_point(g, i, j) for i, j in zip(rings, cols)])
+    assert_matches_reference(f, pts, len(pts))
+
+
+@pytest.mark.parametrize("grid_args", [
+    (1.0, 4.0, 17, 16, LOG_RADIAL),
+    (1.0, 4.0, 12, 20, UNIFORM_RADIAL),
+    (1.0, 16.0, 97, 48, LOG_RADIAL),
+])
+def test_node_path_follows_the_reach(monkeypatch, grid_args):
+    # both paths take their near cells from _REACH, so a wider reach
+    # changes them alike
+    monkeypatch.setattr(elliptic, "_REACH", 3.5 + 1e-9)
+    g = build_grid(*grid_args)
+    f = ScalarField.from_function(g, inverse_quartic)
+    rings = np.array([0, 1, 3, g.n_r // 2, g.n_r - 2, g.n_r - 1])
+    cols = (5 * rings) % g.n_theta
     pts = np.array([node_point(g, i, j) for i, j in zip(rings, cols)])
     assert_matches_reference(f, pts, len(pts))
 

@@ -508,3 +508,58 @@ def test_spacing_guard_sees_branches_and_imports():
     assert _spacing_reads(branch, may_import=True) == [2, 2]
     table = "_SPACINGS = {'log': LOG_RADIAL, 'uniform': UNIFORM_RADIAL}\n"
     assert _spacing_reads(table, may_import=False) == []
+
+
+# the angular frame and the node coordinates stay in this module
+
+
+def _frame_rebuilds(source):
+    """Lines that take np.cos or np.sin of a grid's ``.theta``, or that call
+    np.meshgrid on a grid's radii or angles."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+            continue
+        read = {n.attr for arg in node.args for n in ast.walk(arg)
+                if isinstance(n, ast.Attribute)}
+        if (node.func.attr in ("cos", "sin") and "theta" in read
+                or node.func.attr == "meshgrid" and read & {"radii", "theta"}):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_grid_builds_its_frame():
+    # cos theta, sin theta and the node coordinates come from the grid's
+    # cos_theta, sin_theta and nodes(); angles the grid does not hold, such
+    # as the potential's sub-cell midpoints, may take their own cosines
+    package = Path(annulab.__file__).resolve().parent
+    rebuilds = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "grid.py":
+            found = _frame_rebuilds(path.read_text())
+            if found:
+                rebuilds[path.name] = found
+    assert rebuilds == {}
+
+
+def test_frame_guard_sees_cosines_and_meshgrids():
+    source = ("c = np.cos(g.theta)[None, :]\n"
+              "s = np.sin(0.5 * grid.theta[jj])\n"
+              "rr, th = np.meshgrid(g.radii[2:5], g.theta, indexing='ij')\n"
+              "angles = grid.theta[:, None] + 0.5 * grid.dtheta\n"
+              "c, s = np.cos(angles), np.sin(kappa)\n"
+              "c = math.cos(g.theta[0])\n")
+    assert _frame_rebuilds(source) == [1, 2, 3]
+
+
+def test_nodes_are_kept_and_read_only():
+    g = build_grid(1.0, 4.0, 9, 16)
+    x1, x2 = g.nodes()
+    assert all(a is b for a, b in zip(g.nodes(), (x1, x2)))
+    rr, th = np.meshgrid(g.radii, g.theta, indexing="ij")
+    assert x1.tobytes() == (rr * np.cos(th)).tobytes()
+    assert x2.tobytes() == (rr * np.sin(th)).tobytes()
+    for frame in (x1, x2, g.cos_theta, g.sin_theta):
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0] = 0.0

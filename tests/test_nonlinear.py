@@ -292,6 +292,17 @@ class TestNewtonSolve:
         assert trace.iterations >= 3
         assert derivative.call_count == trace.iterations + 1
 
+    def test_coefficient_rows_are_formed_only_for_a_correction(self):
+        # the branch test needs only the smallest eigenvalue; the clamped,
+        # padded rows are formed once per solved correction
+        grid = build_grid(1.0, 16.0, 65, 32)
+        g_in, g_out = reference_boundary(1.0, grid)
+        with mock.patch.object(nonlinear, "_coefficient_rows",
+                               wraps=nonlinear._coefficient_rows) as rows:
+            _, trace = newton_solve(monge_ampere_spec(), grid, g_in, g_out)
+        assert trace.iterations >= 3
+        assert rows.call_count == trace.iterations
+
     def test_no_admissible_step_below_rounding(self):
         # no step lowers the residual once it sits at rounding level
         grid = build_grid(1.0, 16.0, 65, 32)
