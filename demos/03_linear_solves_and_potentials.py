@@ -3,10 +3,11 @@ Linear elliptic solves and the logarithmic Newtonian potential
 ==============================================================
 
 Two workhorses: a direct solver for a11 u_11 + 2 a12 u_12 +
-a22 u_22 = f with Dirichlet data on both circles, and a singularity-aware
-quadrature for the plane's log-kernel potential.  The gradient of a
-solution is itself a quasiconformal map whose dilatation is bounded by
-the coefficient ellipticity - measured here, not assumed.
+a22 u_22 = f with Dirichlet data on both circles, and the plane's
+log-kernel potential, summed mode by mode in theta from the kernel's exact
+split in log r.  The gradient of a solution is itself a quasiconformal map
+whose dilatation is bounded by the coefficient ellipticity - measured
+here, not assumed.
 """
 
 import numpy as np

@@ -2,18 +2,11 @@
 
 Two workhorses live here.  ``solve_linear_dirichlet`` solves the second-order
 nine-point stencil system for a_ij u_ij = f on an annular grid to a
-normwise backward error of 1e-10.  ``newtonian_potential``
-integrates the normalized kernel log|x - y| - log|y| against a compactly
-supported density: node-centered product quadrature in the bulk, 8x8
-subdivision of cells near each target, and local polar integration (exact
-cell geometry, closed-form ray exits) of the cell containing the target.
-
-The rule depends only on the grid, and ``_rule`` builds it once per call:
-cell edges and areas, and the sub-cell midpoints, areas and interpolation
-stencils, per ring and per column.  Two target paths, described in
-``newtonian_potential``, then only apply it: grid nodes a ring at a time by
-FFT correlation, all other targets as one batch.  Both take a target's near
-cells from ``_near_cells`` and the integral over its own cell from ``_own_cell``.
+normwise backward error of 1e-10.  ``newtonian_potential`` integrates the
+normalized kernel log|x - y| - log|y| against a compactly supported
+density mode by mode in theta, where the kernel splits exactly in log r:
+two recurrences over the rings give per-ring tables, read at nodes by one
+irfft per ring and at any other target from two rings in O(n_theta).
 
 The linear solve applies its operator from the nine stencil weight
 arrays, with no matrix.  Its preconditioner solves with the ring means of
@@ -315,424 +308,127 @@ def _krylov_solve(apply, b, precondition, gate):
 
 # -- Newtonian potential ----------------------------------------------------
 
-_N_SUB = 8  # subdivision factor for cells near a target
-_REACH = 2.5 + 1e-9  # cells within this index distance of a target are refined
 _NODE_TOL = 1e-12  # index-coordinate tolerance for a target to count as a node
-_RATIO = 0.8  # rings within this radius ratio of a target are summed by series
-_TERMS = 192  # series terms: _RATIO**_TERMS / (_TERMS (1 - _RATIO)) < 2**-53
-_NEAR_ELEMENTS = 250_000  # size of the largest temporary of the near-cell pass
+_BLOCK_ELEMENTS = 8192  # (targets x modes) per block, so that its temporaries stay in cache
+_SERIES_X = 2.0**-5  # below this x = k a the partial-cell weights take their series
+_SERIES_TERMS = 8  # at _SERIES_X the first term dropped is below rounding
+# Taylor coefficients of the weights, highest power first
+_FAR_SERIES = np.array([(-1.0) ** n / (math.factorial(n) * (n + 2))
+                        for n in range(_SERIES_TERMS)])[::-1]
+_NEAR_SERIES = _FAR_SERIES / np.arange(_SERIES_TERMS, 0.0, -1.0)
 
 
-def _t_weights(grid, tq):
-    """Ring it and weight wt of linear interpolation in t at tq.
+def _hat_weights(x):
+    """e^{-x} and the integrals of e^{-x tau} against 1 - tau and tau over [0, 1].
 
-    The value at tq is (1 - wt) * v[it] + wt * v[it + 1].
+    Returns ``(decay, near, far)``: v0 (1 - tau) + v1 tau integrates against
+    e^{-x tau} to near v0 + far v1.  The closed forms lose about eps / x to
+    cancellation, so below _SERIES_X both take their Taylor series, at those
+    entries only.
     """
-    tq = np.asarray(tq, dtype=float)
-    it = np.clip(np.searchsorted(grid.t, tq, side="right") - 1, 0, grid.n_r - 2)
-    return it, np.clip((tq - grid.t[it]) / grid.dt, 0.0, 1.0)
+    decay = np.exp(-x)
+    small = x < _SERIES_X
+    mean = np.divide(-np.expm1(-x), x, out=np.zeros_like(x), where=~small)
+    far = np.divide(mean - decay, x, out=np.zeros_like(x), where=~small)
+    near = mean - far
+    near[small], far[small] = (np.polyval(c, x[small]) for c in (_NEAR_SERIES, _FAR_SERIES))
+    return decay, near, far
 
 
-def _theta_weights(grid, thq):
-    """Columns j0, j1 and weight wj of periodic linear interpolation in theta.
+def _mode_tables(grid, fvals):
+    """Each angular mode's share of the potential at every ring, in s = log r.
 
-    The value at thq is (1 - wj) * v[j0] + wj * v[j1].
+    F_k(s) = rfft(f)_k e^{2s} / n_theta is taken linear in s on each cell,
+    whatever its width, and every cell enters exactly.  Integrals over s < s_i:
+    ``mass[i]`` of F_0 and ``moment[i]`` of (s_i - s) F_0; for k >= 1,
+    ``left[i]`` of e^{-k (s_i - s)} F_k, by one recurrence up the rings.
+    ``right[i]`` is that of e^{-k (s - s_i)} F_k over s > s_i, by one down.
     """
-    jf = np.asarray(thq, dtype=float) / grid.dtheta
-    j0f = np.floor(jf)
-    j0 = j0f.astype(int) % grid.n_theta
-    return j0, (j0 + 1) % grid.n_theta, jf - j0f
+    s = grid.log_radii
+    h = np.diff(s)
+    k = np.arange(1, grid.n_theta // 2 + 1)
+    spec = np.fft.rfft(fvals, axis=1) * (grid.radii[:, None] ** 2 / grid.n_theta)
+    f0, fk = spec[:, 0].real, spec[:, 1:]
+    mass = np.concatenate(([0.0], np.cumsum(0.5 * h * (f0[:-1] + f0[1:]))))
+    moment = np.concatenate(([0.0], np.cumsum(h * (mass[:-1] + h * (f0[1:] / 6 + f0[:-1] / 3)))))
+    decay, near, far = _hat_weights(h[:, None] * k)
+    near, far = near * h[:, None], far * h[:, None]
+    up = near * fk[1:] + far * fk[:-1]  # cell c's part of left[c + 1]
+    down = near * fk[:-1] + far * fk[1:]  # cell c's part of right[c]
+    left, right = np.zeros_like(fk), np.zeros_like(fk)
+    for c in range(grid.n_r - 1):
+        left[c + 1] = decay[c] * left[c] + up[c]
+        right[-2 - c] = decay[-1 - c] * right[-1 - c] + down[-1 - c]
+    return SimpleNamespace(s=s, h=h, k=k, f0=f0, fk=fk, mass=mass, moment=moment,
+                           left=left, right=right)
 
 
-def _bilinear(grid, vals, tq, thq):
-    """Bilinear interpolation of nodal values at parameters (tq, thq)."""
-    it, wt = _t_weights(grid, tq)
-    j0, j1, wj = _theta_weights(grid, thq)
-    low = (1.0 - wj) * vals[it, j0] + wj * vals[it, j1]
-    high = (1.0 - wj) * vals[it + 1, j0] + wj * vals[it + 1, j1]
-    return (1.0 - wt) * low + wt * high
+def _node_values(tab, ring, col):
+    """The potential at nodes (ring, col), by one irfft per ring.
 
-
-def _rule(grid):
-    """The potential's quadrature rule on ``grid``: every part no target changes.
-
-    Node-centered cells span t +- dt/2, clipped to the grid, and one dtheta;
-    ``r_lo``, ``r_hi`` are their edge radii, ``area`` their areas (n_r, 1),
-    ``log_r`` the log of the node radii and ``n_rays`` the ray count of the
-    polar integral over a target's own cell.  A cell near a target is split
-    into _N_SUB x _N_SUB sub-cells, the product of one radial split per
-    ring and one angular split per column.  Per ring, shaped (n_r, _N_SUB):
-    the midpoints ``sub_r``, ``sub_log_r``, ``sub_t``, the sub-cell areas
-    ``sub_area`` and the t-interpolation stencil ``it``, ``wt`` at
-    ``sub_t``.  Per column, shaped (n_theta, _N_SUB): the midpoint angles
-    ``sub_theta`` in [0, 2 pi), ``cos`` and ``sin`` of the midpoint angles,
-    and the theta-interpolation stencil ``j0``, ``j1``, ``wj`` at ``sub_theta``.
+    irfft divides by n_theta and doubles modes 1 .. n_theta/2 - 1, so mode 0
+    enters as n_theta moment and mode k as -(n_theta / 2) (left + right) / k.
     """
-    t, dq = grid.t, grid.dtheta
-    t_lo = np.maximum(t - 0.5 * grid.dt, t[0])
-    t_hi = np.minimum(t + 0.5 * grid.dt, t[-1])
-    r_lo, r_hi = grid.r_of_t(t_lo), grid.r_of_t(t_hi)
-    edges = t_lo[:, None] + (t_hi - t_lo)[:, None] * (np.arange(_N_SUB + 1) / _N_SUB)
-    r_edges = grid.r_of_t(edges)
-    sub_t = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    sub_r = grid.r_of_t(sub_t)
-    # the angles stay unreduced for the midpoints and are reduced for the stencil
-    angles = grid.theta[:, None] + ((np.arange(_N_SUB) + 0.5) / _N_SUB - 0.5) * dq
-    sub_theta = angles % (2.0 * math.pi)
-    it, wt = _t_weights(grid, sub_t)
-    j0, j1, wj = _theta_weights(grid, sub_theta)
-    return SimpleNamespace(
-        grid=grid, r_lo=r_lo, r_hi=r_hi, area=0.5 * (r_hi * r_hi - r_lo * r_lo)[:, None] * dq,
-        log_r=np.log(grid.radii), n_rays=max(64, 4 * grid.n_theta),
-        sub_r=sub_r, sub_log_r=np.log(sub_r), sub_t=sub_t,
-        sub_area=0.5 * (r_edges[:, 1:] ** 2 - r_edges[:, :-1] ** 2) * (dq / _N_SUB),
-        it=it, wt=wt, sub_theta=sub_theta, cos=np.cos(angles), sin=np.sin(angles),
-        j0=j0, j1=j1, wj=wj,
-    )
+    rings, where = np.unique(ring, return_inverse=True)
+    half = tab.k.size  # n_theta / 2
+    spectrum = np.column_stack([2 * half * tab.moment[rings],
+                                (tab.left[rings] + tab.right[rings]) * (-half / tab.k)])
+    return np.fft.irfft(spectrum, axis=1)[where, col]
 
 
-def _libm(fn, *args):
-    """Elementwise ``fn`` from the math module over arrays of floats.
+def _target_values(tab, r, theta):
+    """The potential at targets (r, theta), each in O(n_theta) from two rings.
 
-    numpy's vectorized sin, log, hypot and atan2 may round differently
-    from the C library in the last bit, and differently on different CPUs.
-    Which cell a target on a cell edge falls in turns on that bit, so the
-    per-target geometry is computed here, one C library call per entry.
+    A target at t = log r takes its cell [s_i, s_i+1], the nearest one off
+    the grid (the origin too): left at s_i and right at s_i+1 decayed over
+    a = t - s_i and b = s_i+1 - t, plus the two partial-cell integrals.  A
+    distance d off the grid decays it all by e^{-k d}; mode 0 adds d mass.
     """
-    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+    with np.errstate(divide="ignore"):
+        t = np.log(r)  # -inf at the origin, where every term vanishes
+    i = np.clip(np.searchsorted(tab.s, t, side="right") - 1, 0, tab.s.size - 2)
+    edge = np.clip(t, tab.s[i], tab.s[i + 1])
+    a, b = edge - tab.s[i], tab.s[i + 1] - edge
+    wa, wb = a / tab.h[i], b / tab.h[i]
+    f0_edge = wb * tab.f0[i] + wa * tab.f0[i + 1]
+    vals = (tab.moment[i] + a * tab.mass[i] + a * a * (f0_edge / 6.0 + tab.f0[i] / 3.0)
+            + np.maximum(t - edge, 0.0) * (tab.mass[i] + 0.5 * a * (tab.f0[i] + f0_edge)))
+    coef = -1.0 / tab.k
+    coef[-1] *= 0.5  # the Nyquist mode is its own conjugate
+    per = max(1, _BLOCK_ELEMENTS // tab.k.size)
+    for lo in range(0, t.size, per):
+        sl = slice(lo, lo + per)
+        ib = i[sl]
+        a_k, b_k = a[sl, None], b[sl, None]
+        decay_a, near_a, far_a = _hat_weights(a_k * tab.k)
+        decay_b, near_b, far_b = _hat_weights(b_k * tab.k)
+        # the partial cell's weight on F_k at the target's radius
+        at_edge = a_k * near_a + b_k * near_b
+        g = (decay_a * tab.left[ib] + decay_b * tab.right[ib + 1]
+             + (wb[sl, None] * at_edge + a_k * far_a) * tab.fk[ib]
+             + (wa[sl, None] * at_edge + b_k * far_b) * tab.fk[ib + 1])
+        # z^k, z = e^{-d + i theta}, by one cumulative product; |z| <= 1
+        powers = np.empty(g.shape, dtype=complex)
+        powers[:] = np.exp(1j * theta[sl] - np.abs(t[sl] - edge[sl]))[:, None]
+        vals[sl] += np.einsum("mk,mk,k->m", g, np.cumprod(powers, axis=1, out=powers), coef).real
+    return vals
 
 
-def _polar_cell_integral(r_x, r_lo, r_hi, beta_lo, beta_hi, n_phi):
-    """Integrals of log|x - y| and of 1 over one polar cell, by rays from x.
+def _node_indices(grid, r, theta):
+    """Ring and column index of each target (r, theta) on a grid node, -1 elsewhere.
 
-    The target sits at local coordinates (r_x, 0) inside the cell
-    {r_lo <= |y| <= r_hi, beta_lo <= arg y <= beta_hi} with
-    beta_lo <= 0 <= beta_hi.  Each ray's exit distance is the nearest
-    positive crossing of the four cell boundaries (all closed forms);
-    midpoint rule over the ray angle.  Every argument but n_phi may be an
-    array, one entry per target.  Returns (S_log, area) with the arguments'
-    broadcast shape.
+    On a node: r > 0, the index coordinates (t(r) - t_0) / dt and theta /
+    dtheta within _NODE_TOL of integers, the ring in [0, n_r - 1].
     """
-    r_x, r_lo, r_hi, beta_lo, beta_hi = (np.asarray(a, dtype=float)[..., None]
-                                         for a in (r_x, r_lo, r_hi, beta_lo, beta_hi))
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
-    cphi = np.cos(phi)
-    disc_out = r_x * r_x * cphi * cphi + (r_hi * r_hi - r_x * r_x)
-    rho = -r_x * cphi + np.sqrt(np.maximum(disc_out, 0.0))
-    gap = r_x * r_x - r_lo * r_lo
-    disc_in = r_x * r_x * cphi * cphi - gap
-    inward = (disc_in >= 0.0) & (cphi < 0.0)
-    rho_in = np.where(
-        inward, -r_x * cphi - np.sqrt(np.maximum(disc_in, 0.0)), np.inf
-    )
-    rho = np.minimum(rho, np.maximum(rho_in, 0.0))
-    for beta, side in ((beta_lo, -1.0), (beta_hi, 1.0)):
-        sb = _libm(math.sin, beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = r_x * sb / np.sin(phi - beta)
-        cand = np.where(np.isfinite(cand) & (cand > 0.0), cand, np.inf)
-        # target on this angular edge: rays heading across exit at once
-        edge = np.where(side * np.sin(phi) > 0.0, 0.0, np.inf)
-        rho = np.minimum(rho, np.where(sb == 0.0, edge, cand))
-    rho = np.maximum(rho, 0.0)
-    dphi = 2.0 * math.pi / n_phi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        glog = np.where(rho > 0.0, rho * rho * (2.0 * np.log(rho) - 1.0) * 0.25, 0.0)
-    s_log = np.sum(glog, axis=-1) * dphi
-    area = np.sum(rho * rho, axis=-1) * 0.5 * dphi
-    return s_log, area
-
-
-def _sub_cells(rule, rows, cols, x1, x2):
-    """Kernel log|x - y| - log|y| at the sub-cell midpoints of the listed cells.
-
-    Cell k is (rows[k], cols[k]); its sub-cells are the rule's.  The target
-    coordinates are scalars, or arrays of shape (cells, 1, 1) with one
-    target per cell.  Returns shape (cells, _N_SUB, _N_SUB): radial
-    sub-cells along axis 1, angular along axis 2.
-    """
-    r3 = rule.sub_r[rows][:, :, None]
-    d2 = ((x1 - r3 * rule.cos[cols][:, None, :]) ** 2
-          + (x2 - r3 * rule.sin[cols][:, None, :]) ** 2)
-    if np.min(d2) <= 0.0:
-        bad = np.unravel_index(np.argmin(d2), d2.shape)
-        x1b, x2b = (float(np.broadcast_to(x, d2.shape)[bad]) for x in (x1, x2))
-        raise ValueError(
-            "target-inside-singular-cell: target coincides with a quadrature node "
-            f"near ({x1b!r}, {x2b!r})"
-        )
-    return 0.5 * np.log(d2) - rule.sub_log_r[rows][:, :, None]
-
-
-def _density(f, rule):
-    """Validated density values and log_mass."""
-    fvals = f.values
-    if not np.all(np.isfinite(fvals)):
-        raise ValueError("singular-input: non-finite density values")
-    return fvals, float(np.sum(fvals * rule.area)) / (2.0 * math.pi)
-
-
-def _target_array(targets):
-    pts = np.asarray(targets, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("invalid-dimension: targets must have shape (m, 2)")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("singular-input: non-finite target coordinates")
-    return pts
-
-
-def _checked(acc, pts):
-    if not np.all(np.isfinite(acc)):
-        bad = int(np.argmax(~np.isfinite(acc)))
-        raise ValueError(
-            "target-inside-singular-cell: quadrature failed to resolve target "
-            f"({pts[bad, 0]!r}, {pts[bad, 1]!r})"
-        )
-    return acc / (2.0 * math.pi)
-
-
-def _node_indices(grid, pts):
-    """Ring and column index of each target on a grid node, -1 elsewhere.
-
-    A target is on a node when r > 0 and its index coordinates
-    (t(r) - t_0) / dt and theta / dtheta are within _NODE_TOL of integers,
-    the ring index lying in [0, n_r - 1].
-    """
-    r = np.hypot(pts[:, 0], pts[:, 1])
     on = r > 0.0
-    t = np.full_like(r, grid.t[0])
-    t[on] = grid.t_of_r(r[on])
-    tf = (t - grid.t[0]) / grid.dt
-    jf = (np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)) / grid.dtheta
+    tf = (grid.t_of_r(np.where(on, r, grid.r_inner)) - grid.t[0]) / grid.dt
+    jf = (theta % (2.0 * math.pi)) / grid.dtheta
     i, j = np.rint(tf), np.rint(jf)
     on &= (np.abs(tf - i) <= _NODE_TOL) & (np.abs(jf - j) <= _NODE_TOL)
     on &= (i >= 0) & (i <= grid.n_r - 1)
     ring = np.where(on, i, -1).astype(int)
     col = np.where(on, j, 0).astype(int) % grid.n_theta
     return ring, col
-
-
-def _near_cells(grid, tf, jf):
-    """Own and near cells of targets at index coordinates (tf, jf).
-
-    A target's own cell is its nearest node's, ties to even, the ring
-    clipped to the grid; its near cells lie within _REACH index units of it
-    in each index direction.  Returns the own ring ``i_c`` and column ``j_c``
-    of each target, and for each (target, near cell) pair, in target, ring,
-    column order, the target's index ``k`` and the cell's ``ii`` and ``jj``.
-    """
-    n_r, n_q = grid.shape
-    i_c = np.clip(np.rint(tf), 0, n_r - 1).astype(int)
-    j_c = np.rint(jf).astype(int) % n_q
-    span = int(_REACH + 0.5)  # near cells lie within _REACH + 1/2 of the own cell
-    offsets = np.arange(-span, span + 1)
-    rows = i_c[:, None] + offsets
-    ok_r = (rows >= 0) & (rows < n_r) & (np.abs(rows - tf[:, None]) <= _REACH)
-    cols = (j_c[:, None] + offsets) % n_q
-    ok_q = np.abs((cols - jf[:, None] + n_q / 2.0) % n_q - n_q / 2.0) <= _REACH
-    k, di, dj = np.nonzero(ok_r[:, :, None] & ok_q[:, None, :])
-    return i_c, j_c, k, rows[k, di], cols[k, dj]
-
-
-def _own_cell(rule, i, r_x, delta):
-    """S_log - log(r_x) area of the own cells, on rings ``i``, of targets at
-    radii ``r_x``: the cell's angular edges lie delta -+ dtheta / 2 from the target."""
-    half = 0.5 * rule.grid.dtheta
-    s_log, area = _polar_cell_integral(r_x, rule.r_lo[i], rule.r_hi[i],
-                                       np.minimum(delta - half, 0.0),
-                                       np.maximum(delta + half, 0.0), rule.n_rays)
-    return s_log - _libm(math.log, r_x) * area
-
-
-def _near_stencil(rule, i):
-    """Node weights of the refined near cells for a target at node (i, 0).
-
-    The near cells are the target's ``_near_cells`` but its own.  Their
-    sub-cell terms are scattered through the rule's bilinear stencil, so
-    ``sum(weights * f)`` is the sub-cell sum of those cells for the same target.
-    Returns the weights and the index of all its near cells, its own included.
-    """
-    grid = rule.grid
-    _, _, _, ii, jj = _near_cells(grid, np.array([float(i)]), np.zeros(1))
-    far = (ii != i) | (jj != 0)
-    ir, jr = ii[far], jj[far]
-    coef = _sub_cells(rule, ir, jr, grid.radii[i], 0.0) * rule.sub_area[ir][:, :, None]
-    it, wt = (a[ir][:, :, None] for a in (rule.it, rule.wt))
-    j0, j1, wj = (a[jr][:, None, :] for a in (rule.j0, rule.j1, rule.wj))
-    weights = np.zeros(grid.shape)
-    for rows, w_r in ((it, 1.0 - wt), (it + 1, wt)):
-        for columns, w_q in ((j0, 1.0 - wj), (j1, wj)):
-            np.add.at(weights, (rows, columns), coef * w_r * w_q)
-    return weights, (ii, jj)
-
-
-def _node_sums(rule, fvals, ring, col):
-    """Quadrature sums for targets on grid nodes, one whole ring at a time.
-
-    For the target at node (i, 0) the whole quadrature is a weight array
-    on the nodal density: the midpoint kernel times the cell area away
-    from the target, the near-cell stencil, and the polar integral of the
-    target's own cell.  Rotating the target by j columns rotates the
-    weights, so every node of ring i follows from one circular correlation
-    over theta, done by rfft.
-    """
-    grid = rule.grid
-    y1, y2 = grid.nodes()
-    log_r = rule.log_r[:, None]
-    f_hat = np.fft.rfft(fvals, axis=1)
-    rings = np.unique(ring)
-    acc = np.empty(ring.size)
-    for i, own in zip(rings, _own_cell(rule, rings, grid.radii[rings], 0.0)):
-        dx = float(grid.radii[i]) - y1
-        kern = 0.5 * np.log(np.maximum(dx * dx + y2 * y2, 1e-300)) - log_r
-        weights, near = _near_stencil(rule, i)
-        kern[near] = 0.0
-        weights += kern * rule.area
-        weights[i, 0] += own
-        spectrum = np.sum(np.conj(np.fft.rfft(weights, axis=1)) * f_hat, axis=0)
-        sel = ring == i
-        acc[sel] = np.fft.irfft(spectrum, n=grid.n_theta)[col[sel]]
-    return acc
-
-
-def _distance_factors(r, theta, rho, phi):
-    """Factors of |x - y|^2 = a + b s for y = (r, theta) and x = (rho, phi).
-
-    a = (r - rho)^2 and b = 4 r rho depend on the ring, s = sin^2((theta -
-    phi) / 2) on the column; the sum of two non-negative terms does not
-    cancel.  a carries 1e-300, so that a + b s stays positive, and its
-    logarithm finite, where x and y coincide.
-    """
-    s = np.sin(0.5 * (theta - phi))
-    return (r - rho) ** 2 + 1e-300, 4.0 * r * rho, s * s
-
-
-def _ring_sums(rule, fw, rho, phi):
-    """Midpoint sums of (log|x - y| - log|y|) fw(y) over all nodes, ring by ring.
-
-    Rings far from the target enter by the Fourier-Laurent series of the
-    kernel (Greengard & Rokhlin, J. Comput. Phys. 73 (1987) 325), with
-    F_i(k) = sum_j fw_ij e^{ik theta_j} from one DFT.  The rings i <= c,
-    r_c <= _RATIO rho, add S log rho - sum S_i log r_i - Re sum_k (r_c /
-    rho)^k e^{-ik phi} A[c, k], A[c, k] = sum_{i <= c} (r_i / r_c)^k F_i(k) / k
-    and S_i the ring masses; the rings i >= d, r_d >= rho / _RATIO, add
-    -Re sum_k (rho / r_d)^k e^{-ik phi} B[d, k], B[d, k] = sum_{i >= d} (r_d /
-    r_i)^k F_i(k) / k.  Only the rings between are summed node by node.
-    """
-    grid = rule.grid
-    radii = grid.radii
-    n_r, n_q = grid.shape
-    k = np.arange(1, _TERMS + 1)
-    inner = (n_q * np.fft.ifft(fw, axis=1))[:, k % n_q] / k
-    outer = inner.copy()
-    step = (radii[:-1] / radii[1:])[:, None] ** k
-    for i in range(1, n_r):
-        inner[i] += step[i - 1] * inner[i - 1]
-        outer[-1 - i] += step[-i] * outer[-i]
-    mass = np.sum(fw, axis=1)
-    c = np.searchsorted(radii, _RATIO * rho, side="right") - 1
-    d = np.searchsorted(radii, rho / _RATIO, side="left")
-    acc = np.zeros(rho.size)
-    low = np.flatnonzero(c >= 0)
-    acc[low] = (np.log(rho[low]) * np.cumsum(mass)[c[low]]
-                - np.cumsum(mass * rule.log_r)[c[low]]
-                - _series(radii[c[low]] / rho[low], phi[low], inner, c[low]))
-    width = d - c - 1  # rings summed node by node, narrowest bands first
-    band = np.flatnonzero(width)[np.argsort(width[width > 0], kind="stable")]
-    per = max(1, _NEAR_ELEMENTS // (n_q * int(width.max(initial=1))))
-    for lo in range(0, band.size, per):
-        tgt = band[lo:lo + per]
-        rows = c[tgt, None] + 1 + np.arange(width[tgt[-1]])
-        keep = rows < d[tgt, None]
-        rows = np.minimum(rows, n_r - 1)
-        a, b, s = _distance_factors(radii[rows], grid.theta, rho[tgt, None], phi[tgt, None])
-        d2 = b[:, :, None] * s[:, None, :]
-        d2 += a[:, :, None]
-        part = (0.5 * np.einsum("bwn,bwn->bw", np.log(d2, out=d2), fw[rows])
-                - mass[rows] * rule.log_r[rows])
-        # a sequential sum, so that masked rings change no rounding
-        acc[tgt] += np.cumsum(np.where(keep, part, 0.0), axis=1)[:, -1]
-    high = np.flatnonzero(d < n_r)
-    acc[high] -= _series(rho[high] / radii[d[high]], phi[high], outer, d[high])
-    return acc
-
-
-def _series(ratio, phi, table, rows):
-    """Re sum_k z^k table[rows, k - 1] with z = ratio e^{-i phi}, per target.
-
-    The powers of z come from one cumulative product, in blocks of targets.
-    """
-    out = np.empty(ratio.size)
-    per = max(1, _NEAR_ELEMENTS // (2 * _TERMS))
-    for lo in range(0, ratio.size, per):
-        sl = slice(lo, lo + per)
-        z = np.repeat((ratio[sl] * np.exp(-1j * phi[sl]))[:, None], _TERMS, axis=1)
-        out[sl] = np.einsum("mk,mk->m", np.cumprod(z, axis=1, out=z), table[rows[sl]]).real
-    return out
-
-
-def _target_sums(rule, fvals, pts):
-    """Quadrature sums of a batch of targets: midpoint sum plus local fixes.
-
-    After the midpoint sum of ``_ring_sums``, every target within _REACH
-    index units of the grid has the plain midpoint terms of the near cells
-    ``_near_cells`` lists for it replaced: by the 8x8 sub-cell rule for
-    each near cell but its own, and by the polar integral of ``_own_cell``
-    for its own cell when the target lies inside the grid.  All (target,
-    near cell) pairs of a block of targets are evaluated at once.
-    """
-    grid = rule.grid
-    fw = fvals * rule.area
-    x1, x2 = pts[:, 0], pts[:, 1]
-    r = _libm(math.hypot, x1, x2)
-    phi = _libm(math.atan2, x2, x1)
-    acc = _ring_sums(rule, fw, r, phi)
-
-    two_pi = 2.0 * math.pi
-    t = np.full(r.shape, -np.inf)  # the origin is beyond reach
-    t[r > 0.0] = grid.t_of_r(r[r > 0.0], log=lambda v: _libm(math.log, v))
-    tf = (t - grid.t[0]) / grid.dt
-    # the kernel vanishes identically at the origin
-    near = np.flatnonzero((r > 0.0) & (tf >= -_REACH) & (tf <= (grid.n_r - 1) + _REACH))
-    # the bilinear density at sub-cell midpoints is a tensor product: the
-    # interpolation in theta is done once on every ring, the one in t per cell
-    f_theta = (1.0 - rule.wj) * fvals[:, rule.j0] + rule.wj * fvals[:, rule.j1]
-    # a target has up to width**2 pairs of _N_SUB**2 sub-cells, and n_rays rays
-    width = 2 * int(_REACH + 0.5) + 1
-    block = max(1, _NEAR_ELEMENTS // max(width * width * _N_SUB * _N_SUB, rule.n_rays))
-    for lo in range(0, near.size, block):
-        tgt = near[lo:lo + block]
-        tfb = tf[tgt]
-        th = phi[tgt] % two_pi
-        inside = (tfb >= -1e-9) & (tfb <= (grid.n_r - 1) + 1e-9)
-        i_c, j_c, k, ii, jj = _near_cells(grid, tfb, th / grid.dtheta)
-        kk = tgt[k]
-
-        # remove the plain midpoint contribution of every near cell
-        a, b, s = _distance_factors(grid.radii[ii], grid.theta[jj], r[kk], phi[kk])
-        base = (0.5 * np.log(a + b * s) - rule.log_r[ii]) * fw[ii, jj]
-        acc[tgt] -= np.bincount(k, base, minlength=tgt.size)
-
-        rest = ~(inside[k] & (ii == i_c[k]) & (jj == j_c[k]))
-        if np.any(rest):
-            ir, jr, kr = ii[rest], jj[rest], kk[rest]
-            kern = _sub_cells(rule, ir, jr, x1[kr, None, None], x2[kr, None, None])
-            cells = rule.it[ir], jr[:, None]
-            wt = rule.wt[ir][:, :, None]
-            f_sub = (1.0 - wt) * f_theta[cells] + wt * f_theta[cells[0] + 1, cells[1]]
-            sub = kern * f_sub * rule.sub_area[ir][:, :, None]
-            acc[tgt] += np.bincount(k[rest], np.sum(sub.reshape(sub.shape[0], -1), axis=1),
-                                    minlength=tgt.size)
-
-        if np.any(inside):
-            own = tgt[inside]
-            i_o, j_o, th_o = i_c[inside], j_c[inside], th[inside]
-            delta = (grid.theta[j_o] - th_o + math.pi) % two_pi - math.pi
-            f_at_x = _bilinear(grid, fvals, np.clip(t[own], grid.t[0], grid.t[-1]), th_o)
-            acc[own] += f_at_x * _own_cell(rule, i_o, r[own], delta)
-    return acc
 
 
 def newtonian_potential(f, targets):
@@ -743,33 +439,37 @@ def newtonian_potential(f, targets):
     log_mass = (1/2pi) * integral of f.  The normalization makes rings
     outside a target's radius drop out exactly, so Delta u = f holds on
     the support with no truncation term, while u grows like
-    log_mass * log|x| beyond it.
+    log_mass * log|x| beyond it.  Returns ``(values, log_mass)``.
 
-    Quadrature: midpoint rule on node-centered cells with exact radial
-    weights; cells within 2.5 index units of a target are re-done with an
-    8x8 subdivision of bilinearly interpolated density; the cell
-    containing the target is integrated in local polar coordinates about
-    the target with max(64, 4 n_theta) rays.  Returns ``(values, log_mass)``.
-
-    Two paths apply the same rule, built once per call.  A target on a
-    grid node (r > 0 and both index coordinates within 1e-12 of integers,
-    the ring inside the grid) is computed with its whole ring: the rule is
-    circulant in theta, so one weight array per ring and an FFT correlation
-    give every node of the ring at about the cost of one target.  Every
-    other target (off the nodes, the origin, or beyond the grid) is part
-    of one batch: a midpoint sum that takes the rings beyond a radius
-    ratio of 0.8 from each target from the kernel's Fourier-Laurent series,
-    then one vectorized pass over all (target, near cell) pairs and own
-    cells.  The two paths agree to rounding.
+    With s = log|y|, t = log|x| the kernel splits by angular mode into
+    (t - s)_+ - sum_k>=1 e^{-k |t - s|} cos k(theta - phi) / k (Borges &
+    Daripa, J. Comput. Phys. 169 (2001) 151).  ``_mode_tables`` integrates
+    each mode exactly against its density, linear in s on each cell, and
+    log_mass is its mode-0 mass, so u - log_mass log|x| is one constant
+    beyond the support.  Grid nodes (index coordinates within 1e-12 of
+    integers) are read ring by ring by irfft, every other target, the
+    origin and targets off the grid included, from two rings in O(n_theta).
     """
-    rule = _rule(f.grid)
-    fvals, log_mass = _density(f, rule)
-    pts = _target_array(targets)
-    ring, col = _node_indices(f.grid, pts)
-    on = ring >= 0
-    acc = np.empty(pts.shape[0])
-    if np.any(on):
-        acc[on] = _node_sums(rule, fvals, ring[on], col[on])
-    if not np.all(on):
-        acc[~on] = _target_sums(rule, fvals, pts[~on])
-    return _checked(acc, pts), log_mass
+    if not np.all(np.isfinite(f.values)):
+        raise ValueError("singular-input: non-finite density values")
+    pts = np.asarray(targets, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("invalid-dimension: targets must have shape (m, 2)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("singular-input: non-finite target coordinates")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        r, theta = np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+        tab = _mode_tables(f.grid, f.values)
+        ring, col = _node_indices(f.grid, r, theta)
+        on = ring >= 0
+        vals = np.empty(r.size)
+        vals[on] = _node_values(tab, ring[on], col[on])
+        vals[~on] = _target_values(tab, r[~on], theta[~on])
+    log_mass = float(tab.mass[-1])
+    if not (np.all(np.isfinite(vals)) and math.isfinite(log_mass)):
+        x1, x2 = pts[int(np.argmax(~np.isfinite(vals)))].tolist()
+        raise ValueError(f"singular-input: the potential at ({x1!r}, {x2!r}) is not finite; "
+                         "the density's moments or the target's radius overflow")
+    return vals, log_mass

@@ -66,10 +66,11 @@ __all__ = [
 class AnnularGrid:
     """Tensor-product polar grid on {r_inner <= |x| <= r_outer}.
 
-    ``radii`` holds the n_r ring radii (increasing), ``theta`` the n_theta
-    angles in [0, 2pi) and ``cos_theta``, ``sin_theta`` their cosines and
-    sines, read-only.  ``t`` is the radial parameter actually differenced:
-    log(r) for log-radial spacing, r itself for uniform spacing.  ``dt`` and
+    ``radii`` holds the n_r ring radii (increasing) and ``log_radii`` their
+    logarithms, read-only; ``theta`` the n_theta angles in [0, 2pi) and
+    ``cos_theta``, ``sin_theta`` their cosines and sines, read-only.  ``t``
+    is the radial parameter actually differenced: log(r) for log-radial
+    spacing, r itself for uniform spacing.  ``dt`` and
     ``dtheta`` are the constant parameter spacings.  ``dr_dt`` holds dr/dt
     on each ring and ``d2r_ratio`` the constant d2r/dt2 / (dr/dt): 1 on
     log-radial grids, 0 on uniform ones.  ``r_of_t`` and ``t_of_r`` map
@@ -110,9 +111,10 @@ class AnnularGrid:
         object.__setattr__(self, "dr_dt", dr_dt)
         object.__setattr__(self, "d2r_ratio", d2r_ratio)
         object.__setattr__(self, "theta", theta)
-        for name, frame in (("cos_theta", np.cos(theta)), ("sin_theta", np.sin(theta))):
-            frame.setflags(write=False)
-            object.__setattr__(self, name, frame)
+        for name, values in (("log_radii", np.log(radii)), ("cos_theta", np.cos(theta)),
+                             ("sin_theta", np.sin(theta))):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "dt", float(t[1] - t[0]))
         object.__setattr__(self, "dtheta", 2.0 * math.pi / self.n_theta)
 

@@ -22,12 +22,7 @@ from annulab.grid import (
     ring_index,
 )
 from annulab.elliptic import (
-    _REACH,
     LinearCoefficients,
-    _bilinear,
-    _polar_cell_integral,
-    _rule,
-    _sub_cells,
     ellipticity_constants,
     newtonian_potential,
     solve_linear_dirichlet,
@@ -251,6 +246,7 @@ def test_potential_radial_profile():
     vals, log_mass = newtonian_potential(f, pts)
     exact = 0.5 * np.log(radii) - 0.25 * (1.0 - radii**-2)
     assert np.abs(vals - exact).max() <= 3e-3
+    # log_mass is the mode-0 mass of u's own rule, within O(h^2) of the exact one
     assert abs(log_mass - 0.5 * (1.0 - 16.0**-2)) <= 1e-3
 
 
@@ -326,63 +322,84 @@ def test_potential_of_one_target_as_a_2_vector():
         assert np.array_equal(single, batch) and mass == batch_mass
 
 
-# -- the on-node path against the per-target loop --------------------------
+# -- the mode-wise potential: inputs and helpers -----------------------------
 
 
-def reference_potential(f, targets):
-    """``newtonian_potential`` with every target on the batched off-node path."""
-    rule = _rule(f.grid)
-    fvals, log_mass = elliptic._density(f, rule)
-    pts = elliptic._target_array(targets)
-    return elliptic._checked(elliptic._target_sums(rule, fvals, pts), pts), log_mass
+def angular_modes(power):
+    """The density |y|^-power times angular modes 1 to 4."""
+    def density(x1, x2):
+        th = np.arctan2(x2, x1)
+        return (x1 * x1 + x2 * x2) ** (-0.5 * power) * (
+            1.0 + 0.4 * np.cos(th) + 0.3 * np.sin(2.0 * th)
+            + 0.2 * np.cos(3.0 * th) + 0.1 * np.sin(4.0 * th))
+    return density
 
 
-def potential_and_loop_count(f, pts):
-    """Potential plus the number of targets the per-target loop received."""
-    with mock.patch.object(elliptic, "_target_sums",
-                           wraps=elliptic._target_sums) as loop:
-        vals, log_mass = newtonian_potential(f, pts)
-    looped = sum(call.args[2].shape[0] for call in loop.call_args_list)
-    return vals, log_mass, looped
+angular_density = angular_modes(3.0)
 
 
-def assert_matches_reference(f, pts, n_node):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        vals, log_mass, looped = potential_and_loop_count(f, pts)
-        ref, ref_mass = reference_potential(f, pts)
-    assert looped == len(pts) - n_node
-    assert log_mass == ref_mass
-    assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+def random_density(g, rng):
+    return ScalarField(g, rng.uniform(-0.5, 1.5, g.shape) / g.radii[:, None] ** 2)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
+def polar(pts):
+    pts = np.asarray(pts, dtype=float)
+    return np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+
+
+def node_indices(g, pts):
+    return elliptic._node_indices(g, *polar(pts))[0]
+
+
+def off_node_path(f, pts):
+    """``newtonian_potential``'s values with every target on the off-node path."""
+    return elliptic._target_values(elliptic._mode_tables(f.grid, f.values), *polar(pts))
+
+
+def polar_points(radii, angles):
+    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+def envelope(h):
+    return h * h * (1.0 + abs(math.log(h)))
+
+
+grid_strategies = dict(
     spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
     n_r=st.integers(9, 33),
     # grids need an even n_theta of at least 16
     n_q=st.integers(8, 16).map(lambda k: 2 * k),
     seed=st.integers(0, 2**32 - 1),
-    mixed=st.booleans(),
 )
-def test_node_path_matches_reference(spacing, n_r, n_q, seed, mixed):
+
+
+# -- the two target paths agree ---------------------------------------------
+
+
+def assert_paths_agree(f, pts, nodes):
+    """Targets ``pts`` select the ``nodes`` and take their values."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals, _ = newtonian_potential(f, pts)
+        ref = off_node_path(f, nodes)
+    assert np.all(node_indices(f.grid, pts) >= 0)
+    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(**grid_strategies)
+def test_node_path_matches_reference(spacing, n_r, n_q, seed):
+    # a node is read from its ring's irfft; the off-node path reaches the
+    # same tables through its cell and sums the modes itself
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, 4.0, n_r, n_q, spacing)
-    f = ScalarField(g, rng.uniform(0.5, 1.5, g.shape) / g.radii[:, None] ** 2)
     rings = np.concatenate([[0, n_r - 1], rng.integers(0, n_r, 6)])
     cols = rng.integers(0, n_q, rings.size)
     # offsets below the 1e-12 selection tolerance still select the node
     jitter = rng.uniform(-5e-13, 5e-13, (rings.size, 2))
-    pts = [node_point(g, i, j, *d) for i, j, d in zip(rings, cols, jitter)]
-    pts += pts[:3]
-    n_node = len(pts)
-    if mixed:
-        radii = rng.uniform(0.5, 5.0, 6)
-        angles = rng.uniform(0.0, 2.0 * math.pi, 6)
-        pts += list(zip(radii * np.cos(angles), radii * np.sin(angles)))
-        pts.append((0.0, 0.0))
-    pts = np.array(pts)[rng.permutation(len(pts))]
-    assert_matches_reference(f, pts, n_node)
+    pts = np.array([node_point(g, i, j, *d) for i, j, d in zip(rings, cols, jitter)])
+    nodes = np.array([node_point(g, i, j) for i, j in zip(rings, cols)])
+    assert_paths_agree(random_density(g, rng), pts, nodes)
 
 
 @pytest.mark.parametrize("grid_args, rings", [
@@ -395,135 +412,26 @@ def test_node_path_matches_reference(spacing, n_r, n_q, seed, mixed):
 ])
 def test_node_path_matches_reference_on_named_grids(grid_args, rings):
     g = build_grid(*grid_args)
-    f = ScalarField.from_function(g, inverse_quartic)
     cols = (7 * rings) % g.n_theta
     pts = np.array([node_point(g, i, j) for i, j in zip(rings, cols)])
-    assert_matches_reference(f, pts, len(pts))
-
-
-@pytest.mark.parametrize("grid_args", [
-    (1.0, 4.0, 17, 16, LOG_RADIAL),
-    (1.0, 4.0, 12, 20, UNIFORM_RADIAL),
-    (1.0, 16.0, 97, 48, LOG_RADIAL),
-])
-def test_node_path_follows_the_reach(monkeypatch, grid_args):
-    # both paths take their near cells from _REACH, so a wider reach
-    # changes them alike
-    monkeypatch.setattr(elliptic, "_REACH", 3.5 + 1e-9)
-    g = build_grid(*grid_args)
-    f = ScalarField.from_function(g, inverse_quartic)
-    rings = np.array([0, 1, 3, g.n_r // 2, g.n_r - 2, g.n_r - 1])
-    cols = (5 * rings) % g.n_theta
-    pts = np.array([node_point(g, i, j) for i, j in zip(rings, cols)])
-    assert_matches_reference(f, pts, len(pts))
+    assert_paths_agree(ScalarField.from_function(g, angular_density), pts, pts)
 
 
 @pytest.mark.parametrize("offset", [(1e-6, 0.0), (0.0, 1e-6), (-1e-6, -1e-6)])
 def test_target_off_a_node_takes_the_loop(offset):
+    # a target just off a node takes the off-node path, its node the irfft
     g = build_grid(1.0, 4.0, 17, 16)
-    f = ScalarField.from_function(g, inverse_quartic)
-    pts = [node_point(g, 8, 3, *offset)]
-    vals, _, looped = potential_and_loop_count(f, pts)
-    ref, _ = reference_potential(f, pts)
-    assert looped == 1
-    assert vals.tobytes() == ref.tobytes()
+    f = ScalarField.from_function(g, angular_density)
+    pts = np.array([node_point(g, 8, 3, *offset), node_point(g, 8, 3)])
+    with mock.patch.object(elliptic, "_target_values", wraps=elliptic._target_values) as off, \
+            mock.patch.object(elliptic, "_node_values", wraps=elliptic._node_values) as on:
+        vals, _ = newtonian_potential(f, pts)
+    assert off.call_args.args[1].size == 1
+    assert on.call_args.args[1].tolist() == [8]
+    assert vals[:1].tobytes() == off_node_path(f, pts[:1]).tobytes()
 
 
-# -- the batched off-node path against the per-target loop ------------------
-
-
-def _refined_cells(rule, fvals, idx_r, idx_q, x1k, x2k):
-    """Subdivided midpoint contribution of the listed cells for one target.
-
-    Only the sub-cell geometry comes from the rule; the density is
-    interpolated here, at the midpoints' own (t, theta).
-    """
-    kern = _sub_cells(rule, idx_r, idx_q, x1k, x2k)
-    tq, thq = rule.sub_t[idx_r][:, :, None], rule.sub_theta[idx_q][:, None, :]
-    f_sub = _bilinear(rule.grid, fvals, tq, thq).reshape(kern.shape)
-    return float(np.sum(kern * f_sub * rule.sub_area[idx_r][:, :, None]))
-
-
-def dense_midpoint_sums(grid, fw, pts):
-    """Sums of (log|x - y| - log|y|) fw(y) over every node, by the dense kernel."""
-    y1, y2 = grid.nodes()
-    y1f, y2f = y1.ravel(), y2.ravel()
-    fwf = fw.ravel()
-    logyf = np.broadcast_to(np.log(grid.radii)[:, None], grid.shape).ravel()
-    m = pts.shape[0]
-    acc = np.empty(m)
-    chunk = max(1, int(2.0e6 // max(y1f.size, 1)))
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        dx = pts[lo:hi, 0:1] - y1f[None, :]
-        dy = pts[lo:hi, 1:2] - y2f[None, :]
-        d2 = dx * dx + dy * dy
-        kern = 0.5 * np.log(np.maximum(d2, 1e-300)) - logyf[None, :]
-        acc[lo:hi] = kern @ fwf
-    return acc
-
-
-def _loop_target_sums(rule, fvals, pts):
-    """Quadrature sums target by target: dense kernel sum plus local fixes.
-
-    The same rule as ``elliptic._target_sums``, one target at a time: the
-    oracle of the batched evaluation.
-    """
-    grid = rule.grid
-    fw = fvals * rule.area
-    y1, y2 = grid.nodes()
-    logr_nodes = np.log(grid.radii)
-    m = pts.shape[0]
-    acc = dense_midpoint_sums(grid, fw, pts)
-
-    t0 = grid.t[0]
-    n_r, n_q = grid.shape
-    two_pi = 2.0 * math.pi
-    for k in range(m):
-        x1k, x2k = pts[k]
-        r_k = math.hypot(x1k, x2k)
-        if r_k == 0.0:
-            continue  # kernel vanishes identically at the origin
-        tf = ((math.log(r_k) if grid.spacing == LOG_RADIAL else r_k) - t0) / grid.dt
-        if tf < -_REACH or tf > (n_r - 1) + _REACH:
-            continue
-        th_k = math.atan2(x2k, x1k) % two_pi
-        jf = th_k / grid.dtheta
-        inside = -1e-9 <= tf <= (n_r - 1) + 1e-9
-        i_c = min(max(int(round(tf)), 0), n_r - 1)
-        j_c = int(round(jf)) % n_q
-
-        i_near = [i for i in range(i_c - 3, i_c + 4)
-                  if 0 <= i < n_r and abs(i - tf) <= _REACH]
-        j_near = []
-        for dj in range(-3, 4):
-            j = (j_c + dj) % n_q
-            dist = abs((j - jf + n_q / 2.0) % n_q - n_q / 2.0)
-            if dist <= _REACH:
-                j_near.append(j)
-        ii = np.repeat(i_near, len(j_near))
-        jj = np.tile(j_near, len(i_near))
-
-        # remove the plain midpoint contribution of every special cell
-        d2s = (x1k - y1[ii, jj]) ** 2 + (x2k - y2[ii, jj]) ** 2
-        base = (0.5 * np.log(np.maximum(d2s, 1e-300)) - logr_nodes[ii]) * fw[ii, jj]
-        acc[k] -= float(np.sum(base))
-
-        singular = inside & (ii == i_c) & (jj == j_c)
-        if np.any(~singular):
-            acc[k] += _refined_cells(rule, fvals, ii[~singular], jj[~singular], x1k, x2k)
-        if inside:
-            delta = (grid.theta[j_c] - th_k + math.pi) % two_pi - math.pi
-            beta_lo = min(delta - 0.5 * grid.dtheta, 0.0)
-            beta_hi = max(delta + 0.5 * grid.dtheta, 0.0)
-            s_log, cell_area = _polar_cell_integral(
-                r_k, rule.r_lo[i_c], rule.r_hi[i_c], beta_lo, beta_hi, rule.n_rays
-            )
-            t_k = min(max(math.log(r_k) if grid.spacing == LOG_RADIAL else r_k,
-                          grid.t[0]), grid.t[-1])
-            f_at_x = float(_bilinear(grid, fvals, t_k, th_k))
-            acc[k] += f_at_x * (s_log - math.log(r_k) * cell_area)
-    return acc
+# -- the off-node path, target by target ------------------------------------
 
 
 def nudged(x, hits):
@@ -538,7 +446,7 @@ def nudged(x, hits):
 
 
 def index_t(g, r):
-    """The loop's radial index coordinate of a target at radius r."""
+    """The radial index coordinate of a target at radius r."""
     return ((math.log(r) if g.spacing == LOG_RADIAL else r) - g.t[0]) / g.dt
 
 
@@ -549,7 +457,7 @@ def radius_at(g, tf):
 
 
 def edge_case_targets(g, rng):
-    """Off-node targets of every kind the near-cell pass distinguishes."""
+    """Off-node targets of every kind: in cells, on rings and edges, outside the grid."""
     n_r, n_q = g.shape
     two_pi = 2.0 * math.pi
     pts = []
@@ -559,7 +467,7 @@ def edge_case_targets(g, rng):
         pts.append((r * math.cos(th), r * math.sin(th)))
     pts += [node_point(g, int(i), int(j), *rng.choice([-1e-6, 1e-6], 2))
             for i, j in zip(rng.integers(0, n_r, 3), rng.integers(0, n_q, 3))]
-    # on a cell edge in t: the radial index coordinate is exactly k + 1/2
+    # half way between rings: the radial index coordinate is exactly k + 1/2
     for k in rng.integers(0, n_r - 1, 3):
         r = nudged(radius_at(g, k + 0.5), lambda r: index_t(g, r) == k + 0.5)
         pts += [(r, 0.0), (0.0, r), (-r, 0.0)]
@@ -567,7 +475,7 @@ def edge_case_targets(g, rng):
         x2 = r * math.sin(th)
         x1 = nudged(r * math.cos(th), lambda x1: index_t(g, math.hypot(x1, x2)) == k + 0.5)
         pts.append((x1, x2))
-    # on a cell edge in theta: the angular index coordinate is exactly j + 1/2
+    # on a ring between two columns: the angular index coordinate is exactly j + 1/2
     for i, j in zip(rng.integers(0, n_r, 3), rng.integers(0, n_q, 3)):
         r, th = g.radii[i], (j + 0.5) * g.dtheta
         x1 = r * math.cos(th)
@@ -577,45 +485,65 @@ def edge_case_targets(g, rng):
     # theta just below 2 pi, including a wrap to exactly 2 pi
     r = g.radii[n_r // 2]
     pts += [(r, -1e-12), (r, -1e-300), (r * math.cos(-1e-9), r * math.sin(-1e-9))]
-    # within reach below r_inner and beyond r_outer, and either side of the
-    # 1e-9 tolerance that decides whether the own cell is integrated
+    # below r_inner and beyond r_outer, some within 1e-10 of a boundary ring
     for tf in (-2.4, -1.2, -0.3, -1e-10, -1e-8, n_r - 1 + 1e-10, n_r - 1 + 1e-8,
                n_r - 0.7, n_r + 1.4):
         r, th = radius_at(g, tf), rng.uniform(0.0, two_pi)
         pts.append((r * math.cos(th), r * math.sin(th)))
     # far from the grid, and the origin
-    radii = g.r_outer * rng.uniform(1.5, 100.0, 4)
-    angles = rng.uniform(0.0, two_pi, 4)
-    pts += list(zip(radii * np.cos(angles), radii * np.sin(angles)))
+    pts += list(polar_points(g.r_outer * rng.uniform(1.5, 100.0, 4),
+                             rng.uniform(0.0, two_pi, 4)))
     pts.append((0.0, 0.0))
     # duplicates, in shuffled order
     pts += pts[:5]
     return np.array(pts)[rng.permutation(len(pts))]
 
 
-def batched_and_loop_sums(f, pts):
-    rule = _rule(f.grid)
-    fvals, _ = elliptic._density(f, rule)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        acc = elliptic._target_sums(rule, fvals, pts)
-    return acc, _loop_target_sums(rule, fvals, pts)
-
-
 @settings(max_examples=30, deadline=None)
-@given(
-    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
-    n_r=st.integers(9, 65),
-    # grids need an even n_theta of at least 16
-    n_q=st.integers(8, 20).map(lambda k: 2 * k),
-    seed=st.integers(0, 2**32 - 1),
-)
+@given(**grid_strategies)
 def test_batched_target_sums_match_the_loop(spacing, n_r, n_q, seed):
+    # each target of a batch gets the value it gets alone
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, 4.0, n_r, n_q, spacing)
-    f = ScalarField(g, rng.uniform(0.5, 1.5, g.shape) / g.radii[:, None] ** 2)
-    acc, ref = batched_and_loop_sums(f, edge_case_targets(g, rng))
-    assert np.abs(acc - ref).max() <= 1e-13 * np.abs(ref).max()
+    tab = elliptic._mode_tables(g, random_density(g, rng).values)
+    pts = edge_case_targets(g, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = elliptic._target_values(tab, *polar(pts))
+        alone = np.array([elliptic._target_values(tab, *polar(p[None]))[0] for p in pts])
+    assert np.abs(batch - alone).max() <= 1e-15 * np.abs(alone).max()
+
+
+def test_batches_span_several_blocks():
+    # 8 modes and a budget of 56 elements: blocks of 7 targets
+    g = build_grid(1.0, 4.0, 17, 16)
+    f = ScalarField.from_function(g, angular_density)
+    rng = np.random.default_rng(7)
+    pts = polar_points(np.exp(rng.uniform(-0.1, math.log(4.0) + 0.1, 201)),
+                       rng.uniform(0.0, 2.0 * math.pi, 201))
+    one, _ = newtonian_potential(f, pts)
+    with mock.patch.object(elliptic, "_BLOCK_ELEMENTS", 7 * 8):
+        blocks, _ = newtonian_potential(f, pts)
+        again, _ = newtonian_potential(f, pts)
+    assert np.abs(blocks - one).max() <= 1e-15 * np.abs(one).max()
+    assert again.tobytes() == blocks.tobytes()
+
+
+def test_cell_edge_targets_keep_their_cell():
+    # a target on a ring, off its nodes, is on the edge of two cells: a
+    # hair below or above the ring it takes the other cell, at the same value
+    rings = np.array([0, 1, 8, 15, 16])
+    for spacing in (LOG_RADIAL, UNIFORM_RADIAL):
+        g = build_grid(1.0, 4.0, 17, 16, spacing)
+        f = ScalarField.from_function(g, angular_density)
+        angles = (rings + 0.37) * g.dtheta
+        ref = off_node_path(f, polar_points(g.radii[rings], angles))
+        for scale in (1.0 - 1e-14, 1.0 + 1e-14):
+            vals = off_node_path(f, polar_points(g.radii[rings] * scale, angles))
+            assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# -- the tables and the partial-cell weights ---------------------------------
 
 
 @pytest.mark.parametrize("grid_args", [
@@ -625,155 +553,258 @@ def test_batched_target_sums_match_the_loop(spacing, n_r, n_q, seed):
     (0.5, 3.0, 64, 40, UNIFORM_RADIAL),
 ])
 def test_rule_is_consistent_with_itself(grid_args):
-    # independent of the loop: the sub-cells of a ring tile its node cell,
-    # boundary half cells included, and the stencils at the sub-cell
-    # midpoints reproduce the midpoints' own t and theta
+    # independent of the recurrences and the closed forms: every table is a
+    # Gauss-Legendre sum, cell by cell, of the same piecewise-linear F_k
+    # against its kernel
     g = build_grid(*grid_args)
-    rule = _rule(g)
-    tiled = np.sum(rule.sub_area, axis=1) * elliptic._N_SUB
-    assert np.abs(tiled / rule.area[:, 0] - 1.0).max() <= 1e-14
-    t_sub = (1.0 - rule.wt) * g.t[rule.it] + rule.wt * g.t[rule.it + 1]
-    assert np.all(np.abs(t_sub - rule.sub_t) <= 1e-14 * np.abs(rule.sub_t))
-    assert np.all(rule.j1 == (rule.j0 + 1) % g.n_theta)
-    theta_sub = ((1.0 - rule.wj) * rule.j0 + rule.wj * (rule.j0 + 1)) * g.dtheta
-    assert np.abs(theta_sub - rule.sub_theta).max() <= 1e-14 * 2.0 * math.pi
-    assert np.all((rule.sub_theta >= 0.0) & (rule.sub_theta < 2.0 * math.pi))
+    f = random_density(g, np.random.default_rng(5))
+    tab = elliptic._mode_tables(g, f.values)
+    s, h = g.log_radii, np.diff(g.log_radii)[:, None]
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    tau = 0.5 * (nodes + 1.0)
+    sq = s[:-1, None] + h * tau  # (cell, point)
+    wq = 0.5 * h * weights
+    spec = np.fft.rfft(f.values, axis=1) * (g.radii[:, None] ** 2 / g.n_theta)
+    fq = spec[:-1, None, :] * (1.0 - tau)[:, None] + spec[1:, None, :] * tau[:, None]
+    k = np.arange(1, spec.shape[1])
+    for i in sorted({0, 1, g.n_r // 3, g.n_r // 2, g.n_r - 2, g.n_r - 1}):
+        below = slice(0, i)
+        kern = np.exp(-np.abs(s[i] - sq)[:, :, None] * k)
+        left = np.einsum("cq,cqk->k", wq[below], kern[below] * fq[below, :, 1:])
+        right = np.einsum("cq,cqk->k", wq[i:], kern[i:] * fq[i:, :, 1:])
+        mass = np.sum(wq[below] * fq[below, :, 0].real)
+        moment = np.sum(wq[below] * (s[i] - sq[below]) * fq[below, :, 0].real)
+        scale = np.abs(tab.left).max() + np.abs(tab.right).max()
+        assert np.abs(tab.left[i] - left).max() <= 1e-13 * scale
+        assert np.abs(tab.right[i] - right).max() <= 1e-13 * scale
+        assert abs(tab.mass[i] - mass) <= 1e-13 * abs(tab.mass[-1])
+        assert abs(tab.moment[i] - moment) <= 1e-13 * abs(tab.moment[-1])
 
 
 def test_polar_cell_integral_of_several_targets():
-    # beta_lo = 0 puts the target on the cell's lower angular edge: rays
-    # heading below it leave at once, so the area is the cell's own
-    r_x = np.array([1.1, 1.1, 1.05, 1.19])
-    beta_lo = np.array([0.0, -0.0, -0.1, -0.2])
-    beta_hi = np.array([0.3, 0.3, 0.2, 0.0])
-    s_log, area = _polar_cell_integral(r_x, 1.0, 1.2, beta_lo, beta_hi, 1024)
-    exact = 0.5 * (1.2**2 - 1.0) * (beta_hi - beta_lo)
-    assert np.abs(area / exact - 1.0).max() <= 1e-3
-    for k in range(r_x.size):
-        one = _polar_cell_integral(r_x[k], 1.0, 1.2, beta_lo[k], beta_hi[k], 1024)
-        assert (one[0], one[1]) == (s_log[k], area[k])
-
-
-def test_cell_edge_targets_keep_their_cell():
-    # n_theta = 18: theta = pi/2 is the edge between columns 4 and 5, and on
-    # the uniform grid r = 1.9375 is the edge between rings 2 and 3; ties go
-    # to the even index, as Python's round does
-    g = build_grid(1.0, 4.0, 9, 18, UNIFORM_RADIAL)
-    f = ScalarField.from_function(g, inverse_quartic)
-    assert index_t(g, 1.9375) == 2.5
-    assert (math.atan2(1.0, 0.0) % (2.0 * math.pi)) / g.dtheta == 4.5
-    pts = np.array([(0.0, 1.9375), (0.0, g.radii[4]), (1.9375, 0.0)])
-    acc, ref = batched_and_loop_sums(f, pts)
-    assert np.abs(acc - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_batches_span_several_blocks():
-    # blocks of 7 targets in the near-cell pass
-    g = build_grid(1.0, 4.0, 17, 16)
-    f = ScalarField.from_function(g, inverse_quartic)
-    rng = np.random.default_rng(7)
-    radii = np.exp(rng.uniform(-0.1, math.log(4.0) + 0.1, 201))
-    angles = rng.uniform(0.0, 2.0 * math.pi, radii.size)
-    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    with mock.patch.object(elliptic, "_NEAR_ELEMENTS", 7 * 49 * 64):
-        acc, ref = batched_and_loop_sums(f, pts)
-        again, _ = batched_and_loop_sums(f, pts)
-    assert np.abs(acc - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert again.tobytes() == acc.tobytes()
-
-
-# -- the ring-wise series of the midpoint sum against the dense sum ------------
-
-
-def ring_sums_and_dense(f, pts):
-    rule = _rule(f.grid)
-    fw = f.values * rule.area
-    pts = np.asarray(pts, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        acc = elliptic._ring_sums(rule, fw, np.hypot(pts[:, 0], pts[:, 1]),
-                                  np.arctan2(pts[:, 1], pts[:, 0]))
-    return acc, dense_midpoint_sums(f.grid, fw, pts)
-
-
-def series_edge_targets(g, rng):
-    """Targets at and either side of every switch between series and direct sums."""
-    q = elliptic._RATIO
-    radii = []
-    for i in rng.integers(0, g.n_r, 4):
-        r_i = float(g.radii[i])
-        # ring i is the last ring of the inner series, or the first of the outer
-        radii.append(nudged(r_i / q, lambda rho: q * rho == r_i))
-        radii.append(nudged(q * r_i, lambda rho: rho / q == r_i))
-        radii += [r_i / q * (1.0 + 1e-12), q * r_i * (1.0 - 1e-12)]
-    radii += list(rng.uniform(g.r_inner, g.r_outer, 6))
-    # every ring outside, or every ring inside, the target
-    radii += list(q * g.r_inner * rng.uniform(1e-3, 1.0, 3))
-    radii += list(g.r_outer / q * rng.uniform(1.0, 1e3, 3))
-    radii = np.array(radii)
-    angles = rng.uniform(0.0, 2.0 * math.pi, radii.size)
-    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    return np.vstack([pts, [(0.0, 0.0)]])
+    # the partial-cell weights against 30-digit quadrature, for many x = k a
+    # at once and one at a time, either side of the series threshold
+    mpmath = pytest.importorskip("mpmath")
+    edge = elliptic._SERIES_X
+    x = np.array([1e-300, 1e-14, 5e-12, 1e-6, math.nextafter(edge, 0.0), edge,
+                  0.04, 0.1, 1.0, 7.5, 64.0, 700.0])
+    _, near, far = elliptic._hat_weights(x)
+    for k, xk in enumerate(x):
+        with mpmath.workdps(30):
+            far_ref = mpmath.quad(lambda tau: tau * mpmath.exp(-xk * tau), [0, 1])
+            near_ref = mpmath.quad(lambda tau: (1 - tau) * mpmath.exp(-xk * tau), [0, 1])
+        assert abs(near[k] / float(near_ref) - 1.0) <= 1e-14
+        assert abs(far[k] / float(far_ref) - 1.0) <= 1e-14
+        _, one_near, one_far = elliptic._hat_weights(x[k:k + 1])
+        assert (one_near[0], one_far[0]) == (near[k], far[k])
+    assert [w[0] for w in elliptic._hat_weights(np.zeros(1))] == [1.0, 0.5, 0.5]
 
 
 def test_series_truncation_is_below_rounding():
-    q, k = elliptic._RATIO, elliptic._TERMS
-    assert q ** k / (k * (1.0 - q)) < 2.0**-53
+    # the first term each series drops, at the largest x it serves, is below
+    # half an ulp of its weight
+    x, n = elliptic._SERIES_X, elliptic._SERIES_TERMS
+    _, near, far = elliptic._hat_weights(np.array([x]))
+    assert x**n / (math.factorial(n) * (n + 2)) < 2.0**-53 * far[0]
+    assert x**n / (math.factorial(n) * (n + 1) * (n + 2)) < 2.0**-53 * near[0]
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
-    n_r=st.integers(9, 65),
-    n_q=st.integers(8, 20).map(lambda k: 2 * k),
-    seed=st.integers(0, 2**32 - 1),
-)
+# -- against independent references ------------------------------------------
+
+
+def dense_midpoint_sums(y1, y2, fw, pts):
+    """Sums of (log|x - y| - log|y|) fw(y) over the points y, by the dense kernel."""
+    y1f, y2f, fwf = (np.ravel(a) for a in (y1, y2, fw))
+    logyf = 0.5 * np.log(y1f * y1f + y2f * y2f)
+    m = pts.shape[0]
+    acc = np.empty(m)
+    chunk = max(1, int(2.0e6 // max(y1f.size, 1)))
+    for lo in range(0, m, chunk):
+        hi = min(m, lo + chunk)
+        dx = pts[lo:hi, 0:1] - y1f[None, :]
+        dy = pts[lo:hi, 1:2] - y2f[None, :]
+        d2 = dx * dx + dy * dy
+        kern = 0.5 * np.log(np.maximum(d2, 1e-300)) - logyf[None, :]
+        acc[lo:hi] = kern @ fwf
+    return acc
+
+
+def refined_potential(g, fn, pts, m=4):
+    """(1/2pi) times the dense sum over the midpoints of g's cells split m x m,
+    fn sampled there; no target lies on a midpoint of a node or of a cell."""
+    edges = np.linspace(g.t[0], g.t[-1], m * (g.n_r - 1) + 1)
+    r_edges = g.r_of_t(edges)
+    r_mid = g.r_of_t(0.5 * (edges[1:] + edges[:-1]))[:, None]
+    dq = g.dtheta / m
+    theta = (np.arange(m * g.n_theta) + 0.5) * dq
+    area = 0.5 * (r_edges[1:] ** 2 - r_edges[:-1] ** 2)[:, None] * dq
+    y1, y2 = r_mid * np.cos(theta), r_mid * np.sin(theta)
+    return dense_midpoint_sums(y1, y2, fn(y1, y2) * area, pts) / (2.0 * math.pi)
+
+
+def nodes_and_targets(g, rng, count):
+    """``count`` random nodes and ``count`` random targets out to twice r_outer."""
+    rings, cols = rng.integers(0, g.n_r, count), rng.integers(0, g.n_theta, count)
+    nodes = polar_points(g.radii[rings], g.theta[cols])
+    radii = np.exp(rng.uniform(math.log(0.5 * g.r_inner), math.log(2.0 * g.r_outer), count))
+    return np.vstack([nodes, polar_points(radii, rng.uniform(0.0, 2.0 * math.pi, count))])
+
+
+def assert_matches_refined_sum(g, pts):
+    vals, _ = newtonian_potential(ScalarField.from_function(g, angular_density), pts)
+    ref = refined_potential(g, angular_density, pts)
+    # |f| <= 2.2 r_inner^-3 sets the scale of the error
+    scale = 2.2 * g.r_inner ** -3 * envelope(float(np.max(np.diff(g.log_radii))))
+    assert np.abs(vals - ref).max() <= 0.25 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(**grid_strategies)
 def test_ring_sums_match_the_dense_sum(spacing, n_r, n_q, seed):
-    rng = np.random.default_rng(seed)
+    # an error confined to the modes k >= 1 shows here, where no radial
+    # density can see it
     g = build_grid(1.0, 4.0, n_r, n_q, spacing)
-    f = ScalarField(g, rng.uniform(-0.5, 1.5, g.shape) / g.radii[:, None] ** 2)
-    acc, ref = ring_sums_and_dense(f, series_edge_targets(g, rng))
-    assert np.abs(acc - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert acc[-1] == 0.0  # the origin
+    assert_matches_refined_sum(g, nodes_and_targets(g, np.random.default_rng(seed), 20))
 
 
 @pytest.mark.parametrize("grid_args", [
     (1.0, 2.0**20, 321, 32, LOG_RADIAL),
-    (1.0, 16.0, 257, 128, LOG_RADIAL),
-    (0.5, 64.0, 513, 64, UNIFORM_RADIAL),
+    (1.0, 16.0, 129, 64, LOG_RADIAL),
+    (0.5, 8.0, 129, 48, UNIFORM_RADIAL),
 ])
 def test_ring_sums_match_the_dense_sum_on_named_grids(grid_args):
     g = build_grid(*grid_args)
-    f = ScalarField.from_function(g, lambda x1, x2: (x1 * x1 + x2 * x2) ** -0.75 + 0.1 * x1)
-    acc, ref = ring_sums_and_dense(f, series_edge_targets(g, np.random.default_rng(11)))
-    assert np.abs(acc - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert_matches_refined_sum(g, nodes_and_targets(g, np.random.default_rng(11), 15))
 
 
-def test_targets_beyond_the_band_sum_no_ring_directly():
-    # beyond r_outer / _RATIO every ring enters by the series alone, and the
-    # near-cell pass does not reach that far either
-    g = build_grid(1.0, 4.0, 17, 16)
+@pytest.mark.parametrize("spacing, r_outer, band", [
+    (LOG_RADIAL, 16.0, (2.0, 2.0 * math.sqrt(2.0))),
+    (UNIFORM_RADIAL, 4.0, (2.0, 2.5)),
+])
+def test_potential_laplacian_residual_of_angular_modes(spacing, r_outer, band):
+    # row 10's envelope, on a density with angular modes 1 to 4; n_theta =
+    # n_r - 1 keeps the nine-point stencil's own error in theta inside it
+    angular_quartic = angular_modes(4.0)
+    resids, hs = [], []
+    for n_r in (65, 129, 257):
+        g = build_grid(1.0, r_outer, n_r, n_r - 1, spacing)
+        f = ScalarField.from_function(g, angular_quartic)
+        i_lo, i_hi = (int(np.argmin(np.abs(g.radii - r))) for r in band)
+        sub = build_grid(float(g.radii[i_lo]), float(g.radii[i_hi]), i_hi - i_lo + 1,
+                         g.n_theta, spacing)
+        pts = np.column_stack([x[i_lo:i_hi + 1].ravel() for x in g.nodes()])
+        vals, _ = newtonian_potential(f, pts)
+        lap = laplacian(ScalarField(sub, vals.reshape(sub.shape)))
+        fsub = ScalarField.from_function(sub, angular_quartic)
+        resids.append(np.abs(lap.values - fsub.values)[2:-2, :].max())
+        hs.append(g.dt)
+    for resid, h in zip(resids, hs):
+        assert resid <= 0.04 * envelope(h)
+    assert observed_orders(resids)[-1] >= 1.6
+
+
+# -- invariances the mathematics guarantees ----------------------------------
+
+
+def property_targets(g, rng):
+    """Nodes, off-grid targets in and around the support, the origin and |x| = 1e300."""
+    pts = nodes_and_targets(g, rng, 12)
+    return np.vstack([pts, [(0.0, 0.0), (1e300, 0.0), (-3e299, -4e299)]])
+
+
+def potential_without_warnings(f, pts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return newtonian_potential(f, pts)
+
+
+def assert_close(vals, ref, rel, scale=None):
+    # the two huge targets are compared on their own scale
+    scale = np.abs(ref) if scale is None else scale
+    for part in (slice(0, -2), slice(-2, None)):
+        assert np.abs(vals[part] - ref[part]).max() <= rel * scale[part].max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**grid_strategies, shift=st.integers(1, 31))
+def test_rotating_the_density_rotates_the_potential(spacing, n_r, n_q, seed, shift):
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    f = random_density(g, rng)
+    pts = property_targets(g, rng)
+    rolled = ScalarField(g, np.roll(f.values, shift, axis=1))
+    angle = shift * g.dtheta
+    turned = pts @ np.array([[math.cos(angle), math.sin(angle)],
+                             [-math.sin(angle), math.cos(angle)]])
+    vals, mass = potential_without_warnings(f, pts)
+    rot, rot_mass = potential_without_warnings(rolled, turned)
+    assert_close(rot, vals, 1e-13)
+    assert abs(rot_mass - mass) <= 1e-13 * abs(mass)
+    assert vals[-3] == 0.0  # the origin
+
+
+@settings(max_examples=25, deadline=None)
+@given(**grid_strategies, alpha=st.floats(-3.0, 3.0), beta=st.floats(-3.0, 3.0))
+def test_potential_is_linear_in_the_density(spacing, n_r, n_q, seed, alpha, beta):
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    f, h = random_density(g, rng), random_density(g, rng)
+    pts = property_targets(g, rng)
+    both, _ = potential_without_warnings(ScalarField(g, alpha * f.values + beta * h.values), pts)
+    u_f, _ = potential_without_warnings(f, pts)
+    u_h, _ = potential_without_warnings(h, pts)
+    assert_close(both, alpha * u_f + beta * u_h, 1e-13,
+                 scale=np.abs(alpha * u_f) + np.abs(beta * u_h))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**grid_strategies, offset=st.sampled_from([1e-9, 5e-12]),
+       radial=st.booleans())
+def test_node_and_off_node_targets_agree(spacing, n_r, n_q, seed, offset, radial):
+    # 5e-12 is above the node tolerance and puts x = k a in the series range
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    f = random_density(g, rng)
+    rings, cols = rng.integers(0, n_r, 12), rng.integers(0, n_q, 12)
+    radii, angles = g.radii[rings], g.theta[cols]
+    nodes = polar_points(radii, angles)
+    moved = (polar_points(radii * (1.0 + offset), angles) if radial
+             else polar_points(radii, angles + offset))
+    assert np.all(node_indices(g, moved) == -1)
+    at_node, _ = potential_without_warnings(f, nodes)
+    off_node, _ = potential_without_warnings(f, moved)
+    assert np.abs(off_node - at_node).max() <= 1e-8 * np.abs(at_node).max()
+
+
+# -- the far field and failures ----------------------------------------------
+
+
+@pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])
+def test_far_field_is_log_mass_log_r_plus_one_constant(spacing):
+    # log_mass comes from the same mode-0 rule as u; from any other rule
+    # u - log_mass log|x| would drift by O(h^2) log|x|
+    g = build_grid(1.0, 16.0, 65, 32, spacing)
     f = ScalarField.from_function(g, inverse_quartic)
-    rng = np.random.default_rng(3)
-    radii = g.r_outer / elliptic._RATIO * rng.uniform(1.0 + 1e-9, 50.0, 40)
-    angles = rng.uniform(0.0, 2.0 * math.pi, radii.size)
-    far = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    with mock.patch.object(elliptic, "_distance_factors",
-                           wraps=elliptic._distance_factors) as direct:
-        vals, log_mass = newtonian_potential(f, far)
-        assert direct.call_count == 0
-        newtonian_potential(f, [(2.0, 0.5)])
-        assert direct.call_count > 0
-    rule = _rule(g)
-    ref = dense_midpoint_sums(g, f.values * rule.area, far) / (2.0 * math.pi)
-    assert np.abs(vals - ref).max() <= 1e-13 * np.abs(ref).max()
+    rng = np.random.default_rng(2)
+    radii = g.r_outer * 10.0 ** np.concatenate([[0.0], rng.uniform(0.0, 298.0, 40), [298.0]])
+    vals, log_mass = newtonian_potential(f, polar_points(radii, rng.uniform(0.0, 6.3, 42)))
+    shifted = vals - log_mass * np.log(radii)
+    assert np.abs(shifted - shifted[0]).max() <= 1e-13 * np.abs(vals).max()
+
+
+def test_potential_that_overflows_names_its_cause():
+    g = build_grid(1.0, 4.0, 17, 16)
+    cause = "is not finite; the density's moments or the target's radius overflow"
+    with pytest.raises(ValueError, match=cause):
+        newtonian_potential(ScalarField(g, np.full(g.shape, 1e307)), [(2.0, 0.5)])
+    with pytest.raises(ValueError, match=cause):  # |x| is beyond the largest float
+        newtonian_potential(ScalarField.from_function(g, inverse_quartic), [(1.5e308, 1.5e308)])
 
 
 def test_potential_of_huge_targets_is_finite():
-    # |x - y|^2 overflows at |x| = 1e200, so the dense sum raised
-    # target-inside-singular-cell there; the series needs only log|x|, and
-    # u - log_mass log|x| is the same constant as at any target beyond the
-    # support, up to terms in (r_outer / |x|)^k
+    # |x - y|^2 overflows at |x| = 1e200; the mode sums need only log|x|,
+    # and u - log_mass log|x| is the same constant as at any target beyond
+    # the support, up to terms in (r_outer / |x|)^k
     g = build_grid(1.0, 16.0, 97, 48)
     f = ScalarField.from_function(g, inverse_quartic)
     pts = np.array([(1e200, 0.0), (-3e199, 4e199), (0.0, -1e300), (1e20, 0.0)])

@@ -510,12 +510,12 @@ def test_spacing_guard_sees_branches_and_imports():
     assert _spacing_reads(table, may_import=False) == []
 
 
-# the angular frame and the node coordinates stay in this module
+# the angular frame, the log radii and the node coordinates stay in this module
 
 
 def _frame_rebuilds(source):
-    """Lines that take np.cos or np.sin of a grid's ``.theta``, or that call
-    np.meshgrid on a grid's radii or angles."""
+    """Lines that take np.cos or np.sin of a grid's ``.theta``, np.log of its
+    ``.radii``, or that call np.meshgrid on a grid's radii or angles."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -524,15 +524,16 @@ def _frame_rebuilds(source):
         read = {n.attr for arg in node.args for n in ast.walk(arg)
                 if isinstance(n, ast.Attribute)}
         if (node.func.attr in ("cos", "sin") and "theta" in read
+                or node.func.attr == "log" and "radii" in read
                 or node.func.attr == "meshgrid" and read & {"radii", "theta"}):
             lines.append(node.lineno)
     return sorted(lines)
 
 
 def test_only_the_grid_builds_its_frame():
-    # cos theta, sin theta and the node coordinates come from the grid's
-    # cos_theta, sin_theta and nodes(); angles the grid does not hold, such
-    # as the potential's sub-cell midpoints, may take their own cosines
+    # cos theta, sin theta, log r and the node coordinates come from the
+    # grid's cos_theta, sin_theta, log_radii and nodes(); angles and radii
+    # the grid does not hold may take their own cosines and logarithms
     package = Path(annulab.__file__).resolve().parent
     rebuilds = {}
     for path in sorted(package.glob("*.py")):
@@ -549,8 +550,10 @@ def test_frame_guard_sees_cosines_and_meshgrids():
               "rr, th = np.meshgrid(g.radii[2:5], g.theta, indexing='ij')\n"
               "angles = grid.theta[:, None] + 0.5 * grid.dtheta\n"
               "c, s = np.cos(angles), np.sin(kappa)\n"
-              "c = math.cos(g.theta[0])\n")
-    assert _frame_rebuilds(source) == [1, 2, 3]
+              "c = math.cos(g.theta[0])\n"
+              "s = np.log(grid.radii)[:, None]\n"
+              "t = np.log(radii)\n")
+    assert _frame_rebuilds(source) == [1, 2, 3, 7]
 
 
 def test_nodes_are_kept_and_read_only():
@@ -560,6 +563,7 @@ def test_nodes_are_kept_and_read_only():
     rr, th = np.meshgrid(g.radii, g.theta, indexing="ij")
     assert x1.tobytes() == (rr * np.cos(th)).tobytes()
     assert x2.tobytes() == (rr * np.sin(th)).tobytes()
-    for frame in (x1, x2, g.cos_theta, g.sin_theta):
+    assert g.log_radii.tobytes() == np.log(g.radii).tobytes()
+    for frame in (x1, x2, g.cos_theta, g.sin_theta, g.log_radii):
         with pytest.raises(ValueError, match="read-only"):
             frame[0] = 0.0
