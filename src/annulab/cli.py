@@ -51,7 +51,7 @@ from .grid import (
 from .nonlinear import (
     FullyNonlinearSpec,
     NewtonError,
-    _interior_state,
+    _hessian_state,
     monge_ampere_spec,
     newton_solve,
     radial_ma_reference,
@@ -323,17 +323,17 @@ def _operator(scenario, grid):
     return LinearCoefficients(grid, float(op["a11"]), float(op["a12"]), float(op["a22"]))
 
 
-def _operator_residual(scenario, op, u):
-    """Sup over the interior rings of the scenario operator's residual at ``u``."""
+def _operator_residual(scenario, op, h):
+    """Sup over the interior rings of the scenario operator's residual, from the Hessian ``h``."""
     if isinstance(op, FullyNonlinearSpec):
-        return _interior_state(op, u)[2]  # the residual Newton iterates on
-    h = hessian(u)
+        return _hessian_state(op, h)[2]  # the residual Newton iterates on
     resid = (op.a11[1:-1] * h.m11[1:-1] + 2.0 * op.a12[1:-1] * h.m12[1:-1]
              + op.a22[1:-1] * h.m22[1:-1] - float(scenario.operator.get("rhs", 0.0)))
     return float(np.max(np.abs(resid)))
 
 
 def _solve(scenario):
+    """The solved field, its ``solve`` report entry and its Hessian, if formed."""
     grid = _scenario_grid(scenario.grid)
     gin, gout = _boundary_data(scenario, grid)
     op = _operator(scenario, grid)
@@ -345,13 +345,14 @@ def _solve(scenario):
                                 max_iters=int(tols.get("max_iters", 30)))
         solve_info = {"method": "newton", "iterations": trace.iterations,
                       "final_residual": float(trace.residuals[-1])}
-        return u, solve_info
+        return u, solve_info, None
 
     f = ScalarField(grid, np.full(grid.shape, float(scenario.operator.get("rhs", 0.0))))
     u = solve_linear_dirichlet(op, f, gin, gout)
+    h = hessian(u)
     solve_info = {"method": "direct", "iterations": None,
-                  "final_residual": _operator_residual(scenario, op, u)}
-    return u, solve_info
+                  "final_residual": _operator_residual(scenario, op, h)}
+    return u, solve_info, h
 
 
 def _finite_or_null(x):
@@ -374,10 +375,12 @@ def _fit_to_dict(fit):
 
 def _gradient_map(u):
     """Dilatation of grad u and whether swapping its components restored orientation."""
-    grad = gradient(u)
-    rep = dilatation_field(grad)
+    grad = gradient(u)  # each component is differentiated once, the swap reuses them
+    gp, gq = (gradient(ScalarField(u.grid, c)) for c in (grad.p, grad.q))
+    rep = dilatation_field(grad, lambda *_: (gp.p, gp.q, gq.p, gq.q))
     if not rep.orientation_ok:
-        swapped = dilatation_field(PlanarMapping(u.grid, grad.q, grad.p))
+        swapped = dilatation_field(PlanarMapping(u.grid, grad.q, grad.p),
+                                   lambda *_: (gq.p, gq.q, gp.p, gp.q))
         if swapped.orientation_ok:
             return swapped, True
     return rep, False
@@ -463,7 +466,7 @@ def _evaluate_expectations(scenario, report):
 
 def run_scenario(scenario: Scenario) -> dict:
     """Execute a scenario and return its report document."""
-    return _analyze(scenario, *_solve(scenario))
+    return _analyze(scenario, *_solve(scenario)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +477,14 @@ def _report_json(report) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _profile_csv(u, A) -> str:
-    h = hessian(u)
+def _profile_csv(u, h, A) -> str:
     Am = np.asarray(A, dtype=float)
     dev = np.maximum(np.abs(h.m11 - Am[0, 0]),
                      np.maximum(np.abs(h.m12 - Am[0, 1]), np.abs(h.m22 - Am[1, 1])))
     columns = (u.grid.radii, u.values.min(axis=1), u.values.mean(axis=1),
                u.values.max(axis=1), dev.max(axis=1))
     lines = ["radius,u_min,u_mean,u_max,hessian_dev_max"]
-    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    lines += [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -536,11 +538,12 @@ def _decay_svg(fit_dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _tables(report, u, fmt: str) -> dict:
-    """The text of each table ``fmt`` asks for, by file name."""
+def _tables(report, u, fmt: str, h=None) -> dict:
+    """The text of each table ``fmt`` asks for, by file name; ``h`` is u's Hessian, if formed."""
     tables = {}
     if fmt in ("csv", "svg"):
-        tables["profile.csv"] = _profile_csv(u, report["expansion"]["A"])
+        h = hessian(u) if h is None else h
+        tables["profile.csv"] = _profile_csv(u, h, report["expansion"]["A"])
     if fmt == "svg":
         tables["decay.svg"] = _decay_svg(report["expansion"]["residual_fit"])
     return tables
@@ -931,13 +934,13 @@ def _load_scenario(ref, args):
     return Scenario.from_config(config)
 
 
-def _emit(scenario, report, u, args):
+def _emit(scenario, report, u, h, args):
     """Artefacts and summary of a finished run; the exit code of its report."""
     out_dir = Path(args.out) / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(_report_json(report))
     write_snapshot(out_dir / "solution.field", u)
-    for name, text in _tables(report, u, args.format).items():
+    for name, text in _tables(report, u, args.format, h).items():
         (out_dir / name).write_text(text)
     _print_report_summary(report)
     print(f"artifacts written to {out_dir}")
@@ -947,14 +950,14 @@ def _emit(scenario, report, u, args):
 def _cmd_solve(args):
     scenario = _load_scenario(args.config, args)
     try:
-        u, solve_info = _solve(scenario)
+        u, solve_info, h = _solve(scenario)
         report = _analyze(scenario, u, solve_info)
     except NewtonError as err:
         print(f"scenario {scenario.name}: solver failed: {err}", file=sys.stderr)
         return 1
     except ValueError as err:
         raise ValueError(f"scenario {scenario.name}: {err}") from err
-    return _emit(scenario, report, u, args)
+    return _emit(scenario, report, u, h, args)
 
 
 def _cmd_analyze(args):
@@ -962,13 +965,14 @@ def _cmd_analyze(args):
     field = read_snapshot(args.field_file)
     grid = field.grid
     _check_windows(scenario.windows, grid, "the snapshot grid")
-    residual = _operator_residual(scenario, _operator(scenario, grid), field)
+    h = hessian(field)
+    residual = _operator_residual(scenario, _operator(scenario, grid), h)
     solve_info = {"method": "loaded", "iterations": None, "final_residual": residual}
     try:
         report = _analyze(scenario, field, solve_info)
     except ValueError as err:
         raise ValueError(f"scenario {scenario.name}: {err}") from err
-    return _emit(scenario, report, field, args)
+    return _emit(scenario, report, field, h, args)
 
 
 def _cmd_verify(args):

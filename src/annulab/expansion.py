@@ -23,9 +23,9 @@ import numpy as np
 
 from .grid import (
     ScalarField,
+    _laplacian_rows,
     annulus_integral,
     hessian,
-    laplacian,
     radial_derivative,
     ring_index,
     window_slice,
@@ -337,9 +337,10 @@ def laurent_coefficients(
     The gradient on the contour ring comes from a 6th-order radial stencil
     and a spectral angular derivative; the contour integral itself is the
     periodic trapezoid rule (spectrally accurate), evaluated through an
-    FFT.  The caller must supply a field harmonic near the contour; a
-    discrete-Laplacian diagnostic enforces this up to ``harmonic_tol``
-    times the local field scale, which leaves room for the O(h^2) stencil
+    FFT.  The caller must supply a field harmonic near the contour: the
+    values of ``laplacian(u)`` on the contour ring i and its two neighbours,
+    formed from rings i-2 .. i+2 only, must stay within ``harmonic_tol``
+    times the local field scale.  That leaves room for the O(h^2) stencil
     error on smooth harmonics (about 1e-5 relative on a 128-sector grid)
     while still rejecting genuinely non-harmonic inputs by many orders.
     """
@@ -356,8 +357,7 @@ def laurent_coefficients(
             f"invalid-dimension: max_order must lie in [0, {grid.n_theta // 2 - 1}] "
             f"for n_theta = {grid.n_theta}"
         )
-    lap = laplacian(u)
-    worst = float(np.max(np.abs(lap.values[i - 1:i + 2])))
+    worst = float(np.max(np.abs(_laplacian_rows(u, slice(i - 2, i + 3))[1:-1])))
     scale = 1.0 + float(np.max(np.abs(u.values[i - 3:i + 4])))
     if worst > harmonic_tol * scale:
         raise ValueError(

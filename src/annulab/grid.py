@@ -321,24 +321,30 @@ def _diff2_theta(vals, dtheta):
     return (np.roll(vals, -1, axis=1) - 2.0 * vals + np.roll(vals, 1, axis=1)) / dtheta ** 2
 
 
-def _polar_derivatives(field: ScalarField):
-    """Return (u_r, u_theta, u_rr, u_rtheta, u_thetatheta) as node arrays."""
+def _first_derivatives(g, u):
+    """Return (u_t, u_theta): the first derivatives in the differenced parameters."""
+    return radial_derivative(u, g.dt, 1, 2), _diff_theta(u, g.dtheta)
+
+
+def _polar_derivatives(field: ScalarField, rows=slice(None)):
+    """Return (u_r, u_theta, u_rr, u_rtheta, u_thetatheta) on the rings ``rows`` only;
+    on a strict sub-range all but its two (one-sided) end rings match the full grid's."""
     g = field.grid
-    u = field.values
-    u_t = radial_derivative(u, g.dt, 1, 2)
+    u = field.values[rows]
+    u_t, u_q = _first_derivatives(g, u)
     u_tt = radial_derivative(u, g.dt, 2, 2)
-    u_q = _diff_theta(u, g.dtheta)
     u_qq = _diff2_theta(u, g.dtheta)
     u_tq = _diff_theta(u_t, g.dtheta)
-    h = g.dr_dt[:, None]
+    h = g.dr_dt[rows, None]
     u_rr = (u_tt - g.d2r_ratio * u_t) / h ** 2
     return u_t / h, u_q, u_rr, u_tq / h, u_qq
 
 
 def gradient(field: ScalarField) -> PlanarMapping:
-    """Cartesian gradient of a scalar field, second order at every node."""
+    """Cartesian gradient of a scalar field from first derivatives only, second order."""
     g = field.grid
-    u_r, u_q, _, _, _ = _polar_derivatives(field)
+    u_t, u_q = _first_derivatives(g, field.values)
+    u_r = u_t / g.dr_dt[:, None]
     r = g.radii[:, None]
     c, s = g.cos_theta, g.sin_theta
     u_q_over_r = u_q / r
@@ -360,16 +366,21 @@ def hessian(field: ScalarField) -> SymMatrixField:
     return SymMatrixField(g, m11, m12, m22)
 
 
+def _laplacian_rows(field: ScalarField, rows=slice(None)):
+    """Node values of the discrete Laplacian on the rings ``rows``, as ``laplacian`` forms them."""
+    u_r, _, u_rr, _, u_qq = _polar_derivatives(field, rows)
+    r = field.grid.radii[rows, None]
+    return u_rr + u_r / r + u_qq / r ** 2
+
+
 def laplacian(field: ScalarField) -> ScalarField:
-    """Discrete Laplacian u_rr + u_r/r + u_qq/r^2.
+    """Discrete Laplacian u_rr + u_r/r + u_qq/r^2 on the whole grid.
 
     Built from the same stencil pieces as ``hessian``, so the Hessian trace
-    and the Laplacian agree to rounding at every node.
+    and the Laplacian agree to rounding at every node.  ``_laplacian_rows`` on
+    a band of rings gives these values to the bit on all but its end rings.
     """
-    g = field.grid
-    u_r, _, u_rr, _, u_qq = _polar_derivatives(field)
-    r = g.radii[:, None]
-    return ScalarField(g, u_rr + u_r / r + u_qq / r ** 2)
+    return ScalarField(field.grid, _laplacian_rows(field))
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,11 @@ class NewtonTrace:
 
 def _interior_state(spec, field):
     """Hessian rows with centered stencils, operator values, sup residual."""
-    h = hessian(field)
+    return _hessian_state(spec, hessian(field))
+
+
+def _hessian_state(spec, h):
+    """``_interior_state`` from the field's Hessian ``h``: the residual Newton iterates on."""
     m = (h.m11[1:-1], h.m12[1:-1], h.m22[1:-1])
     fvals = np.asarray(spec.evaluate(*m), dtype=float)
     return m, fvals, float(np.max(np.abs(fvals)))

@@ -417,16 +417,42 @@ class TestCommandLine:
         radii = build_grid(1.0, 64.0, 193, 64, UNIFORM_RADIAL).radii
         assert [row[0] for row in cells] == radii.tolist()
 
-    def test_analyze_roundtrip(self, quad_run, tmp_path):
-        code = cli.main(["analyze", str(quad_run / "solution.field"),
-                         "identity-quadratic", "--out", str(tmp_path)])
-        assert code == 0
-        solved = json.loads((quad_run / "report.json").read_text())
-        loaded = json.loads(
-            (tmp_path / "identity-quadratic" / "report.json").read_text())
-        assert loaded["solve"]["method"] == "loaded"
-        assert loaded["expansion"]["d"] == solved["expansion"]["d"]
-        assert loaded["status"] == "pass"
+    def test_analyze_roundtrip(self, quad_run, small_ma_run, tmp_path):
+        # analyze of a solved snapshot reproduces the solve's tables and every
+        # report entry but "solve", on the direct path and on the Newton path
+        for run, config in ((quad_run, "identity-quadratic"),
+                            (small_ma_run, str(small_ma_run.parent / "ma-small.json"))):
+            code = cli.main(["analyze", str(run / "solution.field"), config,
+                             "--format", "svg", "--out", str(tmp_path)])
+            assert code == 0
+            analyzed = tmp_path / run.name
+            for name in ("profile.csv", "decay.svg"):
+                assert (analyzed / name).read_bytes() == (run / name).read_bytes(), name
+            solved = json.loads((run / "report.json").read_text())
+            loaded = json.loads((analyzed / "report.json").read_text())
+            assert loaded.pop("solve")["method"] == "loaded"
+            solved.pop("solve")
+            assert loaded == solved
+            assert loaded["status"] == "pass"
+
+    def test_each_command_forms_the_analysed_hessian_once(self, quad_run, small_ma_run,
+                                                          tmp_path, monkeypatch):
+        # the residual and the profile table share one Hessian of the field;
+        # the Newton solver's own Hessians are formed in its own module
+        calls = []
+
+        def counted(field):
+            calls.append(field)
+            return hessian(field)
+
+        monkeypatch.setattr(cli, "hessian", counted)
+        ma_config = str(small_ma_run.parent / "ma-small.json")
+        for argv in (["solve", "identity-quadratic"], ["solve", ma_config],
+                     ["analyze", str(quad_run / "solution.field"), "identity-quadratic"],
+                     ["analyze", str(small_ma_run / "solution.field"), ma_config]):
+            calls.clear()
+            assert cli.main([*argv, "--format", "svg", "--out", str(tmp_path)]) == 0
+            assert len(calls) == 1, argv
 
     def test_grid_and_windows_overrides(self, tmp_path):
         code = cli.main(["solve", "identity-quadratic", "--out", str(tmp_path),

@@ -15,7 +15,7 @@ from annulab.expansion import (
     hessian_limit,
     laurent_coefficients,
 )
-from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, gradient
+from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, gradient, laplacian, ring_index
 from annulab.nonlinear import monge_ampere_spec, newton_solve, radial_ma_reference
 from annulab.qcmap import dilatation_field, holder_exponent
 
@@ -259,6 +259,44 @@ class TestLaurentCoefficients:
         x1, x2 = contour_grid.nodes()
         u = ScalarField(contour_grid, (x1 * x1 + x2 * x2) ** 1.5)
         with pytest.raises(ValueError, match="not-harmonic"):
+            laurent_coefficients(u, 16.0, 2)
+
+    def test_harmonic_check_reads_the_full_grid_laplacian(self, contour_grid, monkeypatch):
+        # the check differences rings i-2 .. i+2 only, yet reads on rings
+        # i-1 .. i+1 exactly the values laplacian(u) gives there
+        x1, x2 = contour_grid.nodes()
+        u = ScalarField(contour_grid, np.log(x1 * x1 + x2 * x2) + x1 + 1e-3 * x2 ** 3)
+        i = ring_index(contour_grid, 16.0)
+        seen, original = [], expansion_module._laplacian_rows
+
+        def recorded(field, rows):
+            band = original(field, rows)
+            seen.append(band[1:-1])
+            return band
+
+        monkeypatch.setattr(expansion_module, "_laplacian_rows", recorded)
+        laurent_coefficients(u, 16.0, 2, harmonic_tol=1.0)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], laplacian(u).values[i - 1:i + 2])
+
+    @pytest.mark.parametrize("offset", range(-4, 5))
+    def test_harmonic_check_sees_a_defect_as_the_full_laplacian_does(self, contour_grid,
+                                                                     offset):
+        # a bump on ring i + offset moves the Laplacian on rings
+        # i + offset - 1 .. i + offset + 1: the check must fire exactly when
+        # one of those meets rings i-1 .. i+1, the ring-local band's edges included
+        x1, _ = contour_grid.nodes()
+        i = ring_index(contour_grid, 16.0)
+        vals = x1.copy()
+        vals[i + offset] += 1e-3
+        u = ScalarField(contour_grid, vals)
+        worst = np.max(np.abs(laplacian(u).values[i - 1:i + 2]))
+        flagged = worst > 1e-4 * (1.0 + np.max(np.abs(vals[i - 3:i + 4])))
+        assert flagged == (abs(offset) <= 2)
+        if flagged:
+            with pytest.raises(ValueError, match="not-harmonic"):
+                laurent_coefficients(u, 16.0, 2)
+        else:
             laurent_coefficients(u, 16.0, 2)
 
     def test_stencil_margin_enforced(self, contour_grid):

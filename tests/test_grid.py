@@ -15,6 +15,8 @@ from annulab.grid import (
     UNIFORM_RADIAL,
     PlanarMapping,
     ScalarField,
+    _laplacian_rows,
+    _polar_derivatives,
     annulus_integral,
     build_grid,
     circle_flux_integral,
@@ -236,6 +238,31 @@ def test_hessian_trace_equals_laplacian():
     tr = h.trace()
     denom = np.maximum(np.abs(lap.values), 1.0)
     assert np.max(np.abs(tr - lap.values) / denom) < 1e-10
+
+
+@pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])
+def test_gradient_is_the_cartesian_rule_on_the_polar_first_derivatives(spacing):
+    # gradient forms the first derivatives alone, with the stencils hessian uses
+    g = build_grid(1.0, 8.0, 40, 32, spacing)
+    x1, x2 = g.nodes()
+    u = ScalarField(g, np.sin(x1) * x2 ** 2 + np.log(x1 ** 2 + x2 ** 2))
+    u_r, u_q, *_ = _polar_derivatives(u)
+    r, c, s = g.radii[:, None], g.cos_theta, g.sin_theta
+    w = gradient(u)
+    assert np.array_equal(w.p, c * u_r - s * (u_q / r))
+    assert np.array_equal(w.q, s * u_r + c * (u_q / r))
+
+
+@pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])
+def test_laplacian_of_a_band_of_rings_matches_the_full_grid(spacing):
+    g = build_grid(1.0, 8.0, 40, 32, spacing)
+    u = ScalarField(g, np.random.default_rng(5).standard_normal(g.shape))
+    full = laplacian(u).values
+    for lo, hi in ((0, 40), (0, 5), (3, 8), (17, 30), (35, 40)):
+        band = _laplacian_rows(u, slice(lo, hi))
+        assert band.shape == (hi - lo, g.n_theta)
+        assert np.array_equal(band[1:-1], full[lo + 1:hi - 1])
+    assert np.array_equal(_laplacian_rows(u), full)
 
 
 @pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])
