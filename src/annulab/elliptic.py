@@ -31,6 +31,7 @@ from .grid import (
     AnnularGrid,
     ScalarField,
     _check_values,
+    _stencil_coefficients,
     sym2_eig,
 )
 
@@ -104,33 +105,6 @@ def _boundary_values(grid, data, name):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"singular-input: non-finite entries in {name}")
     return arr
-
-
-def _stencil_coefficients(coeffs):
-    """Per-node coefficients of u_tt, u_ttheta, u_thth, u_t, u_theta.
-
-    The Cartesian operator a_ij u_ij is rotated to the polar frame
-    (A_rr, A_rt, A_tt) and expressed in the differenced parameters
-    (t, theta) through the grid's dr/dt and d2r/dt2 / (dr/dt).
-    """
-    g = coeffs.grid
-    r = g.radii[:, None]
-    c, s = g.cos_theta, g.sin_theta
-    a11, a12, a22 = coeffs.a11, coeffs.a12, coeffs.a22
-    a_rr = a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
-    a_tt = a11 * s * s - 2.0 * a12 * c * s + a22 * c * c
-    a_rt = 2.0 * ((a22 - a11) * c * s + a12 * (c * c - s * s))
-    h = g.dr_dt[:, None]
-    stretch = r / h  # 1 on log-radial grids
-    inv_h2 = 1.0 / (h * h)
-    inv_r2 = 1.0 / (r * r)
-    return (
-        a_rr * inv_h2,
-        a_rt * inv_h2 / stretch,
-        a_tt * inv_r2,
-        (a_tt / stretch - g.d2r_ratio * a_rr) * inv_h2,
-        -a_rt * inv_r2,
-    )
 
 
 _BACKWARD_TOL = 1e-10  # normwise backward error a linear solve must meet

@@ -23,10 +23,14 @@ import numpy as np
 
 from .grid import (
     ScalarField,
+    _cartesian,
     _laplacian_rows,
+    _measure_weights,
+    _polar_laplacian,
+    _radial_slope,
+    _theta_derivative,
     annulus_integral,
     hessian,
-    radial_derivative,
     ring_index,
     window_slice,
 )
@@ -192,11 +196,6 @@ def _largest_window(wins):
     return max(range(len(wins)), key=lambda k: (wins[k][1], wins[k][0]))
 
 
-def _measure_weights(grid, sl):
-    """Node weights uniform in (log r, theta): d(log r)/dt = (dr/dt) / r."""
-    return grid.dr_dt[sl] / grid.radii[sl]
-
-
 # the fitting basis, in the order A11, A12, A22, b1, b2, d, c, e1, e2
 _BASIS = (
     lambda x1, x2: 0.5 * x1 * x1,
@@ -318,17 +317,6 @@ def hessian_limit(u: ScalarField, windows):
 # Contour coefficients
 
 
-def _theta_derivative(vals, deriv):
-    """Spectral ``deriv``-th theta derivative along the last axis.
-
-    On real input the Nyquist mode's odd derivatives are purely imaginary,
-    so the real part drops them; even derivatives keep the mode.
-    """
-    n = vals.shape[-1]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    return np.fft.ifft((1j * k) ** deriv * np.fft.fft(vals, axis=-1), axis=-1).real
-
-
 def laurent_coefficients(
     u: ScalarField, radius: float, max_order: int, harmonic_tol: float = 1e-4
 ) -> LaurentCoefficients:
@@ -365,16 +353,10 @@ def laurent_coefficients(
             f"{harmonic_tol:.1e} x local scale {scale:.3e} near the contour radius"
         )
 
+    u_r = _radial_slope(u, 6, slice(i - 3, i + 4))[3]
+    ux, uy = _cartesian(grid, u_r, _theta_derivative(u.values[i], 1), i)
+    modes = np.fft.ifft(ux - 1j * uy)
     r = float(grid.radii[i])
-    ut = radial_derivative(u.values[i - 3:i + 4], grid.dt, 1, 6)[3]
-    u_r = ut / grid.dr_dt[i]
-    u_q = _theta_derivative(u.values[i], 1)
-    c, s = grid.cos_theta, grid.sin_theta
-    ux = c * u_r - s * u_q / r
-    uy = s * u_r + c * u_q / r
-    xi = ux - 1j * uy
-
-    modes = np.fft.ifft(xi)
     orders = np.arange(max_order + 1)
     coeffs = modes[orders] * r ** orders
     return LaurentCoefficients(coefficients=coeffs, radius_used=r)
@@ -382,24 +364,6 @@ def laurent_coefficients(
 
 # ---------------------------------------------------------------------------
 # Divergence-theorem log coefficient
-
-
-def _fine_laplacian(w: ScalarField) -> ScalarField:
-    """Laplacian with 4th-order radial and spectral angular derivatives.
-
-    The 2nd-order operator that matches the linear solver's stencil leaves an
-    O(h^2) constant in the area term of the divergence identity; this
-    version keeps the quadrature error below the identity's tolerances.
-    """
-    grid = w.grid
-    wqq = _theta_derivative(w.values, 2)
-    lap = radial_derivative(w.values, grid.dt, 2, 4)
-    r, h = grid.radii[:, None], grid.dr_dt[:, None]
-    # (dr/dt)^2 times the Laplacian is w_tt + lift w_t / r + w_qq (dr/dt)^2 / r^2
-    lift = h - grid.d2r_ratio * r
-    if np.any(lift):  # w_t drops out where it vanishes, as on log-radial grids
-        lap = lap + radial_derivative(w.values, grid.dt, 1, 4) * lift / r
-    return ScalarField(grid, (lap + wqq / (r ** 2 / h ** 2)) / h ** 2)
 
 
 def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
@@ -430,11 +394,11 @@ def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
         )
 
     w = ScalarField(grid, u.values - far_field(*grid.nodes(), Am))
-    # the flux and the Laplacian are the same for both radii; only the
-    # area integral runs to R
-    ut0 = radial_derivative(w.values[:5], grid.dt, 1, 4)[0]
-    flux = float(grid.r_inner * grid.dtheta * np.sum(ut0 / grid.dr_dt[0]))
-    lap = _fine_laplacian(w)
+    # the flux and the Laplacian are the same for both radii; only the area
+    # integral runs to R.  Fourth-order radial and spectral angular derivatives:
+    # second-order ones leave an O(h^2) constant in the area term
+    flux = float(grid.r_inner * grid.dtheta * np.sum(_radial_slope(w, 4, slice(0, 5))[0]))
+    lap = ScalarField(grid, _polar_laplacian(w, 4, _theta_derivative(w.values, 2)))
 
     def raw(radius):
         area = annulus_integral(lap, grid.r_inner, radius)

@@ -7,15 +7,17 @@ the way to the outer edge; uniform radial spacing is available for cases
 where polynomial profiles should be differenced exactly.
 
 The grid owns the radial parameter t that the stencils difference: the
-maps r(t) and t(r), dr/dt per ring and the ratio d2r/dt2 / (dr/dt) that
-the second-derivative chain rule needs.  Every other module writes its
-radial formulas in these values and never asks which spacing it is on.
+maps r(t) and t(r), dr/dt per ring and the ratio d2r/dt2 / (dr/dt).  It
+alone applies the chain rule that turns (t, theta) differences into polar
+and Cartesian derivatives, and it owns both theta-derivatives, periodic
+centered differences and the spectral one.  Other modules take radial
+slopes, Cartesian components, Laplacians and stencil coefficients from its
+helpers; they never read dr/dt or ask which spacing they are on.
 
-All derivative operators are second order: centered stencils in the
-(radial coordinate, theta) plane at interior rings, one-sided stencils of
-the same order on the two boundary rings, and the polar chain rule to
-convert to Cartesian components.  The angular direction is periodic, so
-every angular stencil is centered.
+``gradient``, ``hessian`` and ``laplacian`` are second order: centered
+stencils in (t, theta) at interior rings, one-sided stencils of the same
+order on the two boundary rings.  The far-field checks take radial
+stencils of order 4 and 6 with the spectral theta-derivative.
 
 Storage convention: node (i, j) is (radii[i], theta[j]); flattening is
 row-major radial-then-angular.  A snapshot file is one ASCII header line,
@@ -84,9 +86,9 @@ class AnnularGrid:
     spacing: str = LOG_RADIAL
 
     def __post_init__(self):
-        if not (self.r_inner > 0.0 and self.r_outer > self.r_inner):
+        if not 0.0 < self.r_inner < self.r_outer < math.inf:
             raise ValueError(
-                "invalid-radii: need 0 < r_inner < r_outer, got "
+                "invalid-radii: need 0 < r_inner < r_outer < inf, got "
                 f"({self.r_inner}, {self.r_outer})"
             )
         if self.n_r < 8:
@@ -103,6 +105,9 @@ class AnnularGrid:
         radii = self.r_of_t(t).copy()
         # pin the endpoints so snapshot round-trips compare exactly
         radii[0], radii[-1] = self.r_inner, self.r_outer
+        if not np.all(radii[1:] > radii[:-1]):
+            raise ValueError(f"invalid-radii: {self.n_r} rings on [{self.r_inner}, "
+                             f"{self.r_outer}] do not strictly increase in floating point")
         log = self.spacing == LOG_RADIAL
         dr_dt, d2r_ratio = (radii, 1.0) if log else (np.ones(self.n_r), 0.0)
         theta = np.arange(self.n_theta) * (2.0 * math.pi / self.n_theta)
@@ -321,40 +326,72 @@ def _diff2_theta(vals, dtheta):
     return (np.roll(vals, -1, axis=1) - 2.0 * vals + np.roll(vals, 1, axis=1)) / dtheta ** 2
 
 
-def _first_derivatives(g, u):
-    """Return (u_t, u_theta): the first derivatives in the differenced parameters."""
-    return radial_derivative(u, g.dt, 1, 2), _diff_theta(u, g.dtheta)
+def _theta_derivative(vals, deriv):
+    """Spectral ``deriv``-th theta derivative along the last axis.
+
+    On real input the Nyquist mode's odd derivatives are purely imaginary,
+    so the real part drops them; even derivatives keep the mode.
+    """
+    n = vals.shape[-1]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return np.fft.ifft((1j * k) ** deriv * np.fft.fft(vals, axis=-1), axis=-1).real
 
 
-def _polar_derivatives(field: ScalarField, rows=slice(None)):
-    """Return (u_r, u_theta, u_rr, u_rtheta, u_thetatheta) on the rings ``rows`` only;
-    on a strict sub-range all but its two (one-sided) end rings match the full grid's."""
+# ---------------------------------------------------------------------------
+# The polar chain rule: (t, theta) differences to r and Cartesian derivatives
+
+
+def _radial_slope(field: ScalarField, order, rows=slice(None)):
+    """u_r = D_t u / (dr/dt) on the rings ``rows``, D_t of stencil order ``order``."""
+    g = field.grid
+    return radial_derivative(field.values[rows], g.dt, 1, order) / g.dr_dt[rows, None]
+
+
+def _cartesian(grid, u_r, u_q, rows=slice(None)):
+    """(u_x, u_y) from u_r and u_theta given on the rings ``rows``."""
+    u_q_over_r = u_q / grid.radii[rows, None]
+    c, s = grid.cos_theta, grid.sin_theta
+    return c * u_r - s * u_q_over_r, s * u_r + c * u_q_over_r
+
+
+def _polar_laplacian(field: ScalarField, order, u_qq, rows=slice(None)):
+    """Laplacian on the rings ``rows`` from D_t of stencil order ``order`` and u_qq.
+
+    (u_tt + lift u_t / r) / (dr/dt)^2 + u_qq / r^2, with
+    lift = dr/dt - r d2r/dt2 / (dr/dt); u_t is formed only where lift is
+    nonzero, so not on log-radial grids.
+    """
     g = field.grid
     u = field.values[rows]
-    u_t, u_q = _first_derivatives(g, u)
-    u_tt = radial_derivative(u, g.dt, 2, 2)
-    u_qq = _diff2_theta(u, g.dtheta)
-    u_tq = _diff_theta(u_t, g.dtheta)
-    h = g.dr_dt[rows, None]
-    u_rr = (u_tt - g.d2r_ratio * u_t) / h ** 2
-    return u_t / h, u_q, u_rr, u_tq / h, u_qq
+    r, h = g.radii[rows, None], g.dr_dt[rows, None]
+    lap = radial_derivative(u, g.dt, 2, order)
+    lift = h - g.d2r_ratio * r
+    if np.any(lift):
+        lap = lap + radial_derivative(u, g.dt, 1, order) * lift / r
+    return lap / h ** 2 + u_qq / r ** 2
+
+
+def _measure_weights(grid, sl):
+    """Node weights uniform in (log r, theta) on the rings ``sl``: d(log r)/dt = (dr/dt) / r."""
+    return grid.dr_dt[sl] / grid.radii[sl]
 
 
 def gradient(field: ScalarField) -> PlanarMapping:
     """Cartesian gradient of a scalar field from first derivatives only, second order."""
     g = field.grid
-    u_t, u_q = _first_derivatives(g, field.values)
-    u_r = u_t / g.dr_dt[:, None]
-    r = g.radii[:, None]
-    c, s = g.cos_theta, g.sin_theta
-    u_q_over_r = u_q / r
-    return PlanarMapping(g, c * u_r - s * u_q_over_r, s * u_r + c * u_q_over_r)
+    u_q = _diff_theta(field.values, g.dtheta)
+    return PlanarMapping(g, *_cartesian(g, _radial_slope(field, 2), u_q))
 
 
 def hessian(field: ScalarField) -> SymMatrixField:
     """Cartesian Hessian via the polar chain rule, second order."""
     g = field.grid
-    u_r, u_q, u_rr, u_rq, u_qq = _polar_derivatives(field)
+    u = field.values
+    u_t, u_tt = radial_derivative(u, g.dt, 1, 2), radial_derivative(u, g.dt, 2, 2)
+    h = g.dr_dt[:, None]
+    u_r, u_q, u_qq = u_t / h, _diff_theta(u, g.dtheta), _diff2_theta(u, g.dtheta)
+    u_rr = (u_tt - g.d2r_ratio * u_t) / h ** 2
+    u_rq = _diff_theta(u_t, g.dtheta) / h
     r = g.radii[:, None]
     c, s = g.cos_theta, g.sin_theta
     # angular pieces that recur in every entry
@@ -366,19 +403,41 @@ def hessian(field: ScalarField) -> SymMatrixField:
     return SymMatrixField(g, m11, m12, m22)
 
 
+def _stencil_coefficients(coeffs):
+    """Per-node coefficients of u_tt, u_ttheta, u_thth, u_t, u_theta.
+
+    The adjoint of ``hessian``'s chain rule: the Cartesian operator a_ij u_ij
+    of ``coeffs`` (a grid and entries a11, a12, a22) is rotated to the polar
+    frame (A_rr, A_rt, A_tt) and expressed in the differenced parameters
+    (t, theta) through dr/dt and d2r/dt2 / (dr/dt).
+    """
+    g = coeffs.grid
+    r = g.radii[:, None]
+    c, s = g.cos_theta, g.sin_theta
+    a11, a12, a22 = coeffs.a11, coeffs.a12, coeffs.a22
+    a_rr = a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
+    a_tt = a11 * s * s - 2.0 * a12 * c * s + a22 * c * c
+    a_rt = 2.0 * ((a22 - a11) * c * s + a12 * (c * c - s * s))
+    h = g.dr_dt[:, None]
+    stretch = r / h  # 1 on log-radial grids
+    inv_h2 = 1.0 / (h * h)
+    inv_r2 = 1.0 / (r * r)
+    return (a_rr * inv_h2, a_rt * inv_h2 / stretch, a_tt * inv_r2,
+            (a_tt / stretch - g.d2r_ratio * a_rr) * inv_h2, -a_rt * inv_r2)
+
+
 def _laplacian_rows(field: ScalarField, rows=slice(None)):
     """Node values of the discrete Laplacian on the rings ``rows``, as ``laplacian`` forms them."""
-    u_r, _, u_rr, _, u_qq = _polar_derivatives(field, rows)
-    r = field.grid.radii[rows, None]
-    return u_rr + u_r / r + u_qq / r ** 2
+    return _polar_laplacian(field, 2, _diff2_theta(field.values[rows], field.grid.dtheta), rows)
 
 
 def laplacian(field: ScalarField) -> ScalarField:
     """Discrete Laplacian u_rr + u_r/r + u_qq/r^2 on the whole grid.
 
-    Built from the same stencil pieces as ``hessian``, so the Hessian trace
-    and the Laplacian agree to rounding at every node.  ``_laplacian_rows`` on
-    a band of rings gives these values to the bit on all but its end rings.
+    The same second-order stencils as ``hessian``, so the Hessian trace and
+    the Laplacian agree to rounding at every node; on log-radial grids only
+    u_tt and u_qq are formed.  ``_laplacian_rows`` on a band of rings gives
+    these values to the bit on all but its end rings.
     """
     return ScalarField(field.grid, _laplacian_rows(field))
 

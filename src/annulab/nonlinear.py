@@ -9,7 +9,8 @@ checks on the derivative's nodal eigenvalues.  Each iterate is linearized once.
 
 Hessian entries are formed with the same centered stencils as the linear
 solver's nine-point operator, so the linearization is consistent with the
-discrete residual to rounding.
+discrete residual to rounding; a property test pins the two within 32 eps
+of |A||u| (``test_the_linear_operator_is_the_hessian_contracted_with_its_coefficients``).
 """
 
 from __future__ import annotations

@@ -87,8 +87,8 @@ def holder_exponent(K):
     identity alpha + 1/alpha = 2K at rounding level.
     """
     K = np.asarray(K, dtype=float)
-    if np.any(K < 1.0):
-        raise ValueError(f"invalid dilatation constant: K must be >= 1, got {K[K < 1.0][:3]}")
+    if not np.all(K >= 1.0):  # NaN fails this test too
+        raise ValueError(f"invalid dilatation constant: K must be >= 1, got {K[~(K >= 1.0)][:3]}")
     alpha = 1.0 / (K + np.sqrt(K * K - 1.0))
     return float(alpha) if alpha.ndim == 0 else alpha
 

@@ -527,6 +527,10 @@ class TestCommandLine:
         # beyond the float range, which JSON integers may be
         ({"grid": {"n_r": 10 ** 400}}, "grid.n_r must be an integer"),
         ({"windows": [[4, 10 ** 400]]}, "windows[0] must be a finite number"),
+        # rings that coincide in floating point, though every window lies inside
+        ({"grid": {"r_outer": 1.000000000000001, "spacing": "log"},
+          "windows": [[1.0, 1.0000000000000004], [1.0000000000000004, 1.000000000000001],
+                      [1.0, 1.000000000000001]]}, "invalid-radii"),
     ])
     def test_malformed_windows_and_grid_exit_2_before_solving(
             self, tmp_path, monkeypatch, capsys, overrides, message):

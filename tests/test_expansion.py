@@ -15,7 +15,15 @@ from annulab.expansion import (
     hessian_limit,
     laurent_coefficients,
 )
-from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, gradient, laplacian, ring_index
+from annulab.grid import (
+    UNIFORM_RADIAL,
+    ScalarField,
+    _theta_derivative,
+    build_grid,
+    gradient,
+    laplacian,
+    ring_index,
+)
 from annulab.nonlinear import monge_ampere_spec, newton_solve, radial_ma_reference
 from annulab.qcmap import dilatation_field, holder_exponent
 
@@ -457,12 +465,12 @@ def test_spectral_theta_derivative_of_fourier_modes():
     for k in range(n // 2):
         cos, sin = np.cos(k * theta), np.sin(k * theta)
         modes = np.stack([cos, sin])  # the derivative acts along the last axis
-        first = expansion_module._theta_derivative(modes, 1)
-        second = expansion_module._theta_derivative(modes, 2)
+        first = _theta_derivative(modes, 1)
+        second = _theta_derivative(modes, 2)
         assert np.max(np.abs(first - np.stack([-k * sin, k * cos]))) <= 1e-13 * (1 + k)
         assert np.max(np.abs(second + k * k * modes)) <= 1e-13 * (1 + k * k)
     # the Nyquist mode: its first derivative vanishes at the nodes, the second does not
     nyquist = np.cos(n // 2 * theta)
-    assert np.max(np.abs(expansion_module._theta_derivative(nyquist, 1))) <= 1e-13
-    second = expansion_module._theta_derivative(nyquist, 2)
+    assert np.max(np.abs(_theta_derivative(nyquist, 1))) <= 1e-13
+    second = _theta_derivative(nyquist, 2)
     assert np.max(np.abs(second + (n // 2) ** 2 * nyquist)) <= 1e-13 * (n // 2) ** 2

@@ -15,8 +15,8 @@ from annulab.grid import (
     UNIFORM_RADIAL,
     PlanarMapping,
     ScalarField,
+    _diff_theta,
     _laplacian_rows,
-    _polar_derivatives,
     annulus_integral,
     build_grid,
     circle_flux_integral,
@@ -63,6 +63,10 @@ def test_build_grid_uniform_spacing():
         ((1.0, 4.0, 16, 8), "invalid-dimension"),
         ((1.0, 4.0, 16, 17), "invalid-dimension"),
         ((1.0, 4.0, 16, 16, "cubic"), "invalid-dimension: unknown spacing 'cubic'"),
+        # an infinite radius, and rings that coincide in floating point
+        ((1.0, math.inf, 16, 16), "invalid-radii"),
+        ((1.0, 1.0 + 1e-15, 16, 16), "invalid-radii"),
+        ((1.0, 1.0 + 1e-15, 16, 16, UNIFORM_RADIAL), "invalid-radii"),
     ],
 )
 def test_build_grid_rejects_bad_input(args, msg):
@@ -246,7 +250,8 @@ def test_gradient_is_the_cartesian_rule_on_the_polar_first_derivatives(spacing):
     g = build_grid(1.0, 8.0, 40, 32, spacing)
     x1, x2 = g.nodes()
     u = ScalarField(g, np.sin(x1) * x2 ** 2 + np.log(x1 ** 2 + x2 ** 2))
-    u_r, u_q, *_ = _polar_derivatives(u)
+    u_r = radial_derivative(u.values, g.dt, 1, 2) / g.dr_dt[:, None]
+    u_q = _diff_theta(u.values, g.dtheta)
     r, c, s = g.radii[:, None], g.cos_theta, g.sin_theta
     w = gradient(u)
     assert np.array_equal(w.p, c * u_r - s * (u_q / r))
@@ -423,15 +428,19 @@ def test_snapshot_holds_one_scalar_field(tmp_path):
         read_snapshot(path)
 
 
-@pytest.mark.parametrize("header", [
-    b"annular-fields v2 1.0 2.0 8 16 log-radial\n",
-    b"annular-field v2 1.0 2.0 8 16\n",
-    b"annular-field v2 1.0 2.0 8 16 log-radial extra\n",
-], ids=["bad-magic", "six-fields", "eight-fields"])
-def test_snapshot_with_a_bad_header_is_refused(tmp_path, header):
+_BAD_HEADER = "invalid-dimension: bad snapshot header"
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"annular-fields v2 1.0 2.0 8 16 log-radial\n", _BAD_HEADER),
+    (b"annular-field v2 1.0 2.0 8 16\n", _BAD_HEADER),
+    (b"annular-field v2 1.0 2.0 8 16 log-radial extra\n", _BAD_HEADER),
+    (b"annular-field v2 1.0 inf 8 16 log-radial\n", "invalid-radii"),
+], ids=["bad-magic", "six-fields", "eight-fields", "infinite-radius"])
+def test_snapshot_with_a_bad_header_is_refused(tmp_path, header, message):
     path = tmp_path / "bad.field"
     path.write_bytes(header + np.zeros(8 * 16, "<f8").tobytes())
-    with pytest.raises(ValueError, match="invalid-dimension: bad snapshot header"):
+    with pytest.raises(ValueError, match=message):
         read_snapshot(path)
 
 
@@ -517,8 +526,8 @@ def _spacing_reads(source, may_import):
 
 def test_only_the_grid_reads_the_spacing():
     # every radial formula outside grid.py is written in the grid's r(t),
-    # t(r), dr/dt and d2r/dt2 / (dr/dt); cli.py names the spacings only in
-    # its config-name table, and the package re-exports them
+    # t(r) and chain-rule helpers; cli.py names the spacings only in its
+    # config-name table, and the package re-exports them
     package = Path(annulab.__file__).resolve().parent
     reads = {}
     for path in sorted(package.glob("*.py")):
@@ -581,6 +590,37 @@ def test_frame_guard_sees_cosines_and_meshgrids():
               "s = np.log(grid.radii)[:, None]\n"
               "t = np.log(radii)\n")
     assert _frame_rebuilds(source) == [1, 2, 3, 7]
+
+
+# the chain rule d/dr = (dr/dt)^-1 d/dt stays in this module
+
+
+def _chain_rule_reads(source):
+    """Lines that read a grid's ``dr_dt`` or ``d2r_ratio``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("dr_dt", "d2r_ratio"))
+
+
+def test_only_the_grid_applies_the_chain_rule():
+    # radial slopes, Cartesian components, Laplacians and the stencil
+    # coefficients come from grid.py's helpers, so no other module turns
+    # (t, theta) differences into polar derivatives itself
+    package = Path(annulab.__file__).resolve().parent
+    reads = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "grid.py":
+            found = _chain_rule_reads(path.read_text())
+            if found:
+                reads[path.name] = found
+    assert reads == {}
+
+
+def test_chain_rule_guard_sees_attribute_reads():
+    source = ("u_r = ut / grid.dr_dt[i]\n"
+              "h, lift = g.dr_dt[:, None], 1.0 - g.d2r_ratio\n"
+              "dr_dt = np.ones(n_r)\n"
+              "u_r = ut / dr_dt\n")
+    assert _chain_rule_reads(source) == [1, 2, 2]
 
 
 def test_nodes_are_kept_and_read_only():

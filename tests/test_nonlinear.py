@@ -3,10 +3,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annulab import elliptic, nonlinear
 from annulab.elliptic import LinearCoefficients, ellipticity_constants, solve_linear_dirichlet
-from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, hessian
+from annulab.grid import (
+    LOG_RADIAL,
+    UNIFORM_RADIAL,
+    ScalarField,
+    _stencil_coefficients,
+    build_grid,
+    hessian,
+)
 from annulab.nonlinear import (
     FullyNonlinearSpec,
     NewtonError,
@@ -151,6 +160,32 @@ class TestRadialReference:
             radial_ma_reference(1.0, 0.0)
         with pytest.raises(ValueError, match="invalid-radii"):
             radial_ma_reference(1.0, np.array([1.0, -2.0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]), n_r=st.integers(9, 33),
+       n_q=st.integers(8, 16).map(lambda k: 2 * k), r_outer=st.sampled_from([2.0, 64.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_linear_operator_is_the_hessian_contracted_with_its_coefficients(
+        spacing, n_r, n_q, r_outer, seed):
+    # Newton's correction solves with the nine-point operator of F'(D^2 u)
+    # and its residual reads F(hessian(u)): on every interior ring, the
+    # operator applied to u (boundary rings included) must be
+    # a11 m11 + 2 a12 m12 + a22 m22 of hessian(u), to rounding in |A||u|
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, r_outer, n_r, n_q, spacing)
+    a11, a22 = rng.uniform(0.1, 10.0, (2, *g.shape))
+    a12 = 0.9 * np.sqrt(a11 * a22) * rng.uniform(-1.0, 1.0, g.shape)
+    u = rng.standard_normal(g.shape)
+    coeffs = LinearCoefficients(g, a11, a12, a22)
+    applied, size = np.zeros((n_r - 2, n_q)), np.zeros((n_r - 2, n_q))
+    for di, dj, wgt in elliptic._nine_point(g, *(a[1:-1] for a in _stencil_coefficients(coeffs))):
+        term = wgt * np.roll(u[1 + di:n_r - 1 + di], -dj, axis=1)
+        applied += term
+        size += np.abs(term)
+    h = hessian(ScalarField(g, u))
+    contracted = (a11 * h.m11 + 2.0 * a12 * h.m12 + a22 * h.m22)[1:-1]
+    assert np.all(np.abs(applied - contracted) <= 32.0 * np.finfo(float).eps * size)
 
 
 class TestNewtonSolve:

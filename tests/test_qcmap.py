@@ -72,6 +72,12 @@ def test_holder_exponent_rejects_subunit_K():
         holder_exponent(0.5)
 
 
+@pytest.mark.parametrize("K", [math.nan, [2.0, math.nan]])
+def test_holder_exponent_rejects_nan(K):
+    with pytest.raises(ValueError, match="invalid dilatation constant"):
+        holder_exponent(K)
+
+
 # ---------------------------------------------------------------------------
 # dilatation_field
 
