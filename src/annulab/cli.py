@@ -333,7 +333,7 @@ def _operator_residual(scenario, op, h):
 
 
 def _solve(scenario):
-    """The solved field, its ``solve`` report entry and its Hessian, if formed."""
+    """The solved field, its ``solve`` report entry and its Hessian."""
     grid = _scenario_grid(scenario.grid)
     gin, gout = _boundary_data(scenario, grid)
     op = _operator(scenario, grid)
@@ -345,7 +345,7 @@ def _solve(scenario):
                                 max_iters=int(tols.get("max_iters", 30)))
         solve_info = {"method": "newton", "iterations": trace.iterations,
                       "final_residual": float(trace.residuals[-1])}
-        return u, solve_info, None
+        return u, solve_info, trace.hessian
 
     f = ScalarField(grid, np.full(grid.shape, float(scenario.operator.get("rhs", 0.0))))
     u = solve_linear_dirichlet(op, f, gin, gout)

@@ -5,13 +5,13 @@ are summarized by the coefficients of
 
     u(x) = x'Ax/2 + b.x + d log|x| + c + e.x/|x|^2 + remainder.
 
-This module recovers the coefficients three independent ways and measures
-the remainder: windowed least squares against the 9-function basis, annular
-averaging of the Hessian with a decay fit on the deviations, contour
-integrals of the complexified gradient on a circle, and a divergence-theorem
-identity for the log coefficient alone.  The bootstrap scheduler turns a
-Holder exponent into the doubling count and auxiliary exponents used by the
-improvement argument that upgrades decay estimates.
+This module recovers the coefficients three independent ways and measures the
+remainder: windowed least squares against the 9-function basis on each ring's
+theta-modes 0, 1 and 2, annular averaging of the Hessian with a decay fit on
+the deviations, contour integrals of the complexified gradient on a circle,
+and a divergence-theorem identity on ring means for d alone.  The bootstrap
+scheduler turns a Holder exponent into the doubling count and auxiliary
+exponents used by the improvement argument that upgrades decay estimates.
 """
 
 from __future__ import annotations
@@ -228,35 +228,46 @@ def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
 
     Each window is fitted independently against the 9-function basis
     (quadratic, linear, log, constant, dipole) with weights uniform in the
-    (log r, theta) measure, per-window column normalization, and one
-    SVD-based least-squares solve, whose singular values also give the
-    condition number.  The reported coefficients come from the largest
-    window; the per-window sup residuals are fitted to a power law in the
+    (log r, theta) measure, per-window column normalization, and SVD-based
+    least squares, whose singular values also give the condition number.
+    Each basis function has theta-modes 0, 1 and 2 only on every circle, so
+    the SVD runs on those 5 rows of each ring's orthonormal real DFT, exact
+    in exact arithmetic, and a second solve on the residual's modes refines
+    it.  A log sqrt(x'Qx) column would fit too: above mode 0 its spectrum is
+    the same on every ring, so it adds rows, not the full matrix.  The
+    reported coefficients come from the largest window; the per-window sup
+    residuals, over every window node, are fitted to a power law in the
     window center radius, which measures the remainder decay.
     """
     grid = u.grid
     wins, slices = window_slices(grid, windows)
     nodes = grid.nodes()
+    # columns: the orthonormal real DFT's rows for mode 0 and cos, sin of modes 1, 2
+    c, s = grid.cos_theta, grid.sin_theta
+    dft = np.stack([np.full_like(c, math.sqrt(0.5)), c, s, c * c - s * s, 2.0 * c * s], 1)
+    dft *= math.sqrt(2.0 / grid.n_theta)
 
     mids, sups, betas = [], [], []
     for (lo, hi), sl in zip(wins, slices):
-        x1, x2 = (x[sl].ravel() for x in nodes)
-        y = u.values[sl].ravel()
-        X = np.column_stack([f(x1, x2) for f in _BASIS])
-        scale = np.max(np.abs(X), axis=0)
-        Xn = X / scale
-        w = np.sqrt(np.repeat(_measure_weights(grid, sl), grid.n_theta))
-        Xw = Xn * w[:, None]
-        beta_n, _, _, sv = np.linalg.lstsq(Xw, y * w, rcond=None)
+        x1, x2 = (x[sl] for x in nodes)
+        X = np.stack([f(x1, x2) for f in _BASIS])
+        scale = np.max(np.abs(X), axis=(1, 2))
+        w = np.sqrt(_measure_weights(grid, sl))[:, None]
+        design = (X @ dft * w).reshape(len(X), -1).T / scale
+        # a second solve on the residual's modes removes the rounding of u's large part
+        beta, resid = np.zeros(len(X)), u.values[sl]
+        for _ in range(2):
+            step, _, _, sv = np.linalg.lstsq(design, (resid @ dft * w).ravel(), rcond=None)
+            beta = beta + step / scale
+            resid = u.values[sl] - np.tensordot(beta, X, 1)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
         if cond > _CONDITION_LIMIT:
             raise ValueError(
                 f"ill-conditioned-window: condition {cond:.3e} exceeds "
                 f"{_CONDITION_LIMIT:.0e} in window [{lo}, {hi}]"
             )
-        beta = beta_n / scale
         mids.append(math.sqrt(lo * hi))
-        sups.append(float(np.max(np.abs(X @ beta - y))))
+        sups.append(float(np.max(np.abs(resid))))
         betas.append(beta)
 
     beta = betas[_largest_window(wins)]
@@ -353,7 +364,7 @@ def laurent_coefficients(
             f"{harmonic_tol:.1e} x local scale {scale:.3e} near the contour radius"
         )
 
-    u_r = _radial_slope(u, 6, slice(i - 3, i + 4))[3]
+    u_r = _radial_slope(grid, u.values, 6, slice(i - 3, i + 4))[3]
     ux, uy = _cartesian(grid, u_r, _theta_derivative(u.values[i], 1), i)
     modes = np.fft.ifft(ux - 1j * uy)
     r = float(grid.radii[i])
@@ -373,11 +384,13 @@ def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
     Evaluates d = (flux of grad(u - x'Ax/2) through the inner circle +
     integral of its Laplacian over r_inner <= |x| <= R) / 2 pi.  Subtracting
     the quadratic analytically makes the x'Ax/2 flux cancel its area term
-    exactly and removes the dominant differencing error.  The truncation at
-    finite R decays like a power of 1/R; with ``extrapolate=True`` the
-    identity is evaluated at R and at the ring nearest R/2 and the 1/R^2
-    model is eliminated between them.  ``full_output=True`` returns
-    ``(d, info)`` with the raw values and the truncation estimate alongside.
+    exactly and removes the dominant differencing error.  Both terms need
+    only the ring means of u - x'Ax/2, since u_qq / r^2 has zero ring sum.
+    The truncation at finite R decays like a power of 1/R; with
+    ``extrapolate=True`` the identity is evaluated at R and at the ring
+    nearest R/2 and the 1/R^2 model is eliminated between them.
+    ``full_output=True`` returns ``(d, info)`` with the raw values and the
+    truncation estimate alongside.
     """
     grid = u.grid
     Am = np.asarray(A, dtype=float)
@@ -393,12 +406,12 @@ def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
             f"window-outside-grid: R = {R} leaves no annulus above r_inner"
         )
 
-    w = ScalarField(grid, u.values - far_field(*grid.nodes(), Am))
-    # the flux and the Laplacian are the same for both radii; only the area
-    # integral runs to R.  Fourth-order radial and spectral angular derivatives:
-    # second-order ones leave an O(h^2) constant in the area term
-    flux = float(grid.r_inner * grid.dtheta * np.sum(_radial_slope(w, 4, slice(0, 5))[0]))
-    lap = ScalarField(grid, _polar_laplacian(w, 4, _theta_derivative(w.values, 2)))
+    # u - x'Ax/2 node by node, then its ring means: subtracting after the
+    # means moves d by up to 2e-9 through cancellation.  Fourth-order radial
+    # derivatives; second-order ones leave an O(h^2) constant in the area term
+    w = np.mean(u.values - far_field(*grid.nodes(), Am), axis=1, keepdims=True)
+    flux = 2.0 * math.pi * grid.r_inner * float(_radial_slope(grid, w, 4, slice(0, 5))[0, 0])
+    lap = ScalarField(grid, np.broadcast_to(_polar_laplacian(grid, w, 4, 0.0), grid.shape))
 
     def raw(radius):
         area = annulus_integral(lap, grid.r_inner, radius)

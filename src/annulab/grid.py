@@ -341,10 +341,9 @@ def _theta_derivative(vals, deriv):
 # The polar chain rule: (t, theta) differences to r and Cartesian derivatives
 
 
-def _radial_slope(field: ScalarField, order, rows=slice(None)):
-    """u_r = D_t u / (dr/dt) on the rings ``rows``, D_t of stencil order ``order``."""
-    g = field.grid
-    return radial_derivative(field.values[rows], g.dt, 1, order) / g.dr_dt[rows, None]
+def _radial_slope(grid, values, order, rows=slice(None)):
+    """u_r = D_t u / (dr/dt), D_t of order ``order``, on rings ``rows`` of ring-major values."""
+    return radial_derivative(values[rows], grid.dt, 1, order) / grid.dr_dt[rows, None]
 
 
 def _cartesian(grid, u_r, u_q, rows=slice(None)):
@@ -354,20 +353,19 @@ def _cartesian(grid, u_r, u_q, rows=slice(None)):
     return c * u_r - s * u_q_over_r, s * u_r + c * u_q_over_r
 
 
-def _polar_laplacian(field: ScalarField, order, u_qq, rows=slice(None)):
+def _polar_laplacian(grid, values, order, u_qq, rows=slice(None)):
     """Laplacian on the rings ``rows`` from D_t of stencil order ``order`` and u_qq.
 
     (u_tt + lift u_t / r) / (dr/dt)^2 + u_qq / r^2, with
     lift = dr/dt - r d2r/dt2 / (dr/dt); u_t is formed only where lift is
     nonzero, so not on log-radial grids.
     """
-    g = field.grid
-    u = field.values[rows]
-    r, h = g.radii[rows, None], g.dr_dt[rows, None]
-    lap = radial_derivative(u, g.dt, 2, order)
-    lift = h - g.d2r_ratio * r
+    u = values[rows]
+    r, h = grid.radii[rows, None], grid.dr_dt[rows, None]
+    lap = radial_derivative(u, grid.dt, 2, order)
+    lift = h - grid.d2r_ratio * r
     if np.any(lift):
-        lap = lap + radial_derivative(u, g.dt, 1, order) * lift / r
+        lap = lap + radial_derivative(u, grid.dt, 1, order) * lift / r
     return lap / h ** 2 + u_qq / r ** 2
 
 
@@ -380,7 +378,7 @@ def gradient(field: ScalarField) -> PlanarMapping:
     """Cartesian gradient of a scalar field from first derivatives only, second order."""
     g = field.grid
     u_q = _diff_theta(field.values, g.dtheta)
-    return PlanarMapping(g, *_cartesian(g, _radial_slope(field, 2), u_q))
+    return PlanarMapping(g, *_cartesian(g, _radial_slope(g, field.values, 2), u_q))
 
 
 def hessian(field: ScalarField) -> SymMatrixField:
@@ -428,7 +426,8 @@ def _stencil_coefficients(coeffs):
 
 def _laplacian_rows(field: ScalarField, rows=slice(None)):
     """Node values of the discrete Laplacian on the rings ``rows``, as ``laplacian`` forms them."""
-    return _polar_laplacian(field, 2, _diff2_theta(field.values[rows], field.grid.dtheta), rows)
+    g, u = field.grid, field.values
+    return _polar_laplacian(g, u, 2, _diff2_theta(u[rows], g.dtheta), rows)
 
 
 def laplacian(field: ScalarField) -> ScalarField:

@@ -16,13 +16,13 @@ of |A||u| (``test_the_linear_operator_is_the_hessian_contracted_with_its_coeffic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .elliptic import LinearCoefficients, _boundary_values, solve_linear_dirichlet
-from .grid import AnnularGrid, ScalarField, hessian, sym2_eig
+from .grid import AnnularGrid, ScalarField, SymMatrixField, hessian, sym2_eig
 
 __all__ = [
     "FullyNonlinearSpec",
@@ -151,23 +151,19 @@ class NewtonError(ValueError):
 
 @dataclass(frozen=True)
 class NewtonTrace:
-    """Residual history (initial iterate included) and accepted step sizes."""
+    """Residuals (initial iterate included), accepted step sizes and the last Hessian."""
 
     residuals: tuple
     steps: tuple
+    hessian: SymMatrixField | None = field(default=None, repr=False, compare=False)
 
     @property
     def iterations(self) -> int:
         return len(self.steps)
 
 
-def _interior_state(spec, field):
-    """Hessian rows with centered stencils, operator values, sup residual."""
-    return _hessian_state(spec, hessian(field))
-
-
 def _hessian_state(spec, h):
-    """``_interior_state`` from the field's Hessian ``h``: the residual Newton iterates on."""
+    """Interior rows of the Hessian ``h``, operator values, and the sup residual Newton lowers."""
     m = (h.m11[1:-1], h.m12[1:-1], h.m22[1:-1])
     fvals = np.asarray(spec.evaluate(*m), dtype=float)
     return m, fvals, float(np.max(np.abs(fvals)))
@@ -250,7 +246,8 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
     vals[-1] = gout
     u = ScalarField(grid, vals)
 
-    m, fvals, resid = _interior_state(spec, u)
+    h = hessian(u)
+    m, fvals, resid = _hessian_state(spec, h)
     lin = None  # the linearization at u, once formed
     residuals = [resid]
     steps = []
@@ -275,7 +272,8 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
         s = 1.0
         while True:
             trial = ScalarField(grid, u.values + s * delta.values)
-            m_t, f_t, r_t = _interior_state(spec, trial)
+            h_t = hessian(trial)
+            m_t, f_t, r_t = _hessian_state(spec, h_t)
             admissible = np.all(np.isfinite(f_t)) and r_t < residuals[-1]
             # never step off the elliptic branch once it is reached
             lin_t = _linearization(spec, m_t) if admissible and on_branch else None
@@ -292,7 +290,7 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
                     f"ellipticity-lost: linearization eigenvalue {lin[-1]:.3e} "
                     f"and no recovering step at iteration {len(steps) + 1}"
                 )
-        u, m, fvals, lin = trial, m_t, f_t, lin_t
+        u, h, m, fvals, lin = trial, h_t, m_t, f_t, lin_t
         residuals.append(r_t)
         steps.append(s)
 
@@ -302,4 +300,4 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
             f"ellipticity-lost: converged with linearization eigenvalue "
             f"{lam_final:.3e} off the elliptic branch"
         )
-    return u, NewtonTrace(tuple(residuals), tuple(steps))
+    return u, NewtonTrace(tuple(residuals), tuple(steps), h)

@@ -438,7 +438,8 @@ class TestCommandLine:
     def test_each_command_forms_the_analysed_hessian_once(self, quad_run, small_ma_run,
                                                           tmp_path, monkeypatch):
         # the residual and the profile table share one Hessian of the field;
-        # the Newton solver's own Hessians are formed in its own module
+        # a Newton solve hands on the Hessian its last residual was formed
+        # from, so the command forms none of its own
         calls = []
 
         def counted(field):
@@ -447,12 +448,21 @@ class TestCommandLine:
 
         monkeypatch.setattr(cli, "hessian", counted)
         ma_config = str(small_ma_run.parent / "ma-small.json")
-        for argv in (["solve", "identity-quadratic"], ["solve", ma_config],
-                     ["analyze", str(quad_run / "solution.field"), "identity-quadratic"],
-                     ["analyze", str(small_ma_run / "solution.field"), ma_config]):
+        for argv, formed in ((["solve", "identity-quadratic"], 1), (["solve", ma_config], 0),
+                             (["analyze", str(quad_run / "solution.field"),
+                               "identity-quadratic"], 1),
+                             (["analyze", str(small_ma_run / "solution.field"), ma_config], 1)):
             calls.clear()
             assert cli.main([*argv, "--format", "svg", "--out", str(tmp_path)]) == 0
-            assert len(calls) == 1, argv
+            assert len(calls) == formed, argv
+
+    def test_newton_profile_is_the_table_of_the_solution_hessian(self, small_ma_run):
+        # the profile a Newton solve writes from the solver's last Hessian is,
+        # to the bit, the one formed afresh from the stored solution
+        report = json.loads((small_ma_run / "report.json").read_text())
+        u = cli.read_snapshot(small_ma_run / "solution.field")
+        expected = cli._profile_csv(u, hessian(u), report["expansion"]["A"])
+        assert (small_ma_run / "profile.csv").read_text() == expected
 
     def test_grid_and_windows_overrides(self, tmp_path):
         code = cli.main(["solve", "identity-quadratic", "--out", str(tmp_path),

@@ -1,24 +1,36 @@
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annulab import expansion as expansion_module
 from annulab.expansion import (
+    _BASIS,
     BootstrapSchedule,
     ExpansionCoefficients,
     LaurentCoefficients,
     bootstrap_schedule,
     d_from_divergence,
+    far_field,
     fit_expansion,
     formula_schedule,
     hessian_limit,
     laurent_coefficients,
+    window_slices,
 )
 from annulab.grid import (
+    LOG_RADIAL,
     UNIFORM_RADIAL,
     ScalarField,
+    _measure_weights,
+    _polar_laplacian,
+    _radial_slope,
     _theta_derivative,
+    annulus_integral,
     build_grid,
     gradient,
     laplacian,
@@ -474,3 +486,169 @@ def test_spectral_theta_derivative_of_fourier_modes():
     assert np.max(np.abs(_theta_derivative(nyquist, 1))) <= 1e-13
     second = _theta_derivative(nyquist, 2)
     assert np.max(np.abs(second + (n // 2) ** 2 * nyquist)) <= 1e-13 * (n // 2) ** 2
+
+
+# ---------------------------------------------------------------------------
+# The mode-wise fit and the ring-mean identity against full-grid references
+
+EPS = np.finfo(float).eps
+LSTSQ = np.linalg.lstsq
+
+
+@pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])
+@pytest.mark.parametrize("n_theta", [16, 18, 64, 128])
+def test_every_basis_function_is_band_limited_to_mode_two(spacing, n_theta):
+    # fit_expansion keeps each ring's theta-modes 0, 1 and 2 only, which is
+    # exact only while every basis column has nothing above mode 2 on a circle
+    grid = build_grid(0.5, 64.0, 9, n_theta, spacing)
+    x1, x2 = grid.nodes()
+    for k, f in enumerate(_BASIS):
+        vals = f(x1, x2)
+        modes = np.abs(np.fft.rfft(vals, axis=1)) / n_theta
+        floor = 4.0 * EPS * np.max(np.abs(vals), axis=1)
+        assert np.all(modes[:, 3:] <= floor[:, None]), f"basis column {k}"
+
+
+def reference_fit(u, windows):
+    """The SVD least squares on the full design matrix, one row per window node.
+
+    Per window: the coefficients, the column scales, the singular values and
+    the 2-norm of the weighted residual.
+    """
+    grid = u.grid
+    nodes = grid.nodes()
+    fits = []
+    for sl in window_slices(grid, windows)[1]:
+        x1, x2 = (x[sl].ravel() for x in nodes)
+        X = np.column_stack([f(x1, x2) for f in _BASIS])
+        scale = np.max(np.abs(X), axis=0)
+        w = np.sqrt(np.repeat(_measure_weights(grid, sl), grid.n_theta))
+        Xw, yw = X / scale * w[:, None], u.values[sl].ravel() * w
+        beta_n, _, _, sv = LSTSQ(Xw, yw, rcond=None)
+        fits.append((beta_n / scale, scale, sv, float(np.linalg.norm(Xw @ beta_n - yw))))
+    return fits
+
+
+def reference_divergence(u, A, R):
+    """The divergence identity on every node, spectral u_qq included: the raw
+    value at R, then the extrapolated one where a ring near R/2 lies above r_inner."""
+    grid = u.grid
+    w = u.values - far_field(*grid.nodes(), A)
+    flux = grid.r_inner * grid.dtheta * np.sum(_radial_slope(grid, w, 4, slice(0, 5))[0])
+    lap = ScalarField(grid, _polar_laplacian(grid, w, 4, _theta_derivative(w, 2)))
+    d1 = (flux + annulus_integral(lap, grid.r_inner, R)) / (2.0 * math.pi)
+    j = int(np.argmin(np.abs(grid.radii - 0.5 * R)))
+    if j < 1:
+        return d1, None
+    R2 = float(grid.radii[j])
+    d2 = (flux + annulus_integral(lap, grid.r_inner, R2)) / (2.0 * math.pi)
+    return d1, (d1 * R ** 2 - d2 * R2 ** 2) / (R ** 2 - R2 ** 2)
+
+
+def coefficients(fit):
+    return np.array([fit.A[0, 0], fit.A[0, 1], fit.A[1, 1], *fit.b, fit.d, fit.c, *fit.e])
+
+
+def exact_least_squares(u, window):
+    """The weighted least-squares coefficients of one window in exact rational arithmetic."""
+    grid = u.grid
+    sl = window_slices(grid, [window] * 3)[1][0]
+    x1, x2 = (x[sl].ravel() for x in grid.nodes())
+    X = [[Fraction(float(v)) for v in f(x1, x2)] for f in _BASIS]
+    y = [Fraction(float(v)) for v in u.values[sl].ravel()]
+    w = [Fraction(float(v)) for v in np.repeat(_measure_weights(grid, sl), grid.n_theta)]
+    wX = [[wi * xi for wi, xi in zip(w, col)] for col in X]
+    # normal equations, solved by Gauss-Jordan elimination
+    rows = [[sum(a * b for a, b in zip(wc, col)) for col in X]
+            + [sum(a * b for a, b in zip(wc, y))] for wc in wX]
+    n = len(rows)
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return np.array([float(rows[k][n] / rows[k][k]) for k in range(n)])
+
+
+def test_fit_is_the_least_squares_solution_to_rounding():
+    # one solve on the data's modes leaves A up to 18 ulps and d, c 4.5e-12 and
+    # 1.4e-11 from the exact solution here; the second solve, on the residual's
+    # modes, brings A within an ulp and d, c within 1e-13
+    grid = build_grid(1.0, 64.0, 97, 16)
+    x1, x2 = grid.nodes()
+    r = np.hypot(x1, x2)
+    u = ScalarField(grid, 0.5 * (1.3 * x1 * x1 + 0.7 * x2 * x2) + 0.4 * x1 * x2
+                    + 0.5 * np.log(r * r) + 1.2 + r ** -2.5 * x1)
+    exact = exact_least_squares(u, (32.0, 64.0))
+    beta = coefficients(fit_expansion(u, [(8.0, 16.0), (16.0, 32.0), (32.0, 64.0)]))
+    assert np.all(np.abs(beta[:3] - exact[:3]) <= 2.0 * np.spacing(np.abs(exact[:3])))
+    assert np.max(np.abs(beta[3:7] - exact[3:7])) <= 1e-12
+
+
+# grids and windows of the property: a thin shell, where x and x/|x|^2 nearly
+# collide, and five octaves on each spacing
+SHELLS = {
+    (LOG_RADIAL, "thin"): (1.0, 1.5, [(1.0, 1.1), (1.1, 1.25), (1.25, 1.5)]),
+    (UNIFORM_RADIAL, "thin"): (1.0, 1.5, [(1.0, 1.1), (1.1, 1.25), (1.25, 1.5)]),
+    (LOG_RADIAL, "wide"): (1.0, 32.0, [(2.0, 4.0), (4.0, 8.0), (8.0, 16.0), (16.0, 32.0)]),
+    (UNIFORM_RADIAL, "wide"): (1.0, 33.0, [(2.0, 6.0), (6.0, 12.0), (12.0, 24.0),
+                                           (16.0, 32.0)]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(shell=st.sampled_from(sorted(SHELLS)), half_theta=st.integers(8, 64),
+       n_r=st.integers(65, 161), seed=st.integers(0, 2 ** 32 - 1))
+def test_mode_wise_fit_and_ring_mean_identity_match_the_full_grid(shell, half_theta, n_r,
+                                                                  seed):
+    rng = np.random.default_rng(seed)
+    r_inner, r_outer, windows = SHELLS[shell]
+    grid = build_grid(r_inner, r_outer, n_r, 2 * half_theta, shell[0])
+    x1, x2 = grid.nodes()
+    r, theta = np.hypot(x1, x2), np.arctan2(x2, x1)
+    # a basis combination, decaying modes above 2 and a remainder in modes
+    # 0, 1 and 2 that no basis column spans
+    coef = rng.uniform(-2.0, 2.0, 9)
+    vals = sum(c * f(x1, x2) for c, f in zip(coef, _BASIS))
+    for k in range(3, min(8, half_theta)):
+        vals += rng.uniform(-1.0, 1.0) * r ** -rng.uniform(0.5, 3.0) * np.cos(
+            k * theta + rng.uniform(0.0, 2.0 * math.pi))
+    for k, p in zip((0, 1, 2), rng.uniform(0.3, 2.5, 3)):
+        vals += rng.uniform(-1.0, 1.0) * r ** -p * np.cos(
+            k * theta + rng.uniform(0.0, 2.0 * math.pi))
+    u = ScalarField(grid, vals)
+
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(LSTSQ(*args, **kwargs))
+        return solves[-1]
+
+    reference = reference_fit(u, windows)
+    with mock.patch.object(np.linalg, "lstsq", recorded):
+        fit = fit_expansion(u, windows)
+    # per window a solve on the data's modes, then one on the residual's
+    assert len(solves) == 2 * len(windows)
+    for first, second, (beta_ref, scale, sv_ref, resid) in zip(solves[::2], solves[1::2],
+                                                              reference):
+        beta_n, sv = first[0] + second[0], second[3]
+        assert np.array_equal(sv, first[3])
+        cond, cond_ref = sv[0] / sv[-1], sv_ref[0] / sv_ref[-1]
+        assert abs(cond - cond_ref) <= 1e-8 * cond_ref
+        # two solves of one least-squares problem differ by rounding that the
+        # condition number amplifies, and its square times the residual
+        # (Golub and Van Loan, Matrix Computations, section 5.3)
+        sensitivity = cond_ref * (1.0 + np.max(np.abs(beta_ref * scale))
+                                  + cond_ref * resid / sv_ref[0])
+        assert np.max(np.abs(beta_n - beta_ref * scale)) <= 32.0 * EPS * sensitivity
+    scale = reference[-1][1]
+    assert np.array_equal(coefficients(fit), solves[-2][0] / scale + solves[-1][0] / scale)
+
+    A = np.array([[coef[0], coef[1]], [coef[1], coef[2]]])
+    R = float(grid.radii[-1])
+    raw, extrapolated = reference_divergence(u, A, R)
+    assert abs(d_from_divergence(u, A, R) - raw) <= 1e-10
+    if extrapolated is not None:
+        assert abs(d_from_divergence(u, A, R, extrapolate=True) - extrapolated) <= 1e-10

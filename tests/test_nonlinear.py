@@ -327,6 +327,21 @@ class TestNewtonSolve:
         assert trace.iterations >= 3
         assert derivative.call_count == trace.iterations + 1
 
+    @pytest.mark.parametrize("u0", [None, "converged"], ids=["iterated", "converged-start"])
+    def test_trace_carries_the_hessian_of_the_returned_iterate(self, u0):
+        # the Hessian the last residual was formed from, to the bit; a start
+        # that is already a discrete root returns its own
+        grid = build_grid(1.0, 4.0, 33, 24, spacing=UNIFORM_RADIAL)
+        start = None
+        if u0 is not None:
+            start = ScalarField(grid, 0.5 * grid.radii[:, None] ** 2 * np.ones((1, grid.n_theta)))
+        g_in, g_out = reference_boundary(1.0, grid) if u0 is None else (0.5, 8.0)
+        u, trace = newton_solve(monge_ampere_spec(), grid, g_in, g_out, u0=start)
+        assert (trace.iterations == 0) == (u0 is not None)
+        h = hessian(u)
+        for name in ("m11", "m12", "m22"):
+            assert getattr(trace.hessian, name).tobytes() == getattr(h, name).tobytes()
+
     def test_coefficient_rows_are_formed_only_for_a_correction(self):
         # the branch test needs only the smallest eigenvalue; the clamped,
         # padded rows are formed once per solved correction
