@@ -5,8 +5,8 @@ nine-point stencil system for a_ij u_ij = f on an annular grid to a
 normwise backward error of 1e-10.  ``newtonian_potential`` integrates the
 normalized kernel log|x - y| - log|y| against a compactly supported
 density mode by mode in theta, where the kernel splits exactly in log r:
-two recurrences over the rings give per-ring tables, read at nodes by one
-irfft per ring and at any other target from two rings in O(n_theta).
+per-ring tables are read at nodes by one irfft per ring, in a cell from its
+two rings and off the grid from the nearer boundary ring, in O(n_theta).
 
 The linear solve applies its operator from the nine stencil weight
 arrays, with no matrix.  Its preconditioner solves with the ring means of
@@ -298,14 +298,19 @@ def _hat_weights(x):
     Returns ``(decay, near, far)``: v0 (1 - tau) + v1 tau integrates against
     e^{-x tau} to near v0 + far v1.  The closed forms lose about eps / x to
     cancellation, so below _SERIES_X both take their Taylor series, at those
-    entries only.
+    entries only, by Horner's rule in ``np.polyval``'s order of operations.
     """
-    decay = np.exp(-x)
+    den = -x
+    decay, mean = np.exp(den), np.expm1(den)
     small = x < _SERIES_X
-    mean = np.divide(-np.expm1(-x), x, out=np.zeros_like(x), where=~small)
-    far = np.divide(mean - decay, x, out=np.zeros_like(x), where=~small)
+    den[small] = -1.0  # e / -x rounds exactly as -e / x
+    mean /= den
+    far = (decay - mean) / den
     near = mean - far
-    near[small], far[small] = (np.polyval(c, x[small]) for c in (_NEAR_SERIES, _FAR_SERIES))
+    xs, near_s, far_s = x[small], 0.0, 0.0
+    for cn, cf in zip(_NEAR_SERIES, _FAR_SERIES):
+        near_s, far_s = near_s * xs + cn, far_s * xs + cf
+    near[small], far[small] = near_s, far_s
     return decay, near, far
 
 
@@ -315,26 +320,30 @@ def _mode_tables(grid, fvals):
     F_k(s) = rfft(f)_k e^{2s} / n_theta is taken linear in s on each cell,
     whatever its width, and every cell enters exactly.  Integrals over s < s_i:
     ``mass[i]`` of F_0 and ``moment[i]`` of (s_i - s) F_0; for k >= 1,
-    ``left[i]`` of e^{-k (s_i - s)} F_k, by one recurrence up the rings.
-    ``right[i]`` is that of e^{-k (s - s_i)} F_k over s > s_i, by one down.
+    ``left[i]`` of e^{-k (s_i - s)} F_k, by a recurrence up the rings, and
+    ``right[i]`` of e^{-k (s - s_i)} F_k over s > s_i, down them, in one loop.
     """
     s = grid.log_radii
     h = np.diff(s)
-    k = np.arange(1, grid.n_theta // 2 + 1)
+    k = np.arange(1.0, grid.n_theta // 2 + 1)
     spec = np.fft.rfft(fvals, axis=1) * (grid.radii[:, None] ** 2 / grid.n_theta)
     f0, fk = spec[:, 0].real, spec[:, 1:]
     mass = np.concatenate(([0.0], np.cumsum(0.5 * h * (f0[:-1] + f0[1:]))))
     moment = np.concatenate(([0.0], np.cumsum(h * (mass[:-1] + h * (f0[1:] / 6 + f0[:-1] / 3)))))
     decay, near, far = _hat_weights(h[:, None] * k)
     near, far = near * h[:, None], far * h[:, None]
-    up = near * fk[1:] + far * fk[:-1]  # cell c's part of left[c + 1]
-    down = near * fk[:-1] + far * fk[1:]  # cell c's part of right[c]
-    left, right = np.zeros_like(fk), np.zeros_like(fk)
-    for c in range(grid.n_r - 1):
-        left[c + 1] = decay[c] * left[c] + up[c]
-        right[-2 - c] = decay[-1 - c] * right[-1 - c] + down[-1 - c]
+    # row c holds left[c] and right[-1 - c], one loop runs both recurrences;
+    # up[c] is cell c's part of left[c + 1] and down[c] its part of right[c]
+    pairs = np.zeros((grid.n_r, 2 * k.size), dtype=complex)
+    up, down = pairs[1:, :k.size], pairs[:0:-1, k.size:]
+    np.multiply(near, fk[1:], out=up)
+    up += far * fk[:-1]
+    np.multiply(near, fk[:-1], out=down)
+    down += far * fk[1:]
+    for step, prev, row in zip(np.hstack([decay, decay[::-1]]), pairs, pairs[1:]):
+        row += step * prev
     return SimpleNamespace(s=s, h=h, k=k, f0=f0, fk=fk, mass=mass, moment=moment,
-                           left=left, right=right)
+                           left=pairs[:, :k.size], right=pairs[::-1, k.size:])
 
 
 def _node_values(tab, ring, col):
@@ -351,40 +360,47 @@ def _node_values(tab, ring, col):
 
 
 def _target_values(tab, r, theta):
-    """The potential at targets (r, theta), each in O(n_theta) from two rings.
+    """The potential at targets (r, theta) off the nodes, each in O(n_theta).
 
-    A target at t = log r takes its cell [s_i, s_i+1], the nearest one off
-    the grid (the origin too): left at s_i and right at s_i+1 decayed over
-    a = t - s_i and b = s_i+1 - t, plus the two partial-cell integrals.  A
-    distance d off the grid decays it all by e^{-k d}; mode 0 adds d mass.
+    A target at t = log r in the grid takes its cell [s_i, s_i+1]: left at
+    s_i and right at s_i+1 decayed over a = t - s_i and b = s_i+1 - t, plus
+    the two partial-cell integrals.  A target a distance d off it, the origin
+    too, reads the nearer boundary ring's series in z = e^{-d + i theta}: the
+    boundary cell's rule at b = 0 (a = 0), which the recurrences collapse to
+    left at s_last, mode 0 adding moment + d mass, or to right at s_0 alone.
     """
     with np.errstate(divide="ignore"):
         t = np.log(r)  # -inf at the origin, where every term vanishes
-    i = np.clip(np.searchsorted(tab.s, t, side="right") - 1, 0, tab.s.size - 2)
-    edge = np.clip(t, tab.s[i], tab.s[i + 1])
-    a, b = edge - tab.s[i], tab.s[i + 1] - edge
+    s, n_k = tab.s, tab.k.size
+    above, below = t > s[-1], t < s[0]
+    coef = np.where(tab.k < n_k, -1.0, -0.5) / tab.k  # the Nyquist mode is its own conjugate
+    per = max(1, _BLOCK_ELEMENTS // n_k)
+    vals = np.zeros(t.size)
+    vals[above] = tab.moment[-1] + (t[above] - s[-1]) * tab.mass[-1]
+    off, cell = np.flatnonzero(above | below), np.flatnonzero(~(above | below))
+    z = np.exp(1j * theta[off] - np.where(above[off], t[off] - s[-1], s[0] - t[off]))
+    series = np.column_stack([tab.left[-1], tab.right[0]]) * coef[:, None]
+    for lo in range(0, off.size, per):
+        at = off[lo:lo + per]
+        sums = np.cumprod(np.broadcast_to(z[lo:lo + per, None], (at.size, n_k)), axis=1) @ series
+        vals[at] += np.where(above[at], sums[:, 0], sums[:, 1]).real
+    t, theta = t[cell], theta[cell]
+    i = np.clip(np.searchsorted(s, t, side="right") - 1, 0, s.size - 2)
+    a, b = t - s[i], s[i + 1] - t
     wa, wb = a / tab.h[i], b / tab.h[i]
-    f0_edge = wb * tab.f0[i] + wa * tab.f0[i + 1]
-    vals = (tab.moment[i] + a * tab.mass[i] + a * a * (f0_edge / 6.0 + tab.f0[i] / 3.0)
-            + np.maximum(t - edge, 0.0) * (tab.mass[i] + 0.5 * a * (tab.f0[i] + f0_edge)))
-    coef = -1.0 / tab.k
-    coef[-1] *= 0.5  # the Nyquist mode is its own conjugate
-    per = max(1, _BLOCK_ELEMENTS // tab.k.size)
-    for lo in range(0, t.size, per):
-        sl = slice(lo, lo + per)
-        ib = i[sl]
-        a_k, b_k = a[sl, None], b[sl, None]
-        decay_a, near_a, far_a = _hat_weights(a_k * tab.k)
-        decay_b, near_b, far_b = _hat_weights(b_k * tab.k)
+    f0_t = wb * tab.f0[i] + wa * tab.f0[i + 1]
+    vals[cell] = tab.moment[i] + a * tab.mass[i] + a * a * (f0_t / 6.0 + tab.f0[i] / 3.0)
+    for lo in range(0, cell.size, per):
+        sl, ib = slice(lo, lo + per), i[lo:lo + per]
+        a_k, b_k = ab = np.stack([a[sl], b[sl]])[:, :, None]
+        decay, near, far = _hat_weights(ab * tab.k)
         # the partial cell's weight on F_k at the target's radius
-        at_edge = a_k * near_a + b_k * near_b
-        g = (decay_a * tab.left[ib] + decay_b * tab.right[ib + 1]
-             + (wb[sl, None] * at_edge + a_k * far_a) * tab.fk[ib]
-             + (wa[sl, None] * at_edge + b_k * far_b) * tab.fk[ib + 1])
-        # z^k, z = e^{-d + i theta}, by one cumulative product; |z| <= 1
-        powers = np.empty(g.shape, dtype=complex)
-        powers[:] = np.exp(1j * theta[sl] - np.abs(t[sl] - edge[sl]))[:, None]
-        vals[sl] += np.einsum("mk,mk,k->m", g, np.cumprod(powers, axis=1, out=powers), coef).real
+        at_t = a_k * near[0] + b_k * near[1]
+        g = (decay[0] * tab.left[ib] + decay[1] * tab.right[ib + 1]
+             + (wb[sl, None] * at_t + a_k * far[0]) * tab.fk[ib]
+             + (wa[sl, None] * at_t + b_k * far[1]) * tab.fk[ib + 1])
+        powers = np.cumprod(np.broadcast_to(np.exp(1j * theta[sl, None]), g.shape), axis=1)
+        vals[cell[sl]] += np.einsum("mk,mk,k->m", g, powers, coef).real
     return vals
 
 
@@ -421,8 +437,8 @@ def newtonian_potential(f, targets):
     each mode exactly against its density, linear in s on each cell, and
     log_mass is its mode-0 mass, so u - log_mass log|x| is one constant
     beyond the support.  Grid nodes (index coordinates within 1e-12 of
-    integers) are read ring by ring by irfft, every other target, the
-    origin and targets off the grid included, from two rings in O(n_theta).
+    integers) are read ring by ring by irfft, targets in a cell from its two
+    rings, the others (the origin too) from the nearer boundary ring's series.
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("singular-input: non-finite density values")

@@ -248,7 +248,11 @@ class SymMatrixField:
 def sym2_eig(m11, m12, m22):
     """Closed-form eigenvalues (lo, hi) of [[m11, m12], [m12, m22]], elementwise."""
     mean = 0.5 * (m11 + m22)
-    rad = np.hypot(0.5 * (m11 - m22), m12)
+    with np.errstate(over="ignore"):
+        rad = np.square(0.5 * (m11 - m22)) + m12 * m12
+    # np.hypot, at ten times the cost, where a nonzero square may leave the normal floats
+    lost = not np.max(rad) < math.inf or np.any((rad < 2.0**-968) & ((m11 != m22) | (m12 != 0)))
+    rad = np.hypot(0.5 * (m11 - m22), m12) if lost else np.sqrt(rad)
     return mean - rad, mean + rad
 
 

@@ -544,7 +544,131 @@ def test_cell_edge_targets_keep_their_cell():
             assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+# -- off the grid: the boundary rings' series against the clipped cell -------
+
+
+def polyval_hat_weights(x):
+    """``elliptic._hat_weights`` by masked divisions and ``np.polyval``."""
+    decay = np.exp(-x)
+    small = x < elliptic._SERIES_X
+    mean = np.divide(-np.expm1(-x), x, out=np.zeros_like(x), where=~small)
+    far = np.divide(mean - decay, x, out=np.zeros_like(x), where=~small)
+    near = mean - far
+    near[small], far[small] = (np.polyval(c, x[small])
+                               for c in (elliptic._NEAR_SERIES, elliptic._FAR_SERIES))
+    return decay, near, far
+
+
+def clipped_cell_values(tab, r, theta):
+    """Every off-node target by its cell's rule, clipped to the nearest cell off the grid.
+
+    The rule the boundary series replaced: a target a distance d off the
+    grid takes the boundary cell at a = h, b = 0 (a = 0, b = h), every mode
+    decayed by e^{-k d}, and d mass added to mode 0.
+    """
+    with np.errstate(divide="ignore"):
+        t = np.log(r)
+    i = np.clip(np.searchsorted(tab.s, t, side="right") - 1, 0, tab.s.size - 2)
+    edge = np.clip(t, tab.s[i], tab.s[i + 1])
+    a, b = edge - tab.s[i], tab.s[i + 1] - edge
+    wa, wb = a / tab.h[i], b / tab.h[i]
+    f0_edge = wb * tab.f0[i] + wa * tab.f0[i + 1]
+    vals = (tab.moment[i] + a * tab.mass[i] + a * a * (f0_edge / 6.0 + tab.f0[i] / 3.0)
+            + np.maximum(t - edge, 0.0) * (tab.mass[i] + 0.5 * a * (tab.f0[i] + f0_edge)))
+    coef = -1.0 / tab.k
+    coef[-1] *= 0.5
+    a_k, b_k = a[:, None], b[:, None]
+    decay_a, near_a, far_a = polyval_hat_weights(a_k * tab.k)
+    decay_b, near_b, far_b = polyval_hat_weights(b_k * tab.k)
+    at_edge = a_k * near_a + b_k * near_b
+    g = (decay_a * tab.left[i] + decay_b * tab.right[i + 1]
+         + (wb[:, None] * at_edge + a_k * far_a) * tab.fk[i]
+         + (wa[:, None] * at_edge + b_k * far_b) * tab.fk[i + 1])
+    powers = np.empty(g.shape, dtype=complex)
+    powers[:] = np.exp(1j * theta - np.abs(t - edge))[:, None]
+    return vals + np.einsum("mk,mk,k->m", g, np.cumprod(powers, axis=1, out=powers), coef).real
+
+
+def clipped_cell_potential(f, pts):
+    """``newtonian_potential``'s values with the clipped-cell rule off the nodes."""
+    tab = elliptic._mode_tables(f.grid, f.values)
+    r, theta = polar(pts)
+    ring, col = elliptic._node_indices(f.grid, r, theta)
+    on = ring >= 0
+    vals = np.empty(r.size)
+    vals[on] = elliptic._node_values(tab, ring[on], col[on])
+    vals[~on] = clipped_cell_values(tab, r[~on], theta[~on])
+    return vals
+
+
+@settings(max_examples=30, deadline=None)
+@given(spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]), n_r=st.integers(9, 33),
+       n_q=st.integers(8, 32).map(lambda k: 2 * k), seed=st.integers(0, 2**32 - 1))
+def test_boundary_series_matches_the_clipped_cell(spacing, n_r, n_q, seed):
+    # off the grid the series and the clipped cell differ by rounding; nodes
+    # and targets in a cell take the same operations as before, bit for bit
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    f = random_density(g, rng)
+    pts = np.vstack([edge_case_targets(g, rng), nodes_and_targets(g, rng, 12)])
+    vals = potential_without_warnings(f, pts)[0]
+    ref = clipped_cell_potential(f, pts)
+    with np.errstate(divide="ignore"):
+        t = np.log(polar(pts)[0])
+    off = (t < g.log_radii[0]) | (t > g.log_radii[-1])
+    assert 0 < np.count_nonzero(off) < t.size
+    assert vals[~off].tobytes() == ref[~off].tobytes()
+    assert np.abs(vals[off] - ref[off]).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])
+def test_potential_is_continuous_across_the_boundary_rings(spacing):
+    # just outside a boundary ring the series serves, just inside the cell
+    g = build_grid(1.0, 4.0, 17, 16, spacing)
+    f = ScalarField.from_function(g, angular_density)
+    angles = (np.arange(6) + 0.37) * g.dtheta * 2.5
+    for radius in (g.r_inner, g.r_outer):
+        below, above = (polar_points(np.full(6, radius * scale), angles)
+                        for scale in (1.0 - 1e-13, 1.0 + 1e-13))
+        assert np.all(node_indices(g, np.vstack([below, above])) == -1)
+        u_below, _ = newtonian_potential(f, below)
+        u_above, _ = newtonian_potential(f, above)
+        assert np.abs(u_above - u_below).max() <= 1e-12 * np.abs(u_below).max()
+
+
+def test_off_grid_targets_take_no_partial_cell_weights():
+    # the tables take the only hat-weight call; in-cell targets one per block
+    g = build_grid(1.0, 4.0, 17, 16)
+    f = ScalarField.from_function(g, angular_density)
+    rng = np.random.default_rng(3)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 300)
+    outside = polar_points(np.concatenate([g.r_outer * rng.uniform(1.01, 50.0, 150),
+                                           g.r_inner * rng.uniform(0.0, 0.99, 150)]), angles)
+    inside = polar_points(rng.uniform(g.r_inner, g.r_outer, 300), angles)
+    per = elliptic._BLOCK_ELEMENTS // (g.n_theta // 2)
+    for pts, calls in ((outside, 1), (inside, 1 + math.ceil(300 / per))):
+        with mock.patch.object(elliptic, "_hat_weights", wraps=elliptic._hat_weights) as hat:
+            newtonian_potential(f, pts)
+        assert hat.call_count == calls
+
+
 # -- the tables and the partial-cell weights ---------------------------------
+
+
+def two_loop_tables(g, fvals):
+    """``left`` and ``right`` by one loop up the rings and another down."""
+    h = np.diff(g.log_radii)
+    spec = np.fft.rfft(fvals, axis=1) * (g.radii[:, None] ** 2 / g.n_theta)
+    fk = spec[:, 1:]
+    decay, near, far = polyval_hat_weights(h[:, None] * np.arange(1, g.n_theta // 2 + 1))
+    near, far = near * h[:, None], far * h[:, None]
+    up = near * fk[1:] + far * fk[:-1]
+    down = near * fk[:-1] + far * fk[1:]
+    left, right = np.zeros_like(fk), np.zeros_like(fk)
+    for c in range(g.n_r - 1):
+        left[c + 1] = decay[c] * left[c] + up[c]
+        right[-2 - c] = decay[-1 - c] * right[-1 - c] + down[-1 - c]
+    return left, right
 
 
 @pytest.mark.parametrize("grid_args", [
@@ -560,6 +684,10 @@ def test_rule_is_consistent_with_itself(grid_args):
     g = build_grid(*grid_args)
     f = random_density(g, np.random.default_rng(5))
     tab = elliptic._mode_tables(g, f.values)
+    # the one loop over the rings repeats the two recurrences' operations
+    left, right = two_loop_tables(g, f.values)
+    assert np.ascontiguousarray(tab.left).tobytes() == left.tobytes()
+    assert np.ascontiguousarray(tab.right).tobytes() == right.tobytes()
     s, h = g.log_radii, np.diff(g.log_radii)[:, None]
     nodes, weights = np.polynomial.legendre.leggauss(16)
     tau = 0.5 * (nodes + 1.0)

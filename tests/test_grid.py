@@ -2,6 +2,7 @@ import ast
 import hashlib
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,27 @@ def test_sym2_eig_matches_eigvalsh():
     assert np.all(np.abs(hi - ref[:, 1]) <= 1e-14 * scale)
     assert np.array_equal(lo[25:50], hi[25:50])
     assert sym2_eig(2.0, 0.0, 1.0) == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("exponent", [200.0, -200.0, None])
+def test_sym2_eig_keeps_the_range_of_hypot(exponent):
+    # squares of entries near 1e200 overflow and those near 1e-200 underflow;
+    # None mixes both scales with entries near 1 in one call
+    rng = np.random.default_rng(8)
+    m11, m12, m22 = rng.normal(size=(3, 60))
+    scale = (10.0 ** rng.choice([-200.0, 0.0, 200.0], 60) if exponent is None
+             else 10.0 ** (exponent + rng.uniform(-5.0, 5.0, 60)))
+    m11, m12, m22 = m11 * scale, m12 * scale, m22 * scale
+    m12[:10] = 0.0
+    m22[5:15] = m11[5:15]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lo, hi = sym2_eig(m11, m12, m22)
+    ref = np.linalg.eigvalsh(np.stack([np.stack([m11, m12], -1), np.stack([m12, m22], -1)], -2))
+    bound = 1e-14 * np.max(np.abs(ref), axis=1)
+    assert np.all(np.abs(lo - ref[:, 0]) <= bound)
+    assert np.all(np.abs(hi - ref[:, 1]) <= bound)
+    assert np.all(lo[5:10] == hi[5:10]) and np.all(lo[5:10] == m11[5:10])
 
 
 # ---------------------------------------------------------------------------
