@@ -15,6 +15,10 @@ radial tridiagonal system per angular mode, all solved by one banded call,
 the exact inverse for coefficients constant along rings (the Laplacian,
 radial Monge-Ampere linearizations).  Coefficients that vary along rings
 take GMRES iterations with that preconditioner.
+
+Only the linear solve uses scipy, and it imports it on first use:
+``scipy.linalg`` when a solve builds its preconditioner, ``scipy.sparse``
+only when GMRES runs.  The potential needs numpy alone.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grid import (
     AnnularGrid,
@@ -122,9 +124,11 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     coefficients.  It is exact for coefficients constant along rings, which
     includes the Laplacian and the linearizations of radial Newton
     iterates; otherwise GMRES preconditioned by M continues from M b.
-    x is accepted when |b - A x| <= 1e-10 (|A| |x| + |b|) in max norms, a
-    normwise backward error (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 7.1); ``singular-system`` is raised otherwise.
+    The first solve imports ``scipy.linalg``, and the first that runs GMRES
+    ``scipy.sparse``.  x is accepted when |b - A x| <= 1e-10 (|A| |x| + |b|)
+    in max norms, a normwise backward error (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., 7.1); ``singular-system`` is raised
+    otherwise.
     """
     g = coeffs.grid
     if f.grid is not g and not g.same_geometry(f.grid):
@@ -217,6 +221,9 @@ def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
     when the coefficients are constant on each ring and an approximate
     inverse otherwise.
     """
+    # scipy.linalg costs about 0.2 s to import and only the linear solve needs it
+    from scipy.linalg import solve_banded
+
     n_t = grid.n_theta
     dt, dq = grid.dt, grid.dtheta
     ctt, ctq, cqq, ct, cq = (np.mean(a, axis=1) for a in (ctt, ctq, cqq, ct, cq))
@@ -255,20 +262,24 @@ def _krylov_solve(apply, b, precondition, gate):
     inverse.  Raises ``singular-system`` when M fails or the result
     misses gate(x).
     """
-    shape = (b.size, b.size)
-    operator = LinearOperator(shape, matvec=apply, dtype=float)
-    inverse = LinearOperator(shape, matvec=precondition, dtype=float)
     try:
         x = precondition(b)
         final = float(np.max(np.abs(b - apply(x))))
-        for _ in range(_GMRES_CYCLES):
-            if final <= 0.25 * gate(x):
-                break
-            # atol 0: a fresh call would stop the cycle on a preconditioned
-            # residual scaled by atol, which can stall; the gate decides here
-            x, _ = gmres(operator, b, x0=x, rtol=0.0, atol=0.0,
-                         restart=_GMRES_RESTART, maxiter=1, M=inverse)
-            final = float(np.max(np.abs(b - apply(x))))
+        if final > 0.25 * gate(x):
+            # scipy.sparse adds import time and memory, and only GMRES needs it
+            from scipy.sparse.linalg import LinearOperator, gmres
+
+            shape = (b.size, b.size)
+            operator = LinearOperator(shape, matvec=apply, dtype=float)
+            inverse = LinearOperator(shape, matvec=precondition, dtype=float)
+            for _ in range(_GMRES_CYCLES):
+                # atol 0: a fresh call would stop the cycle on a preconditioned
+                # residual scaled by atol, which can stall; the gate decides here
+                x, _ = gmres(operator, b, x0=x, rtol=0.0, atol=0.0,
+                             restart=_GMRES_RESTART, maxiter=1, M=inverse)
+                final = float(np.max(np.abs(b - apply(x))))
+                if final <= 0.25 * gate(x):
+                    break
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular-system: ring-mean mode solver failed ({exc})") from None
     bound = gate(x)

@@ -5,7 +5,20 @@ failing example, so that a rare draw seen once, in CI or elsewhere, can be
 replayed exactly.
 """
 
+import warnings
+
 from hypothesis import settings
+
+# hypothesis imports libcst to report a failing example, and libcst's import
+# warns that mypy_extensions.TypedDict is deprecated; under
+# -W error::DeprecationWarning that warning ends the session in an internal
+# error before the example prints, so libcst is imported once here without it
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:  # the test extras need not install it
+        pass
 
 settings.register_profile("annulab", print_blob=True)
 settings.load_profile("annulab")

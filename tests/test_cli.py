@@ -435,6 +435,57 @@ class TestCommandLine:
             assert loaded == solved
             assert loaded["status"] == "pass"
 
+    def test_only_the_linear_solve_loads_scipy(self, small_ma_run, tmp_path):
+        # one fresh interpreter runs each step in turn and records the scipy
+        # modules loaded after it; the snapshot was solved in this process
+        script = r"""
+import contextlib, io, json, sys
+import numpy as np
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+field, config, out = sys.argv[1:]
+seen = {}
+import annulab
+from annulab import cli
+from annulab.elliptic import LinearCoefficients, newtonian_potential, solve_linear_dirichlet
+from annulab.grid import ScalarField, build_grid
+from annulab.nonlinear import monge_ampere_spec, newton_solve, radial_ma_reference
+seen["import"] = loaded()
+g = build_grid(1.0, 4.0, 17, 16)
+x1, x2 = g.nodes()
+f = ScalarField(g, np.exp(-x1**2 - x2**2))
+# a node, a point inside a cell, one beyond the grid and the origin
+newtonian_potential(f, [[x1[3, 2], x2[3, 2]], [1.7, 0.4], [6.0, -1.0], [0.0, 0.0]])
+seen["potential"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["analyze", field, config, "--format", "svg", "--out", out],
+                 ["report", out + "/ma-small", "--format", "csv"],
+                 ["verify", "--only", "03-holder-exponent-formula"]):
+        assert cli.main(argv) == 0, argv
+        seen[argv[0]] = loaded()
+grid = build_grid(1.0, 16.0, 33, 16)
+u_in, u_out = (float(radial_ma_reference(1.0, r)[0]) for r in grid.radii[[0, -1]])
+newton_solve(monge_ampere_spec(), grid, u_in, u_out)
+seen["radial newton"] = loaded()
+solve_linear_dirichlet(LinearCoefficients(g, 1.0 + 0.5 * np.cos(g.theta), 0.0, 1.0), f, 0.0, 1.0)
+seen["varying along rings"] = loaded()
+print(json.dumps(seen))
+"""
+        out = tmp_path / "analyzed"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(small_ma_run / "solution.field"),
+             str(small_ma_run.parent / "ma-small.json"), str(out)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        seen = json.loads(done.stdout.splitlines()[-1])
+        for step in ("import", "potential", "analyze", "report", "verify"):
+            assert seen[step] == [], step
+        assert "scipy.linalg" in seen["radial newton"]
+        assert not any(m.startswith("scipy.sparse") for m in seen["radial newton"])
+        assert "scipy.sparse.linalg" in seen["varying along rings"]
+
     def test_each_command_forms_the_analysed_hessian_once(self, quad_run, small_ma_run,
                                                           tmp_path, monkeypatch):
         # the residual and the profile table share one Hessian of the field;
