@@ -327,8 +327,8 @@ def _operator_residual(scenario, op, h):
     """Sup over the interior rings of the scenario operator's residual, from the Hessian ``h``."""
     if isinstance(op, FullyNonlinearSpec):
         return _hessian_state(op, h)[2]  # the residual Newton iterates on
-    resid = (op.a11[1:-1] * h.m11[1:-1] + 2.0 * op.a12[1:-1] * h.m12[1:-1]
-             + op.a22[1:-1] * h.m22[1:-1] - float(scenario.operator.get("rhs", 0.0)))
+    resid = (op.a11 * h.m11[1:-1] + 2.0 * op.a12 * h.m12[1:-1]
+             + op.a22 * h.m22[1:-1] - float(scenario.operator.get("rhs", 0.0)))
     return float(np.max(np.abs(resid)))
 
 

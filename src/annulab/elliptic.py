@@ -9,12 +9,14 @@ per-ring tables are read at nodes by one irfft per ring, in a cell from its
 two rings and off the grid from the nearer boundary ring, in O(n_theta).
 
 The linear solve applies its operator from the nine stencil weight
-arrays, with no matrix.  Its preconditioner solves with the ring means of
-the polar stencil coefficients: a DFT in theta splits that system into one
-radial tridiagonal system per angular mode, all solved by one banded call,
-the exact inverse for coefficients constant along rings (the Laplacian,
-radial Monge-Ampere linearizations).  Coefficients that vary along rings
-take GMRES iterations with that preconditioner.
+arrays, with no matrix, formed on the interior rings only.  Its
+preconditioner solves with the ring means of the polar stencil
+coefficients: a DFT in theta splits that system into one radial
+tridiagonal system per angular mode, all in one band that is factored once
+per solve, the exact inverse for coefficients constant along rings (the
+Laplacian, radial Monge-Ampere linearizations).  Coefficients that vary
+along rings take GMRES iterations with that preconditioner, each
+application of it two triangular solves.
 
 Only the linear solve uses scipy, and it imports it on first use:
 ``scipy.linalg`` when a solve builds its preconditioner, ``scipy.sparse``
@@ -29,13 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import (
-    AnnularGrid,
-    ScalarField,
-    _check_values,
-    _stencil_coefficients,
-    sym2_eig,
-)
+from .grid import AnnularGrid, ScalarField, _stencil_coefficients, sym2_eig
 
 __all__ = [
     "LinearCoefficients",
@@ -68,9 +64,12 @@ def ellipticity_constants(a11, a12, a22):
 
 @dataclass(frozen=True, eq=False)
 class LinearCoefficients:
-    """Symmetric, uniformly elliptic coefficient field a(x).
+    """Symmetric, uniformly elliptic coefficient field a(x) on the interior rings.
 
-    Scalar entries broadcast across the grid, so constant operators read
+    The nine-point operator reads a at interior nodes only, so the entries
+    are held with shape (n_r - 2, n_theta).  Each is given on the whole grid,
+    whose boundary rings are dropped unread, or on the interior rings alone;
+    scalars broadcast, so constant operators read
     ``LinearCoefficients(grid, 1.0, 0.0, 1.0)``.  Construction validates
     uniform ellipticity with ``ellipticity_constants``; the entries are
     private read-only copies, so they stay the ones validated.
@@ -82,18 +81,35 @@ class LinearCoefficients:
     a22: np.ndarray
 
     def __post_init__(self):
+        interior = (self.grid.n_r - 2, self.grid.n_theta)
         for name in ("a11", "a12", "a22"):
-            arr = np.array(
-                np.broadcast_to(np.asarray(getattr(self, name), dtype=float), self.grid.shape)
-            )
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim != 2 or len(arr) != interior[0]:
+                arr = np.broadcast_to(arr, self.grid.shape)[1:-1]
+            arr = np.array(np.broadcast_to(arr, interior))
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"singular-input: non-finite entries in {name}")
             arr.setflags(write=False)
-            object.__setattr__(self, name, _check_values(self.grid, arr, name))
+            object.__setattr__(self, name, arr)
         ellipticity_constants(self.a11, self.a12, self.a22)
 
     @classmethod
     def trace_operator(cls, grid):
         """Coefficients of the plain Laplacian, a = identity."""
         return cls(grid, 1.0, 0.0, 1.0)
+
+    @classmethod
+    def _checked(cls, grid, a11, a12, a22):
+        """Interior-ring entries the caller has found finite and elliptic, taken as they are.
+
+        No copy and no second eigenvalue pass: a Newton linearization is
+        elliptic exactly when the least eigenvalue of its entries is
+        positive, and that test also fails on any non-finite entry.
+        """
+        coeffs = object.__new__(cls)
+        for name, arr in (("grid", grid), ("a11", a11), ("a12", a12), ("a22", a22)):
+            object.__setattr__(coeffs, name, arr)
+        return coeffs
 
 
 def _boundary_values(grid, data, name):
@@ -121,14 +137,14 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     weight arrays; boundary rings move to the right-hand side.  The
     preconditioner M is an FFT in theta with one tridiagonal radial solve
     per angular mode, built from the ring means of the polar stencil
-    coefficients.  It is exact for coefficients constant along rings, which
-    includes the Laplacian and the linearizations of radial Newton
-    iterates; otherwise GMRES preconditioned by M continues from M b.
-    The first solve imports ``scipy.linalg``, and the first that runs GMRES
-    ``scipy.sparse``.  x is accepted when |b - A x| <= 1e-10 (|A| |x| + |b|)
-    in max norms, a normwise backward error (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., 7.1); ``singular-system`` is raised
-    otherwise.
+    coefficients and factored once.  It is exact for coefficients constant
+    along rings, which includes the Laplacian and the linearizations of
+    radial Newton iterates; otherwise GMRES preconditioned by M continues
+    from M b.  The first solve imports ``scipy.linalg``, and the first that
+    runs GMRES ``scipy.sparse``.  x is accepted when
+    |b - A x| <= 1e-10 (|A| |x| + |b|) in max norms, a normwise backward
+    error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    7.1); ``singular-system`` is raised otherwise.
     """
     g = coeffs.grid
     if f.grid is not g and not g.same_geometry(f.grid):
@@ -136,10 +152,12 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     gin = _boundary_values(g, g_inner, "g_inner")
     gout = _boundary_values(g, g_outer, "g_outer")
 
-    polar = [a[1:-1] for a in _stencil_coefficients(coeffs)]
+    polar = _stencil_coefficients(coeffs)
+    ring_means = [np.mean(a, axis=1) for a in polar]
     stencil = _nine_point(g, *polar)
+    del polar  # the weights and the ring means are all the solve reads
 
-    b = f.values[1:-1].astype(float).copy()
+    b = np.array(f.values[1:-1], dtype=float)
     # boundary rings move to the right-hand side, in stencil order
     for di, dj, wgt in stencil:
         if di:
@@ -151,8 +169,11 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     def gate(x):
         return _BACKWARD_TOL * (norm_a * float(np.max(np.abs(x))) + norm_b)
 
-    x = _krylov_solve(lambda v: _stencil_product(stencil, v), b_flat,
-                      _polar_mode_solver(g, *polar), gate)
+    try:
+        precondition = _polar_mode_solver(g, *ring_means)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"singular-system: ring-mean mode solver failed ({exc})") from None
+    x = _krylov_solve(lambda v: _stencil_product(stencil, v), b_flat, precondition, gate)
 
     return ScalarField(g, np.vstack([gin, x.reshape(b.shape), gout]))
 
@@ -161,21 +182,25 @@ def _nine_point(grid, ctt, ctq, cqq, ct, cq):
     """Nine-point weights from interior-ring ``_stencil_coefficients``.
 
     Row (i, j) reads sum of weight[i, j] * u[i + di, (j + dj) mod n_theta].
+    The two diagonal pairs of cross weights are equal, and each pair shares
+    one array.
     """
     dt, dq = grid.dt, grid.dtheta
     inv_dt2, inv_dq2 = 1.0 / (dt * dt), 1.0 / (dq * dq)
     inv_2dt, inv_2dq = 0.5 / dt, 0.5 / dq
     inv_cross = 0.25 / (dt * dq)
+    cross = ctq * inv_cross
+    anti = np.negative(cross)  # -ctq * inv_cross to the bit: rounding commutes with negation
     return (
         (0, 0, -2.0 * ctt * inv_dt2 - 2.0 * cqq * inv_dq2),
         (1, 0, ctt * inv_dt2 + ct * inv_2dt),
         (-1, 0, ctt * inv_dt2 - ct * inv_2dt),
         (0, 1, cqq * inv_dq2 + cq * inv_2dq),
         (0, -1, cqq * inv_dq2 - cq * inv_2dq),
-        (1, 1, ctq * inv_cross),
-        (1, -1, -ctq * inv_cross),
-        (-1, 1, -ctq * inv_cross),
-        (-1, -1, ctq * inv_cross),
+        (1, 1, cross),
+        (1, -1, anti),
+        (-1, 1, anti),
+        (-1, -1, cross),
     )
 
 
@@ -215,38 +240,47 @@ def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
         super ctt/dt^2 + ct/(2 dt) + i ctq sin(kappa) / (2 dt dtheta)
 
     All n_theta // 2 + 1 modes of the rfft are stacked into one block
-    diagonal band, uncoupled between blocks, and solved by one banded
-    LAPACK call.  Takes the interior-ring stencil coefficients and returns
-    ``solve(rhs)`` for flattened right-hand sides.  The result is exact
-    when the coefficients are constant on each ring and an approximate
-    inverse otherwise.
+    diagonal band, uncoupled between blocks.  The band is factored once, by
+    LAPACK's ``zgttrf`` (LU with partial pivoting), and each solve applies
+    the factors by ``zgttrs``: the elimination ``gtsv`` would repeat on
+    every call, done once (Anderson et al., LAPACK Users' Guide, 3rd ed.,
+    SIAM 1999).  Takes the ring means of the interior-ring stencil
+    coefficients, one value per interior ring each; returns ``solve(rhs)``
+    for flattened right-hand sides.  Raises ``LinAlgError`` when the band
+    is singular.  The result is exact when the coefficients are constant
+    on each ring and an approximate inverse otherwise.
     """
     # scipy.linalg costs about 0.2 s to import and only the linear solve needs it
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import zgttrf, zgttrs
 
     n_t = grid.n_theta
     dt, dq = grid.dt, grid.dtheta
-    ctt, ctq, cqq, ct, cq = (np.mean(a, axis=1) for a in (ctt, ctq, cqq, ct, cq))
     ni = ctt.size
     kappa = np.arange(n_t // 2 + 1)[:, None] * dq
     sin_k = np.sin(kappa)
     radial = ctt / (dt * dt)
     drift = ct * (0.5 / dt)
-    cross = 1j * ctq * sin_k * (0.5 / (dt * dq))
-    upper = radial + drift + cross
-    lower = radial - drift - cross
+    # real and imaginary parts as the complex products and sums round them:
+    # a real operand enters those as x + 0i, and the division by dtheta
+    # multiplies by 1 / dtheta
+    cross = ctq * sin_k
+    cross *= 0.5 / (dt * dq)
+    upper, lower, diag = np.empty((3, *cross.shape), dtype=complex)
+    upper.real, upper.imag = radial + drift, 0.0 + cross
+    lower.real, lower.imag = radial - drift, 0.0 - cross
+    diag.real = -2.0 * radial - 2.0 * cqq * (1.0 - np.cos(kappa)) / (dq * dq)
+    diag.imag = 0.0 + cq * sin_k * (1.0 / dq)
     # the boundary rings are eliminated, so blocks of different modes do not couple
     upper[:, -1] = 0.0
     lower[:, 0] = 0.0
-    band = np.zeros((3, upper.size), dtype=complex)
-    band[0, 1:] = upper.ravel()[:-1]
-    band[1] = (-2.0 * radial - 2.0 * cqq * (1.0 - np.cos(kappa)) / (dq * dq)
-               + 1j * cq * sin_k / dq).ravel()
-    band[2, :-1] = lower.ravel()[1:]
+    dl, d, du, du2, ipiv, info = zgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1],
+                                        overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
 
     def solve(rhs):
-        rhs_hat = np.fft.rfft(rhs.reshape(ni, n_t), axis=1)
-        x_hat = solve_banded((1, 1), band, rhs_hat.T.ravel(), check_finite=False)
+        rhs_hat = np.fft.rfft(rhs.reshape(ni, n_t), axis=1).T.reshape(-1, 1)  # mode-major
+        x_hat, _ = zgttrs(dl, d, du, du2, ipiv, rhs_hat, overwrite_b=1)
         return np.fft.irfft(x_hat.reshape(-1, ni).T, n=n_t, axis=1).ravel()
 
     return solve
@@ -259,29 +293,25 @@ def _krylov_solve(apply, b, precondition, gate):
     Stat. Comput. 7 (1986) 856) then runs one restart cycle at a time, for
     at most _GMRES_CYCLES cycles, until the residual max-norm is within
     gate(x) / 4; x0 is kept when it already is, as when M is the exact
-    inverse.  Raises ``singular-system`` when M fails or the result
-    misses gate(x).
+    inverse.  Raises ``singular-system`` when the result misses gate(x).
     """
-    try:
-        x = precondition(b)
-        final = float(np.max(np.abs(b - apply(x))))
-        if final > 0.25 * gate(x):
-            # scipy.sparse adds import time and memory, and only GMRES needs it
-            from scipy.sparse.linalg import LinearOperator, gmres
+    x = precondition(b)
+    final = float(np.max(np.abs(b - apply(x))))
+    if final > 0.25 * gate(x):
+        # scipy.sparse adds import time and memory, and only GMRES needs it
+        from scipy.sparse.linalg import LinearOperator, gmres
 
-            shape = (b.size, b.size)
-            operator = LinearOperator(shape, matvec=apply, dtype=float)
-            inverse = LinearOperator(shape, matvec=precondition, dtype=float)
-            for _ in range(_GMRES_CYCLES):
-                # atol 0: a fresh call would stop the cycle on a preconditioned
-                # residual scaled by atol, which can stall; the gate decides here
-                x, _ = gmres(operator, b, x0=x, rtol=0.0, atol=0.0,
-                             restart=_GMRES_RESTART, maxiter=1, M=inverse)
-                final = float(np.max(np.abs(b - apply(x))))
-                if final <= 0.25 * gate(x):
-                    break
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular-system: ring-mean mode solver failed ({exc})") from None
+        shape = (b.size, b.size)
+        operator = LinearOperator(shape, matvec=apply, dtype=float)
+        inverse = LinearOperator(shape, matvec=precondition, dtype=float)
+        for _ in range(_GMRES_CYCLES):
+            # atol 0: a fresh call would stop the cycle on a preconditioned
+            # residual scaled by atol, which can stall; the gate decides here
+            x, _ = gmres(operator, b, x0=x, rtol=0.0, atol=0.0,
+                         restart=_GMRES_RESTART, maxiter=1, M=inverse)
+            final = float(np.max(np.abs(b - apply(x))))
+            if final <= 0.25 * gate(x):
+                break
     bound = gate(x)
     if not np.isfinite(final) or final > bound:
         raise ValueError(

@@ -323,11 +323,20 @@ def radial_derivative(vals, h, deriv, order):
 
 
 def _diff_theta(vals, dtheta):
-    return (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * dtheta)
+    """(u_{j+1} - u_{j-1}) / (2 dtheta), formed in the first roll's array."""
+    out = np.roll(vals, -1, axis=1)
+    out -= np.roll(vals, 1, axis=1)
+    out /= 2.0 * dtheta
+    return out
 
 
 def _diff2_theta(vals, dtheta):
-    return (np.roll(vals, -1, axis=1) - 2.0 * vals + np.roll(vals, 1, axis=1)) / dtheta ** 2
+    """(u_{j+1} - 2 u_j + u_{j-1}) / dtheta^2, formed in the first roll's array."""
+    out = np.roll(vals, -1, axis=1)
+    out -= 2.0 * vals
+    out += np.roll(vals, 1, axis=1)
+    out /= dtheta ** 2
+    return out
 
 
 def _theta_derivative(vals, deriv):
@@ -386,41 +395,66 @@ def gradient(field: ScalarField) -> PlanarMapping:
 
 
 def hessian(field: ScalarField) -> SymMatrixField:
-    """Cartesian Hessian via the polar chain rule, second order."""
+    """Cartesian Hessian via the polar chain rule, second order.
+
+    With a = u_r / r + u_qq / r^2 and m = u_rq / r - u_q / r^2:
+    m11 = c^2 u_rr + s^2 a - 2 s c m, m22 = s^2 u_rr + c^2 a + 2 s c m and
+    m12 = s c (u_rr - a) + (c^2 - s^2) m.  Each piece is formed in place, by
+    the operations of these formulas in their order, so the entries round
+    as the formulas do while few full-grid temporaries are alive.
+    """
     g = field.grid
     u = field.values
-    u_t, u_tt = radial_derivative(u, g.dt, 1, 2), radial_derivative(u, g.dt, 2, 2)
-    h = g.dr_dt[:, None]
-    u_r, u_q, u_qq = u_t / h, _diff_theta(u, g.dtheta), _diff2_theta(u, g.dtheta)
-    u_rr = (u_tt - g.d2r_ratio * u_t) / h ** 2
-    u_rq = _diff_theta(u_t, g.dtheta) / h
-    r = g.radii[:, None]
+    h, r = g.dr_dt[:, None], g.radii[:, None]
     c, s = g.cos_theta, g.sin_theta
-    # angular pieces that recur in every entry
-    a = u_r / r + u_qq / r ** 2          # tangential second derivative
-    m = u_rq / r - u_q / r ** 2          # mixed radial/tangential piece
-    m11 = c ** 2 * u_rr + s ** 2 * a - 2.0 * s * c * m
-    m22 = s ** 2 * u_rr + c ** 2 * a + 2.0 * s * c * m
-    m12 = s * c * (u_rr - a) + (c ** 2 - s ** 2) * m
-    return SymMatrixField(g, m11, m12, m22)
+    u_t = radial_derivative(u, g.dt, 1, 2)
+    u_rr = radial_derivative(u, g.dt, 2, 2)  # u_tt until it is scaled
+    tmp = np.multiply(g.d2r_ratio, u_t)
+    u_rr -= tmp
+    u_rr /= h ** 2
+    a = _diff2_theta(u, g.dtheta)
+    a /= r ** 2
+    np.divide(u_t, h, out=tmp)
+    tmp /= r
+    a += tmp  # tangential second derivative
+    m = _diff_theta(u_t, g.dtheta)
+    del u_t
+    m /= h
+    m /= r
+    u_q = _diff_theta(u, g.dtheta)
+    u_q /= r ** 2
+    m -= u_q  # mixed radial/tangential piece
+    del u_q
+    c2, s2, sc2 = c ** 2, s ** 2, 2.0 * s * c
+    m11 = np.multiply(c2, u_rr)
+    m11 += np.multiply(s2, a, out=tmp)
+    m11 -= np.multiply(sc2, m, out=tmp)
+    m22 = np.multiply(s2, u_rr)
+    m22 += np.multiply(c2, a, out=tmp)
+    m22 += np.multiply(sc2, m, out=tmp)
+    u_rr -= a
+    u_rr *= s * c
+    m *= c2 - s2
+    u_rr += m
+    return SymMatrixField(g, m11, u_rr, m22)
 
 
 def _stencil_coefficients(coeffs):
-    """Per-node coefficients of u_tt, u_ttheta, u_thth, u_t, u_theta.
+    """Interior-ring coefficients of u_tt, u_ttheta, u_thth, u_t, u_theta.
 
     The adjoint of ``hessian``'s chain rule: the Cartesian operator a_ij u_ij
-    of ``coeffs`` (a grid and entries a11, a12, a22) is rotated to the polar
-    frame (A_rr, A_rt, A_tt) and expressed in the differenced parameters
-    (t, theta) through dr/dt and d2r/dt2 / (dr/dt).
+    of ``coeffs`` (a grid and the entries a11, a12, a22 on its interior
+    rings) is rotated to the polar frame (A_rr, A_rt, A_tt) and expressed in
+    the differenced parameters (t, theta) through dr/dt and
+    d2r/dt2 / (dr/dt).  Returns five arrays of shape (n_r - 2, n_theta).
     """
     g = coeffs.grid
-    r = g.radii[:, None]
+    r, h = g.radii[1:-1, None], g.dr_dt[1:-1, None]
     c, s = g.cos_theta, g.sin_theta
     a11, a12, a22 = coeffs.a11, coeffs.a12, coeffs.a22
     a_rr = a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
     a_tt = a11 * s * s - 2.0 * a12 * c * s + a22 * c * c
     a_rt = 2.0 * ((a22 - a11) * c * s + a12 * (c * c - s * s))
-    h = g.dr_dt[:, None]
     stretch = r / h  # 1 on log-radial grids
     inv_h2 = 1.0 / (h * h)
     inv_r2 = 1.0 / (r * r)

@@ -5,7 +5,9 @@ An operator acts pointwise on the Hessian of a scalar field.  A
 derivative.  ``newton_solve`` linearizes around the current iterate, reuses
 the linear Dirichlet solver for the correction, and backtracks until the
 interior residual drops while the linearization stays elliptic, which it
-checks on the derivative's nodal eigenvalues.  Each iterate is linearized once.
+checks on the derivative's nodal eigenvalues.  Each iterate is linearized
+once, and that check is the only one its coefficients get: the solver
+takes their interior rows as they are, with no copy.
 
 Hessian entries are formed with the same centered stencils as the linear
 solver's nine-point operator, so the linearization is consistent with the
@@ -170,22 +172,34 @@ def _hessian_state(spec, h):
 
 
 def _linearization(spec, m):
-    """Derivative entries at Hessian rows ``m``, their eigenvalues and the least one."""
-    a11, a12, a22 = (np.asarray(c, dtype=float) for c in spec.derivative(*m))
-    lo, hi = sym2_eig(a11, a12, a22)
-    return a11, a12, a22, lo, hi, float(np.min(lo))
+    """Derivative entries at Hessian rows ``m`` and their least eigenvalue.
 
-
-def _coefficient_rows(a11, a12, a22, lo, hi, lam):
-    """Full-shape coefficient arrays of a ``_linearization``, for a correction.
-
-    Boundary-data kinks in the initial iterate can push the derivative
-    indefinite on a ring or two.  The step computation then clamps the nodal
-    eigenvalues to a small positive floor (direction only; the residual line
-    search keeps global control), so the linear solve stays elliptic while
-    the iterate works its way back onto the branch.
+    Returns ``(entries, lam, eig)``: the eigenvalue arrays ``eig`` are kept
+    only when lam is not positive, for the clamp in ``_coefficient_rows``.
     """
+    entries = tuple(np.asarray(c, dtype=float) for c in spec.derivative(*m))
+    lo, hi = sym2_eig(*entries)
+    lam = float(np.min(lo))
+    return entries, lam, None if lam > 0.0 else (lo, hi)
+
+
+def _coefficient_rows(grid, entries, lam, eig):
+    """Interior-ring coefficients of a ``_linearization``, for a correction.
+
+    A positive least eigenvalue has already shown the entries finite and
+    elliptic, so they are taken as they are.  Boundary-data kinks in the
+    initial iterate can push the derivative indefinite on a ring or two.
+    The step computation then clamps the nodal eigenvalues to a small
+    positive floor (direction only; the residual line search keeps global
+    control), so the linear solve stays elliptic while the iterate works
+    its way back onto the branch; those entries, and non-finite ones, are
+    checked by ``LinearCoefficients``.
+    """
+    if lam > 0.0:
+        return LinearCoefficients._checked(grid, *entries)
+    a11, a12, a22 = entries
     if lam <= 0.0:
+        lo, hi = eig
         floor = 1e-3 * max(1.0, float(np.max(hi)))
         gap = hi - lo
         lo, hi = np.maximum(lo, floor), np.maximum(hi, floor)
@@ -194,9 +208,7 @@ def _coefficient_rows(a11, a12, a22, lo, hi, lam):
         a11 = 0.5 * (hi + lo) + scale * half
         a22 = 0.5 * (hi + lo) - scale * half
         a12 = scale * a12
-    # boundary rows never reach the linear operator; copy the adjacent ring so
-    # the coefficient validation reflects the interior operator
-    return [np.concatenate([arr[:1], arr, arr[-1:]]) for arr in (a11, a12, a22)]
+    return LinearCoefficients(grid, a11, a12, a22)
 
 
 def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30):
@@ -214,7 +226,11 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
     go indefinite somewhere, the step computation clamps its nodal
     eigenvalues to a positive floor until the iterate is back on the branch.
     Each iterate is linearized once: an accepted trial keeps the
-    linearization its branch test formed for the next step and the final check.
+    linearization its branch test formed for the next step and the final
+    check.  A correction holds each full-grid array once: the residual is
+    negated into one right-hand side in place, and the iterate's Hessian,
+    the eigenvalue arrays and the previous correction are dropped before
+    the next solve.
 
     Returns ``(solution, NewtonTrace)``.  Raises ``NewtonError`` carrying
     the partial trace when the iteration converges or stalls off the
@@ -256,6 +272,7 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
         return NewtonError(message, NewtonTrace(tuple(residuals), tuple(steps)))
 
     zero = np.zeros(grid.n_theta)
+    rhs = np.zeros(grid.shape)
     while residuals[-1] > tol:
         if len(steps) >= int(max_iters):
             raise fail(
@@ -263,38 +280,44 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
                 f"after {int(max_iters)} iterations"
             )
         lin = lin or _linearization(spec, m)
-        on_branch = lin[-1] > 0.0
-        coeffs = LinearCoefficients(grid, *_coefficient_rows(*lin))
-        rhs = np.zeros(grid.shape)
-        rhs[1:-1] = -fvals
+        lam = lin[1]
+        coeffs = _coefficient_rows(grid, *lin)
+        np.negative(fvals, out=rhs[1:-1])
+        # the solve reads coeffs and rhs alone; the accepted trial's Hessian,
+        # residual and linearization replace these
+        del h, m, fvals, lin
         delta = solve_linear_dirichlet(coeffs, ScalarField(grid, rhs), zero, zero)
+        del coeffs
 
         s = 1.0
         while True:
-            trial = ScalarField(grid, u.values + s * delta.values)
-            h_t = hessian(trial)
-            m_t, f_t, r_t = _hessian_state(spec, h_t)
-            admissible = np.all(np.isfinite(f_t)) and r_t < residuals[-1]
+            vals = np.multiply(s, delta.values)
+            vals += u.values
+            trial = ScalarField(grid, vals)
+            h = hessian(trial)
+            m, fvals, r_t = _hessian_state(spec, h)
+            admissible = np.all(np.isfinite(fvals)) and r_t < residuals[-1]
             # never step off the elliptic branch once it is reached
-            lin_t = _linearization(spec, m_t) if admissible and on_branch else None
-            if admissible and (lin_t is None or lin_t[-1] > 0.0):
+            lin = _linearization(spec, m) if admissible and lam > 0.0 else None
+            if admissible and (lin is None or lin[1] > 0.0):
                 break
             s *= 0.5
             if s < _STEP_FLOOR:
-                if on_branch:
+                if lam > 0.0:
                     raise fail(
                         "max-iters-exceeded: no admissible step "
                         f"at iteration {len(steps) + 1}"
                     )
                 raise fail(
-                    f"ellipticity-lost: linearization eigenvalue {lin[-1]:.3e} "
+                    f"ellipticity-lost: linearization eigenvalue {lam:.3e} "
                     f"and no recovering step at iteration {len(steps) + 1}"
                 )
-        u, h, m, fvals, lin = trial, h_t, m_t, f_t, lin_t
+        del delta
+        u = trial
         residuals.append(r_t)
         steps.append(s)
 
-    lam_final = (lin or _linearization(spec, m))[-1]
+    lam_final = (lin or _linearization(spec, m))[1]
     if lam_final <= 0.0:
         raise fail(
             f"ellipticity-lost: converged with linearization eigenvalue "

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse.linalg import gmres, splu
 
 from annulab import elliptic
@@ -90,7 +92,8 @@ def test_constants_reject_nonfinite():
 def test_coefficients_broadcast_and_constants():
     g = build_grid(1.0, 2.0, 16, 16)
     co = LinearCoefficients(g, 1.0, 0.0, 3.0)
-    assert co.a11.shape == g.shape
+    # the nine-point operator reads the interior rings only
+    assert co.a11.shape == (g.n_r - 2, g.n_theta)
     assert ellipticity_constants(co.a11, co.a12, co.a22) == (1.0, 3.0, 3.0)
     tr = LinearCoefficients.trace_operator(g)
     assert ellipticity_constants(tr.a11, tr.a12, tr.a22) == (1.0, 1.0, 1.0)
@@ -951,7 +954,7 @@ def test_potential_of_huge_targets_is_finite():
 
 def stencil_of(coeffs):
     g = coeffs.grid
-    return elliptic._nine_point(g, *(a[1:-1] for a in _stencil_coefficients(coeffs)))
+    return elliptic._nine_point(g, *_stencil_coefficients(coeffs))
 
 
 def assembled_matrix(grid, stencil):
@@ -1093,10 +1096,66 @@ def test_ring_varying_solves_meet_the_gate_and_match_superlu(spacing, n_r, n_q, 
 def test_mode_solver_failure_is_a_singular_system():
     g = build_grid(1.0, 4.0, 17, 16)
     f = ScalarField(g, np.ones(g.shape))
-    failing = mock.Mock(side_effect=np.linalg.LinAlgError("singular matrix"))
-    with mock.patch("scipy.linalg.solve_banded", failing):
+
+    def singular(*args, **kwargs):
+        # LAPACK's report of an exactly zero pivot, U(1, 1) = 0
+        return (*zgttrf(*args, **kwargs)[:-1], 1)
+
+    with mock.patch("scipy.linalg.lapack.zgttrf", singular):
         with pytest.raises(ValueError, match="singular-system: ring-mean mode solver failed"):
             solve_linear_dirichlet(LinearCoefficients.trace_operator(g), f, 0.0, 1.0)
+
+
+def random_band(rng, n):
+    """A complex tridiagonal band in ``solve_banded``'s (1, 1) layout, some rows pivoting."""
+    band = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    band[1] *= rng.choice([0.1, 10.0], size=n)  # weak diagonals swap rows
+    band[0, 0] = band[2, -1] = 0.0
+    return band
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(3, 300), n_rhs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_factored_band_solves_are_solve_banded_to_the_bit(n, n_rhs, seed):
+    # zgttrf's elimination and pivots are gtsv's, and zgttrs applies them in
+    # gtsv's order, so factoring once changes no bit of any solve
+    rng = np.random.default_rng(seed)
+    band = random_band(rng, n)
+    factors = zgttrf(band[2, :-1], band[1], band[0, 1:])
+    assert factors[-1] == 0
+    for _ in range(n_rhs):
+        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+        x, info = zgttrs(*factors[:-1], rhs.reshape(-1, 1))
+        assert info == 0
+        assert x.ravel().tobytes() == solve_banded((1, 1), band, rhs).tobytes()
+
+
+def test_the_mode_solver_factors_once_per_solve():
+    # GMRES applies the preconditioner many times; each application is the
+    # triangular solves alone
+    g = build_grid(1.0, 4.0, 49, 32)
+    co = LinearCoefficients(g, 1.0, 0.0, 3.0)
+    f = ScalarField.from_function(g, lambda a, b: a * b)
+    applications = []
+    krylov = elliptic._krylov_solve
+
+    def counting_krylov(apply, b, precondition, gate):
+        def counted(v):
+            applications.append(None)
+            return precondition(v)
+        return krylov(apply, b, counted, gate)
+
+    factor, triangular = mock.Mock(wraps=zgttrf), mock.Mock(wraps=zgttrs)
+    with mock.patch("scipy.linalg.lapack.zgttrf", factor), \
+            mock.patch("scipy.linalg.lapack.zgttrs", triangular), \
+            mock.patch.object(elliptic, "_krylov_solve", counting_krylov):
+        u, krylov_cycles = solve_and_gmres_cycles(co, f, np.cos(g.theta), 0.0)
+        solve_linear_dirichlet(co, f, 0.0, 1.0)
+    assert krylov_cycles >= 1
+    assert len(applications) > 2 * krylov_cycles
+    assert factor.call_count == 2
+    assert triangular.call_count == len(applications)
+    assert backward_error(co, f, np.cos(g.theta), 0.0, u) <= 1e-10
 
 
 def test_clamped_hyperbolic_linearization_stops_on_the_max_norm_gate():

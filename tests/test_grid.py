@@ -245,6 +245,51 @@ def test_hessian_trace_equals_laplacian():
     assert np.max(np.abs(tr - lap.values) / denom) < 1e-10
 
 
+def reference_hessian(field):
+    """The polar chain rule as plain formulas, each operation forming a new array.
+
+    ``hessian`` forms the same operations in place, in this order.
+    """
+    g, u = field.grid, field.values
+    dq = g.dtheta
+
+    def diff_q(v):
+        return (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * dq)
+
+    u_t, u_tt = radial_derivative(u, g.dt, 1, 2), radial_derivative(u, g.dt, 2, 2)
+    h = g.dr_dt[:, None]
+    u_r, u_q = u_t / h, diff_q(u)
+    u_qq = (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / dq ** 2
+    u_rr = (u_tt - g.d2r_ratio * u_t) / h ** 2
+    u_rq = diff_q(u_t) / h
+    r = g.radii[:, None]
+    c, s = g.cos_theta, g.sin_theta
+    a = u_r / r + u_qq / r ** 2
+    m = u_rq / r - u_q / r ** 2
+    m11 = c ** 2 * u_rr + s ** 2 * a - 2.0 * s * c * m
+    m22 = s ** 2 * u_rr + c ** 2 * a + 2.0 * s * c * m
+    m12 = s * c * (u_rr - a) + (c ** 2 - s ** 2) * m
+    return m11, m12, m22
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
+    n_r=st.integers(9, 65),
+    n_q=st.integers(8, 32).map(lambda k: 2 * k),
+    r_outer=st.floats(1.5, 64.0),
+    exponent=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hessian_is_its_formulas_to_the_bit(spacing, n_r, n_q, r_outer, exponent, seed):
+    # the in-place entries round exactly as the formulas written out
+    g = build_grid(1.0, r_outer, n_r, n_q, spacing)
+    u = ScalarField(g, 10.0 ** exponent * np.random.default_rng(seed).standard_normal(g.shape))
+    h = hessian(u)
+    for got, want in zip((h.m11, h.m12, h.m22), reference_hessian(u)):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])
 def test_gradient_is_the_cartesian_rule_on_the_polar_first_derivatives(spacing):
     # gradient forms the first derivatives alone, with the stencils hessian uses

@@ -1,11 +1,12 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from annulab import elliptic, nonlinear
 from annulab.elliptic import LinearCoefficients, ellipticity_constants, solve_linear_dirichlet
@@ -180,7 +181,7 @@ def test_the_linear_operator_is_the_hessian_contracted_with_its_coefficients(
     u = rng.standard_normal(g.shape)
     coeffs = LinearCoefficients(g, a11, a12, a22)
     applied, size = np.zeros((n_r - 2, n_q)), np.zeros((n_r - 2, n_q))
-    for di, dj, wgt in elliptic._nine_point(g, *(a[1:-1] for a in _stencil_coefficients(coeffs))):
+    for di, dj, wgt in elliptic._nine_point(g, *_stencil_coefficients(coeffs)):
         term = wgt * np.roll(u[1 + di:n_r - 1 + di], -dj, axis=1)
         applied += term
         size += np.abs(term)
@@ -225,18 +226,19 @@ class TestNewtonSolve:
 
     def test_radial_monge_ampere_never_factorizes(self, monkeypatch):
         # every linearization of a radial iterate is constant along rings,
-        # so each linear solve is one banded solve of the mode solver, with
-        # no GMRES iteration behind it
-        banded = mock.Mock(wraps=solve_banded)
+        # so each linear solve is one factored band of the mode solver,
+        # applied once, with no GMRES iteration behind it
+        factor, triangular = mock.Mock(wraps=zgttrf), mock.Mock(wraps=zgttrs)
         linear = mock.Mock(wraps=nonlinear.solve_linear_dirichlet)
-        monkeypatch.setattr("scipy.linalg.solve_banded", banded)
+        monkeypatch.setattr("scipy.linalg.lapack.zgttrf", factor)
+        monkeypatch.setattr("scipy.linalg.lapack.zgttrs", triangular)
         monkeypatch.setattr(nonlinear, "solve_linear_dirichlet", linear)
         grid = build_grid(1.0, 16.0, 129, 64)
         g_in, g_out = reference_boundary(2.0, grid)
         u, trace = newton_solve(monge_ampere_spec(), grid, g_in, g_out)
         assert trace.residuals[-1] < 1e-10
         assert linear.call_count >= trace.iterations > 0
-        assert banded.call_count == linear.call_count
+        assert factor.call_count == triangular.call_count == linear.call_count
         u_ref, _, _ = radial_ma_reference(2.0, grid.radii)
         assert np.max(np.abs(u.values - u_ref[:, None])) <= 2e-2
 
@@ -353,6 +355,44 @@ class TestNewtonSolve:
             _, trace = newton_solve(monge_ampere_spec(), grid, g_in, g_out)
         assert trace.iterations >= 3
         assert rows.call_count == trace.iterations
+
+    @pytest.mark.parametrize("entry", ["a11", "a12", "a22"])
+    def test_a_non_finite_linearization_never_reaches_the_mode_solver(self, monkeypatch, entry):
+        # Newton checks each linearization once, on its eigenvalues; an entry
+        # that is not finite fails that check and the coefficients' own, and
+        # the solve never starts
+        ma = monge_ampere_spec()
+
+        def derivative(m11, m12, m22):
+            entries = [np.array(a, dtype=float) for a in ma.derivative(m11, m12, m22)]
+            entries[("a11", "a12", "a22").index(entry)][5, 3] = np.nan
+            return tuple(entries)
+
+        solver = mock.Mock(wraps=elliptic._polar_mode_solver)
+        monkeypatch.setattr(elliptic, "_polar_mode_solver", solver)
+        grid = build_grid(1.0, 4.0, 33, 32)
+        g_in, g_out = reference_boundary(1.0, grid)
+        spec = FullyNonlinearSpec("nan-at-one-node", ma.evaluate, derivative)
+        with pytest.raises(ValueError, match=f"^singular-input: non-finite entries in {entry}$"):
+            newton_solve(spec, grid, g_in, g_out)
+        solver.assert_not_called()
+
+    def test_the_wide_solve_holds_few_full_grid_arrays(self):
+        # one correction forms each full-grid array once and frees it when
+        # it is no longer read: about 21.5 arrays of 8 n_r n_theta bytes at
+        # the peak of the whole solve, pinned with about 15% to spare for
+        # other numpy and scipy versions
+        grid = build_grid(1.0, 64.0, 513, 128)
+        g_in, g_out = reference_boundary(2.0, grid)
+        newton_solve(monge_ampere_spec(), grid, g_in, g_out)  # imports done first
+        tracemalloc.start()
+        try:
+            _, trace = newton_solve(monge_ampere_spec(), grid, g_in, g_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations >= 3
+        assert peak <= 25 * 8 * grid.n_r * grid.n_theta
 
     def test_no_admissible_step_below_rounding(self):
         # no step lowers the residual once it sits at rounding level
