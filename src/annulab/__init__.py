@@ -37,7 +37,6 @@ from .grid import (
     circle_flux_integral,
     gradient,
     hessian,
-    kelvin_point,
     laplacian,
     read_snapshot,
     write_snapshot,

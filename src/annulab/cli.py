@@ -41,7 +41,7 @@ from .grid import (
     PlanarMapping,
     ScalarField,
     build_grid,
-    gradient,
+    gradient,  # unused here; perfbench/tracing.py's LAYER_FUNCTIONS resolves it
     hessian,
     laplacian,
     read_snapshot,
@@ -373,19 +373,6 @@ def _fit_to_dict(fit):
     }
 
 
-def _gradient_map(u):
-    """Dilatation of grad u and whether swapping its components restored orientation."""
-    grad = gradient(u)  # each component is differentiated once, the swap reuses them
-    gp, gq = (gradient(ScalarField(u.grid, c)) for c in (grad.p, grad.q))
-    rep = dilatation_field(grad, lambda *_: (gp.p, gp.q, gq.p, gq.q))
-    if not rep.orientation_ok:
-        swapped = dilatation_field(PlanarMapping(u.grid, grad.q, grad.p),
-                                   lambda *_: (gq.p, gq.q, gp.p, gp.q))
-        if swapped.orientation_ok:
-            return swapped, True
-    return rep, False
-
-
 def _d_cross_checks(u, A, b, d_fit, harmonic_tol):
     """The report's ``cross_checks``: d from the fit (``d_fit``), from the
     divergence identity at the outer ring R, and from the Laurent series of
@@ -408,17 +395,18 @@ def _d_cross_checks(u, A, b, d_fit, harmonic_tol):
     return cross
 
 
-def _analyze(scenario, u, solve_info):
+def _analyze(scenario, u, solve_info, h):
+    """The report of the field u, whose Hessian is h."""
     report = {"report_version": 1, "scenario": asdict(scenario),
               "solve": solve_info}
 
-    rep, swapped = _gradient_map(u)
+    rep = dilatation_field(h)
     report["gradient_map"] = {
         "K_min": float(rep.K_min),
         "alpha": float(rep.alpha),
         "jacobian_min": float(rep.jacobian_min),
         "orientation_ok": bool(rep.orientation_ok),
-        "components_swapped": swapped,
+        "components_swapped": rep.components_swapped,
     }
 
     fit = fit_expansion(u, scenario.windows)
@@ -466,7 +454,7 @@ def _evaluate_expectations(scenario, report):
 
 def run_scenario(scenario: Scenario) -> dict:
     """Execute a scenario and return its report document."""
-    return _analyze(scenario, *_solve(scenario)[:2])
+    return _analyze(scenario, *_solve(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +674,7 @@ def _check_gradient_map_qc():
         f = ScalarField(grid, np.zeros(grid.shape))
         u = solve_linear_dirichlet(coeffs, f, exact[0], exact[-1])
         # these gradients reverse orientation; the swap restores it
-        k_min = _gradient_map(u)[0].K_min
+        k_min = dilatation_field(hessian(u)).K_min
         bound = (1.0 + gamma) / 2.0 + 0.05
         ok = ok and k_min <= bound
         results.append(f"gamma={gamma:.0f}: K_min {k_min:.4f} <= {bound:.4f}")
@@ -813,7 +801,7 @@ def _check_hessian_limit_decay():
     for a in (1.0, 2.0):
         u = _radial_field(grid, a)
         _, fit = hessian_limit(u, windows)
-        alpha = holder_exponent(_gradient_map(u)[0].K_min)
+        alpha = holder_exponent(dilatation_field(hessian(u)).K_min)
         within = abs(fit.exponent - 2.0) <= 0.2
         above = fit.exponent >= alpha
         ok = ok and within and above
@@ -951,7 +939,7 @@ def _cmd_solve(args):
     scenario = _load_scenario(args.config, args)
     try:
         u, solve_info, h = _solve(scenario)
-        report = _analyze(scenario, u, solve_info)
+        report = _analyze(scenario, u, solve_info, h)
     except NewtonError as err:
         print(f"scenario {scenario.name}: solver failed: {err}", file=sys.stderr)
         return 1
@@ -969,7 +957,7 @@ def _cmd_analyze(args):
     residual = _operator_residual(scenario, _operator(scenario, grid), h)
     solve_info = {"method": "loaded", "iterations": None, "final_residual": residual}
     try:
-        report = _analyze(scenario, field, solve_info)
+        report = _analyze(scenario, field, solve_info, h)
     except ValueError as err:
         raise ValueError(f"scenario {scenario.name}: {err}") from err
     return _emit(scenario, report, field, h, args)

@@ -49,7 +49,6 @@ __all__ = [
     "PlanarMapping",
     "SymMatrixField",
     "build_grid",
-    "kelvin_point",
     "gradient",
     "hessian",
     "laplacian",
@@ -254,24 +253,6 @@ def sym2_eig(m11, m12, m22):
     lost = not np.max(rad) < math.inf or np.any((rad < 2.0**-968) & ((m11 != m22) | (m12 != 0)))
     rad = np.hypot(0.5 * (m11 - m22), m12) if lost else np.sqrt(rad)
     return mean - rad, mean + rad
-
-
-# ---------------------------------------------------------------------------
-# Kelvin point map
-
-
-def kelvin_point(x):
-    """Inversion x -> x / |x|^2, acting on the last axis of length 2.
-
-    An involution away from the origin; rejects the origin itself.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2:
-        raise ValueError(f"invalid-dimension: expected 2-vectors, got shape {x.shape}")
-    n2 = np.sum(x * x, axis=-1, keepdims=True)
-    if np.any(n2 == 0.0):
-        raise ValueError("singular-input: kelvin_point is undefined at the origin")
-    return x / n2
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,11 @@ inversion x -> x/|x|^2 that carries exterior maps to punctured-disk maps.
 rate at which it is approached.
 
 Derivatives are taken by the grid stencils unless the caller supplies an
-exact-derivative provider ``derivatives(x1, x2) -> (p1, p2, q1, q2)``.
+exact-derivative provider ``derivatives(x1, x2) -> (p1, p2, q1, q2)``.  The
+gradient map of a field u is measured from its Hessian D^2u, the map's
+Jacobian matrix, with no further differentiation.  When det D^2u < 0 on
+every interior node, the map measured is (u_2, u_1): it has the same |Dw|
+and the Jacobian -det D^2u.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 from .grid import (
     PlanarMapping,
     ScalarField,
+    SymMatrixField,
     gradient,
     ring_index,
 )
@@ -52,7 +57,8 @@ class DilatationReport:
     positive Jacobian.  alpha is the matching decay exponent.  K_field holds
     the pointwise ratio (NaN where the Jacobian is not positive) and
     orientation_ok records whether the Jacobian was positive at every
-    interior node.
+    interior node.  components_swapped records that a gradient map was
+    measured as (u_2, u_1).
     """
 
     K_min: float
@@ -60,6 +66,7 @@ class DilatationReport:
     jacobian_min: float
     alpha: float
     orientation_ok: bool
+    components_swapped: bool = False
 
 
 @dataclass(frozen=True)
@@ -102,8 +109,13 @@ def _map_derivatives(w: PlanarMapping, derivatives=None):
                  for d in derivatives(*w.grid.nodes()))
 
 
-def dilatation_field(w: PlanarMapping, derivatives=None) -> DilatationReport:
+def dilatation_field(w, derivatives=None) -> DilatationReport:
     """Pointwise quasiconformal dilatation of w, and its grid supremum.
+
+    ``w`` is a ``PlanarMapping``, or the Hessian D^2u (a ``SymMatrixField``)
+    as the Jacobian matrix of the gradient map of u.  That map is measured
+    as (u_2, u_1) when det D^2u < 0 on every interior node, which
+    ``components_swapped`` records.
 
     The supremum (K_min) and the Jacobian minimum are taken over interior
     rings only: boundary rings use one-sided stencils and would otherwise
@@ -111,12 +123,18 @@ def dilatation_field(w: PlanarMapping, derivatives=None) -> DilatationReport:
     interior node) is reported through ``orientation_ok`` rather than an
     exception, with K_field set to NaN on the failed nodes.
     """
-    p1, p2, q1, q2 = _map_derivatives(w, derivatives)
+    interior = slice(1, -1)
+    if isinstance(w, SymMatrixField):
+        p1, p2, q1, q2 = w.m11, w.m12, w.m12, w.m22
+    else:
+        p1, p2, q1, q2 = _map_derivatives(w, derivatives)
     jac = p1 * q2 - p2 * q1
+    swapped = isinstance(w, SymMatrixField) and bool(np.all(jac[interior] < 0.0))
+    if swapped:
+        jac = -jac
     energy = p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(jac > 0.0, energy / (2.0 * jac), np.nan)
-    interior = slice(1, -1)
     jac_int = jac[interior]
     K_int = K[interior]
     orientation_ok = bool(np.all(jac_int > 0.0))
@@ -129,6 +147,7 @@ def dilatation_field(w: PlanarMapping, derivatives=None) -> DilatationReport:
         jacobian_min=float(np.min(jac_int)),
         alpha=alpha,
         orientation_ok=orientation_ok,
+        components_swapped=swapped,
     )
 
 

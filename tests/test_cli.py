@@ -41,7 +41,7 @@ def quad_run(tmp_path_factory):
 
 
 # ma-radial-a2 on a grid small enough to solve in a test, with one-sided
-# bounds that its report meets: K_min is about 1.59, the residual exponent 1.73
+# bounds that its report meets: K_min is about 1.64, the residual exponent 1.73
 SMALL_MA = {"name": "ma-small",
             "grid": {"r_inner": 1.0, "r_outer": 16.0, "n_r": 129, "n_theta": 32,
                      "spacing": "log"},
@@ -488,16 +488,21 @@ print(json.dumps(seen))
 
     def test_each_command_forms_the_analysed_hessian_once(self, quad_run, small_ma_run,
                                                           tmp_path, monkeypatch):
-        # the residual and the profile table share one Hessian of the field;
-        # a Newton solve hands on the Hessian its last residual was formed
-        # from, so the command forms none of its own
+        # the residual, the gradient map and the profile table share one
+        # Hessian of the field; a Newton solve hands on the Hessian its last
+        # residual was formed from, so the command forms none of its own, and
+        # no command differentiates grad u
         calls = []
 
         def counted(field):
             calls.append(field)
             return hessian(field)
 
+        def no_gradient(field):
+            raise AssertionError("a command differentiated the field a second time")
+
         monkeypatch.setattr(cli, "hessian", counted)
+        monkeypatch.setattr(cli, "gradient", no_gradient)
         ma_config = str(small_ma_run.parent / "ma-small.json")
         for argv, formed in ((["solve", "identity-quadratic"], 1), (["solve", ma_config], 0),
                              (["analyze", str(quad_run / "solution.field"),
@@ -947,13 +952,13 @@ class TestAcceptanceHarness:
         # the gradient map and the d cross-check each have one implementation,
         # which the reports and these rows share
         steps = {name: mock.Mock(wraps=getattr(cli, name))
-                 for name in ("_gradient_map", "_d_cross_checks")}
+                 for name in ("dilatation_field", "_d_cross_checks")}
         for name, step in steps.items():
             monkeypatch.setattr(cli, name, step)
         rows = run_acceptance(names=["05-gradient-map-quasiconformality",
                                      "12-hessian-limit-decay"])
         assert all(row["passed"] for row in rows)
-        assert steps["_gradient_map"].call_count == 3 + 2
+        assert steps["dilatation_field"].call_count == 3 + 2
         assert steps["_d_cross_checks"].call_count == 1
 
     def test_row_12_fails_when_laurent_is_skipped(self, monkeypatch):
@@ -1036,6 +1041,6 @@ def test_traced_solve_and_analyze_record_every_layer(tmp_path):
     expected = {"nonlinear.newton_solve", "elliptic.solve_linear_dirichlet",
                 "expansion.fit_expansion", "expansion.d_from_divergence",
                 "expansion.laurent_coefficients", "qcmap.dilatation_field",
-                "grid.gradient", "grid.hessian", "grid.read_snapshot",
+                "grid.hessian", "grid.read_snapshot",
                 "grid.write_snapshot"}
     assert expected <= recorded, sorted(expected - recorded)

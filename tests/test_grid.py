@@ -23,7 +23,6 @@ from annulab.grid import (
     circle_flux_integral,
     gradient,
     hessian,
-    kelvin_point,
     laplacian,
     radial_derivative,
     read_snapshot,
@@ -86,33 +85,6 @@ def test_field_rejects_nonfinite():
     vals[3, 5] = np.nan
     with pytest.raises(ValueError, match="singular-input"):
         ScalarField(g, vals)
-
-
-# ---------------------------------------------------------------------------
-# kelvin point map
-
-
-def test_kelvin_point_worked_value():
-    assert np.allclose(kelvin_point([3.0, 4.0]), [0.12, 0.16], atol=1e-15)
-
-
-def test_kelvin_point_involution_machine_precision():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-10, 10, size=(500, 2))
-    x = x[np.hypot(x[:, 0], x[:, 1]) > 1e-3]
-    back = kelvin_point(kelvin_point(x))
-    assert np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x))
-
-
-def test_kelvin_point_rejects_origin():
-    with pytest.raises(ValueError, match="singular-input"):
-        kelvin_point([0.0, 0.0])
-
-
-@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [[1.0], [2.0]]])
-def test_kelvin_point_rejects_other_than_2_vectors(x):
-    with pytest.raises(ValueError, match="invalid-dimension: expected 2-vectors"):
-        kelvin_point(x)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from annulab.grid import PlanarMapping, build_grid
+from annulab.elliptic import LinearCoefficients, solve_linear_dirichlet
+from annulab.grid import PlanarMapping, ScalarField, SymMatrixField, build_grid, hessian
+from annulab.nonlinear import radial_ma_reference
 from annulab.qcmap import (
     dilatation_field,
     fit_power_law,
@@ -165,6 +167,44 @@ def test_dilatation_scaling_and_rotation_invariance():
 
     rotated = dilatation_field(PlanarMapping.from_function(g, w_rot), d_rot).K_field.values
     assert np.nanmax(np.abs(rotated - np.roll(base, -k, axis=1))) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 3.0])
+def test_hessian_dilatation_of_the_radial_monge_ampere_family(a):
+    # D^2u has eigenvalues u'' = r/sqrt(r^2 + a) and u'/r = sqrt(r^2 + a)/r,
+    # so K = (r^2/(r^2 + a) + (r^2 + a)/r^2)/2, largest on the first interior ring
+    g = build_grid(1.0, 64.0, 256, 128)
+    u = ScalarField.from_radial(g, lambda r: radial_ma_reference(a, r)[0])
+    rep = dilatation_field(hessian(u))
+    r2 = g.radii[1] ** 2
+    exact = 0.5 * (r2 / (r2 + a) + (r2 + a) / r2)
+    assert abs(rep.K_min - exact) <= 5e-4 * exact
+    assert rep.orientation_ok and not rep.components_swapped
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_hessian_dilatation_of_anisotropic_saddles(gamma):
+    # (x1^2 - x2^2/gamma)/2 solves u_11 + gamma u_22 = 0; det D^2u < 0, so the
+    # map measured is (u_2, u_1), with K = (gamma + 1/gamma)/2
+    g = build_grid(1.0, 8.0, 129, 64)
+    x1, x2 = g.nodes()
+    saddle = 0.5 * (x1 * x1 - x2 * x2 / gamma)
+    u = solve_linear_dirichlet(LinearCoefficients(g, 1.0, 0.0, gamma),
+                               ScalarField(g, np.zeros(g.shape)), saddle[0], saddle[-1])
+    rep = dilatation_field(hessian(u))
+    assert rep.orientation_ok and rep.components_swapped
+    assert abs(rep.K_min - 0.5 * (gamma + 1.0 / gamma)) <= 1e-4
+
+
+def test_hessian_dilatation_swaps_only_when_every_interior_determinant_is_negative():
+    g = build_grid(1.0, 4.0, 16, 16)
+    x1, _ = g.nodes()
+    one = np.ones(g.shape)
+    rep = dilatation_field(SymMatrixField(g, x1, 0.0 * one, one))  # det changes sign
+    assert not rep.orientation_ok and not rep.components_swapped
+    rep = dilatation_field(SymMatrixField(g, one, 0.0 * one, -2.0 * one))
+    assert rep.orientation_ok and rep.components_swapped
+    assert rep.jacobian_min == 2.0 and rep.K_min == 1.25
 
 
 # ---------------------------------------------------------------------------
