@@ -2,12 +2,15 @@
 
 An operator acts pointwise on the Hessian of a scalar field.  A
 ``FullyNonlinearSpec`` packages the scalar map ``F`` together with its matrix
-derivative.  ``newton_solve`` linearizes around the current iterate, reuses
-the linear Dirichlet solver for the correction, and backtracks until the
-interior residual drops while the linearization stays elliptic, which it
-checks on the derivative's nodal eigenvalues.  Each iterate is linearized
-once, and that check is the only one its coefficients get: the solver
-takes their interior rows as they are, with no copy.
+derivative; ``spectral_spec`` builds one from a function of the Hessian's
+eigenvalues.  Its derivative and Newton's eigenvalue clamp share
+``_spectral_matrix``, with a stated slope limit at gaps within ``2 * _COALESCE``.
+``newton_solve`` linearizes around the current iterate, reuses the linear
+Dirichlet solver for the correction, and backtracks until the interior
+residual drops while the linearization stays elliptic, which it checks on
+the derivative's nodal eigenvalues.  Each iterate is linearized once, and
+that check is the only one its coefficients get: the solver takes their
+interior rows as they are, with no copy.
 
 Hessian entries are formed with the same centered stencils as the linear
 solver's nine-point operator, so the linearization is consistent with the
@@ -38,8 +41,7 @@ __all__ = [
 
 # smallest damping factor tried before the line search gives up
 _STEP_FLOOR = 2.0 ** -16
-# below this eigenvalue gap the spectral divided difference is replaced by
-# its analytic limit
+# _spectral_matrix takes the slope limit at eigenvalue gaps up to twice this
 _COALESCE = 1e-8
 
 
@@ -73,11 +75,41 @@ def monge_ampere_spec() -> FullyNonlinearSpec:
     def derivative(m11, m12, m22):
         return m22, -m12, m11
 
-    return FullyNonlinearSpec(
-        name="monge-ampere",
-        evaluate=evaluate,
-        derivative=derivative,
+    return FullyNonlinearSpec("monge-ampere", evaluate, derivative)
+
+
+def _spectral_matrix(m11, m12, m22, lo, hi, f_lo, f_hi, slope_limit):
+    """The field with M's eigenvectors and eigenvalues ``(f_lo, f_hi)`` for M's ``(lo, hi)``.
+
+    It is ``mid I + slope (M - mean I)``, ``mid = (f_hi + f_lo) / 2``, with
+    ``slope = (f_hi - f_lo) / (hi - lo)`` where ``hi - lo > 2 * _COALESCE``
+    and ``slope_limit(mean)`` at closer eigenvalues.
+    """
+    mean = 0.5 * (m11 + m22)
+    half = 0.5 * (m11 - m22)
+    mid = 0.5 * (f_hi + f_lo)
+    slope = np.where(
+        hi - lo > 2.0 * _COALESCE,
+        (f_hi - f_lo) / np.maximum(hi - lo, 2.0 * _COALESCE),
+        slope_limit(mean),
     )
+    return mid + slope * half, slope * m12, mid - slope * half
+
+
+def spectral_spec(name, f, grad, slope_limit) -> FullyNonlinearSpec:
+    """``F(M) = f(lo, hi)`` for an ``f`` symmetric in M's eigenvalues.
+
+    The derivative is the Daleckii-Krein form ``f_lo P_lo + f_hi P_hi`` of
+    the partials ``grad(lo, hi) = (f_lo, f_hi)``, by ``_spectral_matrix``;
+    ``slope_limit(mean)`` is ``(f_hi - f_lo) / (hi - lo)``'s limit at a
+    double eigenvalue, taken within ``2 * _COALESCE``.
+    """
+
+    def derivative(m11, m12, m22):
+        lo, hi = sym2_eig(m11, m12, m22)
+        return _spectral_matrix(m11, m12, m22, lo, hi, *grad(lo, hi), slope_limit)
+
+    return FullyNonlinearSpec(name, lambda *m: f(*sym2_eig(*m)), derivative)
 
 
 def special_lagrangian_spec(theta: float) -> FullyNonlinearSpec:
@@ -86,39 +118,19 @@ def special_lagrangian_spec(theta: float) -> FullyNonlinearSpec:
     The derivative is the spectral function ``1/(1 + lambda^2)`` applied to
     the Hessian; its eigenvalues lie in ``[1/(1 + b^2), 1]`` whenever the
     Hessian norm stays below b, so the equation is unconditionally elliptic
-    there.  At ``theta = pi/2`` the equation pins ``lambda_1 * lambda_2 = 1``
-    on the positive branch and shares its solutions with the determinant
-    equation.
+    there.  Eigenvalues within ``2 * _COALESCE`` of each other take the
+    divided difference's limit, arctan'' at the double eigenvalue.  At
+    ``theta = pi/2`` the equation pins ``lambda_1 * lambda_2 = 1`` on the
+    positive branch and shares its solutions with the determinant equation.
     """
     th = float(theta)
     if not (math.isfinite(th) and abs(th) < math.pi):
         raise ValueError("singular-input: phase must satisfy |theta| < pi")
-
-    def evaluate(m11, m12, m22):
-        lo, hi = sym2_eig(m11, m12, m22)
-        return np.arctan(hi) + np.arctan(lo) - th
-
-    def derivative(m11, m12, m22):
-        lo, hi = sym2_eig(m11, m12, m22)
-        mean = 0.5 * (m11 + m22)
-        half = 0.5 * (m11 - m22)
-        s_hi = 1.0 / (1.0 + hi ** 2)
-        s_lo = 1.0 / (1.0 + lo ** 2)
-        # derivative = mid * I + slope * (M - mean * I); the divided
-        # difference degenerates at coalescing eigenvalues, where the slope
-        # tends to the second derivative of arctan at the double eigenvalue
-        mid = 0.5 * (s_hi + s_lo)
-        slope = np.where(
-            hi - lo > 2.0 * _COALESCE,
-            (s_hi - s_lo) / np.maximum(hi - lo, 2.0 * _COALESCE),
-            -2.0 * mean / (1.0 + mean * mean) ** 2,
-        )
-        return mid + slope * half, slope * m12, mid - slope * half
-
-    return FullyNonlinearSpec(
-        name="special-lagrangian",
-        evaluate=evaluate,
-        derivative=derivative,
+    return spectral_spec(
+        "special-lagrangian",
+        lambda lo, hi: np.arctan(hi) + np.arctan(lo) - th,
+        lambda lo, hi: (1.0 / (1.0 + lo ** 2), 1.0 / (1.0 + hi ** 2)),
+        lambda mean: -2.0 * mean / (1.0 + mean * mean) ** 2,
     )
 
 
@@ -189,26 +201,22 @@ def _coefficient_rows(grid, entries, lam, eig):
     A positive least eigenvalue has already shown the entries finite and
     elliptic, so they are taken as they are.  Boundary-data kinks in the
     initial iterate can push the derivative indefinite on a ring or two.
-    The step computation then clamps the nodal eigenvalues to a small
-    positive floor (direction only; the residual line search keeps global
-    control), so the linear solve stays elliptic while the iterate works
-    its way back onto the branch; those entries, and non-finite ones, are
-    checked by ``LinearCoefficients``.
+    The step computation then clamps the nodal eigenvalues to
+    ``max(lambda, floor)`` with a small positive floor (direction only; the
+    residual line search keeps global control) by ``_spectral_matrix``,
+    whose slope limit within ``2 * _COALESCE`` is 1 above the floor and 0
+    below: a node straddling the floor that closely is off by at most half
+    its gap.  The clamped entries, and non-finite ones (a NaN ``lam`` skips
+    the clamp), are checked by ``LinearCoefficients``.
     """
     if lam > 0.0:
         return LinearCoefficients._checked(grid, *entries)
-    a11, a12, a22 = entries
     if lam <= 0.0:
         lo, hi = eig
         floor = 1e-3 * max(1.0, float(np.max(hi)))
-        gap = hi - lo
-        lo, hi = np.maximum(lo, floor), np.maximum(hi, floor)
-        scale = np.where(gap > 0.0, (hi - lo) / np.maximum(gap, 1e-300), 0.0)
-        half = 0.5 * (a11 - a22)
-        a11 = 0.5 * (hi + lo) + scale * half
-        a22 = 0.5 * (hi + lo) - scale * half
-        a12 = scale * a12
-    return LinearCoefficients(grid, a11, a12, a22)
+        entries = _spectral_matrix(*entries, lo, hi, np.maximum(lo, floor), np.maximum(hi, floor),
+                                   lambda mean: np.where(mean > floor, 1.0, 0.0))
+    return LinearCoefficients(grid, *entries)
 
 
 def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30):
@@ -247,12 +255,10 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
     if int(max_iters) < 1:
         raise ValueError("singular-input: max_iters must be >= 1")
 
-    if u0 is None:
-        vals = (0.5 * grid.radii[:, None] ** 2) * np.ones((1, grid.n_theta))
-    else:
-        if u0.grid is not grid and not u0.grid.same_geometry(grid):
-            raise ValueError("invalid-dimension: u0 lives on a different grid")
-        vals = u0.values.copy()
+    if u0 is not None and u0.grid is not grid and not u0.grid.same_geometry(grid):
+        raise ValueError("invalid-dimension: u0 lives on a different grid")
+    vals = u0.values if u0 is not None else (
+        (0.5 * grid.radii[:, None] ** 2) * np.ones((1, grid.n_theta)))
     # lift any boundary mismatch linearly in the radial coordinate instead
     # of overwriting the boundary rings: a kinked start parks the iterate
     # next to spurious roots of the central discretization
@@ -275,10 +281,8 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
     rhs = np.zeros(grid.shape)
     while residuals[-1] > tol:
         if len(steps) >= int(max_iters):
-            raise fail(
-                f"max-iters-exceeded: residual {residuals[-1]:.3e} "
-                f"after {int(max_iters)} iterations"
-            )
+            raise fail(f"max-iters-exceeded: residual {residuals[-1]:.3e} "
+                       f"after {int(max_iters)} iterations")
         lin = lin or _linearization(spec, m)
         lam = lin[1]
         coeffs = _coefficient_rows(grid, *lin)
@@ -303,15 +307,11 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
                 break
             s *= 0.5
             if s < _STEP_FLOOR:
+                where = f"at iteration {len(steps) + 1}"
                 if lam > 0.0:
-                    raise fail(
-                        "max-iters-exceeded: no admissible step "
-                        f"at iteration {len(steps) + 1}"
-                    )
-                raise fail(
-                    f"ellipticity-lost: linearization eigenvalue {lam:.3e} "
-                    f"and no recovering step at iteration {len(steps) + 1}"
-                )
+                    raise fail(f"max-iters-exceeded: no admissible step {where}")
+                raise fail(f"ellipticity-lost: linearization eigenvalue {lam:.3e} "
+                           f"and no recovering step {where}")
         del delta
         u = trial
         residuals.append(r_t)
@@ -319,8 +319,6 @@ def newton_solve(spec, grid, g_inner, g_outer, u0=None, tol=1e-10, max_iters=30)
 
     lam_final = (lin or _linearization(spec, m))[1]
     if lam_final <= 0.0:
-        raise fail(
-            f"ellipticity-lost: converged with linearization eigenvalue "
-            f"{lam_final:.3e} off the elliptic branch"
-        )
+        raise fail(f"ellipticity-lost: converged with linearization eigenvalue "
+                   f"{lam_final:.3e} off the elliptic branch")
     return u, NewtonTrace(tuple(residuals), tuple(steps), h)

@@ -115,7 +115,8 @@ def dilatation_field(w, derivatives=None) -> DilatationReport:
     ``w`` is a ``PlanarMapping``, or the Hessian D^2u (a ``SymMatrixField``)
     as the Jacobian matrix of the gradient map of u.  That map is measured
     as (u_2, u_1) when det D^2u < 0 on every interior node, which
-    ``components_swapped`` records.
+    ``components_swapped`` records.  ``derivatives`` stays for exact
+    Jacobians: ``tests/test_qcmap.py`` checks the formula free of stencil error.
 
     The supremum (K_min) and the Jacobian minimum are taken over interior
     rings only: boundary rings use one-sided stencils and would otherwise

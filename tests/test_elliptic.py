@@ -992,13 +992,19 @@ def superlu_reference(coeffs, f, g_inner, g_outer):
     return ScalarField(coeffs.grid, u)
 
 
-def backward_error(coeffs, f, g_inner, g_outer, u):
-    """|b - A x| / (|A| |x| + |b|) in max norms, from the assembled system."""
+def residual_and_scale(coeffs, f, g_inner, g_outer, u):
+    """|b - A x| and |A| |x| + |b| in max norms, from the assembled system."""
     mat, b = assembled_system(coeffs, f, g_inner, g_outer)
     x = u.values[1:-1].ravel()
     norm_a = float(abs(mat).sum(axis=1).max())
     resid = float(np.max(np.abs(b - mat @ x)))
-    return resid / (norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(b))))
+    return resid, norm_a * float(np.max(np.abs(x))) + float(np.max(np.abs(b)))
+
+
+def backward_error(coeffs, f, g_inner, g_outer, u):
+    """|b - A x| / (|A| |x| + |b|) in max norms, from the assembled system."""
+    resid, scale = residual_and_scale(coeffs, f, g_inner, g_outer, u)
+    return resid / scale
 
 
 def solve_and_gmres_cycles(coeffs, f, g_inner, g_outer):
@@ -1290,20 +1296,35 @@ def test_solution_scales_with_the_data(exponent, ring_constant, with_source, see
     ring_constant=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+# superposition holds only to the gates: this draw misses 1e-10 of the
+# solution scale (1.24e-9 against 8.6e-10) with every solve within its gate
+@example(spacing=LOG_RADIAL, ring_constant=False, seed=903990)
 def test_solution_linear_in_data(spacing, ring_constant, seed):
     # superposition: the boundary fold and the mode solver are linear in
-    # (f, g), and GMRES solves to the gate
+    # (f, g), and each solve leaves a residual within its backward-error
+    # gate 1e-10 (|A| |x| + |b|).  So A applied to e = both - alpha u1 -
+    # beta u2, the residual of e for zero data, is within the gate of both
+    # plus |alpha| and |beta| times those of u1 and u2 (it reads at most
+    # 0.15 of that over 400 draws); rounding the data's combination adds
+    # about eps |b|, 1e-6 of a gate
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, 4.0, 33, 24, spacing)
     co = random_coefficients(g, rng, ring_constant)
     alpha, beta = rng.uniform(-2.0, 2.0, 2)
     f1, f2 = rng.normal(size=(2, *g.shape))
     g1i, g1o, g2i, g2o = 1.0 + rng.normal(size=(4, g.n_theta))
-    u1, krylov_cycles = solve_and_gmres_cycles(co, ScalarField(g, f1), g1i, g1o)
-    u2 = solve_linear_dirichlet(co, ScalarField(g, f2), g2i, g2o)
-    both = solve_linear_dirichlet(co, ScalarField(g, alpha * f1 + beta * f2),
-                                  alpha * g1i + beta * g2i, alpha * g1o + beta * g2o)
+    data1 = (ScalarField(g, f1), g1i, g1o)
+    data2 = (ScalarField(g, f2), g2i, g2o)
+    data = (ScalarField(g, alpha * f1 + beta * f2), alpha * g1i + beta * g2i,
+            alpha * g1o + beta * g2o)
+    u1, krylov_cycles = solve_and_gmres_cycles(co, *data1)
+    u2 = solve_linear_dirichlet(co, *data2)
+    both = solve_linear_dirichlet(co, *data)
     assert (krylov_cycles == 0) if ring_constant else (krylov_cycles >= 1)
-    expected = alpha * u1.values + beta * u2.values
-    scale = abs(alpha) * np.abs(u1.values).max() + abs(beta) * np.abs(u2.values).max()
-    assert np.max(np.abs(both.values - expected)) <= 1e-10 * scale
+    gate = 1e-10 * (residual_and_scale(co, *data, both)[1]
+                    + abs(alpha) * residual_and_scale(co, *data1, u1)[1]
+                    + abs(beta) * residual_and_scale(co, *data2, u2)[1])
+    e = both.values - alpha * u1.values - beta * u2.values
+    zero = ScalarField(g, np.zeros(g.shape))
+    homogeneous = residual_and_scale(co, zero, e[0], e[-1], ScalarField(g, e))[0]
+    assert homogeneous <= gate

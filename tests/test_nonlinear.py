@@ -17,6 +17,7 @@ from annulab.grid import (
     _stencil_coefficients,
     build_grid,
     hessian,
+    sym2_eig,
 )
 from annulab.nonlinear import (
     FullyNonlinearSpec,
@@ -34,16 +35,17 @@ def reference_boundary(a, grid):
     return float(u_in), float(u_out)
 
 
-def random_symmetric(rng, norm_cap, det_one=False):
+def rotated(lo, hi, phi):
+    """Entries of the symmetric matrix with eigenvalues (lo, hi), turned by phi."""
+    c, s = np.cos(phi), np.sin(phi)
+    return c * c * hi + s * s * lo, c * s * (hi - lo), s * s * hi + c * c * lo
+
+
+def random_symmetric(rng, norm_cap):
     """Eigenvalues in [1/cap, cap] with a random rotation."""
     lam1 = rng.uniform(1.0 / norm_cap, norm_cap)
-    lam2 = 1.0 / lam1 if det_one else rng.uniform(1.0 / norm_cap, norm_cap)
-    phi = rng.uniform(0.0, np.pi)
-    c, s = np.cos(phi), np.sin(phi)
-    m11 = c * c * lam1 + s * s * lam2
-    m22 = s * s * lam1 + c * c * lam2
-    m12 = c * s * (lam1 - lam2)
-    return m11, m12, m22
+    lam2 = rng.uniform(1.0 / norm_cap, norm_cap)
+    return rotated(lam2, lam1, rng.uniform(0.0, np.pi))
 
 
 class TestOperatorSpecs:
@@ -58,18 +60,6 @@ class TestOperatorSpecs:
         assert (d11, d12, d22) == (0.5, 0.0, 2.0)
         d11, d12, d22 = spec.derivative(3.0, 0.7, 1.0)
         assert (d11, d12, d22) == (1.0, -0.7, 3.0)
-
-    def test_monge_ampere_derivative_eigenvalue_window(self):
-        # det 1 with eigenvalues in [1/3, 3]: the cofactor's lie there too
-        spec = monge_ampere_spec()
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            m11, m12, m22 = random_symmetric(rng, 3.0, det_one=True)
-            a11, a12, a22 = spec.derivative(m11, m12, m22)
-            mean = 0.5 * (a11 + a22)
-            rad = np.hypot(0.5 * (a11 - a22), a12)
-            assert mean - rad >= 1.0 / 3.0 - 1e-12
-            assert mean + rad <= 3.0 + 1e-12
 
     def test_special_lagrangian_trivial_roots(self):
         spec = special_lagrangian_spec(np.pi / 2)
@@ -91,18 +81,6 @@ class TestOperatorSpecs:
             direct = np.arctan(mean + rad) + np.arctan(mean - rad) - 0.3
             assert abs(spec.evaluate(m11, m12, m22) - direct) <= 1e-14
 
-    def test_special_lagrangian_derivative_eigenvalue_window(self):
-        # Hessian eigenvalues in [1/3, 3]: 1/(1 + lambda^2) lies in [1/10, 1]
-        spec = special_lagrangian_spec(np.pi / 2)
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            m11, m12, m22 = random_symmetric(rng, 3.0)
-            a11, a12, a22 = spec.derivative(m11, m12, m22)
-            mean = 0.5 * (a11 + a22)
-            rad = np.hypot(0.5 * (a11 - a22), a12)
-            assert mean - rad >= 1.0 / 10.0 - 1e-12
-            assert mean + rad <= 1.0 + 1e-12
-
     def test_special_lagrangian_derivative_smooth_at_coalescence(self):
         # the divided difference hands off to its analytic limit; the two
         # branches must agree across the threshold
@@ -123,6 +101,140 @@ class TestOperatorSpecs:
             special_lagrangian_spec(np.pi)
         with pytest.raises(ValueError, match="singular-input"):
             special_lagrangian_spec(-3.5)
+
+
+# every operator at a Hessian whose eigenvalues are bounded by B in modulus
+B = 4.0
+COALESCE = nonlinear._COALESCE
+
+
+@st.composite
+def operator_at_hessian(draw):
+    """An operator, a Hessian, and the window its docstring gives the derivative's eigenvalues.
+
+    Monge-Ampere on its branch det = 1 with eigenvalues in [1/B, B], where
+    the cofactor's lie in [1/B, B]; SL(theta) at any Hessian of norm <= B,
+    where 1/(1 + lambda^2) lies in [1/(1 + B^2), 1], with gaps down to and
+    inside the coalescing band.
+    """
+    phi = draw(st.floats(0.0, np.pi))
+    if draw(st.booleans()):
+        lam = draw(st.floats(1.0, B))
+        return monge_ampere_spec(), rotated(1.0 / lam, lam, phi), (1.0 / B, B)
+    theta = draw(st.floats(-np.pi, np.pi, exclude_min=True, exclude_max=True))
+    lo = draw(st.floats(-B, B))
+    gap = draw(st.one_of(st.floats(0.0, 4.0 * COALESCE), st.floats(0.0, 2.0 * B)))
+    return (special_lagrangian_spec(theta), rotated(lo, min(lo + gap, B), phi),
+            (1.0 / (1.0 + B * B), 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=operator_at_hessian())
+def test_every_operator_derivative_is_the_gradient_of_evaluate(case):
+    # dF = F_11 dm11 + 2 F_12 dm12 + F_22 dm22.  Central differences with a
+    # step of 1e-5 |M| are off by at most 5.3e-10 of max |F_ij| over 20,000
+    # random draws (truncation and rounding about equal there), so 1e-8
+    # leaves a margin of about 19
+    spec, m, _ = case
+    d = spec.derivative(*m)
+    h = 1e-5 * max(1.0, *map(abs, m))
+    for i, multiplicity in ((0, 1.0), (1, 2.0), (2, 1.0)):
+        up, down = list(m), list(m)
+        up[i], down[i] = m[i] + h, m[i] - h
+        fd = (spec.evaluate(*up) - spec.evaluate(*down)) / (up[i] - down[i])
+        assert abs(fd - multiplicity * d[i]) <= 1e-8 * max(map(abs, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=operator_at_hessian())
+def test_every_operator_derivative_eigenvalues_lie_in_the_stated_window(case):
+    spec, m, (low, high) = case
+    lo, hi = sym2_eig(*spec.derivative(*m))
+    assert low - 1e-12 <= lo <= hi <= high + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-B, B), gap=st.one_of(st.floats(0.0, 4.0 * COALESCE), st.floats(0.0, 2.0 * B)),
+       phi=st.floats(0.0, np.pi))
+def test_the_spectral_form_of_the_determinant_is_monge_ampere(lo, gap, phi):
+    # f = lo hi - 1 with partials (hi, lo): the divided difference of the
+    # partials is -1 at any gap, and the derivative is the cofactor matrix
+    det = nonlinear.spectral_spec("det", lambda lo, hi: lo * hi - 1.0,
+                                  lambda lo, hi: (hi, lo), lambda mean: -1.0)
+    ma = monge_ampere_spec()
+    m = rotated(lo, lo + gap, phi)
+    size = max(map(abs, m))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny  # tiny covers subnormal entries
+    assert abs(det.evaluate(*m) - ma.evaluate(*m)) <= 8.0 * eps * (size * size + 1.0)
+    for spectral, cofactor in zip(det.derivative(*m), ma.derivative(*m)):
+        assert abs(spectral - cofactor) <= 8.0 * eps * size + tiny
+
+
+def clamp_test_field(grid, rng):
+    """Indefinite interior-ring entries and the floor ``_coefficient_rows`` clamps them to.
+
+    One node is 5 I, the largest eigenvalue, so the floor is 5e-3, and one
+    is diag(1, -1).  The others mix generic pairs in [-2, 4] with pairs
+    0 < hi - lo <= 2 _COALESCE that straddle the floor, lie above it or lie
+    below it.
+    """
+    floor = 1e-3 * 5.0
+    shape = (grid.n_r - 2, grid.n_theta)
+    kind = rng.integers(0, 4, shape)
+    gap = rng.uniform(0.01, 1.0, shape) * 2.0 * COALESCE
+    base = np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [rng.uniform(-2.0, 4.0, shape), floor - rng.uniform(0.01, 0.99, shape) * gap,
+         rng.uniform(floor + 1e-6, 4.0, shape), rng.uniform(-2.0, floor - 1e-6, shape) - gap])
+    top = np.where(kind == 0, rng.uniform(-2.0, 4.0, shape), base + gap)
+    entries = rotated(np.minimum(base, top), np.maximum(base, top), rng.uniform(0.0, np.pi, shape))
+    for a, first, second in zip(entries, (5.0, 0.0, 5.0), (1.0, 0.0, -1.0)):
+        a[0, :2] = first, second
+    return entries, floor
+
+
+# the derivative the clamp receives is the Hessian rows themselves
+IDENTITY_DERIVATIVE = FullyNonlinearSpec("identity", None, lambda *m: m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_clamp_floors_the_eigenvalues_and_keeps_the_eigenvectors(seed):
+    # the clamped entries have eigenvalues max(lambda, floor) to a few ulps
+    # of the node's size and commute with the input; only a node straddling
+    # the floor within 2 _COALESCE, where the slope takes its limit 1 above
+    # the floor or 0 below, may be off by half its gap
+    grid = build_grid(1.0, 4.0, 10, 16)
+    entries, floor = clamp_test_field(grid, np.random.default_rng(seed))
+    lin = nonlinear._linearization(IDENTITY_DERIVATIVE, entries)
+    assert lin[1] <= 0.0
+    co = nonlinear._coefficient_rows(grid, *lin)
+    out = (co.a11, co.a12, co.a22)
+    lo, hi = sym2_eig(*entries)
+    gap = hi - lo
+    band = (lo < floor) & (floor < hi) & (gap <= 2.0 * COALESCE)
+    assert np.sum(band) >= 10 and np.sum((gap <= 2.0 * COALESCE) & ~band) >= 10
+    eps = np.finfo(float).eps
+    size = np.maximum(np.abs(lo), np.abs(hi))
+    out_lo, out_hi = sym2_eig(*out)
+    for got, want in ((out_lo, np.maximum(lo, floor)), (out_hi, np.maximum(hi, floor))):
+        assert np.all(np.abs(got - want) <= 8.0 * eps * size + np.where(band, 0.5 * gap, 0.0))
+    m11, m12, m22 = entries
+    commutator = out[1] * (m11 - m22) - m12 * (out[0] - out[2])
+    assert np.all(np.abs(commutator) <= 8.0 * eps * size * sum(map(np.abs, out)))
+
+
+@pytest.mark.parametrize("entry", ["a11", "a12", "a22"])
+def test_a_non_finite_indefinite_linearization_skips_the_clamp(entry):
+    # a NaN least eigenvalue is neither positive nor <= 0, and the entries
+    # reach LinearCoefficients' own check as they are
+    grid = build_grid(1.0, 4.0, 10, 16)
+    entries, _ = clamp_test_field(grid, np.random.default_rng(5))
+    entries[("a11", "a12", "a22").index(entry)][3, 7] = np.nan
+    lin = nonlinear._linearization(IDENTITY_DERIVATIVE, entries)
+    assert np.isnan(lin[1])
+    with pytest.raises(ValueError, match=f"^singular-input: non-finite entries in {entry}$"):
+        nonlinear._coefficient_rows(grid, *lin)
 
 
 class TestRadialReference:
