@@ -70,8 +70,9 @@ print(f"  three-way spread of d: "
 
 # the Hessian converges to A at a rate the dilatation controls: measured
 # exponent ~2 must sit above alpha(K) of the gradient map
-A_limit, decay = hessian_limit(u, [(2, 4), (4, 8), (8, 16), (16, 32)])
-K = dilatation_field(hessian(u)).K_min
+h = hessian(u)
+decay = hessian_limit(h, [(2, 4), (4, 8), (8, 16), (16, 32)])
+K = dilatation_field(h).K_min
 print(f"\nHessian limit: |D^2 u - I| ~ R^-{decay.exponent:.3f} "
       f"(r^2 = {decay.r_squared:.5f})")
 print(f"quasiconformal floor alpha(K = {K:.4f}) = {holder_exponent(K):.4f}")

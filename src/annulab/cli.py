@@ -219,8 +219,11 @@ _CONFIG_KEYS = ({"name": _file_name, "operator": _kinded(_OPERATOR_KEYS),
 
 
 def _scenario_grid(gp):
-    return build_grid(float(gp["r_inner"]), float(gp["r_outer"]), int(gp["n_r"]),
-                      int(gp["n_theta"]), spacing=_SPACINGS[gp["spacing"]])
+    try:
+        return build_grid(float(gp["r_inner"]), float(gp["r_outer"]), int(gp["n_r"]),
+                          int(gp["n_theta"]), spacing=_SPACINGS[gp["spacing"]])
+    except ValueError as err:
+        _config_error(f"grid: {err}")
 
 
 def _check_windows(windows, grid, what):
@@ -799,9 +802,9 @@ def _check_hessian_limit_decay():
     windows = ((2.0, 4.0), (4.0, 8.0), (8.0, 16.0), (16.0, 32.0))
     parts, ok = [], True
     for a in (1.0, 2.0):
-        u = _radial_field(grid, a)
-        _, fit = hessian_limit(u, windows)
-        alpha = holder_exponent(dilatation_field(hessian(u)).K_min)
+        h = hessian(_radial_field(grid, a))
+        fit = hessian_limit(h, windows)
+        alpha = holder_exponent(dilatation_field(h).K_min)
         within = abs(fit.exponent - 2.0) <= 0.2
         above = fit.exponent >= alpha
         ok = ok and within and above

@@ -23,6 +23,7 @@ import numpy as np
 
 from .grid import (
     ScalarField,
+    SymMatrixField,
     _cartesian,
     _laplacian_rows,
     _measure_weights,
@@ -30,7 +31,6 @@ from .grid import (
     _radial_slope,
     _theta_derivative,
     annulus_integral,
-    hessian,
     ring_index,
     window_slice,
 )
@@ -163,12 +163,11 @@ class BootstrapSchedule:
 
 
 def window_slices(grid, windows):
-    """Ring slices of the fitting windows, after the one window rule.
+    """Ring slices of the fitting windows.
 
-    There must be at least 3 windows, each [lo, hi] inside the grid
-    (r_inner <= lo < hi <= r_outer) and spanning at least 8 rings once its
-    edges snap to rings.  Returns the windows as float pairs and their
-    slices.
+    There must be at least 3 windows, each passing ``window_slice``'s rule
+    and spanning at least 8 rings once its edges snap to rings.  Returns the
+    windows as float pairs and their slices.
     """
     wins = [(float(lo), float(hi)) for lo, hi in windows]
     if len(wins) < _MIN_WINDOWS:
@@ -177,11 +176,6 @@ def window_slices(grid, windows):
         )
     slices = []
     for lo, hi in wins:
-        if not (grid.r_inner <= lo < hi <= grid.r_outer * (1.0 + 1e-12)):
-            raise ValueError(
-                f"window-outside-grid: [{lo}, {hi}] not inside the grid "
-                f"[{grid.r_inner}, {grid.r_outer}]"
-            )
         sl = window_slice(grid, lo, hi)
         if sl.stop - sl.start < _MIN_RINGS:
             raise ValueError(
@@ -271,11 +265,7 @@ def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
         betas.append(beta)
 
     beta = betas[_largest_window(wins)]
-    scale_u = float(np.max(np.abs(u.values)))
-    exponent, log_constant, r_squared = fit_power_law(
-        mids, sups, degenerate_tol=1e-11 * (1.0 + scale_u)
-    )
-    fit = DecayFit(exponent, log_constant, 0.0, tuple(zip(mids, sups)), r_squared)
+    fit = fit_power_law(mids, sups, 0.0, 1e-11 * (1.0 + float(np.max(np.abs(u.values)))))
     return ExpansionCoefficients(
         A=np.array([[beta[0], beta[1]], [beta[1], beta[2]]]),
         b=np.array([beta[3], beta[4]]),
@@ -286,42 +276,33 @@ def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
     )
 
 
-def hessian_limit(u: ScalarField, windows):
+def hessian_limit(h: SymMatrixField, windows) -> DecayFit:
     """Hessian limit at infinity and the decay rate of the deviation.
 
-    Per window, the limit candidate is the (log r, theta)-mean of the
-    Hessian over the window's nodes and the deviation is the sup over the
-    window of the largest entry of ``hessian(u) - mean``.  Referencing each
-    window against its own mean keeps the deviations free of the O(R^-alpha)
-    bias of the final estimate, so the fitted exponent is clean.  Returns
-    ``(A, fit)`` with ``A`` taken from the largest window.
+    ``h`` is the Hessian D^2u the caller already holds.  Per window, the
+    limit candidate is the (log r, theta)-mean of the Hessian over the
+    window's nodes and the deviation is the sup over the window of the
+    largest entry of ``h - mean``.  Referencing each window against its own
+    mean keeps the deviations free of the O(R^-alpha) bias of the final
+    estimate, so the fitted exponent is clean.  Returns the fit, whose
+    ``limit`` is A, the 2x2 mean over the largest window.
     """
-    grid = u.grid
+    grid = h.grid
     wins, slices = window_slices(grid, windows)
-    h = hessian(u)
 
     mids, devs, means = [], [], []
     for (lo, hi), sl in zip(wins, slices):
         wgt = _measure_weights(grid, sl)
         wgt = wgt / np.sum(wgt)
-        entries = []
-        dev = 0.0
-        for comp in (h.m11, h.m12, h.m22):
-            ring_mean = comp[sl].mean(axis=1)
-            mean = float(np.sum(ring_mean * wgt))
-            entries.append(mean)
-            dev = max(dev, float(np.max(np.abs(comp[sl] - mean))))
+        comps = [comp[sl] for comp in (h.m11, h.m12, h.m22)]
+        entries = [float(np.sum(comp.mean(axis=1) * wgt)) for comp in comps]
         mids.append(math.sqrt(lo * hi))
-        devs.append(dev)
+        devs.append(max(float(np.max(np.abs(c - m))) for c, m in zip(comps, entries)))
         means.append(entries)
 
     m11, m12, m22 = means[_largest_window(wins)]
     A = np.array([[m11, m12], [m12, m22]])
-    exponent, log_constant, r_squared = fit_power_law(
-        mids, devs, degenerate_tol=1e-11 * (1.0 + float(np.max(np.abs(A))))
-    )
-    fit = DecayFit(exponent, log_constant, A, tuple(zip(mids, devs)), r_squared)
-    return A, fit
+    return fit_power_law(mids, devs, A, 1e-11 * (1.0 + float(np.max(np.abs(A)))))
 
 
 # ---------------------------------------------------------------------------

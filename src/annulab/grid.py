@@ -488,13 +488,17 @@ def circle_flux_integral(w: PlanarMapping, radius: float) -> float:
 
 
 def window_slice(grid: AnnularGrid, r_lo: float, r_hi: float) -> slice:
-    """Radial index slice covering [r_lo, r_hi]; edges snap to the nearest ring."""
+    """Radial index slice covering [r_lo, r_hi]; edges snap to the nearest ring.
+
+    This is the one window rule: the window must be non-empty and lie inside
+    [r_inner, r_outer], to 1e-12 relative at either end, and its edges must
+    snap to at least 2 rings.
+    """
     if r_lo >= r_hi:
         raise ValueError(f"window-outside-grid: empty window [{r_lo}, {r_hi}]")
-    eps = 1e-9
-    if r_hi < grid.r_inner * (1 - eps) or r_lo > grid.r_outer * (1 + eps):
+    if r_lo < grid.r_inner * (1.0 - 1e-12) or r_hi > grid.r_outer * (1.0 + 1e-12):
         raise ValueError(
-            f"window-outside-grid: [{r_lo}, {r_hi}] does not meet "
+            f"window-outside-grid: [{r_lo}, {r_hi}] not inside the grid "
             f"[{grid.r_inner}, {grid.r_outer}]"
         )
     lo = int(np.argmin(np.abs(grid.radii - r_lo)))
@@ -508,8 +512,8 @@ def annulus_integral(f: ScalarField, r_lo: float, r_hi: float) -> float:
     """Integral of f over the sub-annulus r_lo <= |x| <= r_hi.
 
     Tensor-product rule: trapezoid in the radial parameter (with the area
-    Jacobian r dr dtheta), full periodic trapezoid in theta.  Window edges
-    snap to grid rings.
+    Jacobian r dr dtheta), full periodic trapezoid in theta.  The window
+    must lie inside the grid (``window_slice``); its edges snap to rings.
     """
     g = f.grid
     sl = window_slice(g, r_lo, r_hi)

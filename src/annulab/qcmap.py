@@ -222,20 +222,21 @@ def verify_kelvin_identities(w: PlanarMapping, derivatives=None, image_side=None
     return float(res_energy), float(res_jac)
 
 
-def fit_power_law(radii, deviations, degenerate_tol=0.0):
-    """Least-squares fit of log(deviation) against log(radius).
+def fit_power_law(radii, deviations, limit, degenerate_tol) -> DecayFit:
+    """Least-squares fit of log(deviation) against log(radius), as a DecayFit.
 
-    Returns (exponent, log_constant, r_squared) for the model
-    deviation ~ exp(log_constant) * R^(-exponent).  If every deviation is
-    at or below ``degenerate_tol`` the fit is degenerate and
-    (+inf, -inf, 1.0) is returned.
+    The model is deviation ~ exp(log_constant) * R^(-exponent); ``limit`` is
+    the value at infinity the deviations were measured from, stored as is.
+    If every deviation is at or below ``degenerate_tol`` the fit is
+    degenerate: exponent +inf, log_constant -inf, r_squared 1.
     """
     radii = np.asarray(radii, dtype=float)
     deviations = np.asarray(deviations, dtype=float)
     if radii.size < 2:
         raise ValueError("window-outside-grid: need at least 2 radii to fit a power law")
+    windows = tuple(zip(radii.tolist(), deviations.tolist()))
     if np.all(deviations <= degenerate_tol):
-        return math.inf, -math.inf, 1.0
+        return DecayFit(math.inf, -math.inf, limit, windows, 1.0)
     logr = np.log(radii)
     logd = np.log(np.maximum(deviations, 1e-300))
     slope, intercept = np.polyfit(logr, logd, 1)
@@ -243,7 +244,7 @@ def fit_power_law(radii, deviations, degenerate_tol=0.0):
     ss_res = float(np.sum((logd - pred) ** 2))
     ss_tot = float(np.sum((logd - np.mean(logd)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(-slope), float(intercept), r_squared
+    return DecayFit(float(-slope), float(intercept), limit, windows, r_squared)
 
 
 def limit_and_decay(w: PlanarMapping, window_radii) -> DecayFit:
@@ -261,12 +262,5 @@ def limit_and_decay(w: PlanarMapping, window_radii) -> DecayFit:
         raise ValueError("window-outside-grid: window radii must increase")
     idx = [ring_index(w.grid, r) for r in radii]
     limit = np.array([np.mean(w.p[idx[-1]]), np.mean(w.q[idx[-1]])])
-    deviations = np.array(
-        [np.max(np.hypot(w.p[i] - limit[0], w.q[i] - limit[1])) for i in idx]
-    )
-    scale = float(np.hypot(*limit)) + 1.0
-    exponent, log_constant, r_squared = fit_power_law(
-        radii, deviations, degenerate_tol=1e-13 * scale
-    )
-    windows = tuple(zip(radii, deviations.tolist()))
-    return DecayFit(exponent, log_constant, limit, windows, r_squared)
+    deviations = [np.max(np.hypot(w.p[i] - limit[0], w.q[i] - limit[1])) for i in idx]
+    return fit_power_law(radii, deviations, limit, 1e-13 * (float(np.hypot(*limit)) + 1.0))

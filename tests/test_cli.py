@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import annulab.cli as cli
+import annulab.expansion as expansion
 from annulab.cli import BUILTIN_SCENARIOS, Scenario, run_acceptance, run_scenario
 from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, hessian, write_snapshot
 from annulab.nonlinear import radial_ma_reference
@@ -592,6 +593,8 @@ print(json.dumps(seen))
         ({"grid": {"r_outer": math.inf}}, "grid.r_outer must be a finite number"),
         # beyond the float range, which JSON integers may be
         ({"grid": {"n_r": 10 ** 400}}, "grid.n_r must be an integer"),
+        # an integer that numpy refuses to allocate rings for, before allocating
+        ({"grid": {"n_r": 1e300}}, "error: invalid-config: grid: "),
         ({"windows": [[4, 10 ** 400]]}, "windows[0] must be a finite number"),
         # rings that coincide in floating point, though every window lies inside
         ({"grid": {"r_outer": 1.000000000000001, "spacing": "log"},
@@ -950,16 +953,22 @@ class TestAcceptanceHarness:
 
     def test_rows_05_and_12_run_the_pipeline_steps(self, monkeypatch):
         # the gradient map and the d cross-check each have one implementation,
-        # which the reports and these rows share
+        # which the reports and these rows share; each row forms one Hessian
+        # per field (three in row 05, two in row 12), which row 12's Hessian
+        # limit and gradient map both read
         steps = {name: mock.Mock(wraps=getattr(cli, name))
                  for name in ("dilatation_field", "_d_cross_checks")}
         for name, step in steps.items():
             monkeypatch.setattr(cli, name, step)
+        hessians = mock.Mock(wraps=hessian)
+        for module in (cli, expansion):
+            monkeypatch.setattr(module, "hessian", hessians, raising=False)
         rows = run_acceptance(names=["05-gradient-map-quasiconformality",
                                      "12-hessian-limit-decay"])
         assert all(row["passed"] for row in rows)
         assert steps["dilatation_field"].call_count == 3 + 2
         assert steps["_d_cross_checks"].call_count == 1
+        assert hessians.call_count == 3 + 2
 
     def test_row_12_fails_when_laurent_is_skipped(self, monkeypatch):
         def not_harmonic(*args, **kwargs):

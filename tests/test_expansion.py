@@ -33,6 +33,7 @@ from annulab.grid import (
     annulus_integral,
     build_grid,
     gradient,
+    hessian,
     laplacian,
     ring_index,
 )
@@ -183,6 +184,18 @@ class TestFitExpansion:
         with pytest.raises(ValueError, match="window-outside-grid"):
             fit_expansion(u, [(4, 8), (8, 16), (64, 128)])
 
+    def test_window_edges_within_rounding_of_the_grid_are_accepted(self, log_grid):
+        # 5e-13 relative beyond r_inner and r_outer: the edges snap to the end rings
+        u = basis_field(log_grid, np.arange(1.0, 10.0))
+        near = fit_expansion(u, [(1.0 - 5e-13, 8), (8, 16), (16, 64.0 * (1.0 + 5e-13))])
+        exact = fit_expansion(u, [(1, 8), (8, 16), (16, 64)])
+        assert np.array_equal(near.A, exact.A) and near.d == exact.d and near.c == exact.c
+
+    def test_reversed_window_is_reported_empty(self, log_grid):
+        u = basis_field(log_grid, np.zeros(9))
+        with pytest.raises(ValueError, match=r"window-outside-grid: empty window \[16.0, 8.0\]"):
+            fit_expansion(u, [(4, 8), (16, 8), (16, 32)])
+
     def test_ill_conditioned_window_rejected(self, monkeypatch):
         # a shell this thin at r = 1 makes x and x/|x|^2 collide; the
         # condition guard fires once the limit reflects that degeneracy
@@ -201,15 +214,15 @@ class TestHessianLimit:
         x1, x2 = grid.nodes()
         u = ScalarField(grid, 0.5 * (x1 * x1 + 2.0 * x2 * x2)
                         + 0.5 * np.log(x1 * x1 + x2 * x2))
-        A, fit = hessian_limit(u, [(2, 4), (4, 8), (8, 16), (16, 32)])
-        assert np.max(np.abs(A - np.diag([1.0, 2.0]))) <= 5e-4
+        fit = hessian_limit(hessian(u), [(2, 4), (4, 8), (8, 16), (16, 32)])
+        assert np.max(np.abs(fit.limit - np.diag([1.0, 2.0]))) <= 5e-4
         assert abs(fit.exponent - 2.0) <= 0.05
         assert fit.r_squared >= 0.999
 
     def test_radial_family_decay(self, criterion_grid):
         u = radial_field(criterion_grid, 2.0)
-        A, fit = hessian_limit(u, [(2, 4), (4, 8), (8, 16), (16, 32)])
-        assert np.max(np.abs(A - np.eye(2))) <= 5e-4
+        fit = hessian_limit(hessian(u), [(2, 4), (4, 8), (8, 16), (16, 32)])
+        assert np.max(np.abs(fit.limit - np.eye(2))) <= 5e-4
         assert abs(fit.exponent - 2.0) <= 0.2
         rep = dilatation_field(gradient(u))
         assert fit.exponent >= holder_exponent(rep.K_min)
@@ -218,15 +231,15 @@ class TestHessianLimit:
         x1, x2 = log_grid.nodes()
         rsq = x1 * x1 + x2 * x2
         u = ScalarField(log_grid, 0.5 * rsq + rsq ** 0.8)
-        _, fit = hessian_limit(u, [(2, 4), (4, 8), (8, 16), (16, 32), (32, 64)])
+        fit = hessian_limit(hessian(u), [(2, 4), (4, 8), (8, 16), (16, 32), (32, 64)])
         assert abs(fit.exponent - 0.4) <= 0.05 * 0.4
 
     def test_degenerate_on_exact_quadratic(self):
         grid = build_grid(1.0, 33.0, 129, 32, spacing=UNIFORM_RADIAL)
         x1, x2 = grid.nodes()
         u = ScalarField(grid, 0.5 * (x1 * x1 + x2 * x2))
-        A, fit = hessian_limit(u, [(2, 6), (6, 12), (12, 24), (16, 32)])
-        assert np.max(np.abs(A - np.eye(2))) <= 1e-12
+        fit = hessian_limit(hessian(u), [(2, 6), (6, 12), (12, 24), (16, 32)])
+        assert np.max(np.abs(fit.limit - np.eye(2))) <= 1e-12
         assert fit.exponent == math.inf
 
 

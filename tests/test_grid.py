@@ -422,10 +422,32 @@ def test_annulus_integral_convergence_order():
 def test_annulus_integral_window_errors():
     g = build_grid(1.0, 8.0, 16, 16)
     f = ScalarField(g, np.ones(g.shape))
-    with pytest.raises(ValueError, match="window-outside-grid"):
+    with pytest.raises(ValueError, match="window-outside-grid: .* not inside the grid"):
         annulus_integral(f, 9.0, 12.0)
-    with pytest.raises(ValueError, match="window-outside-grid"):
+    with pytest.raises(ValueError, match=r"window-outside-grid: empty window \[3.0, 2.0\]"):
         annulus_integral(f, 3.0, 2.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.25, 2.0), (4.0, 100.0)])
+def test_window_that_hangs_off_the_grid_is_refused(lo, hi):
+    # such a window was once clipped to the grid without complaint
+    g = build_grid(1.0, 8.0, 65, 32)
+    f = ScalarField(g, np.ones(g.shape))
+    with pytest.raises(ValueError, match=r"window-outside-grid: .* not inside the grid"):
+        window_slice(g, lo, hi)
+    with pytest.raises(ValueError, match=r"window-outside-grid: .* not inside the grid"):
+        annulus_integral(f, lo, hi)
+
+
+def test_window_edges_within_rounding_of_the_grid_are_its_edges():
+    g = build_grid(1.0, 8.0, 65, 32)
+    f = ScalarField(g, np.ones(g.shape))
+    lo, hi = g.r_inner * (1.0 - 5e-13), g.r_outer * (1.0 + 5e-13)
+    assert window_slice(g, lo, hi) == slice(0, g.n_r)
+    assert annulus_integral(f, lo, hi) == annulus_integral(f, g.r_inner, g.r_outer)
+    for lo, hi in ((g.r_inner * (1.0 - 1e-11), 2.0), (2.0, g.r_outer * (1.0 + 1e-11))):
+        with pytest.raises(ValueError, match="not inside the grid"):
+            annulus_integral(f, lo, hi)
 
 
 def test_window_that_snaps_to_one_ring_is_refused():

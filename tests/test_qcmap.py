@@ -355,13 +355,15 @@ def test_limit_and_decay_requires_increasing_radii():
 
 def test_fit_power_law_needs_two_radii():
     with pytest.raises(ValueError, match="window-outside-grid: need at least 2 radii"):
-        fit_power_law([4.0], [0.5])
+        fit_power_law([4.0], [0.5], 0.0, 0.0)
 
 
 def test_fit_power_law_recovers_exact_power():
     radii = np.array([4.0, 8.0, 16.0, 32.0])
     dev = 3.0 * radii ** -1.7
-    exponent, logc, r2 = fit_power_law(radii, dev)
-    assert abs(exponent - 1.7) < 1e-12
-    assert abs(math.exp(logc) - 3.0) < 1e-12
-    assert abs(r2 - 1.0) < 1e-12
+    fit = fit_power_law(radii, dev, 0.0, 0.0)
+    assert abs(fit.exponent - 1.7) < 1e-12
+    assert abs(math.exp(fit.log_constant) - 3.0) < 1e-12
+    assert abs(fit.r_squared - 1.0) < 1e-12
+    assert fit.limit == 0.0
+    assert fit.windows == tuple(zip(radii.tolist(), dev.tolist()))
