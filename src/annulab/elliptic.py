@@ -12,15 +12,19 @@ The linear solve applies its operator from the nine stencil weight
 arrays, with no matrix, formed on the interior rings only.  Its
 preconditioner solves with the ring means of the polar stencil
 coefficients: a DFT in theta splits that system into one radial
-tridiagonal system per angular mode, all in one band that is factored once
-per solve, the exact inverse for coefficients constant along rings (the
-Laplacian, radial Monge-Ampere linearizations).  Coefficients that vary
-along rings take GMRES iterations with that preconditioner, each
-application of it two triangular solves.
+tridiagonal system per angular mode, all in one band that cyclic reduction
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627) factors once
+per solve, in numpy, the exact inverse for coefficients constant along
+rings (the Laplacian, radial Monge-Ampere linearizations).  The band is
+diagonally dominant when |ctq| <= 2 sqrt(ctt cqq), which ellipticity
+gives, and |ct| dt <= 2 ctt at mode 0, and cyclic reduction without
+pivoting is stable there (Heller, SIAM J. Numer. Anal. 13 (1976) 484);
+otherwise M only preconditions, and the backward-error gate still decides.
+Coefficients that vary along rings take GMRES iterations with that
+preconditioner, each application of it two FFTs and one band solve.
 
-Only the linear solve uses scipy, and it imports it on first use:
-``scipy.linalg`` when a solve builds its preconditioner, ``scipy.sparse``
-only when GMRES runs.  The potential needs numpy alone.
+Only GMRES uses scipy: ``scipy.sparse.linalg`` is imported when a solve
+first runs it, so radial solves and the potential need numpy alone.
 """
 
 from __future__ import annotations
@@ -140,8 +144,8 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     coefficients and factored once.  It is exact for coefficients constant
     along rings, which includes the Laplacian and the linearizations of
     radial Newton iterates; otherwise GMRES preconditioned by M continues
-    from M b.  The first solve imports ``scipy.linalg``, and the first that
-    runs GMRES ``scipy.sparse``.  x is accepted when
+    from M b.  M is numpy alone; the first solve that runs GMRES imports
+    ``scipy.sparse``.  x is accepted when
     |b - A x| <= 1e-10 (|A| |x| + |b|) in max norms, a normwise backward
     error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     7.1); ``singular-system`` is raised otherwise.
@@ -186,17 +190,26 @@ def _nine_point(grid, ctt, ctq, cqq, ct, cq):
     one array.
     """
     dt, dq = grid.dt, grid.dtheta
-    inv_dt2, inv_dq2 = 1.0 / (dt * dt), 1.0 / (dq * dq)
-    inv_2dt, inv_2dq = 0.5 / dt, 0.5 / dq
-    inv_cross = 0.25 / (dt * dq)
-    cross = ctq * inv_cross
-    anti = np.negative(cross)  # -ctq * inv_cross to the bit: rounding commutes with negation
+    # north and east hold ctt/dt^2 and cqq/dtheta^2 until their drifts are
+    # added; one array holds ct/(2 dt), then cq/(2 dtheta)
+    north = ctt * (1.0 / (dt * dt))
+    east = cqq * (1.0 / (dq * dq))
+    centre = north + east
+    centre *= -2.0
+    drift = ct * (0.5 / dt)
+    south = north - drift
+    north += drift
+    west = east - np.multiply(cq, 0.5 / dq, out=drift)
+    east += drift
+    del drift
+    cross = ctq * (0.25 / (dt * dq))
+    anti = np.negative(cross)  # -ctq/(4 dt dtheta) to the bit: negation commutes with rounding
     return (
-        (0, 0, -2.0 * ctt * inv_dt2 - 2.0 * cqq * inv_dq2),
-        (1, 0, ctt * inv_dt2 + ct * inv_2dt),
-        (-1, 0, ctt * inv_dt2 - ct * inv_2dt),
-        (0, 1, cqq * inv_dq2 + cq * inv_2dq),
-        (0, -1, cqq * inv_dq2 - cq * inv_2dq),
+        (0, 0, centre),
+        (1, 0, north),
+        (-1, 0, south),
+        (0, 1, east),
+        (0, -1, west),
         (1, 1, cross),
         (1, -1, anti),
         (-1, 1, anti),
@@ -239,51 +252,136 @@ def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
               + i cq sin(kappa) / dtheta
         super ctt/dt^2 + ct/(2 dt) + i ctq sin(kappa) / (2 dt dtheta)
 
-    All n_theta // 2 + 1 modes of the rfft are stacked into one block
-    diagonal band, uncoupled between blocks.  The band is factored once, by
-    LAPACK's ``zgttrf`` (LU with partial pivoting), and each solve applies
-    the factors by ``zgttrs``: the elimination ``gtsv`` would repeat on
-    every call, done once (Anderson et al., LAPACK Users' Guide, 3rd ed.,
-    SIAM 1999).  Takes the ring means of the interior-ring stencil
-    coefficients, one value per interior ring each; returns ``solve(rhs)``
-    for flattened right-hand sides.  Raises ``LinAlgError`` when the band
-    is singular.  The result is exact when the coefficients are constant
-    on each ring and an approximate inverse otherwise.
+    The n_theta // 2 + 1 modes of the rfft are the columns of one band in
+    (ring, mode) layout, the layout ``np.fft.rfft(..., axis=1)`` returns,
+    factored once by ``_cyclic_reduction`` and applied by each solve.  The
+    band is diagonally dominant, so that cyclic reduction needs no
+    pivoting, when |ctq| <= 2 sqrt(ctt cqq), which ellipticity gives, and
+    |ct| dt <= 2 ctt, which mode 0 needs; otherwise M is only a
+    preconditioner, and the backward-error gate checks what it returns.
+    Takes the ring means of the interior-ring stencil coefficients, one
+    value per interior ring each; returns ``solve(rhs)`` for flattened
+    right-hand sides.  Raises ``LinAlgError`` on a zero or non-finite
+    pivot.  The result is exact when the coefficients are constant on each
+    ring and an approximate inverse otherwise.
     """
-    # scipy.linalg costs about 0.2 s to import and only the linear solve needs it
-    from scipy.linalg.lapack import zgttrf, zgttrs
-
     n_t = grid.n_theta
     dt, dq = grid.dt, grid.dtheta
     ni = ctt.size
-    kappa = np.arange(n_t // 2 + 1)[:, None] * dq
+    kappa = np.arange(n_t // 2 + 1) * dq
     sin_k = np.sin(kappa)
-    radial = ctt / (dt * dt)
-    drift = ct * (0.5 / dt)
+    radial = (ctt / (dt * dt))[:, None]
+    drift = (ct * (0.5 / dt))[:, None]
     # real and imaginary parts as the complex products and sums round them:
     # a real operand enters those as x + 0i, and the division by dtheta
     # multiplies by 1 / dtheta
-    cross = ctq * sin_k
+    cross = ctq[:, None] * sin_k
     cross *= 0.5 / (dt * dq)
-    upper, lower, diag = np.empty((3, *cross.shape), dtype=complex)
+    band = np.empty((5, *cross.shape), dtype=complex)  # the last two for the multipliers
+    lower, diag, upper = band[:3]
     upper.real, upper.imag = radial + drift, 0.0 + cross
     lower.real, lower.imag = radial - drift, 0.0 - cross
-    diag.real = -2.0 * radial - 2.0 * cqq * (1.0 - np.cos(kappa)) / (dq * dq)
-    diag.imag = 0.0 + cq * sin_k * (1.0 / dq)
-    # the boundary rings are eliminated, so blocks of different modes do not couple
-    upper[:, -1] = 0.0
-    lower[:, 0] = 0.0
-    dl, d, du, du2, ipiv, info = zgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1],
-                                        overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+    diag.real = -2.0 * radial - 2.0 * cqq[:, None] * (1.0 - np.cos(kappa)) / (dq * dq)
+    diag.imag = 0.0 + cq[:, None] * sin_k * (1.0 / dq)
+    solve_band = _cyclic_reduction(band)
 
     def solve(rhs):
-        rhs_hat = np.fft.rfft(rhs.reshape(ni, n_t), axis=1).T.reshape(-1, 1)  # mode-major
-        x_hat, _ = zgttrs(dl, d, du, du2, ipiv, rhs_hat, overwrite_b=1)
-        return np.fft.irfft(x_hat.reshape(-1, ni).T, n=n_t, axis=1).ravel()
+        x_hat = solve_band(np.fft.rfft(rhs.reshape(ni, n_t), axis=1))
+        return np.fft.irfft(x_hat, n=n_t, axis=1).ravel()
 
     return solve
+
+
+def _cyclic_reduction(band):
+    """Factor the tridiagonal systems in the columns of a band by cyclic reduction.
+
+    ``band`` stacks five (n, m) arrays: lower, diag and upper, then two
+    that the factorization fills.  Row i of column k reads lower[i, k]
+    x[i - 1, k] + diag[i, k] x[i, k] + upper[i, k] x[i + 1, k]; lower[0]
+    and upper[-1] are not read, and the band is consumed.  Each of the
+    log2(n) + 1 levels eliminates the even rows of those left from their
+    odd neighbours, without pivoting (Buzbee, Golub & Nielson, SIAM J.
+    Numer. Anal. 7 (1970) 627), which is stable on diagonally dominant
+    bands (Heller, SIAM J. Numer. Anal. 13 (1976) 484).  A level first puts
+    its rows in level order, eliminated before kept, so that every product
+    runs on contiguous rows.  The first three arrays keep each row's
+    inverted pivot and its neighbour weights over it, in level order, and
+    the last two each level's multipliers that carry the eliminated
+    right-hand sides into the kept ones.  One allocation holds all five:
+    as separate arrays they cost about 800 fresh pages per factorization
+    on 1024x64, more time than its arithmetic.  Returns ``solve(rhs)``,
+    which overwrites complex right-hand sides of shape (n, m) with the
+    solution.  Raises ``LinAlgError`` when a pivot is zero or not finite,
+    or its reciprocal overflows.
+    """
+    lower, diag, upper, alphas, gammas = band
+    n = len(diag)
+    lower[0] = upper[-1] = 0.0
+    # the off-diagonals enter negated, so that no level negates a product
+    np.negative(band[:3:2], out=band[:3:2])
+    scratch = np.empty_like(diag)  # every temporary of the factorization
+    levels = []
+    start = taken = 0
+    with np.errstate(all="ignore"):  # a bad pivot raises below
+        while start < n:
+            # e rows eliminated; kept row j lies between eliminated rows j
+            # and j + 1, and the last kept row ends the band when k = e
+            k = (n - start) // 2
+            e = n - start - k
+            for rows in band[:3, start:]:
+                _level_order(rows, scratch)
+            lo, inv, up = band[:3, start:start + e]
+            a, b, c = band[:3, start + e:]
+            np.reciprocal(inv, out=inv)
+            lo *= inv
+            up *= inv
+            alpha = np.multiply(a, inv[:k], out=alphas[taken:taken + k])
+            gamma = np.multiply(c[:e - 1], inv[1:], out=gammas[taken:taken + e - 1])
+            b -= np.multiply(a, up[:k], out=scratch[:k])
+            b[:e - 1] -= np.multiply(c[:e - 1], lo[1:], out=scratch[:e - 1])
+            a *= lo[:k]
+            c[:e - 1] *= up[1:]
+            levels.append((start, e, alpha, gamma))
+            start += e
+            taken += k
+        if not (np.all(np.isfinite(diag)) and np.all(diag)):
+            raise np.linalg.LinAlgError("zero or non-finite pivot in cyclic reduction")
+
+    def solve(rhs):
+        held = np.empty_like(rhs)
+        for start, e, alpha, gamma in levels:
+            k = len(alpha)
+            rows = _level_order(rhs[start:], held)
+            kept = rows[e:]
+            kept += np.multiply(alpha, rows[:k], out=held[:k])
+            kept[:e - 1] += np.multiply(gamma, rows[1:e], out=held[:e - 1])
+        for start, e, alpha, _ in reversed(levels):
+            k = len(alpha)
+            rows = rhs[start:]
+            solved, kept = rows[:e], rows[e:]
+            solved *= diag[start:start + e]
+            solved[1:] += np.multiply(lower[start + 1:start + e], kept[:e - 1], out=held[:e - 1])
+            solved[:k] += np.multiply(upper[start:start + k], kept, out=held[:k])
+            _level_order(rows, held, inverse=True)
+        return rhs
+
+    return solve
+
+
+def _level_order(rows, scratch, inverse=False):
+    """Rows 0, 2, 4, ... then 1, 3, 5, ..., moved in place through ``scratch``.
+
+    With ``inverse`` the rows move back.  Returns ``rows``.
+    """
+    held = scratch[:len(rows)]
+    e = (len(rows) + 1) // 2
+    if inverse:
+        held[...] = rows
+        rows[0::2], rows[1::2] = held[:e], held[e:]
+    else:
+        held[:e], held[e:] = rows[0::2], rows[1::2]
+        rows[...] = held
+    return rows
 
 
 def _krylov_solve(apply, b, precondition, gate):

@@ -432,15 +432,31 @@ def _stencil_coefficients(coeffs):
     g = coeffs.grid
     r, h = g.radii[1:-1, None], g.dr_dt[1:-1, None]
     c, s = g.cos_theta, g.sin_theta
+    cc, ss, cs2 = c * c, s * s, 2.0 * c * s
+    diff2 = 2.0 * (cc - ss)
     a11, a12, a22 = coeffs.a11, coeffs.a12, coeffs.a22
-    a_rr = a11 * c * c + 2.0 * a12 * c * s + a22 * s * s
-    a_tt = a11 * s * s - 2.0 * a12 * c * s + a22 * c * c
-    a_rt = 2.0 * ((a22 - a11) * c * s + a12 * (c * c - s * s))
-    stretch = r / h  # 1 on log-radial grids
-    inv_h2 = 1.0 / (h * h)
-    inv_r2 = 1.0 / (r * r)
-    return (a_rr * inv_h2, a_rt * inv_h2 / stretch, a_tt * inv_r2,
-            (a_tt / stretch - g.d2r_ratio * a_rr) * inv_h2, -a_rt * inv_r2)
+    scratch = np.multiply(a12, cs2)
+    a_rr = a11 * cc
+    a_rr += scratch
+    a_tt = a11 * ss
+    a_tt -= scratch
+    a_rr += np.multiply(a22, ss, out=scratch)
+    a_tt += np.multiply(a22, cc, out=scratch)
+    a_rt = np.subtract(a22, a11)
+    a_rt *= cs2
+    a_rt += np.multiply(a12, diff2, out=scratch)
+    # h = r on log-radial grids, where all three are 1 / r^2
+    inv_h2, inv_rh, inv_r2 = 1.0 / (h * h), 1.0 / (r * h), 1.0 / (r * r)
+    ctt = a_rr
+    ctt *= inv_h2
+    ct = a_tt * inv_rh
+    ct -= np.multiply(ctt, g.d2r_ratio, out=scratch)
+    ctq = np.multiply(a_rt, inv_rh, out=scratch)
+    cqq = a_tt
+    cqq *= inv_r2
+    cq = a_rt
+    cq *= -inv_r2
+    return ctt, ctq, cqq, ct, cq
 
 
 def _laplacian_rows(field: ScalarField, rows=slice(None)):

@@ -6,7 +6,9 @@ replayed exactly.
 """
 
 import warnings
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import settings
 
 # hypothesis imports libcst to report a failing example, and libcst's import
@@ -22,3 +24,24 @@ with warnings.catch_warnings():
 
 settings.register_profile("annulab", print_blob=True)
 settings.load_profile("annulab")
+
+
+@pytest.fixture
+def mode_solver_calls(monkeypatch):
+    """Counts of ring-mean mode solver factorizations and of applications of their solves."""
+    from annulab import elliptic
+
+    calls = SimpleNamespace(factors=0, applications=0)
+    factor = elliptic._polar_mode_solver
+
+    def counting(*args):
+        calls.factors += 1
+        solve = factor(*args)
+
+        def counted(rhs):
+            calls.applications += 1
+            return solve(rhs)
+        return counted
+
+    monkeypatch.setattr(elliptic, "_polar_mode_solver", counting)
+    return calls

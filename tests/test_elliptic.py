@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse.linalg import gmres, splu
 
 from annulab import elliptic
@@ -1047,6 +1046,11 @@ def random_coefficients(grid, rng, ring_constant):
     n_q=st.integers(8, 32).map(lambda k: 2 * k),
     seed=st.integers(0, 2**32 - 1),
 )
+# 15 and 63 interior rings leave an odd row count at every level of
+# cyclic reduction, 16 an even one at every level but the last
+@example(spacing=LOG_RADIAL, n_r=17, n_q=16, seed=1)
+@example(spacing=UNIFORM_RADIAL, n_r=18, n_q=16, seed=2)
+@example(spacing=LOG_RADIAL, n_r=65, n_q=64, seed=3)
 def test_fft_path_matches_superlu_for_ring_constant_coefficients(spacing, n_r, n_q, seed):
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, 4.0, n_r, n_q, spacing)
@@ -1100,45 +1104,71 @@ def test_ring_varying_solves_meet_the_gate_and_match_superlu(spacing, n_r, n_q, 
 
 
 def test_mode_solver_failure_is_a_singular_system():
+    # all-zero ring means make every pivot zero, NaN ones every pivot NaN;
+    # either raises with no RuntimeWarning
     g = build_grid(1.0, 4.0, 17, 16)
+    for value in (0.0, np.nan):
+        ring_means = [np.full(g.n_r - 2, value)] * 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="pivot"):
+                elliptic._polar_mode_solver(g, *ring_means)
     f = ScalarField(g, np.ones(g.shape))
 
-    def singular(*args, **kwargs):
-        # LAPACK's report of an exactly zero pivot, U(1, 1) = 0
-        return (*zgttrf(*args, **kwargs)[:-1], 1)
+    def singular(*args):
+        raise np.linalg.LinAlgError("zero or non-finite pivot in cyclic reduction")
 
-    with mock.patch("scipy.linalg.lapack.zgttrf", singular):
+    with mock.patch.object(elliptic, "_polar_mode_solver", singular):
         with pytest.raises(ValueError, match="singular-system: ring-mean mode solver failed"):
             solve_linear_dirichlet(LinearCoefficients.trace_operator(g), f, 0.0, 1.0)
 
 
-def random_band(rng, n):
-    """A complex tridiagonal band in ``solve_banded``'s (1, 1) layout, some rows pivoting."""
-    band = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-    band[1] *= rng.choice([0.1, 10.0], size=n)  # weak diagonals swap rows
-    band[0, 0] = band[2, -1] = 0.0
-    return band
+def dominant_band(rng, n, m, margin):
+    """Complex (lower, diag, upper) of n rows and m columns, |diag| = margin (|lower| + |upper|).
+
+    As in the mode solver's band, the end rows are dominant by the weights
+    of the boundary rings, which lower[0] and upper[-1] drop.
+    """
+    lower, upper = rng.normal(size=(2, n, m)) + 1j * rng.normal(size=(2, n, m))
+    phase = np.exp(2j * math.pi * rng.uniform(size=(n, m)))
+    diag = margin * (np.abs(lower) + np.abs(upper)) * phase
+    lower[0] = upper[-1] = 0.0
+    return lower, diag, upper
 
 
-@settings(max_examples=50, deadline=None)
-@given(n=st.integers(3, 300), n_rhs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_factored_band_solves_are_solve_banded_to_the_bit(n, n_rhs, seed):
-    # zgttrf's elimination and pivots are gtsv's, and zgttrs applies them in
-    # gtsv's order, so factoring once changes no bit of any solve
+@settings(max_examples=5, deadline=None)
+@given(m=st.integers(1, 3), margin=st.floats(1.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_cyclic_reduction_matches_solve_banded(m, margin, seed):
+    # every row count up to 300, so every sequence of odd and even row
+    # counts over the levels, 2^q - 2, 2^q - 1 and 2^q among them; diagonal
+    # dominance, weak at margin 1, makes elimination without pivoting stable
     rng = np.random.default_rng(seed)
-    band = random_band(rng, n)
-    factors = zgttrf(band[2, :-1], band[1], band[0, 1:])
-    assert factors[-1] == 0
-    for _ in range(n_rhs):
-        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x, info = zgttrs(*factors[:-1], rhs.reshape(-1, 1))
-        assert info == 0
-        assert x.ravel().tobytes() == solve_banded((1, 1), band, rhs).tobytes()
+    eps = np.finfo(float).eps
+    for n in range(1, 301):
+        lower, diag, upper = dominant_band(rng, n, m, margin)
+        rhs = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        band = np.zeros((5, n, m), dtype=complex)
+        band[:3] = lower, diag, upper
+        x = elliptic._cyclic_reduction(band)(rhs.copy())
+        residual = rhs - diag * x
+        residual[1:] -= lower[1:] * x[:-1]
+        residual[:-1] -= upper[:-1] * x[1:]
+        scale = np.abs(diag) * np.abs(x) + np.abs(rhs)
+        scale[1:] += np.abs(lower[1:] * x[:-1])
+        scale[:-1] += np.abs(upper[:-1] * x[1:])
+        # normwise relative residual within 8 eps
+        assert np.max(np.abs(residual)) <= 8.0 * eps * np.max(scale), n
+        # against LU with partial pivoting: 2.2e-15 relative at worst over
+        # 3,600 such solves, so 1e-12 leaves room for worse-conditioned draws
+        for k in range(m):
+            ab = np.array([np.r_[0.0, upper[:-1, k]], diag[:, k], np.r_[lower[1:, k], 0.0]])
+            ref = solve_banded((1, 1), ab, rhs[:, k])
+            assert np.max(np.abs(x[:, k] - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, k)
 
 
-def test_the_mode_solver_factors_once_per_solve():
-    # GMRES applies the preconditioner many times; each application is the
-    # triangular solves alone
+def test_the_mode_solver_factors_once_per_solve(mode_solver_calls):
+    # GMRES applies the preconditioner many times; each application is one
+    # solve with the band factored when the linear solve began
     g = build_grid(1.0, 4.0, 49, 32)
     co = LinearCoefficients(g, 1.0, 0.0, 3.0)
     f = ScalarField.from_function(g, lambda a, b: a * b)
@@ -1151,16 +1181,13 @@ def test_the_mode_solver_factors_once_per_solve():
             return precondition(v)
         return krylov(apply, b, counted, gate)
 
-    factor, triangular = mock.Mock(wraps=zgttrf), mock.Mock(wraps=zgttrs)
-    with mock.patch("scipy.linalg.lapack.zgttrf", factor), \
-            mock.patch("scipy.linalg.lapack.zgttrs", triangular), \
-            mock.patch.object(elliptic, "_krylov_solve", counting_krylov):
+    with mock.patch.object(elliptic, "_krylov_solve", counting_krylov):
         u, krylov_cycles = solve_and_gmres_cycles(co, f, np.cos(g.theta), 0.0)
         solve_linear_dirichlet(co, f, 0.0, 1.0)
     assert krylov_cycles >= 1
     assert len(applications) > 2 * krylov_cycles
-    assert factor.call_count == 2
-    assert triangular.call_count == len(applications)
+    assert mode_solver_calls.factors == 2
+    assert mode_solver_calls.applications == len(applications)
     assert backward_error(co, f, np.cos(g.theta), 0.0, u) <= 1e-10
 
 
