@@ -34,7 +34,6 @@ from .grid import (
     SymMatrixField,
     annulus_integral,
     build_grid,
-    circle_flux_integral,
     gradient,
     hessian,
     laplacian,

@@ -226,14 +226,6 @@ def _scenario_grid(gp):
         _config_error(f"grid: {err}")
 
 
-def _check_windows(windows, grid, what):
-    """The fit's window rule, applied before any solve or analysis."""
-    try:
-        window_slices(grid, windows)
-    except ValueError as err:
-        _config_error(f"windows {[list(w) for w in windows]} do not suit {what}: {err}")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Validated scenario: what to solve, where, and what to assert."""
@@ -254,7 +246,11 @@ class Scenario:
         operator = dict(config["operator"])
         gp = {"spacing": "log", **config["grid"]}
         windows = tuple((float(lo), float(hi)) for lo, hi in config["windows"])
-        _check_windows(windows, _scenario_grid(gp), "the grid")
+        grid = _scenario_grid(gp)
+        try:  # the fit's window rule, before any solve or analysis
+            window_slices(grid, windows)
+        except ValueError as err:
+            _config_error(f"windows {[list(w) for w in windows]} do not suit the grid: {err}")
         tolerances = dict(config.get("tolerances", {}))
         _check_keys(tolerances, "tolerances", _TOLERANCE_KEYS[operator["kind"]],
                     f" for operator kind {operator['kind']!r}")
@@ -955,7 +951,9 @@ def _cmd_analyze(args):
     scenario = _load_scenario(args.config, args)
     field = read_snapshot(args.field_file)
     grid = field.grid
-    _check_windows(scenario.windows, grid, "the snapshot grid")
+    scenario_grid = _scenario_grid(scenario.grid)
+    if not grid.same_geometry(scenario_grid):
+        _config_error(f"grid: the snapshot's {grid} is not the scenario's {scenario_grid}")
     h = hessian(field)
     residual = _operator_residual(scenario, _operator(scenario, grid), h)
     solve_info = {"method": "loaded", "iterations": None, "final_residual": residual}

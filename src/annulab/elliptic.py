@@ -8,20 +8,26 @@ density mode by mode in theta, where the kernel splits exactly in log r:
 per-ring tables are read at nodes by one irfft per ring, in a cell from its
 two rings and off the grid from the nearer boundary ring, in O(n_theta).
 
-The linear solve applies its operator from the nine stencil weight
-arrays, with no matrix, formed on the interior rings only.  Its
-preconditioner solves with the ring means of the polar stencil
-coefficients: a DFT in theta splits that system into one radial
-tridiagonal system per angular mode, all in one band that cyclic reduction
-(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627) factors once
-per solve, in numpy, the exact inverse for coefficients constant along
-rings (the Laplacian, radial Monge-Ampere linearizations).  The band is
-diagonally dominant when |ctq| <= 2 sqrt(ctt cqq), which ellipticity
-gives, and |ct| dt <= 2 ctt at mode 0, and cyclic reduction without
-pivoting is stable there (Heller, SIAM J. Numer. Anal. 13 (1976) 484);
-otherwise M only preconditions, and the backward-error gate still decides.
-Coefficients that vary along rings take GMRES iterations with that
-preconditioner, each application of it two FFTs and one band solve.
+The linear solve applies its operator from the nine-point table of
+``_nine_point``, the only code that forms a stencil weight, with no matrix,
+on the interior rings only.  Its preconditioner M is that table's ring-mean
+symbol: with w(di, dj) a weight's mean over its ring and kappa = k dtheta, a
+DFT in theta splits the system into one radial tridiagonal system per
+angular mode k, whose entry at ring offset di reads
+
+    w(di, 0) + (w(di, 1) + w(di, -1)) cos kappa + i (w(di, 1) - w(di, -1)) sin kappa.
+
+All modes sit in one band that cyclic reduction (Buzbee, Golub & Nielson,
+SIAM J. Numer. Anal. 7 (1970) 627) factors once per solve, in numpy.  M is
+the exact inverse when the weights are constant along rings (the Laplacian,
+radial Monge-Ampere linearizations).  In the ring means of the
+``_stencil_coefficients`` the band is diagonally dominant when
+|ctq| <= 2 sqrt(ctt cqq), which ellipticity gives, and |ct| dt <= 2 ctt at
+mode 0, and cyclic reduction without pivoting is stable there (Heller,
+SIAM J. Numer. Anal. 13 (1976) 484); otherwise M only preconditions, and
+the backward-error gate still decides.  Weights that vary along rings take
+GMRES iterations with M, each application of it two FFTs and one band
+solve.
 
 Only GMRES uses scipy: ``scipy.sparse.linalg`` is imported when a solve
 first runs it, so radial solves and the potential need numpy alone.
@@ -138,14 +144,11 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     """Solve a_ij u_ij = f with Dirichlet data on the boundary rings.
 
     Interior nodes carry the centered nine-point stencil, applied from its
-    weight arrays; boundary rings move to the right-hand side.  The
-    preconditioner M is an FFT in theta with one tridiagonal radial solve
-    per angular mode, built from the ring means of the polar stencil
-    coefficients and factored once.  It is exact for coefficients constant
-    along rings, which includes the Laplacian and the linearizations of
-    radial Newton iterates; otherwise GMRES preconditioned by M continues
-    from M b.  M is numpy alone; the first solve that runs GMRES imports
-    ``scipy.sparse``.  x is accepted when
+    weight arrays; boundary rings move to the right-hand side.  The solve
+    starts from M b, with M the ring-mean mode solver of the module
+    docstring, factored once; where M is not exact, GMRES preconditioned by
+    M continues from there.  M is numpy alone; the first solve that runs
+    GMRES imports ``scipy.sparse``.  x is accepted when
     |b - A x| <= 1e-10 (|A| |x| + |b|) in max norms, a normwise backward
     error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     7.1); ``singular-system`` is raised otherwise.
@@ -156,11 +159,7 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     gin = _boundary_values(g, g_inner, "g_inner")
     gout = _boundary_values(g, g_outer, "g_outer")
 
-    polar = _stencil_coefficients(coeffs)
-    ring_means = [np.mean(a, axis=1) for a in polar]
-    stencil = _nine_point(g, *polar)
-    del polar  # the weights and the ring means are all the solve reads
-
+    stencil = _nine_point(coeffs)
     b = np.array(f.values[1:-1], dtype=float)
     # boundary rings move to the right-hand side, in stencil order
     for di, dj, wgt in stencil:
@@ -174,7 +173,7 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
         return _BACKWARD_TOL * (norm_a * float(np.max(np.abs(x))) + norm_b)
 
     try:
-        precondition = _polar_mode_solver(g, *ring_means)
+        precondition = _polar_mode_solver(g, stencil)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular-system: ring-mean mode solver failed ({exc})") from None
     x = _krylov_solve(lambda v: _stencil_product(stencil, v), b_flat, precondition, gate)
@@ -182,38 +181,41 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
     return ScalarField(g, np.vstack([gin, x.reshape(b.shape), gout]))
 
 
-def _nine_point(grid, ctt, ctq, cqq, ct, cq):
-    """Nine-point weights from interior-ring ``_stencil_coefficients``.
+def _nine_point(coeffs):
+    """Nine-point weights of a_ij u_ij on the interior rings, as ``(di, dj, weight)``.
 
     Row (i, j) reads sum of weight[i, j] * u[i + di, (j + dj) mod n_theta].
-    The two diagonal pairs of cross weights are equal, and each pair shares
-    one array.
+    The entries are sorted by (di, dj), the order of the unknowns, and each
+    row sums its neighbours in that order, the rounding the built-in
+    reports are pinned to.  The two diagonal pairs of cross weights are
+    equal, and each pair shares one array.
     """
-    dt, dq = grid.dt, grid.dtheta
+    ctt, ctq, cqq, ct, cq = _stencil_coefficients(coeffs)
+    dt, dq = coeffs.grid.dt, coeffs.grid.dtheta
     # north and east hold ctt/dt^2 and cqq/dtheta^2 until their drifts are
-    # added; one array holds ct/(2 dt), then cq/(2 dtheta)
-    north = ctt * (1.0 / (dt * dt))
-    east = cqq * (1.0 / (dq * dq))
+    # added; ct and cq become ct/(2 dt) and cq/(2 dtheta) in place
+    north = np.multiply(ctt, 1.0 / (dt * dt), out=ctt)
+    east = np.multiply(cqq, 1.0 / (dq * dq), out=cqq)
     centre = north + east
     centre *= -2.0
-    drift = ct * (0.5 / dt)
-    south = north - drift
-    north += drift
-    west = east - np.multiply(cq, 0.5 / dq, out=drift)
-    east += drift
-    del drift
-    cross = ctq * (0.25 / (dt * dq))
+    ct *= 0.5 / dt
+    south = north - ct
+    north += ct
+    cq *= 0.5 / dq
+    west = east - cq
+    east += cq
+    cross = np.multiply(ctq, 0.25 / (dt * dq), out=ctq)
     anti = np.negative(cross)  # -ctq/(4 dt dtheta) to the bit: negation commutes with rounding
     return (
-        (0, 0, centre),
-        (1, 0, north),
-        (-1, 0, south),
-        (0, 1, east),
-        (0, -1, west),
-        (1, 1, cross),
-        (1, -1, anti),
-        (-1, 1, anti),
         (-1, -1, cross),
+        (-1, 0, south),
+        (-1, 1, anti),
+        (0, -1, west),
+        (0, 0, centre),
+        (0, 1, east),
+        (1, -1, anti),
+        (1, 0, north),
+        (1, 1, cross),
     )
 
 
@@ -223,9 +225,7 @@ def _stencil_product(stencil, x):
     pad = np.zeros((ni + 2, n_t + 2))
     pad[1:-1] = np.pad(x.reshape(ni, n_t), ((0, 0), (1, 1)), mode="wrap")
     out = np.zeros((ni, n_t))
-    # each row sums its neighbours in the order of their unknown index, the
-    # rounding the built-in reports are pinned to
-    for di, dj, wgt in sorted(stencil, key=lambda entry: entry[:2]):
+    for di, dj, wgt in stencil:
         out += wgt * pad[1 + di:1 + di + ni, 1 + dj:1 + dj + n_t]
     return out.ravel()
 
@@ -233,56 +233,32 @@ def _stencil_product(stencil, x):
 def _stencil_norm(stencil):
     """||A||inf: the largest absolute row sum over the interior neighbours."""
     sums = np.zeros(stencil[0][2].shape)
-    for di, _, wgt in sorted(stencil, key=lambda entry: entry[:2]):
+    for di, _, wgt in stencil:
         keep = slice(max(-di, 0), len(sums) - max(di, 0))  # neighbour is interior
         sums[keep] += np.abs(wgt[keep])
     return float(sums.max())
 
 
-def _polar_mode_solver(grid, ctt, ctq, cqq, ct, cq):
-    """Direct solver of the stencil system with ring-mean coefficients.
+def _polar_mode_solver(grid, stencil):
+    """The ring-mean mode solver M of the module docstring for a ``_nine_point`` table.
 
-    With coefficients that do not vary along a ring, the nine-point system
-    is circulant in theta: a DFT over theta splits it into one radial
-    tridiagonal system per angular mode k.  With kappa = k dtheta, row i of
-    mode k reads
-
-        sub   ctt/dt^2 - ct/(2 dt) - i ctq sin(kappa) / (2 dt dtheta)
-        diag  -2 ctt/dt^2 - 2 cqq (1 - cos(kappa)) / dtheta^2
-              + i cq sin(kappa) / dtheta
-        super ctt/dt^2 + ct/(2 dt) + i ctq sin(kappa) / (2 dt dtheta)
-
-    The n_theta // 2 + 1 modes of the rfft are the columns of one band in
-    (ring, mode) layout, the layout ``np.fft.rfft(..., axis=1)`` returns,
-    factored once by ``_cyclic_reduction`` and applied by each solve.  The
-    band is diagonally dominant, so that cyclic reduction needs no
-    pivoting, when |ctq| <= 2 sqrt(ctt cqq), which ellipticity gives, and
-    |ct| dt <= 2 ctt, which mode 0 needs; otherwise M is only a
-    preconditioner, and the backward-error gate checks what it returns.
-    Takes the ring means of the interior-ring stencil coefficients, one
-    value per interior ring each; returns ``solve(rhs)`` for flattened
-    right-hand sides.  Raises ``LinAlgError`` on a zero or non-finite
-    pivot.  The result is exact when the coefficients are constant on each
-    ring and an approximate inverse otherwise.
+    The symbols of the ring offsets di = -1, 0, 1 are written in place into
+    the lower, diagonal and upper planes of one band in (ring, mode) layout,
+    the layout ``np.fft.rfft(..., axis=1)`` returns, with one column per
+    mode of the rfft; ``_cyclic_reduction`` factors it once.  Returns
+    ``solve(rhs)`` for flattened right-hand sides.  Raises ``LinAlgError``
+    on a zero or non-finite pivot.
     """
     n_t = grid.n_theta
-    dt, dq = grid.dt, grid.dtheta
-    ni = ctt.size
-    kappa = np.arange(n_t // 2 + 1) * dq
-    sin_k = np.sin(kappa)
-    radial = (ctt / (dt * dt))[:, None]
-    drift = (ct * (0.5 / dt))[:, None]
-    # real and imaginary parts as the complex products and sums round them:
-    # a real operand enters those as x + 0i, and the division by dtheta
-    # multiplies by 1 / dtheta
-    cross = ctq[:, None] * sin_k
-    cross *= 0.5 / (dt * dq)
-    band = np.empty((5, *cross.shape), dtype=complex)  # the last two for the multipliers
-    lower, diag, upper = band[:3]
-    upper.real, upper.imag = radial + drift, 0.0 + cross
-    lower.real, lower.imag = radial - drift, 0.0 - cross
-    diag.real = -2.0 * radial - 2.0 * cqq[:, None] * (1.0 - np.cos(kappa)) / (dq * dq)
-    diag.imag = 0.0 + cq[:, None] * sin_k * (1.0 / dq)
+    ni = len(stencil[0][2])
+    kappa = np.arange(n_t // 2 + 1) * grid.dtheta
+    cos_k, sin_k = np.cos(kappa), np.sin(kappa)
+    band = np.empty((5, ni, kappa.size), dtype=complex)  # the last two for the multipliers
+    # the table holds di = -1, 0, 1 in turn, each as dj = -1, 0, 1
+    for p, plane in enumerate(band[:3]):
+        west, centre, east = (np.mean(w, axis=1)[:, None] for _, _, w in stencil[3 * p:3 * p + 3])
+        plane.real = centre + (east + west) * cos_k
+        plane.imag = (east - west) * sin_k
     solve_band = _cyclic_reduction(band)
 
     def solve(rhs):

@@ -54,7 +54,6 @@ __all__ = [
     "laplacian",
     "radial_derivative",
     "sym2_eig",
-    "circle_flux_integral",
     "annulus_integral",
     "ring_index",
     "window_slice",
@@ -489,18 +488,6 @@ def ring_index(grid: AnnularGrid, radius: float) -> int:
             f"(nearest is {grid.radii[i]!r})"
         )
     return i
-
-
-def circle_flux_integral(w: PlanarMapping, radius: float) -> float:
-    """Outward flux of w through the circle |x| = radius (a grid ring).
-
-    Trapezoidal rule in theta, which is spectrally accurate for smooth
-    periodic integrands.
-    """
-    g = w.grid
-    i = ring_index(g, radius)
-    radial = w.p[i] * g.cos_theta + w.q[i] * g.sin_theta
-    return float(g.radii[i] * g.dtheta * np.sum(radial))
 
 
 def window_slice(grid: AnnularGrid, r_lo: float, r_hi: float) -> slice:

@@ -544,21 +544,25 @@ print(json.dumps(seen))
         assert f"windows {named} do not suit the grid" in capsys.readouterr().err
         assert not (tmp_path / "ma-radial-a2").exists()
 
-    def test_windows_are_checked_against_the_snapshot_grid(self, tmp_path, monkeypatch,
-                                                           capsys):
-        # [4, 8] spans 6 rings of this snapshot, though 171 of the config's grid
-        grid = build_grid(1.0, 64.0, 33, 16)
-        write_snapshot(tmp_path / "coarse.field",
+    def test_analyze_refuses_a_snapshot_on_another_grid(self, tmp_path, monkeypatch, capsys):
+        # identity-quadratic's windows suit this 385x32 snapshot too, so
+        # without the grid check the analysis ran, and its report named the
+        # scenario's 193x64 grid
+        grid = build_grid(1.0, 64.0, 385, 32, UNIFORM_RADIAL)
+        write_snapshot(tmp_path / "other.field",
                        ScalarField.from_radial(grid, lambda r: 0.5 * r * r))
 
         def no_analysis(*args):
-            raise AssertionError("the analysis ran for windows the fit refuses")
+            raise AssertionError("the analysis ran on a snapshot of another grid")
 
         monkeypatch.setattr(cli, "_analyze", no_analysis)
-        assert cli.main(["analyze", str(tmp_path / "coarse.field"), "ma-radial-a2",
-                         "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(tmp_path / "other.field"), "identity-quadratic",
+                         "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "do not suit the snapshot grid: insufficient-window: [4.0, 8.0]" in err
+        assert f"error: invalid-config: grid: the snapshot's {grid} is not the scenario's " in err
+        assert "n_r=193, n_theta=64" in err
+        assert not out.exists()
 
     def test_config_error_exits_2(self, tmp_path):
         config = builtin_config("identity-quadratic", windows=[[4, 128]])
@@ -763,7 +767,7 @@ print(json.dumps(seen))
         path = tmp_path / "radial.json"
         path.write_text(json.dumps(config))
         code = cli.main(["analyze", str(tmp_path / "radial.field"), str(path),
-                         "--out", str(tmp_path)])
+                         "--grid", "1,16,97,32", "--out", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "ma-radial-a2" / "report.json").read_text())
         h = hessian(u)

@@ -16,7 +16,6 @@ from annulab.grid import (
     UNIFORM_RADIAL,
     PlanarMapping,
     ScalarField,
-    _stencil_coefficients,
     build_grid,
     gradient,
     hessian,
@@ -951,11 +950,6 @@ def test_potential_of_huge_targets_is_finite():
 # -- the matrix-free solve against a direct sparse solve -------------------------
 
 
-def stencil_of(coeffs):
-    g = coeffs.grid
-    return elliptic._nine_point(g, *_stencil_coefficients(coeffs))
-
-
 def assembled_matrix(grid, stencil):
     """The interior rows of the stencil operator as a CSR matrix over every node.
 
@@ -975,7 +969,7 @@ def assembled_matrix(grid, stencil):
 def assembled_system(coeffs, f, g_inner, g_outer):
     """System matrix and right-hand side with the boundary rings folded in."""
     g = coeffs.grid
-    full = assembled_matrix(g, stencil_of(coeffs))
+    full = assembled_matrix(g, elliptic._nine_point(coeffs))
     boundary = np.zeros(g.shape)
     boundary[0], boundary[-1] = g_inner, g_outer
     b = f.values[1:-1].ravel() - full @ boundary.ravel()
@@ -1066,6 +1060,50 @@ def test_fft_path_matches_superlu_for_ring_constant_coefficients(spacing, n_r, n
     assert np.abs(u.values - ref.values).max() <= 1e-10 * np.abs(ref.values).max()
 
 
+def ring_constant_table(rng, ni, n_t, margin):
+    """A nine-point table of independent weights, each constant along rings.
+
+    Each ring's centre weight is margin times the sum of the other eight
+    magnitudes, with a random sign, so that every mode's band row is
+    diagonally dominant.  Unlike a ``_nine_point`` table, anti is not
+    -cross and west is not east.
+    """
+    offsets = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    per_ring = rng.normal(size=(9, ni)) * 10.0 ** rng.uniform(-2.0, 2.0, (9, 1))
+    off_centre = np.abs(np.delete(per_ring, 4, axis=0)).sum(axis=0)
+    per_ring[4] = margin * off_centre * rng.choice([-1.0, 1.0], ni)
+    return tuple((di, dj, np.repeat(w[:, None], n_t, axis=1))
+                 for (di, dj), w in zip(offsets, per_ring))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
+    n_r=st.integers(8, 66),
+    n_q=st.integers(8, 32).map(lambda k: 2 * k),
+    margin=st.floats(1.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 15 and 63 interior rings leave an odd row count at every level of
+# cyclic reduction, 16 and 64 an even one at every level but the last
+@example(spacing=LOG_RADIAL, n_r=17, n_q=16, margin=1.0, seed=1)
+@example(spacing=UNIFORM_RADIAL, n_r=18, n_q=16, margin=1.0, seed=2)
+@example(spacing=UNIFORM_RADIAL, n_r=65, n_q=64, margin=1.0, seed=3)
+@example(spacing=LOG_RADIAL, n_r=66, n_q=64, margin=1.0, seed=4)
+def test_mode_solver_inverts_ring_constant_tables(spacing, n_r, n_q, margin, seed):
+    # every term of each ring offset's symbol, the sin term's sign and the
+    # order of the di = -1, 0, 1 planes among them, enters M b
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    table = ring_constant_table(rng, n_r - 2, n_q, margin)
+    b = rng.normal(size=(n_r - 2) * n_q)
+    x = elliptic._polar_mode_solver(g, table)(b)
+    magnitudes = tuple((di, dj, np.abs(w)) for di, dj, w in table)
+    scale = elliptic._stencil_product(magnitudes, np.abs(x)) + np.abs(b)
+    residual = elliptic._stencil_product(table, x) - b
+    assert np.max(np.abs(residual)) <= 16.0 * np.finfo(float).eps * np.max(scale)
+
+
 def test_anisotropic_coefficients_match_the_superlu_reference():
     # a22 = 3 a11 varies along every ring in the polar frame, so the
     # ring-mean solve is only a preconditioner and GMRES has to run
@@ -1104,15 +1142,16 @@ def test_ring_varying_solves_meet_the_gate_and_match_superlu(spacing, n_r, n_q, 
 
 
 def test_mode_solver_failure_is_a_singular_system():
-    # all-zero ring means make every pivot zero, NaN ones every pivot NaN;
+    # all-zero weights make every pivot zero, NaN ones every pivot NaN;
     # either raises with no RuntimeWarning
     g = build_grid(1.0, 4.0, 17, 16)
     for value in (0.0, np.nan):
-        ring_means = [np.full(g.n_r - 2, value)] * 5
+        weights = np.full((g.n_r - 2, g.n_theta), value)
+        table = tuple((di, dj, weights) for di in (-1, 0, 1) for dj in (-1, 0, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError, match="pivot"):
-                elliptic._polar_mode_solver(g, *ring_means)
+                elliptic._polar_mode_solver(g, table)
     f = ScalarField(g, np.ones(g.shape))
 
     def singular(*args):
@@ -1249,7 +1288,7 @@ def test_stencil_product_and_norm_match_the_assembled_matrix(spacing, n_r, n_q, 
     # coefficients that vary along and across rings, with a cross term
     a11, a22 = rng.uniform(0.5, 2.0, (2, *g.shape))
     co = LinearCoefficients(g, a11, rng.uniform(-0.4, 0.4, g.shape) * np.sqrt(a11 * a22), a22)
-    stencil = stencil_of(co)
+    stencil = elliptic._nine_point(co)
     mat = assembled_matrix(g, stencil)[:, n_q:-n_q]
     x = rng.normal(size=mat.shape[0]) * 10.0 ** rng.uniform(-3.0, 3.0)
     product = elliptic._stencil_product(stencil, x)

@@ -20,7 +20,6 @@ from annulab.grid import (
     _laplacian_rows,
     annulus_integral,
     build_grid,
-    circle_flux_integral,
     gradient,
     hessian,
     laplacian,
@@ -350,47 +349,6 @@ def test_sym2_eig_keeps_the_range_of_hypot(exponent):
 
 # ---------------------------------------------------------------------------
 # quadrature
-
-
-def test_flux_of_kelvin_field_is_2pi():
-    g = build_grid(1.0, 8.0, 16, 128)
-    w = PlanarMapping.from_function(
-        g, lambda x1, x2: (x1 / (x1 ** 2 + x2 ** 2), x2 / (x1 ** 2 + x2 ** 2))
-    )
-    for radius in (1.0, g.radii[7], 8.0):
-        assert abs(circle_flux_integral(w, radius) - 2 * math.pi) < 1e-12
-
-
-def test_flux_of_identity_field():
-    g = build_grid(1.0, 8.0, 16, 64)
-    w = PlanarMapping.from_function(g, lambda x1, x2: (x1, x2))
-    r = g.radii[5]
-    assert abs(circle_flux_integral(w, r) - 2 * math.pi * r ** 2) < 1e-10 * r ** 2
-
-
-def test_flux_of_constant_field_vanishes():
-    g = build_grid(1.0, 8.0, 16, 64)
-    w = PlanarMapping.from_function(g, lambda x1, x2: (np.full_like(x1, 2.0), np.full_like(x2, -1.0)))
-    assert abs(circle_flux_integral(w, g.radii[3])) < 1e-12
-
-
-def test_flux_radius_independent_for_harmonic_gradient():
-    # spectral accuracy of the periodic trapezoid: the flux of grad(log|x|+x1)
-    # is 2*pi on every ring
-    g = build_grid(1.0, 32.0, 24, 48)
-    w = PlanarMapping.from_function(
-        g,
-        lambda x1, x2: (x1 / (x1 ** 2 + x2 ** 2) + 1.0, x2 / (x1 ** 2 + x2 ** 2)),
-    )
-    fluxes = [circle_flux_integral(w, r) for r in g.radii]
-    assert np.max(np.abs(np.array(fluxes) - 2 * math.pi)) < 1e-11
-
-
-def test_flux_requires_grid_radius():
-    g = build_grid(1.0, 8.0, 16, 64)
-    w = PlanarMapping.from_function(g, lambda x1, x2: (x1, x2))
-    with pytest.raises(ValueError, match="radius-not-on-grid"):
-        circle_flux_integral(w, 0.5 * (g.radii[3] + g.radii[4]))
 
 
 @pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])

@@ -13,7 +13,6 @@ from annulab.grid import (
     LOG_RADIAL,
     UNIFORM_RADIAL,
     ScalarField,
-    _stencil_coefficients,
     build_grid,
     hessian,
     sym2_eig,
@@ -292,7 +291,7 @@ def test_the_linear_operator_is_the_hessian_contracted_with_its_coefficients(
     u = rng.standard_normal(g.shape)
     coeffs = LinearCoefficients(g, a11, a12, a22)
     applied, size = np.zeros((n_r - 2, n_q)), np.zeros((n_r - 2, n_q))
-    for di, dj, wgt in elliptic._nine_point(g, *_stencil_coefficients(coeffs)):
+    for di, dj, wgt in elliptic._nine_point(coeffs):
         term = wgt * np.roll(u[1 + di:n_r - 1 + di], -dj, axis=1)
         applied += term
         size += np.abs(term)
