@@ -564,6 +564,54 @@ print(json.dumps(seen))
         assert "n_r=193, n_theta=64" in err
         assert not out.exists()
 
+    def test_analyze_refuses_a_snapshot_of_the_same_shape_on_another_spacing(
+            self, tmp_path, monkeypatch, capsys):
+        # 193x64 like identity-quadratic's grid, but log-spaced: the shapes
+        # agree, the radii do not
+        grid = build_grid(1.0, 64.0, 193, 64)
+        write_snapshot(tmp_path / "log.field",
+                       ScalarField.from_radial(grid, lambda r: 0.5 * r * r))
+
+        def no_analysis(*args):
+            raise AssertionError("the analysis ran on a snapshot of another spacing")
+
+        monkeypatch.setattr(cli, "_analyze", no_analysis)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(tmp_path / "log.field"), "identity-quadratic",
+                         "--out", str(out)]) == 2
+        assert (f"error: invalid-config: grid: the snapshot's {grid} is not the scenario's "
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_analyze_grid_option_selects_the_snapshot_grid(self, tmp_path):
+        # --grid names the snapshot's grid, and the report names it too
+        grid = build_grid(1.0, 64.0, 385, 32, UNIFORM_RADIAL)
+        write_snapshot(tmp_path / "other.field",
+                       ScalarField.from_radial(grid, lambda r: 0.5 * r * r))
+        assert cli.main(["analyze", str(tmp_path / "other.field"), "identity-quadratic",
+                         "--grid", "1,64,385,32,uniform", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "identity-quadratic" / "report.json").read_text())
+        named = report["scenario"]["grid"]
+        assert (named["n_r"], named["n_theta"], named["spacing"]) == (385, 32, "uniform")
+
+    def test_windows_are_checked_against_the_snapshot_grid(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # with --grid naming this snapshot's grid, [4, 8] spans 6 of its
+        # rings, though 171 of the config's grid
+        grid = build_grid(1.0, 64.0, 33, 16)
+        write_snapshot(tmp_path / "coarse.field",
+                       ScalarField.from_radial(grid, lambda r: 0.5 * r * r))
+
+        def no_analysis(*args):
+            raise AssertionError("the analysis ran for windows the fit refuses")
+
+        monkeypatch.setattr(cli, "_analyze", no_analysis)
+        assert cli.main(["analyze", str(tmp_path / "coarse.field"), "ma-radial-a2",
+                         "--grid", "1,64,33,16", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "do not suit the grid: insufficient-window: [4.0, 8.0]" in err
+        assert not (tmp_path / "ma-radial-a2").exists()
+
     def test_config_error_exits_2(self, tmp_path):
         config = builtin_config("identity-quadratic", windows=[[4, 128]])
         path = tmp_path / "bad.json"

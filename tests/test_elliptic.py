@@ -1104,6 +1104,40 @@ def test_mode_solver_inverts_ring_constant_tables(spacing, n_r, n_q, margin, see
     assert np.max(np.abs(residual)) <= 16.0 * np.finfo(float).eps * np.max(scale)
 
 
+@pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])
+def test_mode_solver_reads_the_ring_means_of_the_weights(spacing):
+    # weights that vary along rings give the same M as their ring means:
+    # a solver that read one node per ring would pass the ring-constant
+    # tests above but not this one
+    rng = np.random.default_rng(11)
+    g = build_grid(1.0, 4.0, 33, 32, spacing)
+    means = ring_constant_table(rng, g.n_r - 2, g.n_theta, 2.0)
+    varying = tuple((di, dj, w * (1.0 + 0.5 * np.sin(g.theta + di + 3 * dj)))
+                    for di, dj, w in means)
+    b = rng.normal(size=(g.n_r - 2) * g.n_theta)
+    expected = elliptic._polar_mode_solver(g, means)(b.copy())
+    x = elliptic._polar_mode_solver(g, varying)(b.copy())
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_nine_point_table_is_in_the_order_the_mode_solver_reads():
+    # the mode solver takes the planes di = -1, 0, 1 as consecutive triples
+    # dj = -1, 0, 1, and the stencil product sums in this order
+    g = build_grid(1.0, 4.0, 17, 16)
+    rng = np.random.default_rng(5)
+    a11, a22 = rng.uniform(0.5, 2.0, (2, *g.shape))
+    co = LinearCoefficients(g, a11, 0.3 * np.sqrt(a11 * a22), a22)
+    table = elliptic._nine_point(co)
+    assert [(di, dj) for di, dj, _ in table] == [(di, dj) for di in (-1, 0, 1)
+                                                 for dj in (-1, 0, 1)]
+    assert all(w.shape == (g.n_r - 2, g.n_theta) for _, _, w in table)
+    weights = {(di, dj): w for di, dj, w in table}
+    assert weights[-1, -1] is weights[1, 1]
+    assert weights[-1, 1] is weights[1, -1]
+    assert np.array_equal(weights[-1, 1], -weights[1, 1])
+    assert np.any(weights[1, 1] != 0.0)
+
+
 def test_anisotropic_coefficients_match_the_superlu_reference():
     # a22 = 3 a11 varies along every ring in the polar frame, so the
     # ring-mean solve is only a preconditioner and GMRES has to run
