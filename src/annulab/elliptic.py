@@ -10,10 +10,13 @@ two rings and off the grid from the nearer boundary ring, in O(n_theta).
 
 The linear solve applies its operator from the nine-point table of
 ``_nine_point``, the only code that forms a stencil weight, with no matrix,
-on the interior rings only.  Its preconditioner M is that table's ring-mean
-symbol: with w(di, dj) a weight's mean over its ring and kappa = k dtheta, a
-DFT in theta splits the system into one radial tridiagonal system per
-angular mode k, whose entry at ring offset di reads
+on the interior rings only.  It applies the table a block of rings at a
+time, with no padded copy of the grid, and forms each residual inside the
+product's own output, so a residual check holds one full-grid array and two
+block-sized buffers beyond the iterate.  Its preconditioner M is that
+table's ring-mean symbol: with w(di, dj) a weight's mean over its ring and
+kappa = k dtheta, a DFT in theta splits the system into one radial
+tridiagonal system per angular mode k, whose entry at ring offset di reads
 
     w(di, 0) + (w(di, 1) + w(di, -1)) cos kappa + i (w(di, 1) - w(di, -1)) sin kappa.
 
@@ -138,6 +141,10 @@ def _boundary_values(grid, data, name):
 _BACKWARD_TOL = 1e-10  # normwise backward error a linear solve must meet
 _GMRES_RESTART = 20  # Krylov basis size between GMRES restarts
 _GMRES_CYCLES = 50  # restart cycles before GMRES gives up
+# elements per block of the stencil product (rings x n_theta) and of the
+# potential's off-grid targets (targets x modes), so that a block's
+# temporaries stay in cache and none is full-size
+_BLOCK_ELEMENTS = 8192
 
 
 def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
@@ -220,13 +227,35 @@ def _nine_point(coeffs):
 
 
 def _stencil_product(stencil, x):
-    """A x for flattened interior values x, boundary rings taken as zero."""
+    """A x for flattened interior values x, boundary rings taken as zero.
+
+    The table is applied _BLOCK_ELEMENTS // n_theta rings at a time (at
+    least one).  A block and one halo ring on each side, zero beyond the
+    interior, are copied into one small buffer and wrapped one column each
+    way in theta; the nine terms then enter in table order through one
+    block-sized product buffer.  Each entry rounds as it would over a padded
+    copy of the whole grid, and no temporary but the result is full-size.
+    """
     ni, n_t = stencil[0][2].shape
-    pad = np.zeros((ni + 2, n_t + 2))
-    pad[1:-1] = np.pad(x.reshape(ni, n_t), ((0, 0), (1, 1)), mode="wrap")
+    x = x.reshape(ni, n_t)
+    per = min(ni, max(1, _BLOCK_ELEMENTS // n_t))
+    pad, term = np.empty((per + 2, n_t + 2)), np.empty((per, n_t))
     out = np.zeros((ni, n_t))
-    for di, dj, wgt in stencil:
-        out += wgt * pad[1 + di:1 + di + ni, 1 + dj:1 + dj + n_t]
+    for lo in range(0, ni, per):
+        m = min(per, ni - lo)
+        rows = pad[:m + 2]
+        # rows[k] holds ring lo - 1 + k
+        first, last = max(lo - 1, 0), min(lo + m + 1, ni)
+        rows[first - lo + 1:last - lo + 1, 1:-1] = x[first:last]
+        if lo == 0:
+            rows[0] = 0.0
+        if lo + m == ni:
+            rows[-1] = 0.0
+        rows[:, 0], rows[:, -1] = rows[:, -2], rows[:, 1]
+        acc, prod = out[lo:lo + m], term[:m]
+        for di, dj, wgt in stencil:
+            acc += np.multiply(wgt[lo:lo + m], rows[1 + di:1 + di + m, 1 + dj:1 + dj + n_t],
+                               out=prod)
     return out.ravel()
 
 
@@ -369,8 +398,13 @@ def _krylov_solve(apply, b, precondition, gate):
     gate(x) / 4; x0 is kept when it already is, as when M is the exact
     inverse.  Raises ``singular-system`` when the result misses gate(x).
     """
+    def residual(x):
+        # |b - A x| is formed inside the product's own output
+        r = apply(x)
+        return float(np.max(np.abs(np.subtract(b, r, out=r), out=r)))
+
     x = precondition(b)
-    final = float(np.max(np.abs(b - apply(x))))
+    final = residual(x)
     if final > 0.25 * gate(x):
         # scipy.sparse adds import time and memory, and only GMRES needs it
         from scipy.sparse.linalg import LinearOperator, gmres
@@ -383,7 +417,7 @@ def _krylov_solve(apply, b, precondition, gate):
             # residual scaled by atol, which can stall; the gate decides here
             x, _ = gmres(operator, b, x0=x, rtol=0.0, atol=0.0,
                          restart=_GMRES_RESTART, maxiter=1, M=inverse)
-            final = float(np.max(np.abs(b - apply(x))))
+            final = residual(x)
             if final <= 0.25 * gate(x):
                 break
     bound = gate(x)
@@ -398,7 +432,6 @@ def _krylov_solve(apply, b, precondition, gate):
 # -- Newtonian potential ----------------------------------------------------
 
 _NODE_TOL = 1e-12  # index-coordinate tolerance for a target to count as a node
-_BLOCK_ELEMENTS = 8192  # (targets x modes) per block, so that its temporaries stay in cache
 _SERIES_X = 2.0**-5  # below this x = k a the partial-cell weights take their series
 _SERIES_TERMS = 8  # at _SERIES_X the first term dropped is below rounding
 # Taylor coefficients of the weights, highest power first

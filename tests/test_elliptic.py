@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -966,6 +967,21 @@ def assembled_matrix(grid, stencil):
     return sparse.csr_matrix((data, (rows, cols)), shape=(ni * n_t, index.size))
 
 
+def padded_product(stencil, x):
+    """A x over a zero-ringed, theta-wrapped copy of the whole grid, one full-size term at a time.
+
+    The table order and the rounding of every entry are those the blocked
+    ``_stencil_product`` must reproduce bit for bit.
+    """
+    ni, n_t = stencil[0][2].shape
+    pad = np.zeros((ni + 2, n_t + 2))
+    pad[1:-1] = np.pad(x.reshape(ni, n_t), ((0, 0), (1, 1)), mode="wrap")
+    out = np.zeros((ni, n_t))
+    for di, dj, wgt in stencil:
+        out += wgt * pad[1 + di:1 + di + ni, 1 + dj:1 + dj + n_t]
+    return out.ravel()
+
+
 def assembled_system(coeffs, f, g_inner, g_outer):
     """System matrix and right-hand side with the boundary rings folded in."""
     g = coeffs.grid
@@ -1314,9 +1330,11 @@ def test_gmres_that_misses_the_gate_is_a_singular_system():
     spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
     n_r=st.integers(8, 41),
     n_q=st.integers(8, 24).map(lambda k: 2 * k),
+    rings=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stencil_product_and_norm_match_the_assembled_matrix(spacing, n_r, n_q, seed):
+@example(spacing=LOG_RADIAL, n_r=12, n_q=16, rings=3, seed=0)  # blocks of 3, 3, 3 and 1 ring
+def test_stencil_product_and_norm_match_the_assembled_matrix(spacing, n_r, n_q, rings, seed):
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, 4.0, n_r, n_q, spacing)
     # coefficients that vary along and across rings, with a cross term
@@ -1325,12 +1343,62 @@ def test_stencil_product_and_norm_match_the_assembled_matrix(spacing, n_r, n_q, 
     stencil = elliptic._nine_point(co)
     mat = assembled_matrix(g, stencil)[:, n_q:-n_q]
     x = rng.normal(size=mat.shape[0]) * 10.0 ** rng.uniform(-3.0, 3.0)
-    product = elliptic._stencil_product(stencil, x)
+    x[rng.random(x.size) < 0.1] = -0.0
+    # a few rings per block, so that products cross block edges
+    with mock.patch.object(elliptic, "_BLOCK_ELEMENTS", rings * n_q):
+        product = elliptic._stencil_product(stencil, x)
+    assert product.tobytes() == padded_product(stencil, x).tobytes()
     # two sums of at most nine products, each within 9 eps of |A| |x|
     bound = 18.0 * np.finfo(float).eps * (abs(mat) @ np.abs(x))
     assert np.all(np.abs(product - mat @ x) <= bound)
     norm = float(abs(mat).sum(axis=1).max())
     assert abs(elliptic._stencil_norm(stencil) - norm) <= 1e-15 * norm
+
+
+def test_residual_check_holds_under_two_full_grid_arrays_beyond_the_iterate():
+    # the product pads one block of rings at a time, and b - A x and its
+    # absolute value are formed in the product's output: that output, a
+    # block's halo and product buffers and numpy's ufunc buffer make about
+    # 1.8 arrays of 8 n_r n_theta bytes here.  A padded copy of the whole
+    # grid with full-size temporaries made about 3.3.
+    g = build_grid(1.0, 64.0, 513, 64)
+    c = np.broadcast_to(1.0 + g.radii[:, None] / 128.0, g.shape)
+    co = LinearCoefficients(g, c, 0.0, c)  # constant along rings: M is exact
+    f = ScalarField(g, np.ones(g.shape))
+    krylov, held = elliptic._krylov_solve, []
+
+    def measured(apply, b, precondition, gate):
+        def precondition_then_reset(v):
+            x = precondition(v)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return x
+
+        x = krylov(apply, b, precondition_then_reset, gate)
+        held.append(tracemalloc.get_traced_memory()[1])
+        return x
+
+    solve_linear_dirichlet(co, f, 0.0, 1.0)  # imports done first
+    with mock.patch.object(elliptic, "_krylov_solve", measured):
+        tracemalloc.start()
+        try:
+            solve_linear_dirichlet(co, f, 0.0, 1.0)
+        finally:
+            tracemalloc.stop()
+    with_x, peak = held  # one preconditioner application: no GMRES
+    assert peak - with_x <= 2.0 * 8 * g.n_r * g.n_theta
+
+
+def test_gmres_path_is_unchanged_by_the_blocked_product():
+    # 255 interior rings of 64 nodes make blocks of 128 and 127 rings
+    g = build_grid(1.0, 4.0, 257, 64)
+    co = LinearCoefficients(g, 1.0 + 0.5 * np.cos(g.theta)[None, :], 0.0, 1.0)
+    f = ScalarField(g, np.outer(g.radii, np.sin(2.0 * g.theta)))
+    u, cycles = solve_and_gmres_cycles(co, f, 0.0, 1.0)
+    with mock.patch.object(elliptic, "_stencil_product", padded_product):
+        u_ref, cycles_ref = solve_and_gmres_cycles(co, f, 0.0, 1.0)
+    assert cycles >= 1
+    assert (u.values.tobytes(), cycles) == (u_ref.values.tobytes(), cycles_ref)
 
 
 def test_fine_grid_poisson_solve_assembles_no_matrix():
