@@ -15,6 +15,7 @@ row.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -300,9 +301,7 @@ def _boundary_data(scenario, grid):
     if kind == "radial_reference":
         return radial_ma_reference(float(boundary["a"]), [grid.r_inner, grid.r_outer])[0]
     if kind == "explicit_polynomial":
-        x1, x2 = grid.nodes()
-        return far_field(x1[[0, -1]], x2[[0, -1]],
-                         *(boundary[key] for key in ("A", "b", "d", "c", "e")))
+        return far_field(grid, [0, -1], *(boundary[key] for key in ("A", "b", "d", "c", "e")))
     field = read_snapshot(boundary["path"])
     if not field.grid.same_boundary(grid):
         _config_error("boundary file grid does not match the scenario grid")
@@ -375,17 +374,20 @@ def _fit_to_dict(fit):
 def _d_cross_checks(u, A, b, d_fit, harmonic_tol):
     """The report's ``cross_checks``: d from the fit (``d_fit``), from the
     divergence identity at the outer ring R, and from the Laurent series of
-    u - x'Ax/2 - b.x on the ring nearest R/2, skipped where it is not harmonic.
+    u - x'Ax/2 - b.x on the ring nearest R/2, formed on the seven rings the
+    contour reads and skipped where it is not harmonic.
     """
     grid = u.grid
     R = float(grid.radii[-1])
     d_div = float(d_from_divergence(u, A, R, extrapolate=True))
     cross = {"d_fit": d_fit, "d_divergence": {"value": d_div, "R": R, "extrapolated": True}}
-    w = ScalarField(grid, u.values - far_field(*grid.nodes(), A, b))
-    contour = float(grid.radii[int(np.argmin(np.abs(grid.radii - 0.5 * R)))])
+    i = int(np.argmin(np.abs(grid.radii - 0.5 * R)))
+    near, w = slice(max(i - 3, 0), i + 4), np.zeros(grid.shape)
+    w[near] = u.values[near] - far_field(grid, near, A, b)
     d_values = [d_fit, d_div]
     try:
-        lc = laurent_coefficients(w, contour, 3, harmonic_tol=harmonic_tol)
+        lc = laurent_coefficients(ScalarField(grid, w), float(grid.radii[i]), 3,
+                                  harmonic_tol=harmonic_tol)
         cross["d_laurent"] = {"value": float(lc.d), "radius": float(lc.radius_used)}
         d_values.append(float(lc.d))
     except ValueError as err:
@@ -989,6 +991,7 @@ def _cmd_report(args):
     return 0 if report["status"] == "pass" else 1
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="annulab",
@@ -1027,8 +1030,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as err:

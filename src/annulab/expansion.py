@@ -6,12 +6,13 @@ are summarized by the coefficients of
     u(x) = x'Ax/2 + b.x + d log|x| + c + e.x/|x|^2 + remainder.
 
 This module recovers the coefficients three independent ways and measures the
-remainder: windowed least squares against the 9-function basis on each ring's
-theta-modes 0, 1 and 2, annular averaging of the Hessian with a decay fit on
-the deviations, contour integrals of the complexified gradient on a circle,
-and a divergence-theorem identity on ring means for d alone.  The bootstrap
-scheduler turns a Holder exponent into the doubling count and auxiliary
-exponents used by the improvement argument that upgrades decay estimates.
+remainder: windowed least squares on each ring's theta-modes 0, 1 and 2, where
+the 9-function basis, radial profiles times theta-rows, lies by construction,
+annular averaging of the Hessian with a decay fit on the deviations, contour
+integrals of the complexified gradient on a circle, and a divergence-theorem
+identity on ring means for d alone.  The bootstrap scheduler turns a Holder
+exponent into the doubling count and auxiliary exponents used by the
+improvement argument that upgrades decay estimates.
 """
 
 from __future__ import annotations
@@ -190,31 +191,26 @@ def _largest_window(wins):
     return max(range(len(wins)), key=lambda k: (wins[k][1], wins[k][0]))
 
 
-# the fitting basis, in the order A11, A12, A22, b1, b2, d, c, e1, e2
-_BASIS = (
-    lambda x1, x2: 0.5 * x1 * x1,
-    lambda x1, x2: x1 * x2,
-    lambda x1, x2: 0.5 * x2 * x2,
-    lambda x1, x2: x1,
-    lambda x1, x2: x2,
-    lambda x1, x2: 0.5 * np.log(x1 * x1 + x2 * x2),
-    lambda x1, x2: np.ones_like(x1),
-    lambda x1, x2: x1 / (x1 * x1 + x2 * x2),
-    lambda x1, x2: x2 / (x1 * x1 + x2 * x2),
-)
+def _theta_rows(grid):
+    """The rows 1, cos, sin, cos^2, cos sin, sin^2 of theta, shape (6, n_theta)."""
+    c, s = grid.cos_theta, grid.sin_theta
+    return np.stack([np.ones_like(c), c, s, c * c, c * s, s * s])
 
 
-def far_field(x1, x2, A, b=(0.0, 0.0), d=0.0, c=0.0, e=(0.0, 0.0)):
-    """x'Ax/2 + b.x + d log|x| + c + e.x/|x|^2 at the points, term by term in basis order.
+def _radial_profiles(grid, rings):
+    """The (9, rings, 6) table of the basis A11, A12, A22, b1, b2, d, c, e1, e2:
+    column j's radial profile in its theta-row, zero in the others."""
+    r, log_r = grid.radii[rings], grid.log_radii[rings]
+    table = np.zeros((9, r.size, 6))
+    table[range(9), :, (3, 4, 5, 1, 2, 0, 0, 1, 2)] = np.stack(
+        [0.5 * r * r, r * r, 0.5 * r * r, r, r, log_r, np.ones_like(r), 1 / r, 1 / r])
+    return table
 
-    Terms whose coefficient is zero are not evaluated.
-    """
-    beta = (A[0][0], A[0][1], A[1][1], *b, d, c, *e)
-    total = np.zeros(np.broadcast(x1, x2).shape)
-    for coef, f in zip(beta, _BASIS):
-        if coef != 0.0:
-            total = total + float(coef) * f(x1, x2)
-    return total
+
+def far_field(grid, rings, A, b=(0.0, 0.0), d=0.0, c=0.0, e=(0.0, 0.0)):
+    """x'Ax/2 + b.x + d log|x| + c + e.x/|x|^2 on ``grid``'s rings ``rings`` (slice or indices)."""
+    beta = np.array([A[0][0], A[0][1], A[1][1], *b, d, c, *e], dtype=float)
+    return np.tensordot(beta, _radial_profiles(grid, rings), 1) @ _theta_rows(grid)
 
 
 def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
@@ -224,36 +220,35 @@ def fit_expansion(u: ScalarField, windows) -> ExpansionCoefficients:
     (quadratic, linear, log, constant, dipole) with weights uniform in the
     (log r, theta) measure, per-window column normalization, and SVD-based
     least squares, whose singular values also give the condition number.
-    Each basis function has theta-modes 0, 1 and 2 only on every circle, so
-    the SVD runs on those 5 rows of each ring's orthonormal real DFT, exact
-    in exact arithmetic, and a second solve on the residual's modes refines
-    it.  A log sqrt(x'Qx) column would fit too: above mode 0 its spectrum is
-    the same on every ring, so it adds rows, not the full matrix.  The
-    reported coefficients come from the largest window; the per-window sup
-    residuals, over every window node, are fitted to a power law in the
+    Each column is a radial profile times one theta-row (1, cos, sin, cos^2,
+    cos sin, sin^2), so it holds theta-modes 0, 1 and 2 only: the SVD runs
+    on those 5 rows of each ring's orthonormal real DFT, the profiles times
+    the rows' 6x5 DFT, and a second solve on the residual's modes refines
+    it.  A column's scale max|profile| max|row| is its max over the window.
+    The reported coefficients come from the largest window; the per-window
+    sup residuals, over every window node, are fitted to a power law in the
     window center radius, which measures the remainder decay.
     """
     grid = u.grid
     wins, slices = window_slices(grid, windows)
-    nodes = grid.nodes()
-    # columns: the orthonormal real DFT's rows for mode 0 and cos, sin of modes 1, 2
-    c, s = grid.cos_theta, grid.sin_theta
-    dft = np.stack([np.full_like(c, math.sqrt(0.5)), c, s, c * c - s * s, 2.0 * c * s], 1)
-    dft *= math.sqrt(2.0 / grid.n_theta)
+    rows = _theta_rows(grid)
+    # the orthonormal real DFT's rows for mode 0 and cos, sin of modes 1, 2
+    dft = np.stack([math.sqrt(0.5) * rows[0], rows[1], rows[2], rows[3] - rows[5],
+                    2.0 * rows[4]], 1) * math.sqrt(2.0 / grid.n_theta)
+    rows_dft, rows_max = rows @ dft, np.max(np.abs(rows), axis=1)
 
     mids, sups, betas = [], [], []
     for (lo, hi), sl in zip(wins, slices):
-        x1, x2 = (x[sl] for x in nodes)
-        X = np.stack([f(x1, x2) for f in _BASIS])
-        scale = np.max(np.abs(X), axis=(1, 2))
+        P = _radial_profiles(grid, sl)
+        scale = np.max(np.max(np.abs(P), axis=1) * rows_max, axis=1)
         w = np.sqrt(_measure_weights(grid, sl))[:, None]
-        design = (X @ dft * w).reshape(len(X), -1).T / scale
+        design = (P @ rows_dft * w).reshape(len(P), -1).T / scale
         # a second solve on the residual's modes removes the rounding of u's large part
-        beta, resid = np.zeros(len(X)), u.values[sl]
+        beta, resid = np.zeros(len(P)), u.values[sl]
         for _ in range(2):
             step, _, _, sv = np.linalg.lstsq(design, (resid @ dft * w).ravel(), rcond=None)
             beta = beta + step / scale
-            resid = u.values[sl] - np.tensordot(beta, X, 1)
+            resid = u.values[sl] - np.tensordot(beta, P, 1) @ rows
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
         if cond > _CONDITION_LIMIT:
             raise ValueError(
@@ -387,10 +382,13 @@ def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
             f"window-outside-grid: R = {R} leaves no annulus above r_inner"
         )
 
-    # u - x'Ax/2 node by node, then its ring means: subtracting after the
-    # means moves d by up to 2e-9 through cancellation.  Fourth-order radial
-    # derivatives; second-order ones leave an O(h^2) constant in the area term
-    w = np.mean(u.values - far_field(*grid.nodes(), Am), axis=1, keepdims=True)
+    # u - x'Ax/2 from the node coordinates (far_field's rounding moves d by
+    # 1e-10 on an exact quadratic), then its ring means: subtracting after the
+    # means moves d by up to 2e-9.  Fourth-order radial derivatives;
+    # second-order ones leave an O(h^2) constant in the area term
+    x1, x2 = grid.nodes()
+    q = Am[0, 0] * (0.5 * x1 * x1) + Am[0, 1] * (x1 * x2) + Am[1, 1] * (0.5 * x2 * x2)
+    w = np.mean(u.values - q, axis=1, keepdims=True)
     flux = 2.0 * math.pi * grid.r_inner * float(_radial_slope(grid, w, 4, slice(0, 5))[0, 0])
     lap = ScalarField(grid, np.broadcast_to(_polar_laplacian(grid, w, 4, 0.0), grid.shape))
 

@@ -549,7 +549,7 @@ def write_snapshot(path, field: ScalarField) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8"))
 
 
 def read_snapshot(path) -> ScalarField:

@@ -583,6 +583,27 @@ print(json.dumps(seen))
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_analyze_after_a_parse_error_matches_a_fresh_process(self, small_ma_run,
+                                                                 tmp_path, capsys):
+        # main builds its parser once per process: a call that the parser
+        # refuses must leave nothing behind for the next call
+        field, config = small_ma_run / "solution.field", small_ma_run.parent / "ma-small.json"
+        argv = ["analyze", str(field), str(config), "--format", "svg"]
+        with pytest.raises(SystemExit) as refused:
+            cli.main(argv[:-1] + ["bogus", "--out", str(tmp_path / "refused")])
+        assert refused.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "refused").exists()
+        assert cli.main(argv + ["--out", str(tmp_path / "here")]) == 0
+        subprocess.run([sys.executable, "-m", "annulab", *argv, "--out",
+                        str(tmp_path / "fresh")], capture_output=True, check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        names = sorted(p.name for p in (tmp_path / "fresh" / "ma-small").iterdir())
+        assert names == ["decay.svg", "profile.csv", "report.json", "solution.field"]
+        for name in names:
+            here, fresh = (tmp_path / side / "ma-small" / name for side in ("here", "fresh"))
+            assert here.read_bytes() == fresh.read_bytes(), name
+
     def test_analyze_grid_option_selects_the_snapshot_grid(self, tmp_path):
         # --grid names the snapshot's grid, and the report names it too
         grid = build_grid(1.0, 64.0, 385, 32, UNIFORM_RADIAL)

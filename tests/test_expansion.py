@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from annulab import expansion as expansion_module
 from annulab.expansion import (
-    _BASIS,
     BootstrapSchedule,
     ExpansionCoefficients,
     LaurentCoefficients,
@@ -312,6 +311,18 @@ class TestLaurentCoefficients:
         assert len(seen) == 1
         assert np.array_equal(seen[0], laplacian(u).values[i - 1:i + 2])
 
+    def test_reads_only_the_seven_rings_about_the_contour(self, contour_grid):
+        # the report's Laurent cross-check forms u - x'Ax/2 - b.x on these rings alone
+        x1, x2 = contour_grid.nodes()
+        vals = np.log(x1 * x1 + x2 * x2) + x1 - 0.3 * x2 / (x1 * x1 + x2 * x2)
+        i = ring_index(contour_grid, 16.0)
+        cut = np.full(contour_grid.shape, np.nan)
+        cut[i - 3:i + 4] = vals[i - 3:i + 4]
+        full = laurent_coefficients(ScalarField(contour_grid, vals), 16.0, 3)
+        seven = laurent_coefficients(ScalarField(contour_grid, cut, allow_nonfinite=True),
+                                     16.0, 3)
+        assert np.array_equal(seven.coefficients, full.coefficients)
+
     @pytest.mark.parametrize("offset", range(-4, 5))
     def test_harmonic_check_sees_a_defect_as_the_full_laplacian_does(self, contour_grid,
                                                                      offset):
@@ -508,15 +519,54 @@ EPS = np.finfo(float).eps
 LSTSQ = np.linalg.lstsq
 
 
+def basis_columns(grid, rings=slice(None)):
+    """The fit's nine basis columns on the rings, (9, rings, n_theta): each
+    radial profile times its theta-row, one product per node."""
+    return expansion_module._radial_profiles(grid, rings) @ expansion_module._theta_rows(grid)
+
+
+# the basis in the fit's order A11, A12, A22, b1, b2, d, c, e1, e2
+CLOSED_FORMS = (
+    lambda x1, x2: 0.5 * x1 * x1,
+    lambda x1, x2: x1 * x2,
+    lambda x1, x2: 0.5 * x2 * x2,
+    lambda x1, x2: x1,
+    lambda x1, x2: x2,
+    lambda x1, x2: np.log(np.hypot(x1, x2)),
+    lambda x1, x2: np.ones_like(x1),
+    lambda x1, x2: x1 / (x1 * x1 + x2 * x2),
+    lambda x1, x2: x2 / (x1 * x1 + x2 * x2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spacing=st.sampled_from([LOG_RADIAL, UNIFORM_RADIAL]),
+       n_theta=st.sampled_from([16, 18, 64, 128]), r_inner=st.floats(0.125, 1.0),
+       ratio=st.floats(8.0, 128.0), n_r=st.integers(8, 65))
+def test_every_basis_column_is_its_closed_form(spacing, n_theta, r_inner, ratio, n_r):
+    # a radius ratio of 8 or more keeps max|log r| above 1, where 4 ulps of
+    # the column's max leave room for the closed form's own rounding
+    grid = build_grid(r_inner, r_inner * ratio, n_r, n_theta, spacing)
+    x1, x2 = grid.nodes()
+    columns = basis_columns(grid)
+    for k, closed in enumerate(CLOSED_FORMS):
+        exact = closed(x1, x2)
+        floor = 4.0 * np.spacing(np.max(np.abs(exact)))
+        assert np.max(np.abs(columns[k] - exact)) <= floor, f"basis column {k}"
+        # far_field puts coefficient k on column k
+        beta = np.eye(9)[k]
+        field = far_field(grid, [0, -1], [[beta[0], beta[1]], [beta[1], beta[2]]],
+                          beta[3:5], beta[5], beta[6], beta[7:])
+        assert np.array_equal(field, columns[k][[0, -1]]), f"far_field term {k}"
+
+
 @pytest.mark.parametrize("spacing", [LOG_RADIAL, UNIFORM_RADIAL])
 @pytest.mark.parametrize("n_theta", [16, 18, 64, 128])
 def test_every_basis_function_is_band_limited_to_mode_two(spacing, n_theta):
     # fit_expansion keeps each ring's theta-modes 0, 1 and 2 only, which is
     # exact only while every basis column has nothing above mode 2 on a circle
     grid = build_grid(0.5, 64.0, 9, n_theta, spacing)
-    x1, x2 = grid.nodes()
-    for k, f in enumerate(_BASIS):
-        vals = f(x1, x2)
+    for k, vals in enumerate(basis_columns(grid)):
         modes = np.abs(np.fft.rfft(vals, axis=1)) / n_theta
         floor = 4.0 * EPS * np.max(np.abs(vals), axis=1)
         assert np.all(modes[:, 3:] <= floor[:, None]), f"basis column {k}"
@@ -529,11 +579,9 @@ def reference_fit(u, windows):
     the 2-norm of the weighted residual.
     """
     grid = u.grid
-    nodes = grid.nodes()
     fits = []
     for sl in window_slices(grid, windows)[1]:
-        x1, x2 = (x[sl].ravel() for x in nodes)
-        X = np.column_stack([f(x1, x2) for f in _BASIS])
+        X = basis_columns(grid, sl).reshape(9, -1).T
         scale = np.max(np.abs(X), axis=0)
         w = np.sqrt(np.repeat(_measure_weights(grid, sl), grid.n_theta))
         Xw, yw = X / scale * w[:, None], u.values[sl].ravel() * w
@@ -546,7 +594,7 @@ def reference_divergence(u, A, R):
     """The divergence identity on every node, spectral u_qq included: the raw
     value at R, then the extrapolated one where a ring near R/2 lies above r_inner."""
     grid = u.grid
-    w = u.values - far_field(*grid.nodes(), A)
+    w = u.values - far_field(grid, slice(None), A)
     flux = grid.r_inner * grid.dtheta * np.sum(_radial_slope(grid, w, 4, slice(0, 5))[0])
     lap = ScalarField(grid, _polar_laplacian(grid, w, 4, _theta_derivative(w, 2)))
     d1 = (flux + annulus_integral(lap, grid.r_inner, R)) / (2.0 * math.pi)
@@ -566,8 +614,7 @@ def exact_least_squares(u, window):
     """The weighted least-squares coefficients of one window in exact rational arithmetic."""
     grid = u.grid
     sl = window_slices(grid, [window] * 3)[1][0]
-    x1, x2 = (x[sl].ravel() for x in grid.nodes())
-    X = [[Fraction(float(v)) for v in f(x1, x2)] for f in _BASIS]
+    X = [[Fraction(float(v)) for v in col.ravel()] for col in basis_columns(grid, sl)]
     y = [Fraction(float(v)) for v in u.values[sl].ravel()]
     w = [Fraction(float(v)) for v in np.repeat(_measure_weights(grid, sl), grid.n_theta)]
     wX = [[wi * xi for wi, xi in zip(w, col)] for col in X]
@@ -624,7 +671,7 @@ def test_mode_wise_fit_and_ring_mean_identity_match_the_full_grid(shell, half_th
     # a basis combination, decaying modes above 2 and a remainder in modes
     # 0, 1 and 2 that no basis column spans
     coef = rng.uniform(-2.0, 2.0, 9)
-    vals = sum(c * f(x1, x2) for c, f in zip(coef, _BASIS))
+    vals = sum(c * col for c, col in zip(coef, basis_columns(grid)))
     for k in range(3, min(8, half_theta)):
         vals += rng.uniform(-1.0, 1.0) * r ** -rng.uniform(0.5, 3.0) * np.cos(
             k * theta + rng.uniform(0.0, 2.0 * math.pi))
