@@ -8,32 +8,24 @@ density mode by mode in theta, where the kernel splits exactly in log r:
 per-ring tables are read at nodes by one irfft per ring, in a cell from its
 two rings and off the grid from the nearer boundary ring, in O(n_theta).
 
-The linear solve applies its operator from the nine-point table of
-``_nine_point``, the only code that forms a stencil weight, with no matrix,
-on the interior rings only.  It applies the table a block of rings at a
-time, with no padded copy of the grid, and forms each residual inside the
-product's own output, so a residual check holds one full-grid array and two
-block-sized buffers beyond the iterate.  Its preconditioner M is that
-table's ring-mean symbol: with w(di, dj) a weight's mean over its ring and
-kappa = k dtheta, a DFT in theta splits the system into one radial
-tridiagonal system per angular mode k, whose entry at ring offset di reads
+The linear solve applies the nine-point table of ``_nine_point``, the only
+code that forms a stencil weight, a block of interior rings at a time, with
+no matrix.  Its preconditioner M is that table's ring-mean symbol: with
+w(di, dj) a weight's mean over its ring and kappa = k dtheta, a DFT in theta
+splits the system into one radial tridiagonal system per angular mode k,
+whose entry at ring offset di reads
 
     w(di, 0) + (w(di, 1) + w(di, -1)) cos kappa + i (w(di, 1) - w(di, -1)) sin kappa.
 
-All modes sit in one band that cyclic reduction (Buzbee, Golub & Nielson,
-SIAM J. Numer. Anal. 7 (1970) 627) factors once per solve, in numpy.  M is
+``_cyclic_reduction`` factors all modes as one band, once per solve.  M is
 the exact inverse when the weights are constant along rings (the Laplacian,
-radial Monge-Ampere linearizations).  In the ring means of the
+radial Monge-Ampere linearizations).  In the ring means of
 ``_stencil_coefficients`` the band is diagonally dominant when
 |ctq| <= 2 sqrt(ctt cqq), which ellipticity gives, and |ct| dt <= 2 ctt at
-mode 0, and cyclic reduction without pivoting is stable there (Heller,
-SIAM J. Numer. Anal. 13 (1976) 484); otherwise M only preconditions, and
-the backward-error gate still decides.  Weights that vary along rings take
-GMRES iterations with M, each application of it two FFTs and one band
-solve.
-
-Only GMRES uses scipy: ``scipy.sparse.linalg`` is imported when a solve
-first runs it, so radial solves and the potential need numpy alone.
+mode 0, where cyclic reduction without pivoting is stable; otherwise M only
+preconditions, and the backward-error gate still decides.  Weights that
+vary along rings take restarted GMRES right-preconditioned by M, each
+application of M two FFTs and one band solve.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -152,13 +144,11 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
 
     Interior nodes carry the centered nine-point stencil, applied from its
     weight arrays; boundary rings move to the right-hand side.  The solve
-    starts from M b, with M the ring-mean mode solver of the module
-    docstring, factored once; where M is not exact, GMRES preconditioned by
-    M continues from there.  M is numpy alone; the first solve that runs
-    GMRES imports ``scipy.sparse``.  x is accepted when
-    |b - A x| <= 1e-10 (|A| |x| + |b|) in max norms, a normwise backward
-    error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    7.1); ``singular-system`` is raised otherwise.
+    starts from M b, M the ring-mean mode solver of the module docstring,
+    factored once, and GMRES continues where M is not exact.  x is accepted
+    when |b - A x| <= 1e-10 (|A| |x| + |b|) in max norms, a normwise
+    backward error (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 7.1); ``singular-system`` is raised otherwise.
     """
     g = coeffs.grid
     if f.grid is not g and not g.same_geometry(f.grid):
@@ -173,17 +163,16 @@ def solve_linear_dirichlet(coeffs, f, g_inner, g_outer):
         if di:
             ring, data = (0, gin) if di < 0 else (-1, gout)
             b[ring] -= wgt[ring] * np.roll(data, -dj)
-    b_flat = b.reshape(-1)
-    norm_a, norm_b = _stencil_norm(stencil), float(np.max(np.abs(b_flat)))
+    norm_a, norm_b = _stencil_norm(stencil), float(np.max(np.abs(b)))
 
     def gate(x):
-        return _BACKWARD_TOL * (norm_a * float(np.max(np.abs(x))) + norm_b)
+        return _BACKWARD_TOL * (norm_a * float(max(x.max(), -x.min())) + norm_b)
 
     try:
         precondition = _polar_mode_solver(g, stencil)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular-system: ring-mean mode solver failed ({exc})") from None
-    x = _krylov_solve(lambda v: _stencil_product(stencil, v), b_flat, precondition, gate)
+    x = _krylov_solve(lambda v: _stencil_product(stencil, v), b.ravel(), precondition, gate)
 
     return ScalarField(g, np.vstack([gin, x.reshape(b.shape), gout]))
 
@@ -273,13 +262,11 @@ def _polar_mode_solver(grid, stencil):
 
     The symbols of the ring offsets di = -1, 0, 1 are written in place into
     the lower, diagonal and upper planes of one band in (ring, mode) layout,
-    the layout ``np.fft.rfft(..., axis=1)`` returns, with one column per
-    mode of the rfft; ``_cyclic_reduction`` factors it once.  Returns
-    ``solve(rhs)`` for flattened right-hand sides.  Raises ``LinAlgError``
-    on a zero or non-finite pivot.
+    the layout ``np.fft.rfft(..., axis=1)`` returns; ``_cyclic_reduction``
+    factors it once.  Returns ``solve(rhs)`` for flattened right-hand sides.
+    Raises ``LinAlgError`` on a zero or non-finite pivot.
     """
-    n_t = grid.n_theta
-    ni = len(stencil[0][2])
+    ni, n_t = stencil[0][2].shape
     kappa = np.arange(n_t // 2 + 1) * grid.dtheta
     cos_k, sin_k = np.cos(kappa), np.sin(kappa)
     band = np.empty((5, ni, kappa.size), dtype=complex)  # the last two for the multipliers
@@ -390,43 +377,56 @@ def _level_order(rows, scratch, inverse=False):
 
 
 def _krylov_solve(apply, b, precondition, gate):
-    """Solve A x = b, A x = apply(x), by GMRES left-preconditioned with M.
+    """Solve A x = b, A x = apply(x), from x0 = M b by restarted GMRES.
 
-    Starts from x0 = M b.  Restarted GMRES (Saad & Schultz, SIAM J. Sci.
-    Stat. Comput. 7 (1986) 856) then runs one restart cycle at a time, for
-    at most _GMRES_CYCLES cycles, until the residual max-norm is within
-    gate(x) / 4; x0 is kept when it already is, as when M is the exact
-    inverse.  Raises ``singular-system`` when the result misses gate(x).
+    Cycles, each aiming at gate(x) / 8 for a forward-error margin, run until
+    the residual max-norm is within gate(x) / 4 or not finite, at most
+    _GMRES_CYCLES of them.  Raises ``singular-system`` when x misses gate(x).
     """
     def residual(x):
-        # |b - A x| is formed inside the product's own output
-        r = apply(x)
-        return float(np.max(np.abs(np.subtract(b, r, out=r), out=r)))
+        r = apply(x)  # b - A x is formed inside the product's own output
+        np.subtract(b, r, out=r)
+        return r, float(max(r.max(), -r.min()))
 
     x = precondition(b)
-    final = residual(x)
-    if final > 0.25 * gate(x):
-        # scipy.sparse adds import time and memory, and only GMRES needs it
-        from scipy.sparse.linalg import LinearOperator, gmres
-
-        shape = (b.size, b.size)
-        operator = LinearOperator(shape, matvec=apply, dtype=float)
-        inverse = LinearOperator(shape, matvec=precondition, dtype=float)
-        for _ in range(_GMRES_CYCLES):
-            # atol 0: a fresh call would stop the cycle on a preconditioned
-            # residual scaled by atol, which can stall; the gate decides here
-            x, _ = gmres(operator, b, x0=x, rtol=0.0, atol=0.0,
-                         restart=_GMRES_RESTART, maxiter=1, M=inverse)
-            final = residual(x)
-            if final <= 0.25 * gate(x):
-                break
-    bound = gate(x)
-    if not np.isfinite(final) or final > bound:
-        raise ValueError(
-            f"singular-system: discrete residual {final:.3e} exceeds the "
-            f"backward-error bound {bound:.3e}"
-        )
+    r, final = residual(x)
+    for cycle in range(_GMRES_CYCLES):
+        if not 0.25 * gate(x) < final < math.inf:
+            break
+        basis = np.empty((_GMRES_RESTART + 1, b.size)) if cycle == 0 else basis
+        x = _gmres_cycle(apply, precondition, x, r, basis, 0.125 * gate(x))
+        r, final = residual(x)
+    if not np.isfinite(final) or final > gate(x):
+        raise ValueError(f"singular-system: discrete residual {final:.3e} exceeds the "
+                         f"backward-error bound {gate(x):.3e}")
     return x
+
+
+def _gmres_cycle(apply, precondition, x, r, basis, tol):
+    """One GMRES cycle right-preconditioned by M, from x with r = b - A x; returns the new x.
+
+    CGS2 Arnoldi (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50 (2005)
+    1069) fills ``basis`` with the Krylov space of A M and r; each step
+    minimizes |b - A x|_2 over x + M span(basis) (Saad & Schultz, SIAM J.
+    Sci. Stat. Comput. 7 (1986) 856) until it is within ``tol`` or stalls.
+    """
+    hess = np.zeros((len(basis), len(basis) - 1))
+    rhs = np.linalg.norm(r) * np.eye(len(basis))[0]  # |r| e_1
+    np.divide(r, rhs[0], out=basis[0])
+    for j in range(len(basis) - 1):
+        w, done = basis[j + 1], basis[:j + 1]
+        w[...] = apply(precondition(done[j]))
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            coef = done @ w
+            w -= coef @ done
+            hess[:j + 1, j] += coef
+        hess[j + 1, j] = np.linalg.norm(w)
+        h = hess[:j + 2, :j + 1]
+        y = np.linalg.lstsq(h, rhs[:j + 2], rcond=None)[0]
+        if not (np.linalg.norm(rhs[:j + 2] - h @ y) > tol and hess[j + 1, j] > 0.0):
+            break
+        w /= hess[j + 1, j]
+    return x + precondition(y @ done)
 
 
 # -- Newtonian potential ----------------------------------------------------

@@ -355,7 +355,7 @@ class TestNewtonSolve:
         def no_krylov(*args, **kwargs):
             raise AssertionError("GMRES in a radial Newton solve")
 
-        monkeypatch.setattr("scipy.sparse.linalg.gmres", no_krylov)
+        monkeypatch.setattr(elliptic, "_gmres_cycle", no_krylov)
         grid = build_grid(1.0, 16.0, 129, 64)
         g_in, g_out = reference_boundary(2.0, grid)
         _, trace = newton_solve(monge_ampere_spec(), grid, g_in, g_out)
