@@ -7,6 +7,10 @@ normalized kernel log|x - y| - log|y| against a compactly supported
 density mode by mode in theta, where the kernel splits exactly in log r:
 per-ring tables are read at nodes by one irfft per ring, in a cell from its
 two rings and off the grid from the nearer boundary ring, in O(n_theta).
+In a cell each mode solves a two-point problem whose exact answer is a sum
+of two decaying exponentials and the density's own term, so a target sums
+four polynomials in e^{-a + i theta}, e^{-b + i theta} and e^{i theta} by
+Horner's rule on a per-cell coefficient table, with no exp per mode.
 
 The linear solve applies the nine-point table of ``_nine_point``, the only
 code that forms a stencil weight, a block of interior rings at a time, with
@@ -133,9 +137,8 @@ def _boundary_values(grid, data, name):
 _BACKWARD_TOL = 1e-10  # normwise backward error a linear solve must meet
 _GMRES_RESTART = 20  # Krylov basis size between GMRES restarts
 _GMRES_CYCLES = 50  # restart cycles before GMRES gives up
-# elements per block of the stencil product (rings x n_theta) and of the
-# potential's off-grid targets (targets x modes), so that a block's
-# temporaries stay in cache and none is full-size
+# elements per block of the stencil product (rings x n_theta), so that a
+# block's temporaries stay in cache and none is full-size
 _BLOCK_ELEMENTS = 8192
 
 
@@ -507,49 +510,101 @@ def _node_values(tab, ring, col):
     return np.fft.irfft(spectrum, axis=1)[where, col]
 
 
+def _cell_table(tab, coef):
+    """Each cell's modes in two-point form, as coef_k times (A, B, P) by ring.
+
+    With P = (2/k) F_k and H = left + right - P at each ring, and e = e^{-k h}
+    on a cell [s_i, s_i+1] of width h, G_k = left + right solves
+    G'' = k^2 G - 2 k F_k with F_k linear, so at a = t - s_i, b = s_i+1 - t
+
+        G_k = A e^{-k a} + B e^{-k b} + (b P_i + a P_i+1) / h,
+
+    A = S - D, B = S + D, S = (H_i + H_i+1) / (2 + 2 e) and
+    D = (H_i+1 - H_i) / (-2 expm1(-k h)); the direct A = (H_i - e H_i+1) /
+    (1 - e^2) would turn the rounding of e into errors of eps |H| / (k h).
+    Returns shape (modes, 3, rings): rows A and B of the cell starting at
+    each ring (the last entries unused) and row P of each ring, so that cell
+    i reads a mode's four coefficients at flat offsets i, rings + i,
+    2 rings + i and 2 rings + i + 1.
+    """
+    table = np.empty((tab.k.size, 3, tab.s.size), dtype=complex)
+    row_a, hom, p = table[:, 0], table[:, 1], table[:, 2]
+    np.multiply(tab.fk.T, (coef * (2.0 / tab.k))[:, None], out=p)
+    np.add(tab.left.T, tab.right.T, out=hom)
+    hom *= coef[:, None]
+    hom -= p
+    # D and S take the rows that end up holding A and B
+    x = np.multiply(tab.k[:, None], -tab.h)
+    big_d = np.subtract(hom[:, 1:], hom[:, :-1], out=row_a[:, :-1])
+    big_d /= np.expm1(x) * -2.0
+    big_s = np.add(hom[:, :-1], hom[:, 1:], out=hom[:, :-1])
+    big_s /= np.exp(x, out=x) * 2.0 + 2.0
+    big_b = big_s + big_d
+    np.subtract(big_s, big_d, out=big_d)
+    big_s[...] = big_b
+    return table
+
+
 def _target_values(tab, r, theta):
     """The potential at targets (r, theta) off the nodes, each in O(n_theta).
 
-    A target at t = log r in the grid takes its cell [s_i, s_i+1]: left at
-    s_i and right at s_i+1 decayed over a = t - s_i and b = s_i+1 - t, plus
-    the two partial-cell integrals.  A target a distance d off it, the origin
-    too, reads the nearer boundary ring's series in z = e^{-d + i theta}: the
-    boundary cell's rule at b = 0 (a = 0), which the recurrences collapse to
-    left at s_last, mode 0 adding moment + d mass, or to right at s_0 alone.
+    A target at t = log r in the grid takes its cell [s_i, s_i+1] at
+    a = t - s_i, b = s_i+1 - t: mode 0 from the partial-cell integral, the
+    modes k >= 1 from the two-point form of ``_cell_table`` as four
+    polynomials, in e^{-a + i theta}, e^{-b + i theta} and e^{i theta}
+    (twice, weighted b / h and a / h), summed by Horner's rule, with no
+    exp, division or series per mode.  A target a distance d off the grid,
+    the origin too, reads the nearer boundary ring's series in
+    z = e^{-d + i theta} by Horner's rule: the boundary cell's rule at b = 0
+    (a = 0), which the recurrences collapse to left at s_last, mode 0 adding
+    moment + d mass, or to right at s_0 alone.
     """
     with np.errstate(divide="ignore"):
         t = np.log(r)  # -inf at the origin, where every term vanishes
     s, n_k = tab.s, tab.k.size
     above, below = t > s[-1], t < s[0]
     coef = np.where(tab.k < n_k, -1.0, -0.5) / tab.k  # the Nyquist mode is its own conjugate
-    per = max(1, _BLOCK_ELEMENTS // n_k)
     vals = np.zeros(t.size)
     vals[above] = tab.moment[-1] + (t[above] - s[-1]) * tab.mass[-1]
     off, cell = np.flatnonzero(above | below), np.flatnonzero(~(above | below))
-    z = np.exp(1j * theta[off] - np.where(above[off], t[off] - s[-1], s[0] - t[off]))
-    series = np.column_stack([tab.left[-1], tab.right[0]]) * coef[:, None]
-    for lo in range(0, off.size, per):
-        at = off[lo:lo + per]
-        sums = np.cumprod(np.broadcast_to(z[lo:lo + per, None], (at.size, n_k)), axis=1) @ series
-        vals[at] += np.where(above[at], sums[:, 0], sums[:, 1]).real
+    if off.size:
+        z = np.exp(1j * theta[off] - np.where(above[off], t[off] - s[-1], s[0] - t[off]))
+        series = np.column_stack([tab.left[-1], tab.right[0]]) * coef[:, None]
+        vals[off] += _horner(series, below[off].astype(np.intp), z).real
+    if not cell.size:
+        return vals
     t, theta = t[cell], theta[cell]
     i = np.clip(np.searchsorted(s, t, side="right") - 1, 0, s.size - 2)
     a, b = t - s[i], s[i + 1] - t
     wa, wb = a / tab.h[i], b / tab.h[i]
     f0_t = wb * tab.f0[i] + wa * tab.f0[i + 1]
     vals[cell] = tab.moment[i] + a * tab.mass[i] + a * a * (f0_t / 6.0 + tab.f0[i] / 3.0)
-    for lo in range(0, cell.size, per):
-        sl, ib = slice(lo, lo + per), i[lo:lo + per]
-        a_k, b_k = ab = np.stack([a[sl], b[sl]])[:, :, None]
-        decay, near, far = _hat_weights(ab * tab.k)
-        # the partial cell's weight on F_k at the target's radius
-        at_t = a_k * near[0] + b_k * near[1]
-        g = (decay[0] * tab.left[ib] + decay[1] * tab.right[ib + 1]
-             + (wb[sl, None] * at_t + a_k * far[0]) * tab.fk[ib]
-             + (wa[sl, None] * at_t + b_k * far[1]) * tab.fk[ib + 1])
-        powers = np.cumprod(np.broadcast_to(np.exp(1j * theta[sl, None]), g.shape), axis=1)
-        vals[cell[sl]] += np.einsum("mk,mk,k->m", g, powers, coef).real
+    z = np.empty((4, cell.size), dtype=complex)
+    np.exp(1j * theta - a, out=z[0])
+    np.exp(1j * theta - b, out=z[1])
+    np.exp(1j * theta, out=z[2])
+    z[3] = z[2]
+    at = i + np.array([0, s.size, 2 * s.size, 2 * s.size + 1])[:, None]
+    g = _horner(_cell_table(tab, coef).reshape(n_k, -1), at, z).real
+    vals[cell] += g[0] + g[1] + wb * g[2] + wa * g[3]
     return vals
+
+
+def _horner(table, at, z):
+    """The sum over k = 1 .. K of table[k - 1].take(at) z^k, by Horner's rule.
+
+    Each of the K steps multiplies the running sum by z and adds one
+    gathered coefficient per entry of ``at``, so every entry takes its own
+    operations alone.  The products go to a second buffer: numpy rounds an
+    in-place complex product of one-element arrays differently.
+    """
+    acc = table[-1].take(at, mode="clip")
+    prod = np.empty_like(acc)
+    for row in table[-2::-1]:
+        np.multiply(acc, z, out=prod)
+        acc = row.take(at, out=acc, mode="clip")
+        acc += prod
+    return np.multiply(acc, z, out=prod)
 
 
 def _node_indices(grid, r, theta):
@@ -587,6 +642,10 @@ def newtonian_potential(f, targets):
     beyond the support.  Grid nodes (index coordinates within 1e-12 of
     integers) are read ring by ring by irfft, targets in a cell from its two
     rings, the others (the origin too) from the nearer boundary ring's series.
+    In a cell each mode k >= 1 is left + right solved as a two-point problem
+    on the cell, A e^{-k a} + B e^{-k b} plus the density's term (2/k) F_k;
+    the coefficients are tabulated per cell once per call, and each target
+    sums the modes by Horner's rule, as it does off the grid.
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("singular-input: non-finite density values")
