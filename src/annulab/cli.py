@@ -857,10 +857,10 @@ def run_acceptance(names=None):
     else:
         missing = [n for n in names if n not in registry]
         if missing:
-            raise ValueError(f"invalid-config: unknown scenarios {missing}")
+            raise ValueError(f"invalid-config: unknown criteria {missing}")
         selected = [(n, registry[n]) for n in names]
     if not selected:
-        raise ValueError("invalid-config: no scenarios selected")
+        raise ValueError("invalid-config: no criteria selected")
     return [_run_check(e) for e in selected]
 
 
@@ -977,7 +977,10 @@ def _cmd_report(args):
     report_path = run_dir / "report.json"
     if not report_path.exists():
         _config_error(f"no report.json under {run_dir}")
-    report = json.loads(report_path.read_text())
+    try:
+        report = json.loads(report_path.read_text())
+    except json.JSONDecodeError as err:
+        _config_error(f"report {report_path} is not valid JSON: {err}")
     tables = {}
     if args.format in ("csv", "svg"):
         field_path = run_dir / "solution.field"

@@ -560,17 +560,21 @@ def read_snapshot(path) -> ScalarField:
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", "replace").split()
         payload = fh.read()
+    bad_header = ValueError(f"invalid-dimension: bad snapshot header in {path}")
     if len(header) < 2 or header[0] != SNAPSHOT_MAGIC:
-        raise ValueError(f"invalid-dimension: bad snapshot header in {path}")
+        raise bad_header
     if header[1] != SNAPSHOT_VERSION:
         raise ValueError(
             f"invalid-dimension: snapshot {path} has version {header[1]!r}, "
             f"expected {SNAPSHOT_VERSION}"
         )
     if len(header) != 7:
-        raise ValueError(f"invalid-dimension: bad snapshot header in {path}")
-    grid = build_grid(float(header[2]), float(header[3]), int(header[4]), int(header[5]),
-                      header[6])
+        raise bad_header
+    try:
+        radii, sizes = (float(header[2]), float(header[3])), (int(header[4]), int(header[5]))
+    except ValueError:
+        raise bad_header from None
+    grid = build_grid(*radii, *sizes, header[6])
     expected = 8 * grid.n_r * grid.n_theta
     if len(payload) != expected:
         raise ValueError(

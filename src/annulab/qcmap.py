@@ -14,11 +14,11 @@ inversion x -> x/|x|^2 that carries exterior maps to punctured-disk maps.
 rate at which it is approached.
 
 Derivatives are taken by the grid stencils unless the caller supplies an
-exact-derivative provider ``derivatives(x1, x2) -> (p1, p2, q1, q2)``.  The
-gradient map of a field u is measured from its Hessian D^2u, the map's
-Jacobian matrix, with no further differentiation.  When det D^2u < 0 on
-every interior node, the map measured is (u_2, u_1): it has the same |Dw|
-and the Jacobian -det D^2u.
+exact-derivative provider ``derivatives(x1, x2) -> (p1, p2, q1, q2)``, which
+``verify_kelvin_identities`` requires.  The gradient map of a field u is
+measured from its Hessian D^2u, the map's Jacobian matrix, with no further
+differentiation.  When det D^2u < 0 on every interior node, the map measured
+is (u_2, u_1): it has the same |Dw| and the Jacobian -det D^2u.
 """
 
 from __future__ import annotations
@@ -109,14 +109,20 @@ def _map_derivatives(w: PlanarMapping, derivatives=None):
                  for d in derivatives(*w.grid.nodes()))
 
 
+def _energy_and_jacobian(p1, p2, q1, q2):
+    """|Dw|^2 and det Dw of the Jacobian matrix (p1, p2; q1, q2)."""
+    return p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2, p1 * q2 - p2 * q1
+
+
 def dilatation_field(w, derivatives=None) -> DilatationReport:
     """Pointwise quasiconformal dilatation of w, and its grid supremum.
 
     ``w`` is a ``PlanarMapping``, or the Hessian D^2u (a ``SymMatrixField``)
     as the Jacobian matrix of the gradient map of u.  That map is measured
     as (u_2, u_1) when det D^2u < 0 on every interior node, which
-    ``components_swapped`` records.  ``derivatives`` stays for exact
-    Jacobians: ``tests/test_qcmap.py`` checks the formula free of stencil error.
+    ``components_swapped`` records.  ``derivatives``, an exact-derivative
+    provider, replaces the stencils of a ``PlanarMapping`` and is refused
+    with a Hessian, which is already the Jacobian.
 
     The supremum (K_min) and the Jacobian minimum are taken over interior
     rings only: boundary rings use one-sided stencils and would otherwise
@@ -126,14 +132,14 @@ def dilatation_field(w, derivatives=None) -> DilatationReport:
     """
     interior = slice(1, -1)
     if isinstance(w, SymMatrixField):
-        p1, p2, q1, q2 = w.m11, w.m12, w.m12, w.m22
+        if derivatives is not None:
+            raise ValueError("invalid-dimension: derivatives applies to a PlanarMapping only")
+        energy, jac = _energy_and_jacobian(w.m11, w.m12, w.m12, w.m22)
     else:
-        p1, p2, q1, q2 = _map_derivatives(w, derivatives)
-    jac = p1 * q2 - p2 * q1
+        energy, jac = _energy_and_jacobian(*_map_derivatives(w, derivatives))
     swapped = isinstance(w, SymMatrixField) and bool(np.all(jac[interior] < 0.0))
     if swapped:
         jac = -jac
-    energy = p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(jac > 0.0, energy / (2.0 * jac), np.nan)
     jac_int = jac[interior]
@@ -163,7 +169,7 @@ def kelvin_conjugate(w: PlanarMapping) -> PlanarMapping:
     return PlanarMapping(w.grid.inverted(), w.q[::-1].copy(), w.p[::-1].copy())
 
 
-def verify_kelvin_identities(w: PlanarMapping, derivatives=None, image_side=None):
+def verify_kelvin_identities(w: PlanarMapping, derivatives, image_side="chain-rule"):
     """Max-norm residuals of the two inversion identities.
 
     For p~(x) = p(x/|x|^2), q~(x) = q(x/|x|^2) on the inverted grid:
@@ -171,52 +177,33 @@ def verify_kelvin_identities(w: PlanarMapping, derivatives=None, image_side=None
       (i)   |grad p~|^2 + |grad q~|^2  =  |x|^-4 (|grad p|^2 + |grad q|^2)
       (ii)  p~_1 q~_2 - p~_2 q~_1      =  -|x|^-4 (p_1 q_2 - p_2 q_1)
 
-    both right-hand sides evaluated at the pre-image x/|x|^2.  Returns
-    (residual_energy, residual_jacobian).
+    both right-hand sides evaluated at the pre-image x/|x|^2 from the exact
+    provider ``derivatives``.  Returns (residual_energy, residual_jacobian).
 
     ``image_side`` selects how the transformed map is differentiated:
-    "chain-rule" pushes the exact derivatives through the inversion (needs a
-    provider; residuals sit at rounding level), "stencil" differences the
-    transported samples on the inverted grid.  Note that "stencil" against a
-    stencil-differenced original is an algebraic identity on these mirrored
-    grids (centered stencils commute with the radial reversal), so the
-    combination that actually measures discretization error is a stencil
-    image side against an exact original side.
+    "chain-rule" pushes the provider through the inversion and reads no
+    sample of w (rounding-level residuals for any provider: it checks the
+    transport only); "stencil" differences the transported samples, second
+    order when the provider is w's derivative and O(1) when it is not.
     """
-    if image_side is None:
-        image_side = "stencil" if derivatives is None else "chain-rule"
-    if image_side == "chain-rule" and derivatives is None:
-        raise ValueError("singular-input: chain-rule image side needs a derivative provider")
+    if image_side not in ("chain-rule", "stencil"):
+        raise ValueError(f"invalid-dimension: unknown image_side {image_side!r}")
 
-    p1, p2, q1, q2 = _map_derivatives(w, derivatives)
-    energy = p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2
-    jac = p1 * q2 - p2 * q1
-
-    # the raw transforms p~, q~ on the inverted grid, not swapped
-    gi, pt, qt = w.grid.inverted(), w.p[::-1], w.q[::-1]
-    if image_side == "stencil":
-        tp1, tp2, tq1, tq2 = _map_derivatives(PlanarMapping(gi, pt, qt))
-    elif image_side == "chain-rule":
-        # grad p~(x) = Dk(x)^T grad p(k(x)), Dk = (I |x|^2 - 2 x x^T)/|x|^4
-        y1, y2 = gi.nodes()
+    def pushed(y1, y2):
+        # grad p~(y) = Dk(y)^T grad p(k(y)), Dk = (I |y|^2 - 2 y y^T)/|y|^4
         n2 = y1 * y1 + y2 * y2
-        k1, k2 = y1 / n2, y2 / n2
         d11 = (n2 - 2.0 * y1 * y1) / n2 ** 2
         d12 = -2.0 * y1 * y2 / n2 ** 2
         d22 = (n2 - 2.0 * y2 * y2) / n2 ** 2
-        P1, P2, Q1, Q2 = derivatives(k1, k2)
-        tp1 = d11 * P1 + d12 * P2
-        tp2 = d12 * P1 + d22 * P2
-        tq1 = d11 * Q1 + d12 * Q2
-        tq2 = d12 * Q1 + d22 * Q2
-    else:
-        raise ValueError(f"invalid-dimension: unknown image_side {image_side!r}")
+        P1, P2, Q1, Q2 = derivatives(y1 / n2, y2 / n2)
+        return d11 * P1 + d12 * P2, d12 * P1 + d22 * P2, d11 * Q1 + d12 * Q2, d12 * Q1 + d22 * Q2
 
-    energy_t = tp1 * tp1 + tp2 * tp2 + tq1 * tq1 + tq2 * tq2
-    jac_t = tp1 * tq2 - tp2 * tq1
-
-    rr = gi.radii[:, None]
-    scale = rr ** -4.0
+    energy, jac = _energy_and_jacobian(*_map_derivatives(w, derivatives))
+    # the raw transforms p~, q~ on the inverted grid, not swapped
+    image = PlanarMapping(w.grid.inverted(), w.p[::-1], w.q[::-1])
+    energy_t, jac_t = _energy_and_jacobian(
+        *_map_derivatives(image, pushed if image_side == "chain-rule" else None))
+    scale = image.grid.radii[:, None] ** -4.0
     res_energy = np.max(np.abs(energy_t - scale * energy[::-1]))
     res_jac = np.max(np.abs(jac_t + scale * jac[::-1]))
     return float(res_energy), float(res_jac)

@@ -916,6 +916,31 @@ print(json.dumps({"seen": seen, "cycles": len(cycles)}))
                          "--out", str(tmp_path / "out")]) == 2
         assert "has version 'v1', expected v2" in capsys.readouterr().err
 
+    def test_unparsed_snapshot_header_exits_2(self, quad_run, tmp_path, capsys):
+        # header numbers that do not parse make a bad header, named by every reader
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "report.json").write_bytes((quad_run / "report.json").read_bytes())
+        field = run / "solution.field"
+        field.write_bytes(b"annular-field v2 1.0 2.0 x 16 log-radial\n"
+                          + np.zeros(8 * 16, "<f8").tobytes())
+        for argv in self.snapshot_readers(field, run, tmp_path):
+            assert cli.main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert f"invalid-dimension: bad snapshot header in {field}\n" in err, argv
+        assert not (tmp_path / "out").exists()
+        assert sorted(p.name for p in run.iterdir()) == ["report.json", "solution.field"]
+
+    def test_corrupt_report_exits_2_and_names_the_file(self, quad_run, tmp_path, capsys):
+        (tmp_path / "report.json").write_text('{"status": ')
+        shutil.copy(quad_run / "solution.field", tmp_path / "solution.field")
+        assert cli.main(["report", str(tmp_path), "--format", "svg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (f"error: invalid-config: report {tmp_path / 'report.json'} is not valid "
+                f"JSON: ") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "solution.field"]
+
     def test_non_finite_snapshot_is_not_analyzed(self, quad_run, tmp_path, capsys):
         # the snapshot keeps the NaN as written; the Hessian refuses it
         u = cli.read_snapshot(quad_run / "solution.field")
@@ -996,6 +1021,10 @@ print(json.dumps({"seen": seen, "cycles": len(cycles)}))
                          "03-holder-exponent-formula,11-bootstrap-scheduler"])
         assert code == 0
 
+    def test_verify_unknown_criterion_exits_2(self, capsys):
+        assert cli.main(["verify", "--only", "nope"]) == 2
+        assert "error: invalid-config: unknown criteria ['nope']" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # acceptance harness
@@ -1056,7 +1085,7 @@ class TestAcceptanceHarness:
         assert row["detail"].endswith("; laurent skipped: not-harmonic: synthetic")
 
     def test_empty_selection_raises(self):
-        with pytest.raises(ValueError, match="no scenarios"):
+        with pytest.raises(ValueError, match="invalid-config: no criteria selected"):
             run_acceptance(names=[])
 
     def test_unknown_name_raises(self):

@@ -454,8 +454,11 @@ _BAD_HEADER = "invalid-dimension: bad snapshot header"
     (b"annular-fields v2 1.0 2.0 8 16 log-radial\n", _BAD_HEADER),
     (b"annular-field v2 1.0 2.0 8 16\n", _BAD_HEADER),
     (b"annular-field v2 1.0 2.0 8 16 log-radial extra\n", _BAD_HEADER),
+    (b"annular-field v2 1.0 2.0 x 16 log-radial\n", _BAD_HEADER),
+    (b"annular-field v2 one 2.0 8 16 log-radial\n", _BAD_HEADER),
     (b"annular-field v2 1.0 inf 8 16 log-radial\n", "invalid-radii"),
-], ids=["bad-magic", "six-fields", "eight-fields", "infinite-radius"])
+], ids=["bad-magic", "six-fields", "eight-fields", "unparsed-size", "unparsed-radius",
+        "infinite-radius"])
 def test_snapshot_with_a_bad_header_is_refused(tmp_path, header, message):
     path = tmp_path / "bad.field"
     path.write_bytes(header + np.zeros(8 * 16, "<f8").tobytes())

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +208,14 @@ def test_hessian_dilatation_swaps_only_when_every_interior_determinant_is_negati
     assert rep.jacobian_min == 2.0 and rep.K_min == 1.25
 
 
+def test_hessian_dilatation_refuses_a_derivative_provider():
+    # D^2u is the Jacobian already; a provider would go unused
+    g = build_grid(1.0, 4.0, 16, 16)
+    one = np.ones(g.shape)
+    with pytest.raises(ValueError, match="invalid-dimension: derivatives applies to"):
+        dilatation_field(SymMatrixField(g, one, 0.0 * one, one), d_identity)
+
+
 # ---------------------------------------------------------------------------
 # kelvin conjugation
 
@@ -265,20 +274,26 @@ def test_kelvin_identities_exact_inversion_map():
     assert max(res) <= 1e-10
 
 
-def test_kelvin_identities_stencil_transport_consistency():
-    # with both sides stencil-differenced the identities are algebraic on
-    # these mirrored grids; this validates the transport bookkeeping
-    g = build_grid(1.0, 2.0, 64, 64)
-    res = verify_kelvin_identities(w_zsquared(g))
-    assert max(res) <= 1e-9
-
-
 def test_kelvin_identities_refuse_an_unusable_image_side():
     w = w_zsquared(build_grid(1.0, 2.0, 16, 16))
-    with pytest.raises(ValueError, match="singular-input: chain-rule image side needs"):
-        verify_kelvin_identities(w, image_side="chain-rule")
     with pytest.raises(ValueError, match="invalid-dimension: unknown image_side 'spectral'"):
         verify_kelvin_identities(w, d_zsquared, image_side="spectral")
+
+
+@pytest.mark.parametrize("side", ["chain-rule", "stencil"])
+def test_kelvin_identities_can_fail_on_either_image_side(side):
+    g = build_grid(1.0, 2.0, 64, 64)
+    # a transport that leaves the annulus in place breaks both sides
+    with mock.patch.object(type(g), "inverted", lambda self: self):
+        assert min(verify_kelvin_identities(w_zsquared(g), d_zsquared, side)) >= 1.0
+    # a provider that is not the map's derivative: only the stencil side reads
+    # the map's samples; the chain-rule side pushes the provider alone through
+    # Dk, |y|^-2 times a reflection, which keeps both identities for any field
+    res = verify_kelvin_identities(w_zsquared(g), d_identity, side)
+    if side == "stencil":
+        assert min(res) >= 100.0
+    else:
+        assert max(res) <= 1e-10
 
 
 def test_kelvin_identities_stencil_convergence_order():
