@@ -465,6 +465,39 @@ def _hat_weights(x):
     return decay, near, far
 
 
+def _potential_rule(grid):
+    """What the potential's rule on ``grid`` takes from no density, built once, then kept.
+
+    The first call keeps it on the grid as ``_potential_rule``, read-only,
+    as ``nodes()`` keeps its arrays.  It holds the cell widths ``h`` in
+    s = log r, the modes ``k``, ``r2n`` = radii^2 / n_theta, the mode
+    weights ``coef`` (-1/k, -1/(2k) for the Nyquist mode, its own
+    conjugate), the hat weights ``near`` and ``far`` times h and the decay
+    ``steps`` up the rings then down them, each entry twice so that it
+    multiplies a complex array's float view as numpy's complex-by-real
+    product would, and ``_cell_table``'s denominators ``den_d`` =
+    -2 expm1(-k h) and ``den_s`` = 2 e^{-k h} + 2 by (modes, cells).
+    """
+    rule = grid.__dict__.get("_potential_rule")
+    if rule is not None:
+        return rule
+    h = np.diff(grid.log_radii)
+    k = np.arange(1.0, grid.n_theta // 2 + 1)
+    decay, near, far = _hat_weights(h[:, None] * k)
+    x = np.multiply(k[:, None], -h)
+    rule = SimpleNamespace(
+        h=h, k=k, r2n=grid.radii[:, None] ** 2 / grid.n_theta,
+        coef=np.where(k < k.size, -1.0, -0.5) / k,
+        near=np.repeat(near * h[:, None], 2, axis=1),
+        far=np.repeat(far * h[:, None], 2, axis=1),
+        steps=np.repeat(np.hstack([decay, decay[::-1]]), 2, axis=1),
+        den_d=np.expm1(x) * -2.0, den_s=np.exp(x) * 2.0 + 2.0)
+    for values in vars(rule).values():
+        values.setflags(write=False)
+    object.__setattr__(grid, "_potential_rule", rule)
+    return rule
+
+
 def _mode_tables(grid, fvals):
     """Each angular mode's share of the potential at every ring, in s = log r.
 
@@ -473,28 +506,30 @@ def _mode_tables(grid, fvals):
     ``mass[i]`` of F_0 and ``moment[i]`` of (s_i - s) F_0; for k >= 1,
     ``left[i]`` of e^{-k (s_i - s)} F_k, by a recurrence up the rings, and
     ``right[i]`` of e^{-k (s - s_i)} F_k over s > s_i, down them, in one loop.
+    The weights come from the grid's kept ``_potential_rule``; the products
+    and the loop run on float views of the complex arrays.
     """
-    s = grid.log_radii
-    h = np.diff(s)
-    k = np.arange(1.0, grid.n_theta // 2 + 1)
-    spec = np.fft.rfft(fvals, axis=1) * (grid.radii[:, None] ** 2 / grid.n_theta)
+    rule = _potential_rule(grid)
+    s, h, n_k = grid.log_radii, rule.h, rule.k.size
+    spec = np.fft.rfft(fvals, axis=1) * rule.r2n
     f0, fk = spec[:, 0].real, spec[:, 1:]
     mass = np.concatenate(([0.0], np.cumsum(0.5 * h * (f0[:-1] + f0[1:]))))
     moment = np.concatenate(([0.0], np.cumsum(h * (mass[:-1] + h * (f0[1:] / 6 + f0[:-1] / 3)))))
-    decay, near, far = _hat_weights(h[:, None] * k)
-    near, far = near * h[:, None], far * h[:, None]
     # row c holds left[c] and right[-1 - c], one loop runs both recurrences;
     # up[c] is cell c's part of left[c + 1] and down[c] its part of right[c]
-    pairs = np.zeros((grid.n_r, 2 * k.size), dtype=complex)
-    up, down = pairs[1:, :k.size], pairs[:0:-1, k.size:]
-    np.multiply(near, fk[1:], out=up)
-    up += far * fk[:-1]
-    np.multiply(near, fk[:-1], out=down)
-    down += far * fk[1:]
-    for step, prev, row in zip(np.hstack([decay, decay[::-1]]), pairs, pairs[1:]):
-        row += step * prev
-    return SimpleNamespace(s=s, h=h, k=k, f0=f0, fk=fk, mass=mass, moment=moment,
-                           left=pairs[:, :k.size], right=pairs[::-1, k.size:])
+    pairs = np.zeros((grid.n_r, 2 * n_k), dtype=complex)
+    flat, fk_flat = pairs.view(float), spec.view(float)[:, 2:]
+    up, down = flat[1:, :2 * n_k], flat[:0:-1, 2 * n_k:]
+    np.multiply(rule.near, fk_flat[1:], out=up)
+    up += rule.far * fk_flat[:-1]
+    np.multiply(rule.near, fk_flat[:-1], out=down)
+    down += rule.far * fk_flat[1:]
+    prod = np.empty(flat.shape[1])
+    for step, prev, row in zip(rule.steps, flat, flat[1:]):
+        row += np.multiply(step, prev, out=prod)
+    return SimpleNamespace(s=s, h=h, k=rule.k, coef=rule.coef, den_d=rule.den_d,
+                           den_s=rule.den_s, f0=f0, fk=fk, mass=mass, moment=moment,
+                           left=pairs[:, :n_k], right=pairs[::-1, n_k:])
 
 
 def _node_values(tab, ring, col):
@@ -534,11 +569,10 @@ def _cell_table(tab, coef):
     hom *= coef[:, None]
     hom -= p
     # D and S take the rows that end up holding A and B
-    x = np.multiply(tab.k[:, None], -tab.h)
     big_d = np.subtract(hom[:, 1:], hom[:, :-1], out=row_a[:, :-1])
-    big_d /= np.expm1(x) * -2.0
+    big_d /= tab.den_d
     big_s = np.add(hom[:, :-1], hom[:, 1:], out=hom[:, :-1])
-    big_s /= np.exp(x, out=x) * 2.0 + 2.0
+    big_s /= tab.den_s
     big_b = big_s + big_d
     np.subtract(big_s, big_d, out=big_d)
     big_s[...] = big_b
@@ -563,13 +597,12 @@ def _target_values(tab, r, theta):
         t = np.log(r)  # -inf at the origin, where every term vanishes
     s, n_k = tab.s, tab.k.size
     above, below = t > s[-1], t < s[0]
-    coef = np.where(tab.k < n_k, -1.0, -0.5) / tab.k  # the Nyquist mode is its own conjugate
     vals = np.zeros(t.size)
     vals[above] = tab.moment[-1] + (t[above] - s[-1]) * tab.mass[-1]
     off, cell = np.flatnonzero(above | below), np.flatnonzero(~(above | below))
     if off.size:
         z = np.exp(1j * theta[off] - np.where(above[off], t[off] - s[-1], s[0] - t[off]))
-        series = np.column_stack([tab.left[-1], tab.right[0]]) * coef[:, None]
+        series = np.column_stack([tab.left[-1], tab.right[0]]) * tab.coef[:, None]
         vals[off] += _horner(series, below[off].astype(np.intp), z).real
     if not cell.size:
         return vals
@@ -585,7 +618,7 @@ def _target_values(tab, r, theta):
     np.exp(1j * theta, out=z[2])
     z[3] = z[2]
     at = i + np.array([0, s.size, 2 * s.size, 2 * s.size + 1])[:, None]
-    g = _horner(_cell_table(tab, coef).reshape(n_k, -1), at, z).real
+    g = _horner(_cell_table(tab, tab.coef).reshape(n_k, -1), at, z).real
     vals[cell] += g[0] + g[1] + wb * g[2] + wa * g[3]
     return vals
 
@@ -646,6 +679,11 @@ def newtonian_potential(f, targets):
     on the cell, A e^{-k a} + B e^{-k b} plus the density's term (2/k) F_k;
     the coefficients are tabulated per cell once per call, and each target
     sums the modes by Horner's rule, as it does off the grid.
+
+    The first call on a grid keeps on it, read-only, the part of the rule
+    that no density changes (``_potential_rule``: cell widths, modes, hat
+    weights, decay steps, mode weights and the cell table's denominators,
+    about 40 n_r n_theta bytes); later calls on that grid reuse it.
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("singular-input: non-finite density values")

@@ -74,7 +74,10 @@ class AnnularGrid:
     ``dtheta`` are the constant parameter spacings.  ``dr_dt`` holds dr/dt
     on each ring and ``d2r_ratio`` the constant d2r/dt2 / (dr/dt): 1 on
     log-radial grids, 0 on uniform ones.  ``r_of_t`` and ``t_of_r`` map
-    between the parameter and the radius.
+    between the parameter and the radius.  ``nodes()`` keeps its arrays
+    after its first call, and the first ``newtonian_potential`` call on a
+    grid keeps the density-independent part of its rule as
+    ``_potential_rule``, read-only, about 40 n_r n_theta bytes.
     """
 
     r_inner: float

@@ -178,7 +178,8 @@ def verify_kelvin_identities(w: PlanarMapping, derivatives, image_side="chain-ru
       (ii)  p~_1 q~_2 - p~_2 q~_1      =  -|x|^-4 (p_1 q_2 - p_2 q_1)
 
     both right-hand sides evaluated at the pre-image x/|x|^2 from the exact
-    provider ``derivatives``.  Returns (residual_energy, residual_jacobian).
+    provider ``derivatives``, a callable; anything else, None included, is
+    refused.  Returns (residual_energy, residual_jacobian).
 
     ``image_side`` selects how the transformed map is differentiated:
     "chain-rule" pushes the provider through the inversion and reads no
@@ -188,6 +189,9 @@ def verify_kelvin_identities(w: PlanarMapping, derivatives, image_side="chain-ru
     """
     if image_side not in ("chain-rule", "stencil"):
         raise ValueError(f"invalid-dimension: unknown image_side {image_side!r}")
+    if not callable(derivatives):
+        raise ValueError("invalid-dimension: derivatives must be a callable provider, "
+                         f"got {derivatives!r}")
 
     def pushed(y1, y2):
         # grad p~(y) = Dk(y)^T grad p(k(y)), Dk = (I |y|^2 - 2 y y^T)/|y|^4

@@ -694,18 +694,54 @@ def test_potential_is_continuous_across_the_boundary_rings(spacing):
 
 
 def test_off_grid_targets_take_no_partial_cell_weights():
-    # the tables take the only hat-weight call, for targets in cells too
-    g = build_grid(1.0, 4.0, 17, 16)
-    f = ScalarField.from_function(g, angular_density)
+    # the grid's kept rule takes the only hat-weight call, for targets in
+    # cells too: one call on a grid for both batches, one more on a new grid
     rng = np.random.default_rng(3)
     angles = rng.uniform(0.0, 2.0 * math.pi, 300)
-    outside = polar_points(np.concatenate([g.r_outer * rng.uniform(1.01, 50.0, 150),
-                                           g.r_inner * rng.uniform(0.0, 0.99, 150)]), angles)
-    inside = polar_points(rng.uniform(g.r_inner, g.r_outer, 300), angles)
-    for pts in (outside, inside):
-        with mock.patch.object(elliptic, "_hat_weights", wraps=elliptic._hat_weights) as hat:
-            newtonian_potential(f, pts)
-        assert hat.call_count == 1
+    with mock.patch.object(elliptic, "_hat_weights", wraps=elliptic._hat_weights) as hat:
+        for expected in (1, 2):
+            g = build_grid(1.0, 4.0, 17, 16)
+            f = ScalarField.from_function(g, angular_density)
+            outside = polar_points(np.concatenate([g.r_outer * rng.uniform(1.01, 50.0, 150),
+                                                   g.r_inner * rng.uniform(0.0, 0.99, 150)]),
+                                   angles)
+            inside = polar_points(rng.uniform(g.r_inner, g.r_outer, 300), angles)
+            for pts in (outside, inside):
+                newtonian_potential(f, pts)
+            assert hat.call_count == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(**grid_strategies)
+def test_kept_rule_returns_the_first_call_bytes(spacing, n_r, n_q, seed):
+    # the rule a grid keeps after its first call gives a second call on it,
+    # and a first call on a fresh equal grid, the same bytes
+    rng = np.random.default_rng(seed)
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    values = random_density(g, rng).values
+    pts = property_targets(g, rng)
+    assert "_potential_rule" not in vars(g)
+    first = newtonian_potential(ScalarField(g, values), pts)
+    rule = vars(g)["_potential_rule"]
+    second = newtonian_potential(ScalarField(g, values), pts)
+    assert vars(g)["_potential_rule"] is rule
+    g_fresh = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    fresh = newtonian_potential(ScalarField(g_fresh, values), pts)
+    for other in (second, fresh):
+        assert other[0].tobytes() == first[0].tobytes()
+        assert other[1] == first[1]
+
+
+@settings(max_examples=10, deadline=None)
+@given(**grid_strategies)
+def test_kept_rule_is_read_only(spacing, n_r, n_q, seed):
+    g = build_grid(1.0, 4.0, n_r, n_q, spacing)
+    newtonian_potential(random_density(g, np.random.default_rng(seed)), [(2.0, 0.5)])
+    rule = vars(g)["_potential_rule"]
+    assert vars(rule)
+    for values in vars(rule).values():
+        with pytest.raises(ValueError, match="read-only"):
+            values.flat[0] = 1.0
 
 
 # -- the tables and the partial-cell weights ---------------------------------

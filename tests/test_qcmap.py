@@ -281,6 +281,15 @@ def test_kelvin_identities_refuse_an_unusable_image_side():
 
 
 @pytest.mark.parametrize("side", ["chain-rule", "stencil"])
+def test_kelvin_identities_refuse_a_provider_that_is_not_callable(side):
+    # None must not fall back to the stencils, which commute with the ring
+    # reversal and so read rounding level for any map
+    w = w_zsquared(build_grid(0.5, 2.0, 17, 16))
+    with pytest.raises(ValueError, match="derivatives must be a callable provider, got None"):
+        verify_kelvin_identities(w, None, side)
+
+
+@pytest.mark.parametrize("side", ["chain-rule", "stencil"])
 def test_kelvin_identities_can_fail_on_either_image_side(side):
     g = build_grid(1.0, 2.0, 64, 64)
     # a transport that leaves the annulus in place breaks both sides
