@@ -469,14 +469,16 @@ def _potential_rule(grid):
     """What the potential's rule on ``grid`` takes from no density, built once, then kept.
 
     The first call keeps it on the grid as ``_potential_rule``, read-only,
-    as ``nodes()`` keeps its arrays.  It holds the cell widths ``h`` in
-    s = log r, the modes ``k``, ``r2n`` = radii^2 / n_theta, the mode
-    weights ``coef`` (-1/k, -1/(2k) for the Nyquist mode, its own
-    conjugate), the hat weights ``near`` and ``far`` times h and the decay
-    ``steps`` up the rings then down them, each entry twice so that it
-    multiplies a complex array's float view as numpy's complex-by-real
-    product would, and ``_cell_table``'s denominators ``den_d`` =
-    -2 expm1(-k h) and ``den_s`` = 2 e^{-k h} + 2 by (modes, cells).
+    as ``nodes()`` keeps its arrays: the cell widths ``h`` in s = log r, the
+    modes ``k``, ``r2n`` = radii^2 / n_theta; by cell the hat weights
+    ``near`` and ``far`` times h and the decay ``steps`` up the rings then
+    down them; and ``_cell_table``'s denominators ``den_d`` =
+    -2 expm1(-k h) and ``den_s`` = 2 e^{-k h} + 2 by (modes, cells).  The
+    steps and the denominators meet complex arrays in the recurrence's loop
+    and in divisions, so they are kept complex with imaginary part 0: numpy
+    then runs the complex-by-real product or quotient's own arithmetic, on
+    the value it would cast to, without the cast.  40 (n_r - 1) n_theta
+    bytes in all.
     """
     rule = grid.__dict__.get("_potential_rule")
     if rule is not None:
@@ -484,14 +486,14 @@ def _potential_rule(grid):
     h = np.diff(grid.log_radii)
     k = np.arange(1.0, grid.n_theta // 2 + 1)
     decay, near, far = _hat_weights(h[:, None] * k)
+    steps = np.zeros((h.size, 2 * k.size), dtype=complex)
+    steps.real[:, :k.size] = decay
+    steps.real[:, k.size:] = decay[::-1]
     x = np.multiply(k[:, None], -h)
-    rule = SimpleNamespace(
-        h=h, k=k, r2n=grid.radii[:, None] ** 2 / grid.n_theta,
-        coef=np.where(k < k.size, -1.0, -0.5) / k,
-        near=np.repeat(near * h[:, None], 2, axis=1),
-        far=np.repeat(far * h[:, None], 2, axis=1),
-        steps=np.repeat(np.hstack([decay, decay[::-1]]), 2, axis=1),
-        den_d=np.expm1(x) * -2.0, den_s=np.exp(x) * 2.0 + 2.0)
+    rule = SimpleNamespace(h=h, k=k, r2n=grid.radii[:, None] ** 2 / grid.n_theta,
+                           near=near * h[:, None], far=far * h[:, None], steps=steps,
+                           den_d=(np.expm1(x) * -2.0).astype(complex),
+                           den_s=(np.exp(x) * 2.0 + 2.0).astype(complex))
     for values in vars(rule).values():
         values.setflags(write=False)
     object.__setattr__(grid, "_potential_rule", rule)
@@ -506,30 +508,28 @@ def _mode_tables(grid, fvals):
     ``mass[i]`` of F_0 and ``moment[i]`` of (s_i - s) F_0; for k >= 1,
     ``left[i]`` of e^{-k (s_i - s)} F_k, by a recurrence up the rings, and
     ``right[i]`` of e^{-k (s - s_i)} F_k over s > s_i, down them, in one loop.
-    The weights come from the grid's kept ``_potential_rule``; the products
-    and the loop run on float views of the complex arrays.
+    The weights come from the grid's kept ``_potential_rule``.
     """
     rule = _potential_rule(grid)
-    s, h, n_k = grid.log_radii, rule.h, rule.k.size
+    s, h, k = grid.log_radii, rule.h, rule.k
     spec = np.fft.rfft(fvals, axis=1) * rule.r2n
     f0, fk = spec[:, 0].real, spec[:, 1:]
     mass = np.concatenate(([0.0], np.cumsum(0.5 * h * (f0[:-1] + f0[1:]))))
     moment = np.concatenate(([0.0], np.cumsum(h * (mass[:-1] + h * (f0[1:] / 6 + f0[:-1] / 3)))))
     # row c holds left[c] and right[-1 - c], one loop runs both recurrences;
     # up[c] is cell c's part of left[c + 1] and down[c] its part of right[c]
-    pairs = np.zeros((grid.n_r, 2 * n_k), dtype=complex)
-    flat, fk_flat = pairs.view(float), spec.view(float)[:, 2:]
-    up, down = flat[1:, :2 * n_k], flat[:0:-1, 2 * n_k:]
-    np.multiply(rule.near, fk_flat[1:], out=up)
-    up += rule.far * fk_flat[:-1]
-    np.multiply(rule.near, fk_flat[:-1], out=down)
-    down += rule.far * fk_flat[1:]
-    prod = np.empty(flat.shape[1])
-    for step, prev, row in zip(rule.steps, flat, flat[1:]):
+    pairs = np.zeros((grid.n_r, 2 * k.size), dtype=complex)
+    up, down = pairs[1:, :k.size], pairs[:0:-1, k.size:]
+    np.multiply(rule.near, fk[1:], out=up)
+    up += rule.far * fk[:-1]
+    np.multiply(rule.near, fk[:-1], out=down)
+    down += rule.far * fk[1:]
+    prod = np.empty(pairs.shape[1], dtype=complex)
+    for step, prev, row in zip(rule.steps, pairs, pairs[1:]):
         row += np.multiply(step, prev, out=prod)
-    return SimpleNamespace(s=s, h=h, k=rule.k, coef=rule.coef, den_d=rule.den_d,
-                           den_s=rule.den_s, f0=f0, fk=fk, mass=mass, moment=moment,
-                           left=pairs[:, :n_k], right=pairs[::-1, n_k:])
+    return SimpleNamespace(s=s, h=h, k=k, den_d=rule.den_d, den_s=rule.den_s, f0=f0, fk=fk,
+                           mass=mass, moment=moment,
+                           left=pairs[:, :k.size], right=pairs[::-1, k.size:])
 
 
 def _node_values(tab, ring, col):
@@ -597,12 +597,13 @@ def _target_values(tab, r, theta):
         t = np.log(r)  # -inf at the origin, where every term vanishes
     s, n_k = tab.s, tab.k.size
     above, below = t > s[-1], t < s[0]
+    coef = np.where(tab.k < n_k, -1.0, -0.5) / tab.k  # the Nyquist mode is its own conjugate
     vals = np.zeros(t.size)
     vals[above] = tab.moment[-1] + (t[above] - s[-1]) * tab.mass[-1]
     off, cell = np.flatnonzero(above | below), np.flatnonzero(~(above | below))
     if off.size:
         z = np.exp(1j * theta[off] - np.where(above[off], t[off] - s[-1], s[0] - t[off]))
-        series = np.column_stack([tab.left[-1], tab.right[0]]) * tab.coef[:, None]
+        series = np.column_stack([tab.left[-1], tab.right[0]]) * coef[:, None]
         vals[off] += _horner(series, below[off].astype(np.intp), z).real
     if not cell.size:
         return vals
@@ -618,7 +619,7 @@ def _target_values(tab, r, theta):
     np.exp(1j * theta, out=z[2])
     z[3] = z[2]
     at = i + np.array([0, s.size, 2 * s.size, 2 * s.size + 1])[:, None]
-    g = _horner(_cell_table(tab, tab.coef).reshape(n_k, -1), at, z).real
+    g = _horner(_cell_table(tab, coef).reshape(n_k, -1), at, z).real
     vals[cell] += g[0] + g[1] + wb * g[2] + wa * g[3]
     return vals
 
@@ -682,8 +683,8 @@ def newtonian_potential(f, targets):
 
     The first call on a grid keeps on it, read-only, the part of the rule
     that no density changes (``_potential_rule``: cell widths, modes, hat
-    weights, decay steps, mode weights and the cell table's denominators,
-    about 40 n_r n_theta bytes); later calls on that grid reuse it.
+    weights, decay steps and the cell table's denominators, about
+    40 n_r n_theta bytes); later calls on that grid only apply it.
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("singular-input: non-finite density values")
