@@ -59,6 +59,7 @@ from .nonlinear import (
     special_lagrangian_spec,
 )
 from .qcmap import (
+    _energy_and_jacobian,
     dilatation_field,
     holder_exponent,
     limit_and_decay,
@@ -634,30 +635,31 @@ def _w_zsquared(g):
 
 
 def _check_kelvin_identities():
-    cases = [
-        ("identity", build_grid(1.0, 8.0, 64, 64),
-         lambda g: PlanarMapping.from_function(g, lambda a, b: (a, b)),
-         _d_identity),
-        ("z^2", build_grid(1.0, 2.0, 64, 64), _w_zsquared, _d_zsquared),
-        ("x/|x|^2", build_grid(1.0, 2.0, 64, 64),
-         lambda g: PlanarMapping.from_function(
-             g, lambda a, b: (a / (a * a + b * b), b / (a * a + b * b))),
-         _d_inversion),
-    ]
-    worst = 0.0
-    for _, grid, builder, deriv in cases:
-        worst = max(worst, max(verify_kelvin_identities(builder(grid), deriv)))
-    errs = []
-    for n in (32, 64, 128):
-        g = build_grid(1.0, 2.0, n, n)
-        errs.append(verify_kelvin_identities(_w_zsquared(g), _d_zsquared,
-                                             image_side="stencil"))
-    orders = [float(-np.polyfit(np.arange(3), np.log2([r[k] for r in errs]), 1)[0])
-              for k in range(2)]
-    ok = worst <= 1e-10 and min(orders) >= 1.8
-    return ok, (f"max exact-derivative residual {worst:.3e} over "
-                f"{{identity, z^2, x/|x|^2}} (tol 1e-10); stencil orders "
-                f"{orders[0]:.3f}, {orders[1]:.3f} (floor 1.8) on n = 32/64/128")
+    # each image is one angular mode k, r^-k e^{ik theta} per component.  The
+    # centered theta difference returns k sinc(k dtheta), which shorts the
+    # energy by (k dtheta)^2/6; the one-sided t difference at a boundary ring
+    # shorts it by (k dt)^2/3 more.  The residual over max |x|^-4 |Dw|^2 reads
+    # that leading term within 1% at n = 128; the next terms are O(h^4)
+    cases = [(8.0, 1, lambda g: PlanarMapping.from_function(g, lambda a, b: (a, b)), _d_identity),
+             (2.0, 2, _w_zsquared, _d_zsquared),
+             (2.0, 1, lambda g: PlanarMapping.from_function(
+                 g, lambda a, b: (a / (a * a + b * b), b / (a * a + b * b))), _d_inversion)]
+    orders, rels, tols = [], [], []
+    for r_outer, k, builder, deriv in cases:
+        errs = []
+        for n in (32, 64, 128):
+            g = build_grid(1.0, r_outer, n, n)
+            errs.append(verify_kelvin_identities(builder(g), deriv))
+        orders += [float(-np.polyfit(np.arange(3), np.log2([r[i] for r in errs]), 1)[0])
+                   for i in range(2)]
+        energy = _energy_and_jacobian(*deriv(*g.nodes()))[0]
+        rels.append(max(errs[-1]) / np.max(g.inverted().radii[:, None] ** -4.0 * energy[::-1]))
+        tols.append(1.25 * ((k * g.dtheta) ** 2 / 6.0 + (k * g.dt) ** 2 / 3.0))
+    ok = min(orders) >= 1.8 and all(r <= t for r, t in zip(rels, tols))
+    return ok, (f"{{identity, z^2, x/|x|^2}}: stencil orders {min(orders):.3f} to "
+                f"{max(orders):.3f} (floor 1.8) on n = 32/64/128; residual / max |x|^-4 "
+                f"|Dw|^2 at n = 128 {', '.join(f'{r:.2e}' for r in rels)} (tol 1.25 "
+                f"((k dtheta)^2/6 + (k dt)^2/3) = {', '.join(f'{t:.2e}' for t in tols)})")
 
 
 def _check_gradient_map_qc():

@@ -382,9 +382,9 @@ def _level_order(rows, scratch, inverse=False):
 def _krylov_solve(apply, b, precondition, gate):
     """Solve A x = b, A x = apply(x), from x0 = M b by restarted GMRES.
 
-    Cycles, each aiming at gate(x) / 8 for a forward-error margin, run until
-    the residual max-norm is within gate(x) / 4 or not finite, at most
-    _GMRES_CYCLES of them.  Raises ``singular-system`` when x misses gate(x).
+    Cycles, each aiming at gate(x) / 4, run until the residual max-norm is
+    within gate(x) / 4 or not finite, at most _GMRES_CYCLES of them.
+    Raises ``singular-system`` when x misses gate(x).
     """
     def residual(x):
         r = apply(x)  # b - A x is formed inside the product's own output
@@ -397,7 +397,7 @@ def _krylov_solve(apply, b, precondition, gate):
         if not 0.25 * gate(x) < final < math.inf:
             break
         basis = np.empty((_GMRES_RESTART + 1, b.size)) if cycle == 0 else basis
-        x = _gmres_cycle(apply, precondition, x, r, basis, 0.125 * gate(x))
+        x = _gmres_cycle(apply, precondition, x, r, basis, 0.25 * gate(x))
         r, final = residual(x)
     if not np.isfinite(final) or final > gate(x):
         raise ValueError(f"singular-system: discrete residual {final:.3e} exceeds the "
@@ -470,15 +470,16 @@ def _potential_rule(grid):
 
     The first call keeps it on the grid as ``_potential_rule``, read-only,
     as ``nodes()`` keeps its arrays: the cell widths ``h`` in s = log r, the
-    modes ``k``, ``r2n`` = radii^2 / n_theta; by cell the hat weights
-    ``near`` and ``far`` times h and the decay ``steps`` up the rings then
-    down them; and ``_cell_table``'s denominators ``den_d`` =
-    -2 expm1(-k h) and ``den_s`` = 2 e^{-k h} + 2 by (modes, cells).  The
-    steps and the denominators meet complex arrays in the recurrence's loop
-    and in divisions, so they are kept complex with imaginary part 0: numpy
-    then runs the complex-by-real product or quotient's own arithmetic, on
-    the value it would cast to, without the cast.  40 (n_r - 1) n_theta
-    bytes in all.
+    modes ``k`` and their series weights ``coef`` = -1/k, halved for the
+    Nyquist mode, which is its own conjugate; ``r2n`` = radii^2 / n_theta;
+    by cell the hat weights ``near`` and ``far`` times h and the decay
+    ``steps`` up the rings then down them; and ``_cell_table``'s
+    denominators ``den_d`` = -2 expm1(-k h) and ``den_s`` = 2 e^{-k h} + 2
+    by (modes, cells).  The steps and the denominators meet complex arrays
+    in the recurrence's loop and in divisions, so they are kept complex with
+    imaginary part 0: numpy then runs the complex-by-real product or
+    quotient's own arithmetic, on the value it would cast to, without the
+    cast.  40 (n_r - 1) n_theta bytes in all.
     """
     rule = grid.__dict__.get("_potential_rule")
     if rule is not None:
@@ -490,7 +491,8 @@ def _potential_rule(grid):
     steps.real[:, :k.size] = decay
     steps.real[:, k.size:] = decay[::-1]
     x = np.multiply(k[:, None], -h)
-    rule = SimpleNamespace(h=h, k=k, r2n=grid.radii[:, None] ** 2 / grid.n_theta,
+    rule = SimpleNamespace(h=h, k=k, coef=np.where(k < k.size, -1.0, -0.5) / k,
+                           r2n=grid.radii[:, None] ** 2 / grid.n_theta,
                            near=near * h[:, None], far=far * h[:, None], steps=steps,
                            den_d=(np.expm1(x) * -2.0).astype(complex),
                            den_s=(np.exp(x) * 2.0 + 2.0).astype(complex))
@@ -508,7 +510,8 @@ def _mode_tables(grid, fvals):
     ``mass[i]`` of F_0 and ``moment[i]`` of (s_i - s) F_0; for k >= 1,
     ``left[i]`` of e^{-k (s_i - s)} F_k, by a recurrence up the rings, and
     ``right[i]`` of e^{-k (s - s_i)} F_k over s > s_i, down them, in one loop.
-    The weights come from the grid's kept ``_potential_rule``.
+    The weights come from the grid's kept ``_potential_rule``, which the
+    tables carry as ``rule``.
     """
     rule = _potential_rule(grid)
     s, h, k = grid.log_radii, rule.h, rule.k
@@ -527,8 +530,7 @@ def _mode_tables(grid, fvals):
     prod = np.empty(pairs.shape[1], dtype=complex)
     for step, prev, row in zip(rule.steps, pairs, pairs[1:]):
         row += np.multiply(step, prev, out=prod)
-    return SimpleNamespace(s=s, h=h, k=k, den_d=rule.den_d, den_s=rule.den_s, f0=f0, fk=fk,
-                           mass=mass, moment=moment,
+    return SimpleNamespace(rule=rule, s=s, f0=f0, fk=fk, mass=mass, moment=moment,
                            left=pairs[:, :k.size], right=pairs[::-1, k.size:])
 
 
@@ -539,13 +541,13 @@ def _node_values(tab, ring, col):
     enters as n_theta moment and mode k as -(n_theta / 2) (left + right) / k.
     """
     rings, where = np.unique(ring, return_inverse=True)
-    half = tab.k.size  # n_theta / 2
+    half = tab.rule.k.size  # n_theta / 2
     spectrum = np.column_stack([2 * half * tab.moment[rings],
-                                (tab.left[rings] + tab.right[rings]) * (-half / tab.k)])
+                                (tab.left[rings] + tab.right[rings]) * (-half / tab.rule.k)])
     return np.fft.irfft(spectrum, axis=1)[where, col]
 
 
-def _cell_table(tab, coef):
+def _cell_table(tab):
     """Each cell's modes in two-point form, as coef_k times (A, B, P) by ring.
 
     With P = (2/k) F_k and H = left + right - P at each ring, and e = e^{-k h}
@@ -562,17 +564,18 @@ def _cell_table(tab, coef):
     i reads a mode's four coefficients at flat offsets i, rings + i,
     2 rings + i and 2 rings + i + 1.
     """
-    table = np.empty((tab.k.size, 3, tab.s.size), dtype=complex)
+    rule, coef = tab.rule, tab.rule.coef
+    table = np.empty((rule.k.size, 3, tab.s.size), dtype=complex)
     row_a, hom, p = table[:, 0], table[:, 1], table[:, 2]
-    np.multiply(tab.fk.T, (coef * (2.0 / tab.k))[:, None], out=p)
+    np.multiply(tab.fk.T, (coef * (2.0 / rule.k))[:, None], out=p)
     np.add(tab.left.T, tab.right.T, out=hom)
     hom *= coef[:, None]
     hom -= p
     # D and S take the rows that end up holding A and B
     big_d = np.subtract(hom[:, 1:], hom[:, :-1], out=row_a[:, :-1])
-    big_d /= tab.den_d
+    big_d /= rule.den_d
     big_s = np.add(hom[:, :-1], hom[:, 1:], out=hom[:, :-1])
-    big_s /= tab.den_s
+    big_s /= rule.den_s
     big_b = big_s + big_d
     np.subtract(big_s, big_d, out=big_d)
     big_s[...] = big_b
@@ -595,9 +598,8 @@ def _target_values(tab, r, theta):
     """
     with np.errstate(divide="ignore"):
         t = np.log(r)  # -inf at the origin, where every term vanishes
-    s, n_k = tab.s, tab.k.size
+    s, h, coef = tab.s, tab.rule.h, tab.rule.coef
     above, below = t > s[-1], t < s[0]
-    coef = np.where(tab.k < n_k, -1.0, -0.5) / tab.k  # the Nyquist mode is its own conjugate
     vals = np.zeros(t.size)
     vals[above] = tab.moment[-1] + (t[above] - s[-1]) * tab.mass[-1]
     off, cell = np.flatnonzero(above | below), np.flatnonzero(~(above | below))
@@ -610,7 +612,7 @@ def _target_values(tab, r, theta):
     t, theta = t[cell], theta[cell]
     i = np.clip(np.searchsorted(s, t, side="right") - 1, 0, s.size - 2)
     a, b = t - s[i], s[i + 1] - t
-    wa, wb = a / tab.h[i], b / tab.h[i]
+    wa, wb = a / h[i], b / h[i]
     f0_t = wb * tab.f0[i] + wa * tab.f0[i + 1]
     vals[cell] = tab.moment[i] + a * tab.mass[i] + a * a * (f0_t / 6.0 + tab.f0[i] / 3.0)
     z = np.empty((4, cell.size), dtype=complex)
@@ -619,7 +621,7 @@ def _target_values(tab, r, theta):
     np.exp(1j * theta, out=z[2])
     z[3] = z[2]
     at = i + np.array([0, s.size, 2 * s.size, 2 * s.size + 1])[:, None]
-    g = _horner(_cell_table(tab, coef).reshape(n_k, -1), at, z).real
+    g = _horner(_cell_table(tab).reshape(coef.size, -1), at, z).real
     vals[cell] += g[0] + g[1] + wb * g[2] + wa * g[3]
     return vals
 
@@ -682,9 +684,10 @@ def newtonian_potential(f, targets):
     sums the modes by Horner's rule, as it does off the grid.
 
     The first call on a grid keeps on it, read-only, the part of the rule
-    that no density changes (``_potential_rule``: cell widths, modes, hat
-    weights, decay steps and the cell table's denominators, about
-    40 n_r n_theta bytes); later calls on that grid only apply it.
+    that no density changes (``_potential_rule``: cell widths, modes and
+    their series weights, hat weights, decay steps and the cell table's
+    denominators, about 40 n_r n_theta bytes); later calls on that grid
+    only apply it.
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("singular-input: non-finite density values")

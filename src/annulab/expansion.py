@@ -382,13 +382,10 @@ def d_from_divergence(u: ScalarField, A, R: float, extrapolate: bool = False,
             f"window-outside-grid: R = {R} leaves no annulus above r_inner"
         )
 
-    # u - x'Ax/2 from the node coordinates (far_field's rounding moves d by
-    # 1e-10 on an exact quadratic), then its ring means: subtracting after the
-    # means moves d by up to 2e-9.  Fourth-order radial derivatives;
-    # second-order ones leave an O(h^2) constant in the area term
-    x1, x2 = grid.nodes()
-    q = Am[0, 0] * (0.5 * x1 * x1) + Am[0, 1] * (x1 * x2) + Am[1, 1] * (0.5 * x2 * x2)
-    w = np.mean(u.values - q, axis=1, keepdims=True)
+    # u - x'Ax/2, then its ring means: subtracting after the means moves d by
+    # up to 2e-9.  Fourth-order radial derivatives; second-order ones leave
+    # an O(h^2) constant in the area term
+    w = np.mean(u.values - far_field(grid, slice(None), Am), axis=1, keepdims=True)
     flux = 2.0 * math.pi * grid.r_inner * float(_radial_slope(grid, w, 4, slice(0, 5))[0, 0])
     lap = ScalarField(grid, np.broadcast_to(_polar_laplacian(grid, w, 4, 0.0), grid.shape))
 

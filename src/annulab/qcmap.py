@@ -14,8 +14,10 @@ inversion x -> x/|x|^2 that carries exterior maps to punctured-disk maps.
 rate at which it is approached.
 
 Derivatives are taken by the grid stencils unless the caller supplies an
-exact-derivative provider ``derivatives(x1, x2) -> (p1, p2, q1, q2)``, which
-``verify_kelvin_identities`` requires.  The gradient map of a field u is
+exact-derivative provider ``derivatives(x1, x2) -> (p1, p2, q1, q2)``.
+``verify_kelvin_identities`` requires one for the original map and
+differences the transported map by the stencils, so its residuals measure
+the map's samples against the provider.  The gradient map of a field u is
 measured from its Hessian D^2u, the map's Jacobian matrix, with no further
 differentiation.  When det D^2u < 0 on every interior node, the map measured
 is (u_2, u_1): it has the same |Dw| and the Jacobian -det D^2u.
@@ -169,7 +171,7 @@ def kelvin_conjugate(w: PlanarMapping) -> PlanarMapping:
     return PlanarMapping(w.grid.inverted(), w.q[::-1].copy(), w.p[::-1].copy())
 
 
-def verify_kelvin_identities(w: PlanarMapping, derivatives, image_side="chain-rule"):
+def verify_kelvin_identities(w: PlanarMapping, derivatives):
     """Max-norm residuals of the two inversion identities.
 
     For p~(x) = p(x/|x|^2), q~(x) = q(x/|x|^2) on the inverted grid:
@@ -177,36 +179,20 @@ def verify_kelvin_identities(w: PlanarMapping, derivatives, image_side="chain-ru
       (i)   |grad p~|^2 + |grad q~|^2  =  |x|^-4 (|grad p|^2 + |grad q|^2)
       (ii)  p~_1 q~_2 - p~_2 q~_1      =  -|x|^-4 (p_1 q_2 - p_2 q_1)
 
-    both right-hand sides evaluated at the pre-image x/|x|^2 from the exact
-    provider ``derivatives``, a callable; anything else, None included, is
-    refused.  Returns (residual_energy, residual_jacobian).
-
-    ``image_side`` selects how the transformed map is differentiated:
-    "chain-rule" pushes the provider through the inversion and reads no
-    sample of w (rounding-level residuals for any provider: it checks the
-    transport only); "stencil" differences the transported samples, second
-    order when the provider is w's derivative and O(1) when it is not.
+    The right-hand sides are evaluated at the pre-image x/|x|^2 from the
+    exact provider ``derivatives``, a callable; anything else, None
+    included, is refused.  The left-hand sides difference the transported
+    samples of w by the grid stencils, so the residuals are second order in
+    the grid spacing when the provider is w's derivative and O(1) when it
+    is not.  Returns (residual_energy, residual_jacobian).
     """
-    if image_side not in ("chain-rule", "stencil"):
-        raise ValueError(f"invalid-dimension: unknown image_side {image_side!r}")
     if not callable(derivatives):
         raise ValueError("invalid-dimension: derivatives must be a callable provider, "
                          f"got {derivatives!r}")
-
-    def pushed(y1, y2):
-        # grad p~(y) = Dk(y)^T grad p(k(y)), Dk = (I |y|^2 - 2 y y^T)/|y|^4
-        n2 = y1 * y1 + y2 * y2
-        d11 = (n2 - 2.0 * y1 * y1) / n2 ** 2
-        d12 = -2.0 * y1 * y2 / n2 ** 2
-        d22 = (n2 - 2.0 * y2 * y2) / n2 ** 2
-        P1, P2, Q1, Q2 = derivatives(y1 / n2, y2 / n2)
-        return d11 * P1 + d12 * P2, d12 * P1 + d22 * P2, d11 * Q1 + d12 * Q2, d12 * Q1 + d22 * Q2
-
     energy, jac = _energy_and_jacobian(*_map_derivatives(w, derivatives))
     # the raw transforms p~, q~ on the inverted grid, not swapped
     image = PlanarMapping(w.grid.inverted(), w.p[::-1], w.q[::-1])
-    energy_t, jac_t = _energy_and_jacobian(
-        *_map_derivatives(image, pushed if image_side == "chain-rule" else None))
+    energy_t, jac_t = _energy_and_jacobian(*_map_derivatives(image))
     scale = image.grid.radii[:, None] ** -4.0
     res_energy = np.max(np.abs(energy_t - scale * energy[::-1]))
     res_jac = np.max(np.abs(jac_t + scale * jac[::-1]))

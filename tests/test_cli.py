@@ -21,8 +21,17 @@ import pytest
 
 import annulab.cli as cli
 import annulab.expansion as expansion
+import annulab.qcmap as qcmap
 from annulab.cli import BUILTIN_SCENARIOS, Scenario, run_acceptance, run_scenario
-from annulab.grid import UNIFORM_RADIAL, ScalarField, build_grid, hessian, write_snapshot
+from annulab.grid import (
+    UNIFORM_RADIAL,
+    AnnularGrid,
+    PlanarMapping,
+    ScalarField,
+    build_grid,
+    hessian,
+    write_snapshot,
+)
 from annulab.nonlinear import radial_ma_reference
 
 
@@ -1083,6 +1092,22 @@ class TestAcceptanceHarness:
         row, = run_acceptance(names=["12-hessian-limit-decay"])
         assert not row["passed"]
         assert row["detail"].endswith("; laurent skipped: not-harmonic: synthetic")
+
+    @pytest.mark.parametrize("mutation", ["wrong provider", "no ring reversal",
+                                          "no inversion"])
+    def test_row_04_fails_on_each_transport_or_provider_mutation(self, mutation):
+        # z^2 checked with the identity's provider, the image built on the
+        # inverted grid with the samples in their own ring order, and a
+        # transport that leaves the annulus in place
+        patches = {
+            "wrong provider": mock.patch.object(cli, "_d_zsquared", cli._d_identity),
+            "no ring reversal": mock.patch.object(
+                qcmap, "PlanarMapping", lambda grid, p, q: PlanarMapping(grid, p[::-1], q[::-1])),
+            "no inversion": mock.patch.object(AnnularGrid, "inverted", lambda self: self),
+        }
+        with patches[mutation]:
+            (row,) = run_acceptance(names=["04-kelvin-identities"])
+        assert not row["passed"]
 
     def test_empty_selection_raises(self):
         with pytest.raises(ValueError, match="invalid-config: no criteria selected"):

@@ -572,15 +572,16 @@ def clipped_cell_values(tab, r, theta):
     i = np.clip(np.searchsorted(tab.s, t, side="right") - 1, 0, tab.s.size - 2)
     edge = np.clip(t, tab.s[i], tab.s[i + 1])
     a, b = edge - tab.s[i], tab.s[i + 1] - edge
-    wa, wb = a / tab.h[i], b / tab.h[i]
+    wa, wb = a / tab.rule.h[i], b / tab.rule.h[i]
     f0_edge = wb * tab.f0[i] + wa * tab.f0[i + 1]
     vals = (tab.moment[i] + a * tab.mass[i] + a * a * (f0_edge / 6.0 + tab.f0[i] / 3.0)
             + np.maximum(t - edge, 0.0) * (tab.mass[i] + 0.5 * a * (tab.f0[i] + f0_edge)))
-    coef = -1.0 / tab.k
+    k = tab.rule.k
+    coef = -1.0 / k
     coef[-1] *= 0.5
     a_k, b_k = a[:, None], b[:, None]
-    decay_a, near_a, far_a = polyval_hat_weights(a_k * tab.k)
-    decay_b, near_b, far_b = polyval_hat_weights(b_k * tab.k)
+    decay_a, near_a, far_a = polyval_hat_weights(a_k * k)
+    decay_b, near_b, far_b = polyval_hat_weights(b_k * k)
     at_edge = a_k * near_a + b_k * near_b
     g = (decay_a * tab.left[i] + decay_b * tab.right[i + 1]
          + (wb[:, None] * at_edge + a_k * far_a) * tab.fk[i]
@@ -591,10 +592,12 @@ def clipped_cell_values(tab, r, theta):
 
 
 def longdouble_tables(tab):
-    """``_mode_tables``' arrays cast to long double, array by array."""
-    return SimpleNamespace(**{
-        name: np.asarray(v).astype(np.clongdouble if np.iscomplexobj(v) else np.longdouble)
-        for name, v in vars(tab).items()})
+    """``_mode_tables``' arrays and its rule's cast to long double, array by array."""
+    def cast(arrays):
+        return {name: np.asarray(v).astype(np.clongdouble if np.iscomplexobj(v) else np.longdouble)
+                for name, v in vars(arrays).items() if name != "rule"}
+
+    return SimpleNamespace(**cast(tab), rule=SimpleNamespace(**cast(tab.rule)))
 
 
 def clipped_cell_potential(f, pts, dtype=float):
@@ -667,10 +670,11 @@ def test_two_point_form_meets_left_plus_right_at_the_rings(spacing, n_r, n_q, se
     # (400 draws measured 20)
     g = build_grid(1.0, 4.0, n_r, n_q, spacing)
     tab = elliptic._mode_tables(g, random_density(g, np.random.default_rng(seed)).values)
-    coef = np.where(tab.k < tab.k.size, -1.0, -0.5) / tab.k
-    table = elliptic._cell_table(tab, coef)
+    k, coef = tab.rule.k, tab.rule.coef
+    assert np.array_equal(coef, np.where(k < k.size, -1.0, -0.5) / k)
+    table = elliptic._cell_table(tab)
     big_a, big_b, p = table[:, 0, :-1], table[:, 1, :-1], table[:, 2]
-    decay = np.exp(-tab.k[:, None] * tab.h)
+    decay = np.exp(-k[:, None] * tab.rule.h)
     ring = coef[:, None] * (tab.left + tab.right).T
     terms = np.abs(coef)[:, None] * (np.abs(tab.left) + np.abs(tab.right)).T + np.abs(p)
     scale = 64 * np.finfo(float).eps * (terms[:, :-1] + terms[:, 1:])
@@ -1106,6 +1110,19 @@ def backward_error(coeffs, f, g_inner, g_outer, u):
     return resid / scale
 
 
+def condition_number(coeffs, f, g_inner, g_outer):
+    """kappa_inf of the assembled system: |A|_inf times an estimate of |A^-1|_inf = |A^-T|_1.
+
+    A backward error eta moves the solution by at most about kappa eta
+    relative, so a forward bound of 2 kappa eta holds whatever the gate.
+    """
+    mat, _ = assembled_system(coeffs, f, g_inner, g_outer)
+    lu = splu(mat)
+    inverse_t = LinearOperator(mat.shape, matvec=lambda x: lu.solve(x, trans="T"),
+                               rmatvec=lu.solve)
+    return float(abs(mat).sum(axis=1).max() * onenormest(inverse_t))
+
+
 def solve_and_gmres_cycles(coeffs, f, g_inner, g_outer):
     """Solution plus the number of GMRES restart cycles it took.
 
@@ -1308,8 +1325,10 @@ def test_anisotropic_coefficients_match_the_superlu_reference():
     u, krylov_cycles = solve_and_gmres_cycles(co, f, g_in, g_out)
     ref = superlu_reference(co, f, g_in, g_out)
     assert krylov_cycles >= 1
-    assert backward_error(co, f, g_in, g_out, u) <= 1e-10
-    assert np.abs(u.values - ref.values).max() <= 1e-10 * np.abs(ref.values).max()
+    eta = backward_error(co, f, g_in, g_out, u)
+    assert eta <= 1e-10
+    kappa = condition_number(co, f, g_in, g_out)
+    assert np.abs(u.values - ref.values).max() <= 2.0 * kappa * eta * np.abs(ref.values).max()
 
 
 @settings(max_examples=30, deadline=None)
@@ -1332,14 +1351,8 @@ def test_ring_varying_solves_meet_the_gate_and_match_superlu(spacing, n_r, n_q, 
     u = solve_linear_dirichlet(co, f, g_in, g_out)
     eta = backward_error(co, f, g_in, g_out, u)
     assert eta <= 1e-10
-    # a backward error eta moves the solution by at most about kappa eta
-    # relative; kappa_inf of these systems reaches 1e4, so the bound is taken
-    # per draw, |A|_inf times an estimate of |A^-1|_inf = |A^-T|_1
-    mat, _ = assembled_system(co, f, g_in, g_out)
-    lu = splu(mat)
-    inverse_t = LinearOperator(mat.shape, matvec=lambda x: lu.solve(x, trans="T"),
-                               rmatvec=lu.solve)
-    kappa = abs(mat).sum(axis=1).max() * onenormest(inverse_t)
+    # kappa_inf of these systems reaches 1e4
+    kappa = condition_number(co, f, g_in, g_out)
     ref = superlu_reference(co, f, g_in, g_out)
     assert np.abs(u.values - ref.values).max() <= 2.0 * kappa * eta * np.abs(ref.values).max()
 
