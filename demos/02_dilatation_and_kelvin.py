@@ -55,7 +55,7 @@ def d_zsquared(a, b):
 print()
 for n in (32, 64, 128):
     gk = build_grid(1.0, 2.0, n, n)
-    res_energy, res_jac = verify_kelvin_identities(
+    res_energy, res_jac, _ = verify_kelvin_identities(
         PlanarMapping.from_function(gk, lambda a, b: (a * a - b * b, 2 * a * b)), d_zsquared)
     print(f"inversion identities for z^2 on {n}x{n}, second-order stencil residuals: "
           f"energy {res_energy:.2e}, Jacobian {res_jac:.2e}, "

@@ -437,6 +437,7 @@ def _gmres_cycle(apply, precondition, x, r, basis, tol):
 _NODE_TOL = 1e-12  # index-coordinate tolerance for a target to count as a node
 _SERIES_X = 2.0**-5  # below this x = k a the partial-cell weights take their series
 _SERIES_TERMS = 8  # at _SERIES_X the first term dropped is below rounding
+_SCAN_SPAN = 32.0  # k_max times a scan block's width in s at most, so scalings stay finite
 # Taylor coefficients of the weights, highest power first
 _FAR_SERIES = np.array([(-1.0) ** n / (math.factorial(n) * (n + 2))
                         for n in range(_SERIES_TERMS)])[::-1]
@@ -472,34 +473,47 @@ def _potential_rule(grid):
     as ``nodes()`` keeps its arrays: the cell widths ``h`` in s = log r, the
     modes ``k`` and their series weights ``coef`` = -1/k, halved for the
     Nyquist mode, which is its own conjugate; ``r2n`` = radii^2 / n_theta;
-    by cell the hat weights ``near`` and ``far`` times h and the decay
-    ``steps`` up the rings then down them; and ``_cell_table``'s
-    denominators ``den_d`` = -2 expm1(-k h) and ``den_s`` = 2 e^{-k h} + 2
-    by (modes, cells).  The steps and the denominators meet complex arrays
-    in the recurrence's loop and in divisions, so they are kept complex with
-    imaginary part 0: numpy then runs the complex-by-real product or
-    quotient's own arithmetic, on the value it would cast to, without the
-    cast.  40 (n_r - 1) n_theta bytes in all.
+    ``_cell_table``'s denominators ``den_d`` = -2 expm1(-k h) and ``den_s`` =
+    2 e^{-k h} + 2 by (modes, cells); and for ``_mode_tables``' scans, up
+    the rings and then down them counted from the outer ring, the int block
+    bounds ``bounds`` (a block spans at most _SCAN_SPAN / k_max in s, or is
+    one wider cell) and, s_ref the block's second ring in the scan's order,
+    by cell the hat weights near and far times h e^{k (s_out - s_ref)},
+    s_out the cell's last ring (``weights``), by ring e^{-k (s_i - s_ref)}
+    (``unscale``) and by block its first cell's e^{-k h} times the ring
+    below's un-scaling (``carry``).  All real, about 32 n_r n_theta bytes.
     """
     rule = grid.__dict__.get("_potential_rule")
     if rule is not None:
         return rule
-    h = np.diff(grid.log_radii)
+    s, h = grid.log_radii, np.diff(grid.log_radii)
     k = np.arange(1.0, grid.n_theta // 2 + 1)
-    decay, near, far = _hat_weights(h[:, None] * k)
-    steps = np.zeros((h.size, 2 * k.size), dtype=complex)
-    steps.real[:, :k.size] = decay
-    steps.real[:, k.size:] = decay[::-1]
-    x = np.multiply(k[:, None], -h)
+    bounds = [0]
+    while bounds[-1] < h.size:
+        end = np.searchsorted(s, s[bounds[-1]] + _SCAN_SPAN / k[-1], side="right") - 1
+        bounds.append(max(end, bounds[-1] + 1))
+    bounds = np.array([bounds, h.size - np.array(bounds[::-1])])
+    decay, near, far = (w.T for w in _hat_weights(h[:, None] * k))
+    hats = np.stack([near * h, far * h])
+    weights, unscale, carry = map(np.array, zip(
+        _scan_rule(k, s, bounds[0], hats, decay),
+        _scan_rule(k, -s[::-1], bounds[1], hats[..., ::-1], decay[:, ::-1])))
     rule = SimpleNamespace(h=h, k=k, coef=np.where(k < k.size, -1.0, -0.5) / k,
-                           r2n=grid.radii[:, None] ** 2 / grid.n_theta,
-                           near=near * h[:, None], far=far * h[:, None], steps=steps,
-                           den_d=(np.expm1(x) * -2.0).astype(complex),
-                           den_s=(np.exp(x) * 2.0 + 2.0).astype(complex))
+                           r2n=grid.radii[:, None] ** 2 / grid.n_theta, bounds=bounds,
+                           weights=weights, unscale=unscale, carry=carry,
+                           den_d=np.expm1(np.multiply(k[:, None], -h)) * -2.0,
+                           den_s=decay * 2.0 + 2.0)
     for values in vars(rule).values():
         values.setflags(write=False)
     object.__setattr__(grid, "_potential_rule", rule)
     return rule
+
+
+def _scan_rule(k, s, bounds, hats, decay):
+    """One scan's ``weights``, ``unscale`` and ``carry``, on rings ``s`` in its direction."""
+    ref = s[np.repeat(np.r_[0, bounds[:-1] + 1], np.r_[1, np.diff(bounds)])]  # ring 0: itself
+    unscale = np.exp(k[:, None] * (ref - s))
+    return hats / unscale[:, 1:], unscale, decay[:, bounds[:-1]] * unscale[:, bounds[:-1]]
 
 
 def _mode_tables(grid, fvals):
@@ -508,30 +522,40 @@ def _mode_tables(grid, fvals):
     F_k(s) = rfft(f)_k e^{2s} / n_theta is taken linear in s on each cell,
     whatever its width, and every cell enters exactly.  Integrals over s < s_i:
     ``mass[i]`` of F_0 and ``moment[i]`` of (s_i - s) F_0; for k >= 1,
-    ``left[i]`` of e^{-k (s_i - s)} F_k, by a recurrence up the rings, and
-    ``right[i]`` of e^{-k (s - s_i)} F_k over s > s_i, down them, in one loop.
-    The weights come from the grid's kept ``_potential_rule``, which the
-    tables carry as ``rule``.
+    ``left[i]`` of e^{-k (s_i - s)} F_k and ``right[i]`` of e^{-k (s - s_i)}
+    F_k over s > s_i, kept with F_k as the rows of one buffer ``table`` of
+    shape (modes, 3, rings) that ``_cell_table`` later converts; ``left``,
+    ``right`` and ``fk`` are (rings, modes) views of it.  Each recurrence
+    G_i+1 = e^{-k h} G_i + (cell term) is a scaled prefix sum (Blelloch,
+    CMU-CS-90-190, 1990): ``cumsum`` sums the cell terms, scaled by the kept
+    ``_potential_rule``, block by block from each block's carry, and one
+    product un-scales the row.  Down the rings runs as up them, reversed.
     """
     rule = _potential_rule(grid)
-    s, h, k = grid.log_radii, rule.h, rule.k
-    spec = np.fft.rfft(fvals, axis=1) * rule.r2n
-    f0, fk = spec[:, 0].real, spec[:, 1:]
+    s, h = grid.log_radii, rule.h
+    spec = np.fft.rfft(fvals, axis=1)
+    spec *= rule.r2n
+    f0 = spec[:, 0].real.copy()
     mass = np.concatenate(([0.0], np.cumsum(0.5 * h * (f0[:-1] + f0[1:]))))
     moment = np.concatenate(([0.0], np.cumsum(h * (mass[:-1] + h * (f0[1:] / 6 + f0[:-1] / 3)))))
-    # row c holds left[c] and right[-1 - c], one loop runs both recurrences;
-    # up[c] is cell c's part of left[c + 1] and down[c] its part of right[c]
-    pairs = np.zeros((grid.n_r, 2 * k.size), dtype=complex)
-    up, down = pairs[1:, :k.size], pairs[:0:-1, k.size:]
-    np.multiply(rule.near, fk[1:], out=up)
-    up += rule.far * fk[:-1]
-    np.multiply(rule.near, fk[:-1], out=down)
-    down += rule.far * fk[1:]
-    prod = np.empty(pairs.shape[1], dtype=complex)
-    for step, prev, row in zip(rule.steps, pairs, pairs[1:]):
-        row += np.multiply(step, prev, out=prod)
-    return SimpleNamespace(rule=rule, s=s, f0=f0, fk=fk, mass=mass, moment=moment,
-                           left=pairs[:, :k.size], right=pairs[::-1, k.size:])
+    table = np.empty((rule.k.size, 3, s.size), dtype=complex)
+    left, right, fk = table[:, 0], table[:, 1], table[:, 2]
+    fk[...] = spec[:, 1:].T
+    del spec
+    left[:, 0] = right[:, -1] = 0.0
+    part = np.empty((rule.k.size, h.size), dtype=complex)  # scratch, the freed spectrum's size
+    for row, f, bounds, weights, unscale, carry in zip(
+            (left, right[:, ::-1]), (fk, fk[:, ::-1]), rule.bounds, rule.weights,
+            rule.unscale, rule.carry):
+        np.multiply(weights[0], f[:, 1:], out=row[:, 1:])
+        row[:, 1:] += np.multiply(weights[1], f[:, :-1], out=part)
+        for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            seg = row[:, lo + 1:hi + 1]
+            seg[:, 0] += carry[:, b] * row[:, lo]
+            np.cumsum(seg, axis=1, out=seg)
+        row *= unscale
+    return SimpleNamespace(rule=rule, s=s, f0=f0, mass=mass, moment=moment, table=table,
+                           left=left.T, right=right.T, fk=fk.T)
 
 
 def _node_values(tab, ring, col):
@@ -559,16 +583,19 @@ def _cell_table(tab):
     A = S - D, B = S + D, S = (H_i + H_i+1) / (2 + 2 e) and
     D = (H_i+1 - H_i) / (-2 expm1(-k h)); the direct A = (H_i - e H_i+1) /
     (1 - e^2) would turn the rounding of e into errors of eps |H| / (k h).
-    Returns shape (modes, 3, rings): rows A and B of the cell starting at
-    each ring (the last entries unused) and row P of each ring, so that cell
-    i reads a mode's four coefficients at flat offsets i, rings + i,
-    2 rings + i and 2 rings + i + 1.
+    The first call on ``tab`` keeps the boundary series coef (left[-1],
+    right[0]) as ``tab.series``, turns ``tab.table`` in place into rows A and
+    B of the cell starting at each ring (last entries unused) and row P, and
+    drops ``left``, ``right`` and ``fk``; cell i reads a mode's coefficients
+    at flat offsets i, rings + i, 2 rings + i and 2 rings + i + 1.
     """
-    rule, coef = tab.rule, tab.rule.coef
-    table = np.empty((rule.k.size, 3, tab.s.size), dtype=complex)
+    rule, coef, table = tab.rule, tab.rule.coef, tab.table
+    if "left" not in vars(tab):
+        return table
     row_a, hom, p = table[:, 0], table[:, 1], table[:, 2]
-    np.multiply(tab.fk.T, (coef * (2.0 / rule.k))[:, None], out=p)
-    np.add(tab.left.T, tab.right.T, out=hom)
+    tab.series = np.column_stack([row_a[:, -1], hom[:, 0]]) * coef[:, None]
+    p *= (coef * (2.0 / rule.k))[:, None]
+    hom += row_a
     hom *= coef[:, None]
     hom -= p
     # D and S take the rows that end up holding A and B
@@ -579,6 +606,7 @@ def _cell_table(tab):
     big_b = big_s + big_d
     np.subtract(big_s, big_d, out=big_d)
     big_s[...] = big_b
+    del tab.left, tab.right, tab.fk
     return table
 
 
@@ -604,9 +632,9 @@ def _target_values(tab, r, theta):
     vals[above] = tab.moment[-1] + (t[above] - s[-1]) * tab.mass[-1]
     off, cell = np.flatnonzero(above | below), np.flatnonzero(~(above | below))
     if off.size:
+        _cell_table(tab)  # keeps tab.series
         z = np.exp(1j * theta[off] - np.where(above[off], t[off] - s[-1], s[0] - t[off]))
-        series = np.column_stack([tab.left[-1], tab.right[0]]) * coef[:, None]
-        vals[off] += _horner(series, below[off].astype(np.intp), z).real
+        vals[off] += _horner(tab.series, below[off].astype(np.intp), z).real
     if not cell.size:
         return vals
     t, theta = t[cell], theta[cell]
@@ -680,14 +708,11 @@ def newtonian_potential(f, targets):
     rings, the others (the origin too) from the nearer boundary ring's series.
     In a cell each mode k >= 1 is left + right solved as a two-point problem
     on the cell, A e^{-k a} + B e^{-k b} plus the density's term (2/k) F_k;
-    the coefficients are tabulated per cell once per call, and each target
-    sums the modes by Horner's rule, as it does off the grid.
-
-    The first call on a grid keeps on it, read-only, the part of the rule
-    that no density changes (``_potential_rule``: cell widths, modes and
-    their series weights, hat weights, decay steps and the cell table's
-    denominators, about 40 n_r n_theta bytes); later calls on that grid
-    only apply it.
+    each target sums the modes by Horner's rule, as it does off the grid.
+    A call holds one (modes, 3, rings) buffer: left, right and F_k, then in
+    place the cell coefficients.  The first call on a grid keeps on it,
+    read-only, the part of the rule that no density changes
+    (``_potential_rule``, about 32 n_r n_theta bytes).
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("singular-input: non-finite density values")

@@ -184,19 +184,26 @@ def verify_kelvin_identities(w: PlanarMapping, derivatives):
     included, is refused.  The left-hand sides difference the transported
     samples of w by the grid stencils, so the residuals are second order in
     the grid spacing when the provider is w's derivative and O(1) when it
-    is not.  Returns (residual_energy, residual_jacobian).
+    is not.  Both identities hold for any provider with w's |Dw|^2 and
+    det Dw, (p1, -p2, -q1, q2) too, so the provider is also read against
+    the stencil derivatives of w on its own grid: the largest entry-wise
+    difference over max |Dw| there, second order likewise.  Returns
+    (residual_energy, residual_jacobian, residual_provider).
     """
     if not callable(derivatives):
         raise ValueError("invalid-dimension: derivatives must be a callable provider, "
                          f"got {derivatives!r}")
-    energy, jac = _energy_and_jacobian(*_map_derivatives(w, derivatives))
+    given, stencil = _map_derivatives(w, derivatives), _map_derivatives(w)
+    res_provider = (max(np.max(np.abs(d - s)) for d, s in zip(given, stencil))
+                    / np.sqrt(np.max(_energy_and_jacobian(*stencil)[0])))
+    energy, jac = _energy_and_jacobian(*given)
     # the raw transforms p~, q~ on the inverted grid, not swapped
     image = PlanarMapping(w.grid.inverted(), w.p[::-1], w.q[::-1])
     energy_t, jac_t = _energy_and_jacobian(*_map_derivatives(image))
     scale = image.grid.radii[:, None] ** -4.0
     res_energy = np.max(np.abs(energy_t - scale * energy[::-1]))
     res_jac = np.max(np.abs(jac_t + scale * jac[::-1]))
-    return float(res_energy), float(res_jac)
+    return float(res_energy), float(res_jac), float(res_provider)
 
 
 def fit_power_law(radii, deviations, limit, degenerate_tol) -> DecayFit:

@@ -1093,14 +1093,22 @@ class TestAcceptanceHarness:
         assert not row["passed"]
         assert row["detail"].endswith("; laurent skipped: not-harmonic: synthetic")
 
-    @pytest.mark.parametrize("mutation", ["wrong provider", "no ring reversal",
-                                          "no inversion"])
+    @pytest.mark.parametrize("mutation", ["wrong provider", "sign-flipped provider",
+                                          "no ring reversal", "no inversion"])
     def test_row_04_fails_on_each_transport_or_provider_mutation(self, mutation):
-        # z^2 checked with the identity's provider, the image built on the
+        # z^2 checked with the identity's provider, x/|x|^2 with (p1, -p2,
+        # -q1, q2), which keeps |Dw|^2 and det Dw, the image built on the
         # inverted grid with the samples in their own ring order, and a
         # transport that leaves the annulus in place
+        inversion = cli._d_inversion
+
+        def flipped(y1, y2):
+            p1, p2, q1, q2 = inversion(y1, y2)
+            return p1, -p2, -q1, q2
+
         patches = {
             "wrong provider": mock.patch.object(cli, "_d_zsquared", cli._d_identity),
+            "sign-flipped provider": mock.patch.object(cli, "_d_inversion", flipped),
             "no ring reversal": mock.patch.object(
                 qcmap, "PlanarMapping", lambda grid, p, q: PlanarMapping(grid, p[::-1], q[::-1])),
             "no inversion": mock.patch.object(AnnularGrid, "inverted", lambda self: self),
