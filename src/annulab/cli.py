@@ -303,10 +303,18 @@ def _boundary_data(scenario, grid):
         return radial_ma_reference(float(boundary["a"]), [grid.r_inner, grid.r_outer])[0]
     if kind == "explicit_polynomial":
         return far_field(grid, [0, -1], *(boundary[key] for key in ("A", "b", "d", "c", "e")))
-    field = read_snapshot(boundary["path"])
+    field = _read_finite(boundary["path"], [0, -1])
     if not field.grid.same_boundary(grid):
         _config_error("boundary file grid does not match the scenario grid")
     return field.values[0].copy(), field.values[-1].copy()
+
+
+def _read_finite(path, rings=slice(None)):
+    """The snapshot at ``path``, refused by name unless its values on ``rings`` are finite."""
+    field = read_snapshot(path)
+    if not np.all(np.isfinite(field.values[rings])):
+        raise ValueError(f"singular-input: non-finite entries in {path}")
+    return field
 
 
 def _operator(scenario, grid):
@@ -961,7 +969,7 @@ def _cmd_solve(args):
 
 def _cmd_analyze(args):
     scenario = _load_scenario(args.config, args)
-    field = read_snapshot(args.field_file)
+    field = _read_finite(args.field_file)
     grid = field.grid
     scenario_grid = _scenario_grid(scenario.grid)
     if not grid.same_geometry(scenario_grid):
@@ -991,12 +999,15 @@ def _cmd_report(args):
         report = json.loads(report_path.read_text())
     except json.JSONDecodeError as err:
         _config_error(f"report {report_path} is not valid JSON: {err}")
+    version = report.get("report_version") if isinstance(report, dict) else None
+    if type(version) is not int or version != 1:  # JSON true is not 1
+        _config_error(f"report {report_path} is not a JSON object with report_version 1")
     tables = {}
     if args.format in ("csv", "svg"):
         field_path = run_dir / "solution.field"
         if not field_path.exists():
             _config_error(f"no solution.field under {run_dir} to derive tables from")
-        tables = _tables(report, read_snapshot(field_path), args.format)
+        tables = _tables(report, _read_finite(field_path), args.format)
     # a bad snapshot fails above, before the summary claims anything
     _print_report_summary(report)
     for name, text in tables.items():

@@ -523,9 +523,9 @@ def _mode_tables(grid, fvals):
     whatever its width, and every cell enters exactly.  Integrals over s < s_i:
     ``mass[i]`` of F_0 and ``moment[i]`` of (s_i - s) F_0; for k >= 1,
     ``left[i]`` of e^{-k (s_i - s)} F_k and ``right[i]`` of e^{-k (s - s_i)}
-    F_k over s > s_i, kept with F_k as the rows of one buffer ``table`` of
-    shape (modes, 3, rings) that ``_cell_table`` later converts; ``left``,
-    ``right`` and ``fk`` are (rings, modes) views of it.  Each recurrence
+    F_k over s > s_i, kept with F_k as rows 0, 1 and 2 of one buffer
+    ``table`` of shape (modes, 3, rings) that ``_cell_table`` may convert
+    once, after ``_node_values`` has read rows 0 and 1.  Each recurrence
     G_i+1 = e^{-k h} G_i + (cell term) is a scaled prefix sum (Blelloch,
     CMU-CS-90-190, 1990): ``cumsum`` sums the cell terms, scaled by the kept
     ``_potential_rule``, block by block from each block's carry, and one
@@ -554,8 +554,7 @@ def _mode_tables(grid, fvals):
             seg[:, 0] += carry[:, b] * row[:, lo]
             np.cumsum(seg, axis=1, out=seg)
         row *= unscale
-    return SimpleNamespace(rule=rule, s=s, f0=f0, mass=mass, moment=moment, table=table,
-                           left=left.T, right=right.T, fk=fk.T)
+    return SimpleNamespace(rule=rule, s=s, f0=f0, mass=mass, moment=moment, table=table)
 
 
 def _node_values(tab, ring, col):
@@ -567,7 +566,7 @@ def _node_values(tab, ring, col):
     rings, where = np.unique(ring, return_inverse=True)
     half = tab.rule.k.size  # n_theta / 2
     spectrum = np.column_stack([2 * half * tab.moment[rings],
-                                (tab.left[rings] + tab.right[rings]) * (-half / tab.rule.k)])
+                                tab.table[:, :2, rings].sum(axis=1).T * (-half / tab.rule.k)])
     return np.fft.irfft(spectrum, axis=1)[where, col]
 
 
@@ -583,19 +582,17 @@ def _cell_table(tab):
     A = S - D, B = S + D, S = (H_i + H_i+1) / (2 + 2 e) and
     D = (H_i+1 - H_i) / (-2 expm1(-k h)); the direct A = (H_i - e H_i+1) /
     (1 - e^2) would turn the rounding of e into errors of eps |H| / (k h).
-    The first call on ``tab`` keeps the boundary series coef (left[-1],
-    right[0]) as ``tab.series``, turns ``tab.table`` in place into rows A and
-    B of the cell starting at each ring (last entries unused) and row P, and
-    drops ``left``, ``right`` and ``fk``; cell i reads a mode's coefficients
-    at flat offsets i, rings + i, 2 rings + i and 2 rings + i + 1.
+    ``tab.table`` becomes, in place, rows A and B of the cell starting at
+    each ring and row P; A and B at the last ring, which no cell reads, take
+    the boundary series coef (left[-1], right[0]).  Cell i reads a mode at
+    flat offsets i, rings + i, 2 rings + i and 2 rings + i + 1.
     """
     rule, coef, table = tab.rule, tab.rule.coef, tab.table
-    if "left" not in vars(tab):
-        return table
     row_a, hom, p = table[:, 0], table[:, 1], table[:, 2]
-    tab.series = np.column_stack([row_a[:, -1], hom[:, 0]]) * coef[:, None]
+    inner_series = hom[:, 0] * coef
     p *= (coef * (2.0 / rule.k))[:, None]
     hom += row_a
+    row_a[:, -1] *= coef  # the outer series, once left[-1] is in H
     hom *= coef[:, None]
     hom -= p
     # D and S take the rows that end up holding A and B
@@ -606,50 +603,49 @@ def _cell_table(tab):
     big_b = big_s + big_d
     np.subtract(big_s, big_d, out=big_d)
     big_s[...] = big_b
-    del tab.left, tab.right, tab.fk
-    return table
+    hom[:, -1] = inner_series
 
 
 def _target_values(tab, r, theta):
     """The potential at targets (r, theta) off the nodes, each in O(n_theta).
 
-    A target at t = log r in the grid takes its cell [s_i, s_i+1] at
-    a = t - s_i, b = s_i+1 - t: mode 0 from the partial-cell integral, the
-    modes k >= 1 from the two-point form of ``_cell_table`` as four
-    polynomials, in e^{-a + i theta}, e^{-b + i theta} and e^{i theta}
-    (twice, weighted b / h and a / h), summed by Horner's rule, with no
-    exp, division or series per mode.  A target a distance d off the grid,
-    the origin too, reads the nearer boundary ring's series in
-    z = e^{-d + i theta} by Horner's rule: the boundary cell's rule at b = 0
-    (a = 0), which the recurrences collapse to left at s_last, mode 0 adding
-    moment + d mass, or to right at s_0 alone.
+    Reads the table ``_cell_table`` has converted.  A target at t = log r in
+    the grid takes its cell [s_i, s_i+1] at a = t - s_i, b = s_i+1 - t: mode
+    0 from the partial-cell integral, the modes k >= 1 from the two-point
+    form as four polynomials, in e^{-a + i theta}, e^{-b + i theta} and
+    e^{i theta} (twice, weighted b / h and a / h).  A target a distance d
+    off the grid, the origin too, reads the nearer boundary ring's series in
+    z = e^{-d + i theta}: the boundary cell's rule at b = 0 (a = 0), which
+    the recurrences collapse to left at s_last, mode 0 adding
+    moment + d mass, or to right at s_0 alone.  One Horner pass sums every
+    polynomial of every target, with no exp, division or series per mode.
     """
     with np.errstate(divide="ignore"):
         t = np.log(r)  # -inf at the origin, where every term vanishes
-    s, h, coef = tab.s, tab.rule.h, tab.rule.coef
+    s, h, rings = tab.s, tab.rule.h, tab.s.size
     above, below = t > s[-1], t < s[0]
     vals = np.zeros(t.size)
     vals[above] = tab.moment[-1] + (t[above] - s[-1]) * tab.mass[-1]
     off, cell = np.flatnonzero(above | below), np.flatnonzero(~(above | below))
-    if off.size:
-        _cell_table(tab)  # keeps tab.series
-        z = np.exp(1j * theta[off] - np.where(above[off], t[off] - s[-1], s[0] - t[off]))
-        vals[off] += _horner(tab.series, below[off].astype(np.intp), z).real
-    if not cell.size:
-        return vals
+    n = cell.size
+    z = np.empty(4 * n + off.size, dtype=complex)
+    np.exp(1j * theta[off] - np.where(above[off], t[off] - s[-1], s[0] - t[off]),
+           out=z[4 * n:])
     t, theta = t[cell], theta[cell]
-    i = np.clip(np.searchsorted(s, t, side="right") - 1, 0, s.size - 2)
+    i = np.clip(np.searchsorted(s, t, side="right") - 1, 0, rings - 2)
     a, b = t - s[i], s[i + 1] - t
     wa, wb = a / h[i], b / h[i]
     f0_t = wb * tab.f0[i] + wa * tab.f0[i + 1]
     vals[cell] = tab.moment[i] + a * tab.mass[i] + a * a * (f0_t / 6.0 + tab.f0[i] / 3.0)
-    z = np.empty((4, cell.size), dtype=complex)
-    np.exp(1j * theta - a, out=z[0])
-    np.exp(1j * theta - b, out=z[1])
-    np.exp(1j * theta, out=z[2])
-    z[3] = z[2]
-    at = i + np.array([0, s.size, 2 * s.size, 2 * s.size + 1])[:, None]
-    g = _horner(_cell_table(tab).reshape(coef.size, -1), at, z).real
+    z_cell = z[:4 * n].reshape(4, n)
+    for row, shift in zip(z_cell, (a, b, 0.0)):
+        np.exp(1j * theta - shift, out=row)
+    z_cell[3] = z_cell[2]
+    at = np.concatenate([(i + np.array([0, rings, 2 * rings, 2 * rings + 1])[:, None]).ravel(),
+                         rings - 1 + rings * below[off]])
+    g = _horner(tab.table.reshape(tab.rule.k.size, -1), at, z).real
+    vals[off] += g[4 * n:]
+    g = g[:4 * n].reshape(4, n)
     vals[cell] += g[0] + g[1] + wb * g[2] + wa * g[3]
     return vals
 
@@ -707,12 +703,13 @@ def newtonian_potential(f, targets):
     integers) are read ring by ring by irfft, targets in a cell from its two
     rings, the others (the origin too) from the nearer boundary ring's series.
     In a cell each mode k >= 1 is left + right solved as a two-point problem
-    on the cell, A e^{-k a} + B e^{-k b} plus the density's term (2/k) F_k;
-    each target sums the modes by Horner's rule, as it does off the grid.
-    A call holds one (modes, 3, rings) buffer: left, right and F_k, then in
-    place the cell coefficients.  The first call on a grid keeps on it,
-    read-only, the part of the rule that no density changes
-    (``_potential_rule``, about 32 n_r n_theta bytes).
+    on the cell, A e^{-k a} + B e^{-k b} plus the density's term (2/k) F_k.
+    A call holds one (modes, 3, rings) buffer: left, right and F_k, which the
+    nodes read; then, once and only if some target is off the nodes, in place
+    the cell coefficients with the boundary series in their spare entries,
+    from which one Horner pass sums the modes of every off-node target.  The
+    first call on a grid keeps on it, read-only, the part of the rule that no
+    density changes (``_potential_rule``, about 32 n_r n_theta bytes).
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("singular-input: non-finite density values")
@@ -730,7 +727,9 @@ def newtonian_potential(f, targets):
         on = ring >= 0
         vals = np.empty(r.size)
         vals[on] = _node_values(tab, ring[on], col[on])
-        vals[~on] = _target_values(tab, r[~on], theta[~on])
+        if not on.all():
+            _cell_table(tab)
+            vals[~on] = _target_values(tab, r[~on], theta[~on])
     log_mass = float(tab.mass[-1])
     if not (np.all(np.isfinite(vals)) and math.isfinite(log_mass)):
         x1, x2 = pts[int(np.argmax(~np.isfinite(vals)))].tolist()

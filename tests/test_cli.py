@@ -950,6 +950,48 @@ print(json.dumps({"seen": seen, "cycles": len(cycles)}))
                 f"JSON: ") in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "solution.field"]
 
+    @pytest.mark.parametrize("text", ["[1]", "{}", "null", '"report"',
+                                      '{"report_version": 2}', '{"report_version": true}'])
+    def test_report_that_is_not_a_report_exits_2_and_names_the_file(
+            self, quad_run, tmp_path, capsys, text):
+        (tmp_path / "report.json").write_text(text)
+        shutil.copy(quad_run / "solution.field", tmp_path / "solution.field")
+        assert cli.main(["report", str(tmp_path), "--format", "svg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (f"error: invalid-config: report {tmp_path / 'report.json'} is not a JSON "
+                "object with report_version 1\n") in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "solution.field"]
+
+    def test_analyze_names_a_snapshot_with_a_non_finite_value(self, quad_run, tmp_path,
+                                                              capsys):
+        u = cli.read_snapshot(quad_run / "solution.field")
+        u.values[5, 3] = np.nan
+        field = tmp_path / "nan.field"
+        write_snapshot(field, u)
+        analyze, _, _ = self.snapshot_readers(field, tmp_path, tmp_path)
+        assert cli.main(analyze) == 2
+        assert f"error: singular-input: non-finite entries in {field}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_file_boundary_names_a_snapshot_with_a_non_finite_boundary_ring(
+            self, quad_run, tmp_path, capsys):
+        # only the boundary rings are read, so a NaN inside is no error
+        u = cli.read_snapshot(quad_run / "solution.field")
+        field = tmp_path / "boundary.field"
+        _, _, solve = self.snapshot_readers(field, tmp_path, tmp_path)
+        u.values[5, 3] = np.nan
+        write_snapshot(field, u)
+        assert cli.main(solve) == 0
+        for ring in (0, -1):
+            u.values[ring, 3] = np.nan
+            write_snapshot(field, u)
+            assert cli.main(solve[:2] + ["--out", str(tmp_path / "refused")]) == 2
+            assert (f"error: scenario identity-quadratic: singular-input: non-finite "
+                    f"entries in {field}\n") in capsys.readouterr().err
+            u.values[ring, 3] = 0.0
+        assert not (tmp_path / "refused").exists()
+
     def test_non_finite_snapshot_is_not_analyzed(self, quad_run, tmp_path, capsys):
         # the snapshot keeps the NaN as written; the Hessian refuses it
         u = cli.read_snapshot(quad_run / "solution.field")

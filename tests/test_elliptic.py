@@ -355,9 +355,21 @@ def node_indices(g, pts):
     return elliptic._node_indices(g, *polar(pts))[0]
 
 
+def table_rows(tab):
+    """``left``, ``right`` and F_k of ``tab.table`` before its conversion, (rings, modes) each."""
+    return tab.table.transpose(1, 2, 0)
+
+
+def cell_tables(g, values):
+    """``_mode_tables`` with the table converted, as the off-node path reads it."""
+    tab = elliptic._mode_tables(g, values)
+    elliptic._cell_table(tab)
+    return tab
+
+
 def off_node_path(f, pts):
     """``newtonian_potential``'s values with every target on the off-node path."""
-    return elliptic._target_values(elliptic._mode_tables(f.grid, f.values), *polar(pts))
+    return elliptic._target_values(cell_tables(f.grid, f.values), *polar(pts))
 
 
 def polar_points(radii, angles):
@@ -509,7 +521,7 @@ def test_batched_target_sums_match_the_loop(spacing, n_r, n_q, seed):
     # each target of a batch gets the value it gets alone
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, 4.0, n_r, n_q, spacing)
-    tab = elliptic._mode_tables(g, random_density(g, rng).values)
+    tab = cell_tables(g, random_density(g, rng).values)
     pts = edge_case_targets(g, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -583,9 +595,10 @@ def clipped_cell_values(tab, r, theta):
     decay_a, near_a, far_a = polyval_hat_weights(a_k * k)
     decay_b, near_b, far_b = polyval_hat_weights(b_k * k)
     at_edge = a_k * near_a + b_k * near_b
-    g = (decay_a * tab.left[i] + decay_b * tab.right[i + 1]
-         + (wb[:, None] * at_edge + a_k * far_a) * tab.fk[i]
-         + (wa[:, None] * at_edge + b_k * far_b) * tab.fk[i + 1])
+    left, right, fk = table_rows(tab)
+    g = (decay_a * left[i] + decay_b * right[i + 1]
+         + (wb[:, None] * at_edge + a_k * far_a) * fk[i]
+         + (wa[:, None] * at_edge + b_k * far_b) * fk[i + 1])
     powers = np.empty(g.shape, dtype=g.dtype)
     powers[:] = np.exp(1j * theta - np.abs(t - edge))[:, None]
     return vals + np.einsum("mk,mk,k->m", g, np.cumprod(powers, axis=1, out=powers), coef).real
@@ -673,10 +686,11 @@ def test_two_point_form_meets_left_plus_right_at_the_rings(spacing, n_r, n_q, se
     k, coef = tab.rule.k, tab.rule.coef
     assert np.array_equal(coef, np.where(k < k.size, -1.0, -0.5) / k)
     # the conversion overwrites left and right in place, so they are read first
-    ring = coef[:, None] * (tab.left + tab.right).T
-    terms = np.abs(coef)[:, None] * (np.abs(tab.left) + np.abs(tab.right)).T
-    table = elliptic._cell_table(tab)
-    big_a, big_b, p = table[:, 0, :-1], table[:, 1, :-1], table[:, 2]
+    left, right, _ = table_rows(tab)
+    ring = coef[:, None] * (left + right).T
+    terms = np.abs(coef)[:, None] * (np.abs(left) + np.abs(right)).T
+    elliptic._cell_table(tab)
+    big_a, big_b, p = tab.table[:, 0, :-1], tab.table[:, 1, :-1], tab.table[:, 2]
     decay = np.exp(-k[:, None] * tab.rule.h)
     terms += np.abs(p)
     scale = 64 * np.finfo(float).eps * (terms[:, :-1] + terms[:, 1:])
@@ -788,7 +802,7 @@ def assert_scans_meet_the_loop(g, fvals):
     tab = elliptic._mode_tables(g, fvals)
     c = 2 * elliptic._SCAN_SPAN + np.diff(tab.rule.bounds).max()
     bound = c * np.finfo(float).eps
-    for scan, loop, size in zip((tab.left, tab.right), two_loop_tables(g, fvals),
+    for scan, loop, size in zip(table_rows(tab)[:2], two_loop_tables(g, fvals),
                                 two_loop_tables(g, fvals, magnitude=True)):
         assert np.all(np.abs(scan - loop) <= bound * size)
     return tab
@@ -815,6 +829,8 @@ def test_rule_is_consistent_with_itself(grid_args):
     spec = np.fft.rfft(f.values, axis=1) * (g.radii[:, None] ** 2 / g.n_theta)
     fq = spec[:-1, None, :] * (1.0 - tau)[:, None] + spec[1:, None, :] * tau[:, None]
     k = np.arange(1, spec.shape[1])
+    tab_left, tab_right, _ = table_rows(tab)
+    scale = np.abs(tab_left).max() + np.abs(tab_right).max()
     for i in sorted({0, 1, g.n_r // 3, g.n_r // 2, g.n_r - 2, g.n_r - 1}):
         below = slice(0, i)
         kern = np.exp(-np.abs(s[i] - sq)[:, :, None] * k)
@@ -822,9 +838,8 @@ def test_rule_is_consistent_with_itself(grid_args):
         right = np.einsum("cq,cqk->k", wq[i:], kern[i:] * fq[i:, :, 1:])
         mass = np.sum(wq[below] * fq[below, :, 0].real)
         moment = np.sum(wq[below] * (s[i] - sq[below]) * fq[below, :, 0].real)
-        scale = np.abs(tab.left).max() + np.abs(tab.right).max()
-        assert np.abs(tab.left[i] - left).max() <= 1e-13 * scale
-        assert np.abs(tab.right[i] - right).max() <= 1e-13 * scale
+        assert np.abs(tab_left[i] - left).max() <= 1e-13 * scale
+        assert np.abs(tab_right[i] - right).max() <= 1e-13 * scale
         assert abs(tab.mass[i] - mass) <= 1e-13 * abs(tab.mass[-1])
         assert abs(tab.moment[i] - moment) <= 1e-13 * abs(tab.moment[-1])
 
@@ -840,22 +855,33 @@ def test_a_cell_wider_than_the_span_is_a_block_of_its_own():
     assert_scans_meet_the_loop(g, random_density(g, np.random.default_rng(6)).values)
 
 
-def test_cell_table_converts_the_buffer_once():
-    # the cell table overwrites left, right and F_k in the one buffer, so
-    # the tables drop them: a stale read raises instead of reading cell
-    # coefficients, and a second conversion returns the table unchanged
+def test_cell_table_keeps_the_boundary_series_in_its_spare_entries():
+    # no cell reads A and B at the last ring, so they hold the boundary
+    # series coef (left[-1], right[0]), read before the conversion
     g = build_grid(1.0, 4.0, 17, 16)
     tab = elliptic._mode_tables(g, random_density(g, np.random.default_rng(8)).values)
-    series = np.column_stack([tab.left[-1], tab.right[0]]) * tab.rule.coef[:, None]
-    table = elliptic._cell_table(tab)
-    assert table is tab.table and table.shape == (8, 3, 17)
-    assert tab.series.tobytes() == series.tobytes()
-    copy = table.copy()
-    assert elliptic._cell_table(tab) is table
-    assert table.tobytes() == copy.tobytes()
-    for name in ("left", "right", "fk"):
-        with pytest.raises(AttributeError):
-            getattr(tab, name)
+    left, right, _ = table_rows(tab)
+    series = np.column_stack([left[-1], right[0]]) * tab.rule.coef[:, None]
+    table = tab.table
+    elliptic._cell_table(tab)
+    assert tab.table is table and table.shape == (8, 3, 17)
+    assert np.column_stack([table[:, 0, -1], table[:, 1, -1]]).tobytes() == series.tobytes()
+
+
+def test_a_call_converts_its_table_once_and_only_off_the_nodes():
+    # an all-node batch reads rows 0 and 1 alone; a batch with nodes, targets
+    # in cells, off the grid and at the origin converts the table once
+    g = build_grid(1.0, 4.0, 17, 16)
+    f = random_density(g, np.random.default_rng(9))
+    nodes = np.array([node_point(g, i, j) for i, j in ((0, 0), (8, 3), (16, 15))])
+    mixed = np.vstack([nodes, polar_points(np.array([1.5, 2.5, 0.5, 9.0, 0.0]),
+                                           np.array([0.3, 1.1, 2.0, 4.0, 0.0]))])
+    for pts, calls in ((nodes, 0), (mixed, 1)):
+        with mock.patch.object(elliptic, "_cell_table", wraps=elliptic._cell_table) as convert:
+            newtonian_potential(f, pts)
+        assert convert.call_count == calls
+    # radii 1.5 and 2.5 lie in cells, 0.5 and 9 off the grid [1, 4]
+    assert np.all(node_indices(g, mixed[3:]) == -1)
 
 
 def test_repeat_off_grid_call_peaks_below_one_buffer_and_the_targets():
