@@ -547,30 +547,31 @@ def _tables(report, u, fmt: str, h=None) -> dict:
     return tables
 
 
-def _print_report_summary(report):
-    name = report["scenario"]["name"]
-    print(f"scenario {name}: {report['status']}")
-    solve = report["solve"]
+def _report_summary(report) -> str:
+    """The printed summary of a report; raises on a key it lacks or cannot format."""
+    solve, gm, exp, cc = (report[key] for key in ("solve", "gradient_map", "expansion",
+                                                  "cross_checks"))
     iters = "" if solve["iterations"] is None else f"{solve['iterations']} iterations, "
-    print(f"  solve: {solve['method']}, {iters}residual {solve['final_residual']:.3e}")
-    gm = report["gradient_map"]
-    print(f"  gradient map: K_min {gm['K_min']:.6f}, alpha {gm['alpha']:.6f}")
-    exp = report["expansion"]
     rexp = exp["residual_fit"]["exponent"]
     rexp_text = "exact (degenerate fit)" if rexp is None else f"{rexp:.4f}"
-    print(f"  expansion: d {exp['d']:.6e}, c {exp['c']:.6e}, "
-          f"residual exponent {rexp_text} over windows {exp['windows']}")
-    cc = report["cross_checks"]
     lau = cc["d_laurent"]
     lau_text = (f"{lau['value']:.6e} at radius {lau['radius']:.3f}"
                 if lau else "skipped")
-    print(f"  d cross-checks: fit {cc['d_fit']:.6e}, divergence "
-          f"{cc['d_divergence']['value']:.6e} at R {cc['d_divergence']['R']}, "
-          f"laurent {lau_text}, max gap {cc['max_pairwise_gap']:.3e}")
+    lines = [
+        f"scenario {report['scenario']['name']}: {report['status']}",
+        f"  solve: {solve['method']}, {iters}residual {solve['final_residual']:.3e}",
+        f"  gradient map: K_min {gm['K_min']:.6f}, alpha {gm['alpha']:.6f}",
+        f"  expansion: d {exp['d']:.6e}, c {exp['c']:.6e}, "
+        f"residual exponent {rexp_text} over windows {exp['windows']}",
+        f"  d cross-checks: fit {cc['d_fit']:.6e}, divergence "
+        f"{cc['d_divergence']['value']:.6e} at R {cc['d_divergence']['R']}, "
+        f"laurent {lau_text}, max gap {cc['max_pairwise_gap']:.3e}",
+    ]
     for row in report["assertions"]:
         verdict = "pass" if row["pass"] else "FAIL"
-        print(f"  assert {row['name']}: measured {row['measured']} vs "
-              f"{row['expected']} (tol {row['tolerance']}) -> {verdict}")
+        lines.append(f"  assert {row['name']}: measured {row['measured']} vs "
+                     f"{row['expected']} (tol {row['tolerance']}) -> {verdict}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +950,7 @@ def _emit(scenario, report, u, h, args):
     write_snapshot(out_dir / "solution.field", u)
     for name, text in _tables(report, u, args.format, h).items():
         (out_dir / name).write_text(text)
-    _print_report_summary(report)
+    print(_report_summary(report))
     print(f"artifacts written to {out_dir}")
     return 0 if report["status"] == "pass" else 1
 
@@ -1002,14 +1003,19 @@ def _cmd_report(args):
     version = report.get("report_version") if isinstance(report, dict) else None
     if type(version) is not int or version != 1:  # JSON true is not 1
         _config_error(f"report {report_path} is not a JSON object with report_version 1")
-    tables = {}
+    field = None
     if args.format in ("csv", "svg"):
         field_path = run_dir / "solution.field"
         if not field_path.exists():
             _config_error(f"no solution.field under {run_dir} to derive tables from")
-        tables = _tables(report, _read_finite(field_path), args.format)
-    # a bad snapshot fails above, before the summary claims anything
-    _print_report_summary(report)
+        field = _read_finite(field_path)
+    # a bad snapshot or report fails here, before anything is printed or written
+    try:
+        summary, tables = _report_summary(report), _tables(report, field, args.format)
+    except (KeyError, TypeError, ValueError, IndexError) as err:
+        _config_error(f"report {report_path} lacks or mistypes a key the summary or "
+                      f"tables read ({type(err).__name__}: {err})")
+    print(summary)
     for name, text in tables.items():
         (run_dir / name).write_text(text)
     return 0 if report["status"] == "pass" else 1

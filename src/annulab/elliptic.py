@@ -7,10 +7,10 @@ normalized kernel log|x - y| - log|y| against a compactly supported
 density mode by mode in theta, where the kernel splits exactly in log r:
 per-ring tables are read at nodes by one irfft per ring, in a cell from its
 two rings and off the grid from the nearer boundary ring, in O(n_theta).
-In a cell each mode solves a two-point problem whose exact answer is a sum
-of two decaying exponentials and the density's own term, so a target sums
-four polynomials in e^{-a + i theta}, e^{-b + i theta} and e^{i theta} by
-Horner's rule on a per-cell coefficient table, with no exp per mode.
+In a cell each mode is two decaying exponentials plus the density's own
+term, with coefficients read off the tables' partial-cell integrals, so a
+target sums four polynomials in e^{-a + i theta}, e^{-b + i theta} and
+e^{i theta} by Horner's rule on a per-cell table, with no exp per mode.
 
 The linear solve applies the nine-point table of ``_nine_point``, the only
 code that forms a stencil weight, a block of interior rings at a time, with
@@ -473,15 +473,14 @@ def _potential_rule(grid):
     as ``nodes()`` keeps its arrays: the cell widths ``h`` in s = log r, the
     modes ``k`` and their series weights ``coef`` = -1/k, halved for the
     Nyquist mode, which is its own conjugate; ``r2n`` = radii^2 / n_theta;
-    ``_cell_table``'s denominators ``den_d`` = -2 expm1(-k h) and ``den_s`` =
-    2 e^{-k h} + 2 by (modes, cells); and for ``_mode_tables``' scans, up
-    the rings and then down them counted from the outer ring, the int block
-    bounds ``bounds`` (a block spans at most _SCAN_SPAN / k_max in s, or is
-    one wider cell) and, s_ref the block's second ring in the scan's order,
-    by cell the hat weights near and far times h e^{k (s_out - s_ref)},
-    s_out the cell's last ring (``weights``), by ring e^{-k (s_i - s_ref)}
-    (``unscale``) and by block its first cell's e^{-k h} times the ring
-    below's un-scaling (``carry``).  All real, about 32 n_r n_theta bytes.
+    and for ``_mode_tables``' scans, up the rings and then down them counted
+    from the outer ring, the int block bounds ``bounds`` (a block spans at
+    most _SCAN_SPAN / k_max in s, or is one wider cell) and, s_ref the
+    block's second ring in the scan's order, by cell the hat weights near
+    and far times h e^{k (s_out - s_ref)}, s_out the cell's last ring
+    (``weights``), by ring e^{-k (s_i - s_ref)} (``unscale``) and by block
+    its first cell's e^{-k h} times the ring below's un-scaling (``carry``).
+    All real, about 24 n_r n_theta bytes.
     """
     rule = grid.__dict__.get("_potential_rule")
     if rule is not None:
@@ -500,9 +499,7 @@ def _potential_rule(grid):
         _scan_rule(k, -s[::-1], bounds[1], hats[..., ::-1], decay[:, ::-1])))
     rule = SimpleNamespace(h=h, k=k, coef=np.where(k < k.size, -1.0, -0.5) / k,
                            r2n=grid.radii[:, None] ** 2 / grid.n_theta, bounds=bounds,
-                           weights=weights, unscale=unscale, carry=carry,
-                           den_d=np.expm1(np.multiply(k[:, None], -h)) * -2.0,
-                           den_s=decay * 2.0 + 2.0)
+                           weights=weights, unscale=unscale, carry=carry)
     for values in vars(rule).values():
         values.setflags(write=False)
     object.__setattr__(grid, "_potential_rule", rule)
@@ -571,39 +568,31 @@ def _node_values(tab, ring, col):
 
 
 def _cell_table(tab):
-    """Each cell's modes in two-point form, as coef_k times (A, B, P) by ring.
+    """Each cell's modes as coef_k times (A, B, P) by ring, from the tables alone.
 
-    With P = (2/k) F_k and H = left + right - P at each ring, and e = e^{-k h}
-    on a cell [s_i, s_i+1] of width h, G_k = left + right solves
-    G'' = k^2 G - 2 k F_k with F_k linear, so at a = t - s_i, b = s_i+1 - t
+    With P = (2/k) F_k and Q = (P_i+1 - P_i) / (2 k h) on a cell [s_i, s_i+1]
+    of width h, where F_k is linear, the partial-cell integrals give exactly,
+    at a = t - s_i and b = s_i+1 - t,
 
-        G_k = A e^{-k a} + B e^{-k b} + (b P_i + a P_i+1) / h,
+        left + right = A e^{-k a} + B e^{-k b} + (b P_i + a P_i+1) / h,
 
-    A = S - D, B = S + D, S = (H_i + H_i+1) / (2 + 2 e) and
-    D = (H_i+1 - H_i) / (-2 expm1(-k h)); the direct A = (H_i - e H_i+1) /
-    (1 - e^2) would turn the rounding of e into errors of eps |H| / (k h).
-    ``tab.table`` becomes, in place, rows A and B of the cell starting at
-    each ring and row P; A and B at the last ring, which no cell reads, take
-    the boundary series coef (left[-1], right[0]).  Cell i reads a mode at
-    flat offsets i, rings + i, 2 rings + i and 2 rings + i + 1.
+    A = left_i - P_i / 2 + Q and B = right_i+1 - P_i+1 / 2 - Q, dividing by
+    nothing small.  ``tab.table`` becomes, in place, row A at each cell's
+    first ring, row B at its second and row P; the rows' free ends keep the
+    boundary series coef left[-1] and coef right[0], at flat offsets rings - 1
+    and rings.  Cell i reads i, rings + i + 1, 2 rings + i and 2 rings + i + 1.
     """
-    rule, coef, table = tab.rule, tab.rule.coef, tab.table
-    row_a, hom, p = table[:, 0], table[:, 1], table[:, 2]
-    inner_series = hom[:, 0] * coef
-    p *= (coef * (2.0 / rule.k))[:, None]
-    hom += row_a
-    row_a[:, -1] *= coef  # the outer series, once left[-1] is in H
-    hom *= coef[:, None]
-    hom -= p
-    # D and S take the rows that end up holding A and B
-    big_d = np.subtract(hom[:, 1:], hom[:, :-1], out=row_a[:, :-1])
-    big_d /= rule.den_d
-    big_s = np.add(hom[:, :-1], hom[:, 1:], out=hom[:, :-1])
-    big_s /= rule.den_s
-    big_b = big_s + big_d
-    np.subtract(big_s, big_d, out=big_d)
-    big_s[...] = big_b
-    hom[:, -1] = inner_series
+    rule, table = tab.rule, tab.table
+    left, right, p = table[:, 0], table[:, 1], table[:, 2]
+    table *= rule.coef[:, None, None]
+    p /= rule.k[:, None]  # P / 2 until the last line
+    left[:, :-1] -= p[:, :-1]
+    right[:, 1:] -= p[:, 1:]
+    q = np.subtract(p[:, 1:], p[:, :-1])
+    q /= np.multiply.outer(rule.k, rule.h)
+    left[:, :-1] += q
+    right[:, 1:] -= q
+    p *= 2.0
 
 
 def _target_values(tab, r, theta):
@@ -611,14 +600,15 @@ def _target_values(tab, r, theta):
 
     Reads the table ``_cell_table`` has converted.  A target at t = log r in
     the grid takes its cell [s_i, s_i+1] at a = t - s_i, b = s_i+1 - t: mode
-    0 from the partial-cell integral, the modes k >= 1 from the two-point
+    0 from the partial-cell integral, the modes k >= 1 from the partial-cell
     form as four polynomials, in e^{-a + i theta}, e^{-b + i theta} and
     e^{i theta} (twice, weighted b / h and a / h).  A target a distance d
     off the grid, the origin too, reads the nearer boundary ring's series in
     z = e^{-d + i theta}: the boundary cell's rule at b = 0 (a = 0), which
-    the recurrences collapse to left at s_last, mode 0 adding
-    moment + d mass, or to right at s_0 alone.  One Horner pass sums every
-    polynomial of every target, with no exp, division or series per mode.
+    the recurrences collapse to left at s_last, mode 0 adding moment + d
+    mass, or to right at s_0 alone, the rows' free ends.  One Horner pass
+    sums every polynomial of every target, with no exp, division or series
+    per mode.
     """
     with np.errstate(divide="ignore"):
         t = np.log(r)  # -inf at the origin, where every term vanishes
@@ -641,8 +631,8 @@ def _target_values(tab, r, theta):
     for row, shift in zip(z_cell, (a, b, 0.0)):
         np.exp(1j * theta - shift, out=row)
     z_cell[3] = z_cell[2]
-    at = np.concatenate([(i + np.array([0, rings, 2 * rings, 2 * rings + 1])[:, None]).ravel(),
-                         rings - 1 + rings * below[off]])
+    at = np.concatenate([(i + np.array([0, rings + 1, 2 * rings, 2 * rings + 1])[:, None]).ravel(),
+                         rings - 1 + below[off]])
     g = _horner(tab.table.reshape(tab.rule.k.size, -1), at, z).real
     vals[off] += g[4 * n:]
     g = g[:4 * n].reshape(4, n)
@@ -702,14 +692,14 @@ def newtonian_potential(f, targets):
     beyond the support.  Grid nodes (index coordinates within 1e-12 of
     integers) are read ring by ring by irfft, targets in a cell from its two
     rings, the others (the origin too) from the nearer boundary ring's series.
-    In a cell each mode k >= 1 is left + right solved as a two-point problem
-    on the cell, A e^{-k a} + B e^{-k b} plus the density's term (2/k) F_k.
-    A call holds one (modes, 3, rings) buffer: left, right and F_k, which the
-    nodes read; then, once and only if some target is off the nodes, in place
-    the cell coefficients with the boundary series in their spare entries,
-    from which one Horner pass sums the modes of every off-node target.  The
-    first call on a grid keeps on it, read-only, the part of the rule that no
-    density changes (``_potential_rule``, about 32 n_r n_theta bytes).
+    In a cell each mode k >= 1 is A e^{-k a} + B e^{-k b} plus the density's
+    term (2/k) F_k, A and B read off the tables.  A call holds one (modes, 3,
+    rings) buffer: left, right and F_k, which the nodes read; then, once and
+    only if some target is off the nodes, in place the cell coefficients,
+    whose rows end in the boundary series, from which one Horner pass sums
+    the modes of every off-node target.  The first call on a grid keeps on
+    it, read-only, the part of the rule that no density changes
+    (``_potential_rule``, about 24 n_r n_theta bytes).
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("singular-input: non-finite density values")

@@ -77,7 +77,7 @@ class AnnularGrid:
     between the parameter and the radius.  ``nodes()`` keeps its arrays
     after its first call, and the first ``newtonian_potential`` call on a
     grid keeps the density-independent part of its rule as
-    ``_potential_rule``, read-only, about 32 n_r n_theta bytes (1,060,984
+    ``_potential_rule``, read-only, about 24 n_r n_theta bytes (798,840
     on 257x128).
     """
 

@@ -963,6 +963,28 @@ print(json.dumps({"seen": seen, "cycles": len(cycles)}))
                 "object with report_version 1\n") in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "solution.field"]
 
+    @pytest.mark.parametrize("case", ["version only", "scenario and status only",
+                                      "solve without final_residual"])
+    def test_report_that_lacks_a_summary_key_exits_2_before_any_output(
+            self, quad_run, tmp_path, capsys, case):
+        # every key the summary and the tables read is read before a line is
+        # printed or a table written
+        report = json.loads((quad_run / "report.json").read_text())
+        del report["solve"]["final_residual"]
+        report = {"version only": {"report_version": 1},
+                  "scenario and status only": {"report_version": 1, "scenario": {"name": "x"},
+                                               "status": "pass"},
+                  "solve without final_residual": report}[case]
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        shutil.copy(quad_run / "solution.field", tmp_path / "solution.field")
+        for fmt in ("json", "svg"):
+            assert cli.main(["report", str(tmp_path), "--format", fmt]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"error: invalid-config: report {tmp_path / 'report.json'} lacks " in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json",
+                                                                  "solution.field"]
+
     def test_analyze_names_a_snapshot_with_a_non_finite_value(self, quad_run, tmp_path,
                                                               capsys):
         u = cli.read_snapshot(quad_run / "solution.field")

@@ -636,7 +636,7 @@ def clipped_cell_potential(f, pts, dtype=float):
        n_q=st.integers(8, 32).map(lambda k: 2 * k), seed=st.integers(0, 2**32 - 1))
 def test_boundary_series_matches_the_clipped_cell(spacing, n_r, n_q, seed):
     # off the grid the series and the clipped cell differ by rounding; in a
-    # cell the two-point form meets the clipped cell's rule in long double,
+    # cell the partial-cell form meets the clipped cell's rule in long double,
     # and nodes take the same operations as before, bit for bit
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, 4.0, n_r, n_q, spacing)
@@ -657,18 +657,30 @@ def test_boundary_series_matches_the_clipped_cell(spacing, n_r, n_q, seed):
     assert np.abs(vals[off] - ref[off]).max() <= 1e-15 * np.abs(ref).max()
 
 
-def test_two_point_form_on_a_fine_grid():
-    # against the clipped cell's rule in long double on 4097x64: the worst
-    # cases measured are 2.0e-16 of max |u| on a smooth density and, as the
-    # loss grows as |F_k| / (k |G_k|), 1.51e-12 with N(0, 0.1) noise added;
-    # the direct A = (H_i - e H_i+1) / (1 - e^2) reads 2.4e-14 on the first
-    g = build_grid(1.0, 16.0, 4097, 64)
+@pytest.mark.parametrize("grid_args, smooth_rel, noisy_rel", [
+    ((1.0, 16.0, 4097, 64, LOG_RADIAL), 1e-15, 3e-12),
+    ((1.0, 2.0, 2049, 16, UNIFORM_RADIAL), 1e-15, 2e-12),
+    ((1.0, 2.0**20, 321, 32, UNIFORM_RADIAL), 1e-15, 6e-12),
+])
+def test_partial_cell_form_on_fine_grids(grid_args, smooth_rel, noisy_rel):
+    # against the clipped cell's rule in long double, in max |u|, on 3,000
+    # targets spread evenly over the cells.  The loss grows as |F_k| /
+    # (k |G_k|): the Horner sum cancels A e^{-k a} against B e^{-k b}, so
+    # N(0, 0.1) noise on small cells reads far above rounding.  Measured with
+    # the partial-cell form and with the two-point solve from H it replaced
+    # (smooth; noisy): 4097x64 1.9e-16 / 1.9e-16; 1.76e-12 / 1.51e-12,
+    # 2049x16 uniform [1, 2] 4.8e-16 / 6.5e-16; 0.96e-12 / 0.99e-12, 321x32
+    # uniform [1, 2^20] 2.8e-16 / 2.8e-16; 3.90e-12 / 3.90e-12.  Each bound
+    # is at least 1.5 times the worse of the two; the direct A = (H_i -
+    # e H_i+1) / (1 - e^2) read 2.4e-14 on the first smooth case
+    g = build_grid(*grid_args)
     rng = np.random.default_rng(4)
     smooth = angular_density(*g.nodes())
-    pts = polar_points(np.exp(rng.uniform(0.0, math.log(16.0), 3000)),
+    pts = polar_points(g.r_of_t(rng.uniform(g.t[0], g.t[-1], 3000)),
                        rng.uniform(0.0, 2.0 * math.pi, 3000))
     assert np.all(node_indices(g, pts) == -1)
-    for values, rel in ((smooth, 1e-15), (smooth + rng.normal(0.0, 0.1, g.shape), 3e-12)):
+    for values, rel in ((smooth, smooth_rel),
+                        (smooth + rng.normal(0.0, 0.1, g.shape), noisy_rel)):
         f = ScalarField(g, values)
         vals = potential_without_warnings(f, pts)[0]
         exact = clipped_cell_potential(f, pts, np.longdouble)
@@ -677,10 +689,10 @@ def test_two_point_form_on_a_fine_grid():
 
 @settings(max_examples=30, deadline=None)
 @given(**grid_strategies)
-def test_two_point_form_meets_left_plus_right_at_the_rings(spacing, n_r, n_q, seed):
+def test_partial_cell_form_meets_left_plus_right_at_the_rings(spacing, n_r, n_q, seed):
     # at a = 0 (b = 0) the cell's A e^{-k a} + B e^{-k b} + P returns its
     # first (second) ring's left + right, within 64 eps of the cell's terms
-    # (400 draws measured 20)
+    # (400 draws measured 20); cell i keeps A at ring i and B at ring i + 1
     g = build_grid(1.0, 4.0, n_r, n_q, spacing)
     tab = elliptic._mode_tables(g, random_density(g, np.random.default_rng(seed)).values)
     k, coef = tab.rule.k, tab.rule.coef
@@ -690,7 +702,7 @@ def test_two_point_form_meets_left_plus_right_at_the_rings(spacing, n_r, n_q, se
     ring = coef[:, None] * (left + right).T
     terms = np.abs(coef)[:, None] * (np.abs(left) + np.abs(right)).T
     elliptic._cell_table(tab)
-    big_a, big_b, p = tab.table[:, 0, :-1], tab.table[:, 1, :-1], tab.table[:, 2]
+    big_a, big_b, p = tab.table[:, 0, :-1], tab.table[:, 1, 1:], tab.table[:, 2]
     decay = np.exp(-k[:, None] * tab.rule.h)
     terms += np.abs(p)
     scale = 64 * np.finfo(float).eps * (terms[:, :-1] + terms[:, 1:])
@@ -759,7 +771,7 @@ def test_kept_rule_is_read_only(spacing, n_r, n_q, seed):
     newtonian_potential(random_density(g, np.random.default_rng(seed)), [(2.0, 0.5)])
     rule = vars(g)["_potential_rule"]
     assert set(vars(rule)) == {"h", "k", "coef", "r2n", "bounds", "weights", "unscale",
-                               "carry", "den_d", "den_s"}
+                               "carry"}
     assert rule.bounds.dtype.kind == "i"
     for values in vars(rule).values():
         with pytest.raises(ValueError, match="read-only"):
@@ -855,9 +867,10 @@ def test_a_cell_wider_than_the_span_is_a_block_of_its_own():
     assert_scans_meet_the_loop(g, random_density(g, np.random.default_rng(6)).values)
 
 
-def test_cell_table_keeps_the_boundary_series_in_its_spare_entries():
-    # no cell reads A and B at the last ring, so they hold the boundary
-    # series coef (left[-1], right[0]), read before the conversion
+def test_cell_table_leaves_the_boundary_series_at_the_rows_free_ends():
+    # no cell reads row A at the last ring or row B at the first, so they
+    # hold the boundary series coef (left[-1], right[0]), read before the
+    # conversion
     g = build_grid(1.0, 4.0, 17, 16)
     tab = elliptic._mode_tables(g, random_density(g, np.random.default_rng(8)).values)
     left, right, _ = table_rows(tab)
@@ -865,7 +878,7 @@ def test_cell_table_keeps_the_boundary_series_in_its_spare_entries():
     table = tab.table
     elliptic._cell_table(tab)
     assert tab.table is table and table.shape == (8, 3, 17)
-    assert np.column_stack([table[:, 0, -1], table[:, 1, -1]]).tobytes() == series.tobytes()
+    assert np.column_stack([table[:, 0, -1], table[:, 1, 0]]).tobytes() == series.tobytes()
 
 
 def test_a_call_converts_its_table_once_and_only_off_the_nodes():
